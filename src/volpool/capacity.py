@@ -17,11 +17,12 @@ Everything here is closed-form over a host list; nothing samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import config
 from .hosts import HostRecord, field_getter, whole_host_flops
 from .units import (
     MB_PER_MBPS_HOUR,
@@ -141,6 +142,17 @@ def available_flops_at_rate(host: HostRecord, data_rate: float) -> float:
     return min(speed, link)
 
 
+def rate_grid(r_grid: Sequence[float]) -> list[float]:
+    """The data rates of a curve as floats; they must be non-negative and
+    strictly ascending."""
+    grid = [float(r) for r in r_grid]
+    if any(r < 0 for r in grid):
+        raise ValueError("data rate is negative")
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValueError("data-rate grid must ascend")
+    return grid
+
+
 def compute_vs_rate_curve(
     pool: Sequence[HostRecord],
     r_grid: Sequence[float],
@@ -155,12 +167,7 @@ def compute_vs_rate_curve(
     from ``factors``). ``unsaturated_fraction`` is the share of hosts whose
     critical rate is at or above the grid point.
     """
-    grid = [float(r) for r in r_grid]
-    if any(r < 0 for r in grid):
-        raise ValueError("data rate is negative")
-    if any(a >= b for a, b in zip(grid, grid[1:])):
-        raise ValueError("data-rate grid must ascend")
-
+    grid = rate_grid(r_grid)
     n = len(pool)
     speed = np.asarray([whole_host_flops(h) for h in pool], dtype=float)
     link_hourly = np.asarray(
@@ -283,20 +290,11 @@ def factors_from_config(cfg: Mapping) -> CapacityFactors:
     from . import presets
 
     base = presets.reference_capacity_factors()
-    known = {
-        "arrival_rate",
-        "mean_lifetime",
-        "mean_ncpus",
-        "mean_flops_per_cpu",
-        "cpu_efficiency",
-        "on_fraction",
-        "active_fraction",
-        "redundancy",
-        "resource_share",
-        "connected_fraction",
-    }
-    unknown = set(cfg) - known
-    if unknown:
-        raise ValueError(f"unknown capacity factor: {sorted(unknown)[0]!r}")
-    merged = {name: float(cfg.get(name, getattr(base, name))) for name in known}
-    return CapacityFactors(**merged)
+    names = [f.name for f in fields(CapacityFactors)]
+    config.section(cfg, "capacity factor", names)
+    return CapacityFactors(
+        **{
+            name: config.number(cfg, name, getattr(base, name), "capacity factor")
+            for name in names
+        }
+    )

@@ -7,7 +7,9 @@ and ``simulate`` (the event-driven project simulation).
 
 Conventions shared by every subcommand: configuration comes from a JSON file
 named by ``--config``; ``--seed`` overrides any seed found there; outputs land
-in ``--out`` (default: current directory). Every CSV written starts with a
+in ``--out`` (default: current directory). Each subcommand reads its whole
+config through :mod:`volpool.config` before it does any work, so a bad config
+writes nothing. Every CSV written starts with a
 ``# seed=... config=...`` comment and every JSON document carries the same
 pair under a ``meta`` key, so an output can always be traced to the exact
 inputs that produced it. Exit status is 0 for success and 2 for any usage,
@@ -28,6 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import capacity as cap
+from . import config
 from . import ingest as ing
 from . import population as pop
 from . import sim as simmod
@@ -127,9 +130,12 @@ def _cell(v) -> str:
 def _write_json(path: str, meta: Mapping, payload: dict) -> None:
     doc = dict(payload)
     doc["meta"] = dict(meta)
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as err:
+        raise _DataError(f"cannot write {path}: {err}") from err
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _outpath(args, name: str) -> str:
@@ -137,46 +143,108 @@ def _outpath(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
-def _resolve_seed(args, cfg: Mapping) -> int:
+# -- config readers ------------------------------------------------------------
+# Each reads its subcommand's whole config before any work starts, and main()
+# turns any ValueError one raises into exit status 2.
+
+
+def _options(args, cfg: Mapping, allowed) -> tuple[int, dict]:
+    """Check the top-level keys; return the seed (flag > config > 0) and meta."""
+    where = f"{args.command} option"
+    config.section(cfg, where, allowed)
+    seed = config.count(cfg, "seed", 0, where)
     if args.seed is not None:
-        return args.seed
-    return int(cfg.get("seed", 0))
+        seed = args.seed
+    return seed, _meta(seed, cfg)
 
 
-def _records_from_config(cfg: Mapping, seed: int):
-    """Host records named by the config: a CSV to ingest or a pool to draw."""
+def _input_path(cfg: Mapping) -> str:
+    path = cfg.get("input")
+    if not isinstance(path, str):
+        raise config.ConfigError(f"needs an 'input' path, got {path!r}")
+    return path
+
+
+def _host_source(cfg: Mapping, seed: int):
+    """The host CSV to ingest or, failing that, the pool spec to draw."""
     if "input" in cfg:
-        try:
-            result = ing.parse_hosts(cfg["input"])
-        except OSError as err:
-            raise _DataError(f"cannot read input: {err}") from err
-        except ValueError as err:
-            raise _DataError(str(err)) from err
-        if not result.records:
-            raise _DataError("no rows accepted from input")
-        return list(result.records)
-    pool_cfg = cfg.get("pool", {})
-    try:
-        spec = pop.pool_spec_from_config(dict(pool_cfg), default_seed=seed)
-        return pop.generate_pool(spec)
-    except ValueError as err:
-        raise _UsageError(f"bad pool config: {err}") from err
+        return _input_path(cfg)
+    return pop.pool_spec_from_config(cfg.get("pool", {}), default_seed=seed)
+
+
+def _rate_grid(cfg: Mapping) -> list[float]:
+    spec = cfg.get("rates", {})
+    if isinstance(spec, list):
+        return cap.rate_grid([config.real(r, "rates entry") for r in spec])
+    where = "rates option"
+    config.section(spec, where, ("start", "stop", "n", "log"))
+    n = config.count(spec, "n", 51, where)
+    start = config.number(spec, "start", 0.0, where)
+    stop = config.number(spec, "stop", 10.0, where)
+    if config.flag(spec, "log", where):
+        if start <= 0:
+            raise config.ConfigError("log-spaced rates need a positive start")
+        return cap.rate_grid(np.geomspace(start, stop, n))
+    return cap.rate_grid(np.linspace(start, stop, n))
+
+
+def read_ingest(args, cfg: Mapping):
+    _, meta = _options(args, cfg, ("input", "seed"))
+    return meta, _input_path(cfg)
+
+
+def read_stats(args, cfg: Mapping):
+    seed, meta = _options(args, cfg, ("input", "pool", "seed"))
+    return meta, _host_source(cfg, seed)
+
+
+def read_capacity(args, cfg: Mapping):
+    _, meta = _options(args, cfg, ("factors", "seed"))
+    return meta, cap.factors_from_config(cfg.get("factors", {}))
+
+
+def read_sweep(args, cfg: Mapping):
+    seed, meta = _options(
+        args, cfg, ("input", "pool", "seed", "rates", "factors", "per_host_factors")
+    )
+    return (
+        meta,
+        _host_source(cfg, seed),
+        _rate_grid(cfg),
+        cap.factors_from_config(cfg.get("factors", {})),
+        config.flag(cfg, "per_host_factors", "sweep option"),
+    )
+
+
+def read_simulate(args, cfg: Mapping):
+    sim_cfg = simmod.sim_config_from_config(cfg, seed_override=args.seed)
+    return _meta(sim_cfg.seed, cfg), sim_cfg
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
-def cmd_ingest(args, cfg: Mapping) -> int:
-    if "input" not in cfg:
-        raise _UsageError("ingest config needs an 'input' path")
-    seed = _resolve_seed(args, cfg)
-    meta = _meta(seed, cfg)
+def _parse_input(path: str):
     try:
-        result = ing.parse_hosts(cfg["input"])
+        return ing.parse_hosts(path)
     except OSError as err:
         raise _DataError(f"cannot read input: {err}") from err
     except ValueError as err:
         raise _DataError(str(err)) from err
+
+
+def _records(source) -> list:
+    """Host records of a ``_host_source`` result."""
+    if isinstance(source, str):
+        result = _parse_input(source)
+        if not result.records:
+            raise _DataError("no rows accepted from input")
+        return list(result.records)
+    return pop.generate_pool(source)
+
+
+def cmd_ingest(args, meta: Mapping, path: str) -> int:
+    result = _parse_input(path)
 
     out_csv = _outpath(args, "hosts.parsed.csv")
     with open(out_csv, "w", encoding="utf-8", newline="") as fh:
@@ -203,10 +271,8 @@ def _write_histogram(path: str, meta: Mapping, hist) -> None:
     _write_csv(path, meta, ("bin_start", "bin_end", "count"), rows)
 
 
-def cmd_stats(args, cfg: Mapping) -> int:
-    seed = _resolve_seed(args, cfg)
-    meta = _meta(seed, cfg)
-    records = _records_from_config(cfg, seed)
+def cmd_stats(args, meta: Mapping, source) -> int:
+    records = _records(source)
     if not records:
         raise _DataError("empty record set")
 
@@ -258,13 +324,7 @@ def cmd_stats(args, cfg: Mapping) -> int:
     return 0
 
 
-def cmd_capacity(args, cfg: Mapping) -> int:
-    seed = _resolve_seed(args, cfg)
-    meta = _meta(seed, cfg)
-    try:
-        factors = cap.factors_from_config(dict(cfg.get("factors", {})))
-    except ValueError as err:
-        raise _UsageError(f"bad factors config: {err}") from err
+def cmd_capacity(args, meta: Mapping, factors: cap.CapacityFactors) -> int:
     hardware = cap.hardware_product(factors)
     util = cap.utilization_product(factors)
     potential = cap.potential_flops(factors)
@@ -299,36 +359,9 @@ def cmd_capacity(args, cfg: Mapping) -> int:
     return 0
 
 
-def cmd_sweep(args, cfg: Mapping) -> int:
-    seed = _resolve_seed(args, cfg)
-    meta = _meta(seed, cfg)
-    records = _records_from_config(cfg, seed)
-
-    grid_cfg = cfg.get("rates", {"start": 0.0, "stop": 10.0, "n": 51})
-    if isinstance(grid_cfg, list):
-        grid = [float(x) for x in grid_cfg]
-    else:
-        unknown = set(grid_cfg) - {"start", "stop", "n", "log"}
-        if unknown:
-            raise _UsageError(f"unknown rates option: {sorted(unknown)[0]!r}")
-        n = int(grid_cfg.get("n", 51))
-        start = float(grid_cfg.get("start", 0.0))
-        stop = float(grid_cfg.get("stop", 10.0))
-        if grid_cfg.get("log"):
-            if start <= 0:
-                raise _UsageError("log-spaced rates need a positive start")
-            grid = list(np.geomspace(start, stop, n))
-        else:
-            grid = list(np.linspace(start, stop, n))
-
-    per_host = bool(cfg.get("per_host_factors", False))
-    try:
-        factors = cap.factors_from_config(dict(cfg.get("factors", {})))
-        points = cap.compute_vs_rate_curve(
-            records, grid, factors, per_host_factors=per_host
-        )
-    except ValueError as err:
-        raise _UsageError(str(err)) from err
+def cmd_sweep(args, meta: Mapping, source, grid, factors, per_host: bool) -> int:
+    records = _records(source)
+    points = cap.compute_vs_rate_curve(records, grid, factors, per_host_factors=per_host)
     _write_csv(
         _outpath(args, "rate_curve.csv"),
         meta,
@@ -339,12 +372,7 @@ def cmd_sweep(args, cfg: Mapping) -> int:
     return 0
 
 
-def cmd_simulate(args, cfg: Mapping) -> int:
-    try:
-        sim_cfg = simmod.sim_config_from_config(cfg, seed_override=args.seed)
-    except (ValueError, TypeError) as err:
-        raise _UsageError(f"bad simulate config: {err}") from err
-    meta = _meta(sim_cfg.seed, cfg)
+def cmd_simulate(args, meta: Mapping, sim_cfg: simmod.SimConfig) -> int:
     report = simmod.run_simulation(sim_cfg)
     _write_json(_outpath(args, "sim_report.json"), meta, report.to_json_dict())
     _write_csv(
@@ -371,11 +399,11 @@ def cmd_simulate(args, cfg: Mapping) -> int:
 
 
 _COMMANDS = {
-    "ingest": cmd_ingest,
-    "stats": cmd_stats,
-    "capacity": cmd_capacity,
-    "sweep": cmd_sweep,
-    "simulate": cmd_simulate,
+    "ingest": (read_ingest, cmd_ingest),
+    "stats": (read_stats, cmd_stats),
+    "capacity": (read_capacity, cmd_capacity),
+    "sweep": (read_sweep, cmd_sweep),
+    "simulate": (read_simulate, cmd_simulate),
 }
 
 
@@ -384,7 +412,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _load_config(args.config)
-        return _COMMANDS[args.command](args, cfg)
+        read, run = _COMMANDS[args.command]
+        try:
+            settings = read(args, cfg)
+        except ValueError as err:
+            raise _UsageError(f"bad {args.command} config: {err}") from err
+        return run(args, *settings)
     except (_UsageError, _DataError) as err:
         print(f"volpool: {err}", file=sys.stderr)
         return 2

@@ -1,20 +1,14 @@
 """Domain model for a volunteered host.
 
 A host record bundles the hardware inventory (CPUs, benchmark speeds, memory,
-disk, network throughput), the measured availability fractions, ownership and
-locale attributes, and the owner's scheduling preferences. Records are
-immutable; generators and parsers construct them, everything downstream only
-reads them.
-
-The module also holds the pure gating predicates: given a host's preferences
-and a snapshot of its local clock, may it compute, and may it talk to the
-project server. Communication implies permission to compute; an hour window
-restricts it further, never widens it.
+disk, network throughput), the measured availability fractions, and ownership
+and locale attributes. Records are immutable; generators and parsers construct
+them, everything downstream only reads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -57,82 +51,6 @@ class Venue(Enum):
     WORK = "Work"
     SCHOOL = "School"
     NONE = "None"
-
-
-@dataclass(frozen=True)
-class HourInterval:
-    """Half-open daily interval [start, end) in local hours, wrapping midnight.
-
-    [22, 6) covers ten o'clock at night through six in the morning. Equal
-    endpoints denote the whole day.
-    """
-
-    start: float
-    end: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.start < 24.0):
-            raise ValueError("interval start outside [0, 24)")
-        if not (0.0 <= self.end < 24.0):
-            raise ValueError("interval end outside [0, 24)")
-
-    def contains(self, hour: float) -> bool:
-        if self.start < self.end:
-            return self.start <= hour < self.end
-        if self.start > self.end:
-            return hour >= self.start or hour < self.end
-        return True
-
-    @property
-    def length(self) -> float:
-        """Covered span in hours; a degenerate interval covers all 24."""
-        span = (self.end - self.start) % 24.0
-        return span if span > 0.0 else 24.0
-
-
-@dataclass(frozen=True)
-class Preferences:
-    """Owner-set scheduling limits.
-
-    Defaults match the stock client configuration: do not run while the user
-    is active, connect about every 0.1 days, touch the disk at most once a
-    minute, use at most 100 GB and half the disk, keep 0.1 GB free.
-    """
-
-    run_if_active: bool = False
-    active_hours: HourInterval | None = None
-    comm_hours: HourInterval | None = None
-    confirm_before_connect: bool = False
-    min_connection_interval: float = 0.1  # days
-    disk_access_interval: float = 60.0  # seconds
-    disk_max_used: float = 100.0  # GB
-    disk_max_percent: float = 50.0
-    disk_min_free: float = 0.1  # GB
-
-    def __post_init__(self):
-        if self.min_connection_interval < 0:
-            raise ValueError("min_connection_interval is negative")
-        if self.disk_access_interval < 0:
-            raise ValueError("disk_access_interval is negative")
-        if self.disk_max_used < 0:
-            raise ValueError("disk_max_used is negative")
-        if not (0.0 <= self.disk_max_percent <= 100.0):
-            raise ValueError("disk_max_percent outside [0, 100]")
-        if self.disk_min_free < 0:
-            raise ValueError("disk_min_free is negative")
-
-
-@dataclass(frozen=True)
-class HostClock:
-    """Instantaneous local state a gating decision needs."""
-
-    local_time_of_day: float  # hours, [0, 24)
-    user_active: bool = False
-    suspended: bool = False
-
-    def __post_init__(self):
-        if not (0.0 <= self.local_time_of_day < 24.0):
-            raise ValueError("local_time_of_day outside [0, 24)")
 
 
 _NONNEGATIVE_FIELDS = (
@@ -188,7 +106,6 @@ class HostRecord:
     created: int
     last_contact: int
     resource_share: float
-    preferences: Preferences = field(default=Preferences())
 
     def __post_init__(self):
         if self.n_cpus < 1:
@@ -212,38 +129,6 @@ def whole_host_flops(host: HostRecord) -> float:
 
 def whole_host_iops(host: HostRecord) -> float:
     return host.n_cpus * host.iops_per_cpu
-
-
-def compute_allowed(prefs: Preferences, clock: HostClock) -> bool:
-    """May the client compute right now under these preferences?
-
-    False while suspended, while the user is active unless the owner opted
-    in, and outside the configured daily computation window.
-    """
-    if clock.suspended:
-        return False
-    if clock.user_active and not prefs.run_if_active:
-        return False
-    if prefs.active_hours is not None and not prefs.active_hours.contains(
-        clock.local_time_of_day
-    ):
-        return False
-    return True
-
-
-def comm_allowed(prefs: Preferences, clock: HostClock) -> bool:
-    """May the client contact the server right now?
-
-    Communication needs permission to compute plus, when a communication
-    window is set, the local time falling inside it.
-    """
-    if not compute_allowed(prefs, clock):
-        return False
-    if prefs.comm_hours is not None and not prefs.comm_hours.contains(
-        clock.local_time_of_day
-    ):
-        return False
-    return True
 
 
 # Numeric fields a pool generator or fitter may target, in the canonical

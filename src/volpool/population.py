@@ -21,13 +21,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import ingest
+from . import config, ingest
 from .hosts import (
     NUMERIC_FIELDS,
     CpuVendor,
     HostRecord,
     OperatingSystem,
-    Preferences,
     Venue,
     field_getter,
 )
@@ -221,9 +220,6 @@ def expected_active_hosts(arrival_rate: float, mean_lifetime: float) -> float:
     return arrival_rate * mean_lifetime
 
 
-FieldGenerator = "float | EmpiricalDistribution"
-
-_INT_FIELDS = frozenset({"n_cpus", "tz_offset", "created", "last_contact"})
 _FRACTION_FIELDS = frozenset(
     {
         "on_fraction",
@@ -268,12 +264,13 @@ class PoolSpec:
     hosts_per_user_weights: Mapping[str, float] = field(
         default_factory=lambda: {"1": 1.0}
     )
-    preferences: Preferences = Preferences()
     rank_correlations: tuple[tuple[str, str, float], ...] = ()
 
     def __post_init__(self):
         if self.n_hosts < 0:
             raise ValueError("n_hosts is negative")
+        if self.seed < 0:
+            raise ValueError("seed is negative")
         missing = [f for f in NUMERIC_FIELDS if f not in self.field_generators]
         if missing:
             raise ValueError(f"field_generators missing {missing}")
@@ -286,6 +283,9 @@ class PoolSpec:
         ):
             if any(w < 0 for w in weights.values()):
                 raise ValueError(f"{name} has a negative weight")
+        for name in ("vendor", "os", "country", "venue"):
+            if sum(getattr(self, f"{name}_weights").values()) <= 0:
+                raise ValueError(f"{name} weights sum to zero")
         bad = set(self.hosts_per_user_weights) - {b for b, _, _ in USER_BUCKETS}
         if bad:
             raise ValueError(f"unknown ownership buckets: {sorted(bad)}")
@@ -307,13 +307,10 @@ class PoolSpec:
         return float(gen)
 
 
-def _categorical(rng, weights: Mapping, n: int, label: str):
+def _categorical(rng, weights: Mapping, n: int):
     keys = list(weights.keys())
     w = np.asarray([float(weights[k]) for k in keys], dtype=float)
-    total = w.sum()
-    if total <= 0:
-        raise ValueError(f"{label} weights sum to zero")
-    idx = rng.choice(len(keys), size=n, p=w / total)
+    idx = rng.choice(len(keys), size=n, p=w / w.sum())
     return [keys[i] for i in idx]
 
 
@@ -355,10 +352,10 @@ def generate_pool(spec: PoolSpec) -> list[HostRecord]:
     created = np.rint(columns["created"]).astype(np.int64)
     last_contact = np.maximum(np.rint(columns["last_contact"]).astype(np.int64), created)
 
-    vendors = _categorical(rng, spec.vendor_weights, n, "vendor")
-    oses = _categorical(rng, spec.os_weights, n, "os")
-    countries = _categorical(rng, spec.country_weights, n, "country")
-    venues = _categorical(rng, spec.venue_weights, n, "venue")
+    vendors = _categorical(rng, spec.vendor_weights, n)
+    oses = _categorical(rng, spec.os_weights, n)
+    countries = _categorical(rng, spec.country_weights, n)
+    venues = _categorical(rng, spec.venue_weights, n)
 
     flops = columns["flops_per_cpu"]
     iops = columns["iops_per_cpu"]
@@ -372,7 +369,6 @@ def generate_pool(spec: PoolSpec) -> list[HostRecord]:
     act = columns["active_fraction"]
     eff = columns["cpu_efficiency"]
     share = columns["resource_share"]
-    prefs = spec.preferences
 
     pool = [
         HostRecord(
@@ -398,7 +394,6 @@ def generate_pool(spec: PoolSpec) -> list[HostRecord]:
             created=int(created[i]),
             last_contact=int(last_contact[i]),
             resource_share=float(share[i]),
-            preferences=prefs,
         )
         for i in range(n)
     ]
@@ -511,55 +506,57 @@ def pool_spec_from_config(cfg: Mapping, default_seed: int) -> PoolSpec:
     """Build a PoolSpec from a JSON-shaped dict, filling gaps from presets."""
     from . import presets
 
+    where = "pool option"
+    config.section(cfg, where, (
+        "n_hosts", "seed", "fields", "vendor_weights", "os_weights",
+        "country_weights", "venue_weights", "hosts_per_user_weights",
+    ))
     base = presets.reference_pool_spec(
-        n_hosts=int(cfg.get("n_hosts", 10000)),
-        seed=int(cfg.get("seed", default_seed)),
+        n_hosts=config.count(cfg, "n_hosts", 10000, where),
+        seed=config.count(cfg, "seed", default_seed, where),
     )
     gens = dict(base.field_generators)
-    for name, genspec in dict(cfg.get("fields", {})).items():
-        if name not in NUMERIC_FIELDS:
-            raise ValueError(f"unknown numeric field: {name!r}")
+    field_cfg = config.section(cfg.get("fields", {}), "numeric field", NUMERIC_FIELDS)
+    for name, genspec in field_cfg.items():
         gens[name] = _generator_from_config(name, genspec)
 
-    def enum_weights(key, enum_cls, default):
+    def weights(key, label, default):
         if key not in cfg:
             return default
-        table = {}
-        for label, w in cfg[key].items():
-            table[enum_cls(label)] = float(w)
-        return table
+        table = config.section(cfg[key], f"{key} label", None)
+        return {label(k): config.number(table, k, None, key) for k in table}
 
     return replace(
         base,
         field_generators=gens,
-        vendor_weights=enum_weights("vendor_weights", CpuVendor, base.vendor_weights),
-        os_weights=enum_weights("os_weights", OperatingSystem, base.os_weights),
-        country_weights={
-            str(k): float(v) for k, v in cfg["country_weights"].items()
-        }
-        if "country_weights" in cfg
-        else base.country_weights,
-        venue_weights=enum_weights("venue_weights", Venue, base.venue_weights),
-        hosts_per_user_weights=dict(cfg.get("hosts_per_user_weights", base.hosts_per_user_weights)),
+        vendor_weights=weights("vendor_weights", CpuVendor, base.vendor_weights),
+        os_weights=weights("os_weights", OperatingSystem, base.os_weights),
+        country_weights=weights("country_weights", str, base.country_weights),
+        venue_weights=weights("venue_weights", Venue, base.venue_weights),
+        hosts_per_user_weights=weights(
+            "hosts_per_user_weights", str, base.hosts_per_user_weights
+        ),
     )
 
 
 def _generator_from_config(name: str, genspec):
     if isinstance(genspec, (int, float)):
-        return float(genspec)
-    if isinstance(genspec, Mapping):
-        if "lognormal" in genspec:
-            p = genspec["lognormal"]
-            return EmpiricalDistribution.from_lognormal(
-                mean=float(p["mean"]),
-                cv=float(p["cv"]),
-                n=int(p.get("n", 1024)),
-                field_name=name,
-            )
-        if "samples" in genspec:
-            return EmpiricalDistribution(
-                tuple(sorted(float(v) for v in genspec["samples"])),
-                field_name=name,
-                interpolate=bool(genspec.get("interpolate", False)),
-            )
+        return config.real(genspec, f"field {name!r}")
+    where = f"{name} generator option"
+    if isinstance(genspec, Mapping) and "lognormal" in genspec:
+        config.section(genspec, where, ("lognormal",))
+        p = config.section(genspec["lognormal"], "lognormal option", ("mean", "cv", "n"))
+        return EmpiricalDistribution.from_lognormal(
+            mean=config.number(p, "mean", None, "lognormal option"),
+            cv=config.number(p, "cv", None, "lognormal option"),
+            n=config.count(p, "n", 1024, "lognormal option"),
+            field_name=name,
+        )
+    if isinstance(genspec, Mapping) and isinstance(genspec.get("samples"), list):
+        config.section(genspec, where, ("samples", "interpolate"))
+        return EmpiricalDistribution(
+            tuple(sorted(config.real(v, f"sample of {name!r}") for v in genspec["samples"])),
+            field_name=name,
+            interpolate=config.flag(genspec, "interpolate", where),
+        )
     raise ValueError(f"bad generator spec for field {name!r}")

@@ -2,8 +2,8 @@
 
 The tables below describe a snapshot of roughly 330,000 volunteered hosts on
 a single large BOINC project in early 2006: hardware breakdowns by CPU vendor
-and operating system, locale and venue splits, host-ownership concentration,
-long-run availability fractions and the stock client preference defaults.
+and operating system, locale and venue splits, host-ownership concentration
+and long-run availability fractions.
 They serve two purposes: sensible defaults for the CLI, and fixtures whose
 aggregate behaviour is known in advance so tests can pin it.
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .capacity import CapacityFactors
-from .hosts import CpuVendor, OperatingSystem, Preferences, Venue
+from .hosts import CpuVendor, OperatingSystem, Venue
 from .population import EmpiricalDistribution, PoolSpec, generate_pool
 from .units import SECONDS_PER_DAY
 
@@ -186,7 +186,6 @@ def reference_pool_spec(n_hosts: int, seed: int) -> PoolSpec:
         country_weights={c: float(n) for c, n in COUNTRY_TABLE.items()},
         venue_weights={v: float(c) for v, c in VENUE_TABLE.items()},
         hosts_per_user_weights=dict(HOSTS_PER_USER_PCT),
-        preferences=Preferences(),
         # free space tracks disk size; full coupling also keeps the free
         # mean exact, since equal dispersion means free < total at every
         # quantile and the consistency clamp never fires

@@ -9,13 +9,13 @@ identical work units, at most one per user per unit, requiring ``min_quorum``
 matching results to validate and topping up replicas after mismatches,
 timeouts and host departures until ``max_replicas`` is exhausted.
 
-A host fetches work only while communication is allowed, spacing RPCs by its
-minimum connection interval and requesting enough to cover that interval. It
-downloads one input file at a time at its own link speed (jointly capped by
-the optional server egress limit, shared max-min fairly), computes one
-replica at a time at ``whole_host_flops * cpu_efficiency`` (scaled by its
-resource share when other projects compete), and overlaps the next download
-with the current computation. Completed results return at the next allowed
+A host fetches work only while communication is allowed, spacing RPCs by the
+stock client's minimum connection interval and requesting enough to cover at
+least that interval. It downloads one input file at a time at its own link
+speed (jointly capped by the optional server egress limit, shared max-min
+fairly), computes one replica at a time at ``whole_host_flops *
+cpu_efficiency`` (scaled by its resource share when other projects compete),
+and overlaps the next download with the current computation. Completed results return at the next allowed
 communication; results still out at their deadline are written off and
 reissued.
 
@@ -36,6 +36,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import config
 from .capacity import CapacityFactors, potential_flops
 from .hosts import HostRecord, whole_host_flops
 from .population import ChurnModel, PoolSpec, generate_pool, pool_spec_from_config
@@ -47,6 +48,10 @@ from .units import (
     kbps_to_mb_per_s,
     mbps_to_mb_per_s,
 )
+
+# Stock client spacing between scheduler RPCs; a host also buffers at least
+# this much work.
+MIN_CONNECTION_INTERVAL_DAYS = 0.1
 
 
 class WorkUnitState(Enum):
@@ -172,6 +177,8 @@ class SimConfig:
     def __post_init__(self):
         if self.duration_days <= 0:
             raise ValueError("duration_days must be positive")
+        if self.seed < 0:
+            raise ValueError("seed is negative")
         if self.min_quorum < 1:
             raise ValueError("min_quorum must be at least 1")
         if self.max_replicas < self.min_quorum:
@@ -290,7 +297,7 @@ class _Host:
     __slots__ = (
         "rec", "idx", "user", "alive", "arrive_s", "depart_s",
         "on", "conn", "allow",
-        "flops_rate", "dl_cap", "mem_ok", "buffer_flop", "min_conn_s",
+        "flops_rate", "dl_cap", "mem_ok", "buffer_flop",
         "computing", "ready", "dl_queue", "dl_cur", "completed",
         "cp_running", "cp_mark", "cp_epoch",
         "dl_running", "dl_rate", "dl_mark", "dl_epoch",
@@ -312,7 +319,6 @@ class _Host:
         self.dl_cap = kbps_to_mb_per_s(rec.throughput_down)
         self.mem_ok = True
         self.buffer_flop = 0.0
-        self.min_conn_s = rec.preferences.min_connection_interval * SECONDS_PER_DAY
         self.computing = None
         self.ready = deque()
         self.dl_queue = deque()
@@ -626,7 +632,7 @@ class _Engine:
             h.on_hand_flop += self.task.flops_per_task
             if r.deadline_s <= self.duration_s:
                 self._push(r.deadline_s, _EV_DEADLINE, r)
-        h.next_fetch_s = now + h.min_conn_s
+        h.next_fetch_s = now + MIN_CONNECTION_INTERVAL_DAYS * SECONDS_PER_DAY
         if self.cfg.collect_fetch_log:
             self.fetch_log.append((h.rec.host_id, now / SECONDS_PER_DAY))
         self._dl_changed(h, now)
@@ -686,9 +692,7 @@ class _Engine:
             * (h.rec.resource_share if cfg.competing_share else 1.0)
         )
         h.mem_ok = h.rec.ram >= self.task.memory_footprint
-        buffer_days = max(
-            cfg.work_buffer_days or 0.0, h.rec.preferences.min_connection_interval
-        )
+        buffer_days = max(cfg.work_buffer_days or 0.0, MIN_CONNECTION_INTERVAL_DAYS)
         h.buffer_flop = buffer_days * SECONDS_PER_DAY * h.flops_rate
         h.occ_mark = now
         h.cp_mark = now
@@ -1001,67 +1005,71 @@ def factors_from_sim_config(cfg: SimConfig) -> CapacityFactors:
     )
 
 
+SIMULATE_OPTIONS = (
+    "duration_days", "seed", "churn", "pool", "task", "min_quorum",
+    "max_replicas", "error_rate", "server_egress_cap_mbps",
+    "competing_share", "mean_dwell_hours", "work_buffer_days",
+    "timeline_step_hours",
+)
+
+
 def sim_config_from_config(cfg: Mapping, seed_override: int | None = None) -> SimConfig:
     """Build a SimConfig from a JSON-shaped dict with modest defaults."""
-    known = {
-        "duration_days", "seed", "churn", "pool", "task", "min_quorum",
-        "max_replicas", "error_rate", "server_egress_cap_mbps",
-        "competing_share", "mean_dwell_hours", "work_buffer_days",
-        "timeline_step_hours",
-    }
-    unknown = set(cfg) - known
-    if unknown:
-        raise ValueError(f"unknown simulate option: {sorted(unknown)[0]!r}")
-    seed = int(cfg.get("seed", 1)) if seed_override is None else seed_override
+    top, churn_opt, task_opt = "simulate option", "churn option", "task option"
+    config.section(cfg, top, SIMULATE_OPTIONS)
+    seed = config.count(cfg, "seed", 1, top)
+    if seed_override is not None:
+        seed = seed_override
 
-    churn_cfg = dict(cfg.get("churn", {}))
-    unknown = set(churn_cfg) - {"arrival_rate", "lifetime_mean_days"}
-    if unknown:
-        raise ValueError(f"unknown churn option: {sorted(unknown)[0]!r}")
-    rate = churn_cfg.get("arrival_rate", 2.0)
+    churn_cfg = config.section(
+        cfg.get("churn", {}), churn_opt, ("arrival_rate", "lifetime_mean_days")
+    )
+    rate = churn_cfg.get("arrival_rate")
     if isinstance(rate, list):
-        rate = tuple((float(s), float(r)) for s, r in rate)
+        if not all(isinstance(seg, list) and len(seg) == 2 for seg in rate):
+            raise config.ConfigError("piecewise arrival_rate must be [[day, rate], ...]")
+        rate = tuple(
+            (config.real(day, "arrival_rate day"), config.real(r, "arrival_rate"))
+            for day, r in rate
+        )
     else:
-        rate = float(rate)
+        rate = config.number(churn_cfg, "arrival_rate", 2.0, churn_opt)
     churn = ChurnModel(
         arrival_rate=rate,
-        lifetime_mean_days=float(churn_cfg.get("lifetime_mean_days", 91.0)),
+        lifetime_mean_days=config.number(churn_cfg, "lifetime_mean_days", 91.0, churn_opt),
     )
 
-    pool_cfg = dict(cfg.get("pool", {}))
-    pool_cfg.setdefault("n_hosts", 200)
-    pool = pool_spec_from_config(pool_cfg, default_seed=seed)
+    pool_cfg = config.section(cfg.get("pool", {}), "pool option", None)
+    pool = pool_spec_from_config({"n_hosts": 200, **pool_cfg}, default_seed=seed)
 
-    task_cfg = dict(cfg.get("task", {}))
-    unknown = set(task_cfg) - {
+    task_cfg = config.section(cfg.get("task", {}), task_opt, (
         "flops_per_task", "input_size_mb", "output_size_mb", "deadline_days",
         "memory_footprint_mb",
-    }
-    if unknown:
-        raise ValueError(f"unknown task option: {sorted(unknown)[0]!r}")
+    ))
     task = TaskSpec(
-        flops_per_task=float(task_cfg.get("flops_per_task", 1.3e13)),
-        input_size=float(task_cfg.get("input_size_mb", 5.0)),
-        output_size=float(task_cfg.get("output_size_mb", 0.1)),
-        deadline=float(task_cfg.get("deadline_days", 7.0)),
-        memory_footprint=float(task_cfg.get("memory_footprint_mb", 32.0)),
+        flops_per_task=config.number(task_cfg, "flops_per_task", 1.3e13, task_opt),
+        input_size=config.number(task_cfg, "input_size_mb", 5.0, task_opt),
+        output_size=config.number(task_cfg, "output_size_mb", 0.1, task_opt),
+        deadline=config.number(task_cfg, "deadline_days", 7.0, task_opt),
+        memory_footprint=config.number(task_cfg, "memory_footprint_mb", 32.0, task_opt),
     )
 
-    egress = cfg.get("server_egress_cap_mbps")
+    def optional(key):
+        # absent and null both leave the value unset
+        return None if cfg.get(key) is None else config.number(cfg, key, None, top)
+
     return SimConfig(
-        duration_days=float(cfg.get("duration_days", 30.0)),
+        duration_days=config.number(cfg, "duration_days", 30.0, top),
         seed=seed,
         churn=churn,
         pool_spec=pool,
         task=task,
-        min_quorum=int(cfg.get("min_quorum", 2)),
-        max_replicas=int(cfg.get("max_replicas", 4)),
-        error_rate=float(cfg.get("error_rate", 0.0)),
-        server_egress_cap=float(egress) if egress is not None else None,
-        competing_share=bool(cfg.get("competing_share", False)),
-        mean_dwell_hours=float(cfg.get("mean_dwell_hours", 12.0)),
-        work_buffer_days=(
-            float(cfg["work_buffer_days"]) if cfg.get("work_buffer_days") else None
-        ),
-        timeline_step_hours=float(cfg.get("timeline_step_hours", 6.0)),
+        min_quorum=config.count(cfg, "min_quorum", 2, top),
+        max_replicas=config.count(cfg, "max_replicas", 4, top),
+        error_rate=config.number(cfg, "error_rate", 0.0, top),
+        server_egress_cap=optional("server_egress_cap_mbps"),
+        competing_share=config.flag(cfg, "competing_share", top),
+        mean_dwell_hours=config.number(cfg, "mean_dwell_hours", 12.0, top),
+        work_buffer_days=optional("work_buffer_days"),
+        timeline_step_hours=config.number(cfg, "timeline_step_hours", 6.0, top),
     )

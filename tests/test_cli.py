@@ -1,16 +1,23 @@
 """End-to-end command line behaviour, run in-process through cli.main."""
 
+import contextlib
 import csv
+import io
 import json
 import re
+import signal
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from volpool import capacity as cap
 from volpool import ingest as ing
 from volpool import population as pop
 from volpool import presets
 from volpool.cli import main
+from volpool.sim import SIMULATE_OPTIONS
 
 COMMENT_RE = re.compile(r"^# seed=\d+ config=[0-9a-f]{12}$")
 
@@ -406,3 +413,135 @@ def test_stats_rerun_byte_identical(tmp_path):
     assert main(["stats", "--config", cfg, "--out", str(out2)]) == 0
     for name in STATS_FILES:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+# -- the config boundary -----------------------------------------------------------
+
+NAN, INF = float("nan"), float("inf")
+NO_CV = {"ram": {"lognormal": {"mean": 1.0}}}
+
+# (subcommand, config, fragment of the one stderr line); each config either
+# hung, exited 0 with wrong or non-standard output, or died with a traceback
+# before the one config reader existed
+MALFORMED = [
+    pytest.param("simulate", {"duration_days": NAN, "pool": {"n_hosts": 5}},
+                 "'duration_days' must be finite", id="simulate-duration-nan"),
+    pytest.param("simulate",
+                 {"duration_days": 1, "mean_dwell_hours": NAN, "pool": {"n_hosts": 5}},
+                 "'mean_dwell_hours' must be finite", id="simulate-dwell-nan"),
+    pytest.param("capacity", {"factors": {"arrival_rate": INF}},
+                 "'arrival_rate' must be finite", id="capacity-rate-inf"),
+    pytest.param("capacity", {"factors": {"redundancy": NAN}},
+                 "'redundancy' must be finite", id="capacity-redundancy-nan"),
+    pytest.param("sweep", {"pool": {"n_hosts": 5}, "rates": [0, INF]},
+                 "rates entry must be finite", id="sweep-rates-inf"),
+    pytest.param("stats", {"seed": 1, "pool": {"n_host": 50}},
+                 "unknown pool option: 'n_host'", id="stats-pool-typo"),
+    pytest.param("stats", {"sed": 1, "pool": {"n_hosts": 50}},
+                 "unknown stats option: 'sed'", id="stats-top-typo"),
+    pytest.param("stats", {"seed": 1, "pool": {"n_hosts": 50.7}},
+                 "'n_hosts' must be an integer", id="stats-fractional-hosts"),
+    pytest.param("sweep", {"pool": {"n_hosts": 5}, "per_host_factors": "no"},
+                 "'per_host_factors' must be true or false", id="sweep-string-flag"),
+    pytest.param("stats", {"seed": 1, "pool": 5},
+                 "expected a JSON object of pool options", id="stats-pool-number"),
+    pytest.param("capacity", {"factors": 5},
+                 "expected a JSON object of capacity factors", id="capacity-factors-number"),
+    pytest.param("stats", {"seed": "abc", "pool": {"n_hosts": 5}},
+                 "'seed' must be an integer", id="stats-seed-string"),
+    pytest.param("sweep", {"pool": {"n_hosts": 5}, "rates": {"n": -1}},
+                 "bad sweep config", id="sweep-negative-n"),
+    pytest.param("sweep", {"pool": {"n_hosts": 5}, "rates": {"start": "x"}},
+                 "'start' must be a number", id="sweep-start-string"),
+    pytest.param("stats", {"pool": {"n_hosts": 5, "fields": NO_CV}},
+                 "'cv' is required", id="stats-lognormal-no-cv"),
+    pytest.param("simulate", {"duration_days": 1, "pool": {"n_hosts": 5, "fields": NO_CV}},
+                 "'cv' is required", id="simulate-lognormal-no-cv"),
+    pytest.param("simulate",
+                 {"duration_days": 1, "pool": {"n_hosts": 5, "vendor_weights": {"AMD": 0}}},
+                 "vendor weights sum to zero", id="simulate-zero-weights"),
+    pytest.param("simulate", {"duration_days": 1, "seed": -1, "pool": {"n_hosts": 5}},
+                 "seed is negative", id="simulate-negative-seed"),
+    # zero used to fall back silently to the default buffer
+    pytest.param("simulate", simulate_config(work_buffer_days=0),
+                 "work_buffer_days must be positive", id="simulate-zero-buffer"),
+    # both factors finite, their product not: no JSON can hold the result
+    pytest.param("capacity", {"factors": {"arrival_rate": 1e308, "mean_lifetime": 1e308}},
+                 "not JSON compliant", id="capacity-overflow"),
+]
+
+
+@contextlib.contextmanager
+def time_limit(seconds: int):
+    def expire(signum, frame):
+        raise TimeoutError(f"no exit within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("command, payload, fragment", MALFORMED)
+def test_malformed_config_exits_2(tmp_path, capsys, command, payload, fragment):
+    cfg = write_config(tmp_path, "bad.json", payload)
+    out = tmp_path / "out"
+    with time_limit(10):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("volpool: ") and err.count("\n") == 1, err
+    assert fragment in err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_readme_lists_every_simulate_option():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Simulate options", 1)[1]
+    section = re.split(r"^#", section, maxsplit=1, flags=re.M)[0]
+    listed = re.findall(r"^- `(\w+)`", section, flags=re.M)
+    assert sorted(listed) == sorted(SIMULATE_OPTIONS)
+
+
+@st.composite
+def small_simulate_configs(draw):
+    quorum = draw(st.integers(1, 3))
+    return {
+        "duration_days": draw(st.floats(0.05, 3.0)),
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "churn": {"arrival_rate": draw(st.floats(0.0, 5.0)),
+                  "lifetime_mean_days": draw(st.floats(0.1, 5.0))},
+        "pool": {"n_hosts": draw(st.integers(0, 30))},
+        "task": {"flops_per_task": draw(st.floats(5e12, 5e13)),
+                 "input_size_mb": draw(st.floats(0.01, 20.0)),
+                 "deadline_days": draw(st.floats(0.05, 3.0))},
+        "min_quorum": quorum,
+        "max_replicas": draw(st.integers(quorum, 3)),
+        "error_rate": draw(st.floats(0.0, 0.5)),
+        "server_egress_cap_mbps": draw(st.one_of(st.none(), st.floats(0.1, 10.0))),
+        "mean_dwell_hours": draw(st.floats(0.5, 24.0)),
+    }
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=small_simulate_configs())
+def test_simulate_random_small_configs(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), "sim.json", payload)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["simulate", "--config", cfg, "--out", tmp]) == 0
+        rep = json.loads(
+            (Path(tmp) / "sim_report.json").read_text(), parse_constant=_reject_constant
+        )
+    assert rep["n_validated"] + rep["n_invalid"] <= rep["n_workunits"]
+    # a running sum of equal terms, not one product: allow float rounding
+    assert rep["bytes_downloaded"] == pytest.approx(
+        rep["downloads_completed"] * payload["task"]["input_size_mb"], rel=1e-9
+    )
+    assert rep["achieved_gflops"] <= rep["raw_gflops"]

@@ -1,9 +1,4 @@
-"""Host record model and preference gating.
-
-The wrap-around interval logic is checked against a brute-force minute-grid
-oracle that walks forward from the interval start, sharing no code with the
-implementation.
-"""
+"""Host record model: whole-host aggregates, validation and field selectors."""
 
 import dataclasses
 
@@ -12,40 +7,13 @@ from hypothesis import given, strategies as st
 
 from volpool.hosts import (
     CpuVendor,
-    HostClock,
     HostRecord,
-    HourInterval,
     OperatingSystem,
-    Preferences,
     Venue,
-    comm_allowed,
-    compute_allowed,
     field_getter,
     whole_host_flops,
     whole_host_iops,
 )
-
-# -- oracle -------------------------------------------------------------------
-
-MINUTES = 24 * 60
-
-
-def minutes_inside(start_h: float, end_h: float) -> set:
-    """Minute indices covered by [start_h, end_h), walking forward from start.
-
-    Wrapping is handled by stepping minute-by-minute from the start until the
-    end is reached; equal endpoints cover the whole day.
-    """
-    start = round(start_h * 60)
-    end = round(end_h * 60)
-    if start == end:
-        return set(range(MINUTES))
-    inside = set()
-    m = start
-    while m % MINUTES != end % MINUTES:
-        inside.add(m % MINUTES)
-        m += 1
-    return inside
 
 
 def make_host(**overrides) -> HostRecord:
@@ -98,149 +66,6 @@ def test_whole_host_flops_linear(n, speed):
     one = whole_host_flops(make_host(n_cpus=1, flops_per_cpu=speed))
     many = whole_host_flops(make_host(n_cpus=n, flops_per_cpu=speed))
     assert many == pytest.approx(n * one)
-
-
-# -- hour intervals --------------------------------------------------------------
-
-
-def test_interval_validation():
-    with pytest.raises(ValueError, match="interval start"):
-        HourInterval(24.0, 3.0)
-    with pytest.raises(ValueError, match="interval end"):
-        HourInterval(3.0, -0.5)
-
-
-def test_interval_length():
-    assert HourInterval(22.0, 6.0).length == pytest.approx(8.0)
-    assert HourInterval(9.0, 17.0).length == pytest.approx(8.0)
-    assert HourInterval(5.0, 5.0).length == 24.0
-
-
-def test_interval_half_open_edges():
-    iv = HourInterval(9.0, 17.0)
-    assert iv.contains(9.0)
-    assert not iv.contains(17.0)
-    wrap = HourInterval(22.0, 6.0)
-    assert wrap.contains(22.0)
-    assert not wrap.contains(6.0)
-    assert wrap.contains(23.0) and wrap.contains(0.0) and wrap.contains(5.9)
-    assert not wrap.contains(12.0)
-
-
-@given(
-    start=st.integers(min_value=0, max_value=23),
-    end=st.integers(min_value=0, max_value=23),
-)
-def test_interval_membership_matches_minute_oracle(start, end):
-    iv = HourInterval(float(start), float(end))
-    expected = minutes_inside(float(start), float(end))
-    got = {m for m in range(MINUTES) if iv.contains(m / 60.0)}
-    assert got == expected
-
-
-@given(
-    start=st.integers(min_value=0, max_value=23),
-    length=st.integers(min_value=1, max_value=23),
-)
-def test_allowed_fraction_is_length_over_24(start, length):
-    """Uniform local time over a minute grid: allowed share is exactly L/24."""
-    end = (start + length) % 24
-    iv = HourInterval(float(start), float(end))
-    allowed = sum(iv.contains(m / 60.0) for m in range(MINUTES))
-    assert allowed / MINUTES == pytest.approx(length / 24.0)
-    assert iv.length == pytest.approx(float(length))
-
-
-# -- preference gating ------------------------------------------------------------
-
-
-def test_preference_defaults_match_stock_client():
-    p = Preferences()
-    assert p.run_if_active is False
-    assert p.active_hours is None and p.comm_hours is None
-    assert p.confirm_before_connect is False
-    assert p.min_connection_interval == 0.1
-    assert p.disk_access_interval == 60.0
-    assert p.disk_max_used == 100.0
-    assert p.disk_max_percent == 50.0
-    assert p.disk_min_free == 0.1
-
-
-def test_preferences_validation():
-    with pytest.raises(ValueError, match="min_connection_interval"):
-        Preferences(min_connection_interval=-0.1)
-    with pytest.raises(ValueError, match="disk_max_percent"):
-        Preferences(disk_max_percent=101.0)
-
-
-def test_clock_validation():
-    with pytest.raises(ValueError, match="local_time_of_day"):
-        HostClock(local_time_of_day=24.0)
-
-
-def test_compute_allowed_examples():
-    assert not compute_allowed(Preferences(), HostClock(12.0, suspended=True))
-    assert not compute_allowed(
-        Preferences(run_if_active=False), HostClock(12.0, user_active=True)
-    )
-    assert compute_allowed(
-        Preferences(run_if_active=True, active_hours=HourInterval(22.0, 6.0)),
-        HostClock(23.0),
-    )
-    assert compute_allowed(Preferences(), HostClock(12.0))
-
-
-def test_comm_allowed_examples():
-    assert comm_allowed(Preferences(), HostClock(12.0))
-    assert not comm_allowed(
-        Preferences(comm_hours=HourInterval(9.0, 17.0)), HostClock(20.0)
-    )
-    assert not comm_allowed(
-        Preferences(comm_hours=HourInterval(9.0, 17.0)),
-        HostClock(12.0, suspended=True),
-    )
-
-
-hours = st.floats(min_value=0.0, max_value=24.0, exclude_max=True, allow_nan=False)
-maybe_interval = st.one_of(
-    st.none(), st.builds(HourInterval, start=hours, end=hours)
-)
-prefs_st = st.builds(
-    Preferences,
-    run_if_active=st.booleans(),
-    active_hours=maybe_interval,
-    comm_hours=maybe_interval,
-)
-clock_st = st.builds(
-    HostClock,
-    local_time_of_day=hours,
-    user_active=st.booleans(),
-    suspended=st.booleans(),
-)
-
-
-@given(prefs=prefs_st, clock=clock_st)
-def test_comm_implies_compute(prefs, clock):
-    if comm_allowed(prefs, clock):
-        assert compute_allowed(prefs, clock)
-
-
-@given(prefs=prefs_st, clock=clock_st)
-def test_gating_monotone_under_relaxation(prefs, clock):
-    """Clearing suspension or activity, enabling run-if-active, or removing
-    an hour window never turns an allowed state into a blocked one."""
-    before = compute_allowed(prefs, clock)
-    relaxed_states = [
-        (prefs, dataclasses.replace(clock, suspended=False)),
-        (prefs, dataclasses.replace(clock, user_active=False)),
-        (dataclasses.replace(prefs, run_if_active=True), clock),
-        (dataclasses.replace(prefs, active_hours=None), clock),
-    ]
-    if before:
-        for p, c in relaxed_states:
-            assert compute_allowed(p, c)
-    if comm_allowed(prefs, clock):
-        assert comm_allowed(dataclasses.replace(prefs, comm_hours=None), clock)
 
 
 # -- record validation ------------------------------------------------------------

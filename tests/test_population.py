@@ -181,14 +181,13 @@ def test_rank_correlation_validation():
 
 
 def test_zero_weight_categorical_errors():
-    spec = PoolSpec(
-        n_hosts=3,
-        seed=1,
-        field_generators=flat_spec(3, 1).field_generators,
-        vendor_weights={CpuVendor.OTHER: 0.0},
-    )
     with pytest.raises(ValueError, match="weights sum to zero"):
-        generate_pool(spec)
+        PoolSpec(
+            n_hosts=3,
+            seed=1,
+            field_generators=flat_spec(3, 1).field_generators,
+            vendor_weights={CpuVendor.OTHER: 0.0},
+        )
 
 
 def test_vendor_shares_match_weights():
