@@ -29,10 +29,11 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -254,26 +255,36 @@ def fair_shares(caps: Sequence[float], total: float | None) -> list[float]:
     Flows too slow to use an equal share keep their own cap; the slack is
     redistributed among the rest. With no total, every flow gets its cap.
     """
-    if total is None or sum(caps) <= total:
+    if total is None:
         return list(caps)
-    alloc = [0.0] * len(caps)
-    order = sorted(range(len(caps)), key=lambda i: (caps[i], i))
+    level = _water_level(sorted(caps), len(caps), total)
+    return [min(c, level) for c in caps]
+
+
+def _water_level(caps: Iterable[float], n: int, total: float) -> float:
+    """The max-min fair share of ``total`` among ``n`` flows with ascending ``caps``.
+
+    Each flow gets the smaller of its cap and the level; the level is
+    infinite when the caps fit within ``total``. The scan stops at the first
+    cap above the share, so it reads only the flows slower than the level.
+    """
     remaining = total
-    left = len(caps)
-    for i in order:
+    left = n
+    for c in caps:
         share = remaining / left
-        give = min(caps[i], share)
-        alloc[i] = give
-        remaining -= give
+        if c > share:
+            return share
+        remaining -= c
         left -= 1
-    return alloc
+    return math.inf
 
 
 # Replica locations.
 _DL_QUEUE, _DL_ACTIVE, _READY, _COMPUTING, _COMPLETED, _GONE = range(6)
 
 # Event codes, dispatch order is tie-broken by insertion sequence.
-_EV_ARRIVE, _EV_DEPART, _EV_TOGGLE, _EV_FETCH, _EV_DL_DONE, _EV_CP_DONE, _EV_DEADLINE, _EV_SAMPLE = range(8)
+(_EV_ARRIVE, _EV_DEPART, _EV_TOGGLE, _EV_FETCH, _EV_DL_DONE, _EV_DL_SHARED, _EV_CP_DONE,
+ _EV_DEADLINE, _EV_SAMPLE) = range(9)
 
 _PROC_ON, _PROC_CONN, _PROC_ALLOW = range(3)
 
@@ -300,7 +311,7 @@ class _Host:
         "flops_rate", "dl_cap", "mem_ok", "buffer_flop",
         "computing", "ready", "dl_queue", "dl_cur", "completed",
         "cp_running", "cp_mark", "cp_epoch",
-        "dl_running", "dl_rate", "dl_mark", "dl_epoch",
+        "dl_running", "dl_rate", "dl_mark", "dl_epoch", "dl_tag", "dl_listed",
         "on_hand_flop", "next_fetch_s", "fetch_pending",
         "occ_mark",
     )
@@ -331,6 +342,8 @@ class _Host:
         self.dl_rate = 0.0
         self.dl_mark = 0.0
         self.dl_epoch = 0
+        self.dl_tag = None  # finish tag on the shared clock while at the fair share
+        self.dl_listed = False  # in the engine's flow list under an egress cap
         self.on_hand_flop = 0.0
         self.next_fetch_s = -1.0
         self.fetch_pending = False
@@ -384,7 +397,19 @@ class _Engine:
         self.allow_time = 0.0
         self.hosts: list[_Host] = []
         self.n_alive = 0
-        self.dl_set: dict[int, _Host] = {}  # hosts holding a current download
+        # Egress sharing. Running downloads sit in ``flows`` sorted by
+        # (dl_cap, idx). A flow whose cap is at most ``level`` runs at its cap
+        # with its own completion event; every other flow runs at ``level``
+        # and finishes when ``clock``, the MB each such flow has received
+        # since the run began, reaches its tag in ``tags``. One pending
+        # _EV_DL_SHARED event, due at ``shared_eta``, serves the earliest tag.
+        self.flows: list[tuple[float, int, _Host]] = []
+        self.level = math.inf
+        self.clock = 0.0
+        self.clock_mark = 0.0
+        self.tags: list[tuple[float, int, int, _Host]] = []
+        self.shared_epoch = 0
+        self.shared_eta: float | None = None
         self.timeline: list[TimelineSample] = []
         self.fetch_log: list[tuple[str, float]] = []
         self.unit_log: list[WorkUnit] | None = [] if cfg.collect_workunits else None
@@ -453,11 +478,15 @@ class _Engine:
     def _settle_download(self, h: _Host, now: float):
         r = h.dl_cur
         if r is not None and h.dl_running:
-            moved = (now - h.dl_mark) * h.dl_rate
-            if moved > r.input_left:
-                moved = r.input_left
-            if moved > 0.0:
-                r.input_left -= moved
+            if h.dl_tag is not None:
+                left = h.dl_tag - self._clock(now)
+                r.input_left = left if left > 0.0 else 0.0
+            else:
+                moved = (now - h.dl_mark) * h.dl_rate
+                if moved > r.input_left:
+                    moved = r.input_left
+                if moved > 0.0:
+                    r.input_left -= moved
         h.dl_mark = now
 
     def _sync_download_uncapped(self, h: _Host, now: float):
@@ -465,7 +494,6 @@ class _Engine:
             nxt = h.dl_queue.popleft()
             nxt.loc = _DL_ACTIVE
             h.dl_cur = nxt
-            self.dl_set[h.idx] = h
         desired = h.dl_cur is not None and h.comm_ok() and h.dl_cap > 0.0
         if desired and h.dl_running and h.dl_rate == h.dl_cap:
             return  # unchanged; completion event stands
@@ -479,43 +507,89 @@ class _Engine:
         else:
             h.dl_rate = 0.0
 
-    def _refit_downloads(self, now: float):
-        """Recompute all shared download rates under the egress cap."""
-        live = []
-        for idx in sorted(self.dl_set):
-            h = self.dl_set[idx]
-            if h.dl_cur is None:
-                continue
-            self._settle_download(h, now)
-            if h.comm_ok() and h.dl_cap > 0.0:
-                live.append(h)
-            else:
+    def _sync_download_capped(self, h: _Host, now: float):
+        """Keep ``h`` listed in ``flows`` exactly while its download can run.
+
+        Settle must have run first. Only a change to the list moves the
+        level, and then only the flows whose cap lies between the old and
+        the new level change kind.
+        """
+        if h.dl_cur is None and h.dl_queue:
+            nxt = h.dl_queue.popleft()
+            nxt.loc = _DL_ACTIVE
+            h.dl_cur = nxt
+        want = h.dl_cur is not None and h.comm_ok() and h.dl_cap > 0.0
+        if want == h.dl_listed:
+            if want and not h.dl_running:
+                # the next input on a listed host: same list, same level
+                self._start_flow(h, now)
+                self._schedule_shared(now)
+            return
+        if self.level < math.inf:
+            self.clock += (now - self.clock_mark) * self.level
+        self.clock_mark = now
+        flows = self.flows
+        if want:
+            insort(flows, (h.dl_cap, h.idx, h))
+        else:
+            if h.dl_running:
+                h.dl_running = False
                 h.dl_epoch += 1
-                h.dl_running = False
-                h.dl_rate = 0.0
-        shares = fair_shares([h.dl_cap for h in live], self.cap_mb)
-        for h, rate in zip(live, shares):
-            h.dl_epoch += 1
-            if rate > 0.0:
-                h.dl_running = True
-                h.dl_rate = rate
-                h.dl_mark = now
-                self._push(now + h.dl_cur.input_left / rate, _EV_DL_DONE, h, h.dl_epoch)
-            else:
-                h.dl_running = False
-                h.dl_rate = 0.0
+            del flows[bisect_left(flows, (h.dl_cap, h.idx))]
+        h.dl_listed = want
+        old, new = self.level, _water_level((f[0] for f in flows), len(flows), self.cap_mb)
+        lo, hi = (old, new) if old < new else (new, old)
+        movers = [g for _, _, g in flows[bisect_right(flows, (lo, math.inf)):
+                                         bisect_right(flows, (hi, math.inf))]
+                  if g.dl_running]
+        for g in movers:
+            self._settle_download(g, now)  # at the old level
+        self.level = new
+        for g in movers:
+            self._start_flow(g, now)
+        if want:
+            self._start_flow(h, now)
+        self._schedule_shared(now)
+
+    def _start_flow(self, h: _Host, now: float):
+        """Run a listed host's settled download at its cap or at the level."""
+        h.dl_epoch += 1
+        h.dl_running = True
+        h.dl_mark = now
+        h.dl_rate = h.dl_cap
+        left = h.dl_cur.input_left
+        if h.dl_cap <= self.level:
+            h.dl_tag = None
+            self._push(now + left / h.dl_cap, _EV_DL_DONE, h, h.dl_epoch)
+        else:
+            h.dl_tag = self._clock(now) + left
+            heapq.heappush(self.tags, (h.dl_tag, h.idx, h.dl_epoch, h))
+
+    def _clock(self, now: float) -> float:
+        """The shared clock at ``now``; meaningful while some flow is shared."""
+        return self.clock + (now - self.clock_mark) * self.level
+
+    def _schedule_shared(self, now: float):
+        """Keep one pending event, due when the earliest tag is reached."""
+        tags = self.tags
+        while tags and tags[0][2] != tags[0][3].dl_epoch:
+            heapq.heappop(tags)  # its flow finished, paused or changed kind
+        eta = None
+        if tags:
+            left = tags[0][0] - self._clock(now)
+            eta = now + left / self.level if left > 0.0 else now
+        if eta != self.shared_eta:
+            self.shared_eta = eta
+            self.shared_epoch += 1
+            if eta is not None:
+                self._push(eta, _EV_DL_SHARED, None, self.shared_epoch)
 
     def _dl_changed(self, h: _Host, now: float):
         """A host's download queue or communication eligibility changed."""
         if self.cap_mb is None:
             self._sync_download_uncapped(h, now)
-            return
-        if h.dl_cur is None and h.dl_queue:
-            nxt = h.dl_queue.popleft()
-            nxt.loc = _DL_ACTIVE
-            h.dl_cur = nxt
-            self.dl_set[h.idx] = h
-        self._refit_downloads(now)
+        else:
+            self._sync_download_capped(h, now)
 
     # -- server ------------------------------------------------------------
 
@@ -642,10 +716,7 @@ class _Engine:
 
     def _apply_transition(self, h: _Host, now: float):
         self._sync_compute(h, now)
-        if self.cap_mb is None:
-            self._sync_download_uncapped(h, now)
-        elif h.dl_cur is not None:
-            self._refit_downloads(now)
+        self._dl_changed(h, now)
         if h.comm_ok():
             self._flush_returns(h, now)
             self._try_fetch(h, now)
@@ -668,8 +739,6 @@ class _Engine:
             h.dl_running = False
             h.dl_epoch += 1
             h.on_hand_flop -= r.flops_left
-            if not h.dl_queue:
-                self.dl_set.pop(h.idx, None)
         elif loc == _DL_QUEUE:
             h.dl_queue.remove(r)
             h.on_hand_flop -= r.flops_left
@@ -698,6 +767,8 @@ class _Engine:
         h.cp_mark = now
         h.dl_mark = now
 
+        if h.depart_s <= self.duration_s:
+            self._push(h.depart_s, _EV_DEPART, h)
         for proc, frac in ((_PROC_ON, f_on), (_PROC_CONN, f_conn), (_PROC_ALLOW, f_allow)):
             if frac >= 1.0:
                 state = True
@@ -706,7 +777,7 @@ class _Engine:
             else:
                 state = self.rng.random() < frac
                 mean = self.dwell_s if state else self.dwell_s * (1.0 - frac) / frac
-                self._push(now + self.rng.expovariate(1.0 / mean), _EV_TOGGLE, h, proc)
+                self._push_toggle(h, proc, now + self.rng.expovariate(1.0 / mean))
             if proc == _PROC_ON:
                 h.on = state
             elif proc == _PROC_CONN:
@@ -716,8 +787,6 @@ class _Engine:
 
         self.hosts.append(h)
         self.n_alive += 1
-        if h.depart_s <= self.duration_s:
-            self._push(h.depart_s, _EV_DEPART, h)
         if h.comm_ok():
             self._try_fetch(h, now)
 
@@ -746,12 +815,11 @@ class _Engine:
         h.dl_running = False
         h.cp_epoch += 1
         h.dl_epoch += 1
-        self.dl_set.pop(h.idx, None)
         for r in doomed:
             r.loc = _GONE
             self._deliver(r, ResultOutcome.LOST, now)
         if self.cap_mb is not None:
-            self._refit_downloads(now)
+            self._sync_download_capped(h, now)
 
     def _on_toggle(self, h: _Host, proc: int, now: float):
         if not h.alive:
@@ -769,10 +837,14 @@ class _Engine:
             h.allow = not h.allow
             frac, state = h.rec.active_fraction, h.allow
         mean = self.dwell_s if state else self.dwell_s * (1.0 - frac) / frac
-        nxt = now + self.rng.expovariate(1.0 / mean)
-        if nxt <= self.duration_s:
-            self._push(nxt, _EV_TOGGLE, h, proc)
+        self._push_toggle(h, proc, now + self.rng.expovariate(1.0 / mean))
         self._apply_transition(h, now)
+
+    def _push_toggle(self, h: _Host, proc: int, t: float):
+        # The departure was pushed first, so a toggle at or after it would
+        # find the host gone; the draw that timed it is made all the same.
+        if t < h.depart_s and t <= self.duration_s:
+            self._push(t, _EV_TOGGLE, h, proc)
 
     def _on_cp_done(self, h: _Host, epoch: int, now: float):
         if not h.alive or epoch != h.cp_epoch:
@@ -818,10 +890,15 @@ class _Engine:
         h.ready.append(r)
         self.mb_downloaded += self.task.input_size
         self.downloads_completed += 1
-        if not h.dl_queue:
-            self.dl_set.pop(h.idx, None)
         self._dl_changed(h, now)
         self._sync_compute(h, now)
+
+    def _on_shared_done(self, epoch: int, now: float):
+        if epoch != self.shared_epoch:
+            return
+        self.shared_eta = None
+        _, _, dl_epoch, h = heapq.heappop(self.tags)
+        self._on_dl_done(h, dl_epoch, now)
 
     def _on_deadline(self, r: _Replica, now: float):
         if r.loc == _GONE:
@@ -919,6 +996,8 @@ class _Engine:
                 self._on_arrive(a, t)
             elif code == _EV_DEPART:
                 self._on_depart(a, t)
+            elif code == _EV_DL_SHARED:
+                self._on_shared_done(b, t)
             else:
                 self._on_sample(t)
 

@@ -8,13 +8,14 @@ expected values come from closed forms computed in the test body.
 import json
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from volpool import sim as simmod
 from volpool.capacity import available_flops_at_rate
-from volpool.population import ChurnModel, generate_pool
+from volpool.population import ChurnModel, EmpiricalDistribution, generate_pool
 from volpool.sim import (
     QuorumOutcome,
     ResultOutcome,
@@ -189,6 +190,124 @@ def test_fair_shares_properties(caps, total):
         for a, c in zip(alloc, caps):
             if a < c - 1e-9:
                 assert a == pytest.approx(top, abs=1e-9)
+
+
+# -- egress sharing in the engine -------------------------------------------------
+
+
+class _CheckedEngine(simmod._Engine):
+    """Checks the lazy fair sharing after every change to a capped download.
+
+    Besides the rates, it integrates each download's remaining input itself,
+    at the rates in force since its previous check, and compares.
+    """
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.n_checks = 0
+        self.checked_at = 0.0
+        self.rates = {}  # replica -> its download rate since checked_at, MB/s
+        self.left = {}  # replica -> input MB it still needed at checked_at
+
+    def _sync_download_capped(self, h, now):
+        super()._sync_download_capped(h, now)
+        self.n_checks += 1
+        for r, rate in self.rates.items():
+            self.left[r] -= rate * (now - self.checked_at)
+            assert self.left[r] >= -1e-6  # no download overruns its input
+            if r.loc == simmod._READY:  # its download finished just now
+                assert self.left[r] == pytest.approx(0.0, abs=1e-6)
+        cap = self.cap_mb
+        running = sorted(
+            (g.dl_cap, g.idx) for g in self.hosts
+            if g.alive and g.dl_cur is not None and g.comm_ok() and g.dl_cap > 0.0
+        )
+        assert [(c, i) for c, i, _ in self.flows] == running
+        flows = [g for _, _, g in self.flows]
+        assert all(g.dl_running for g in flows)
+        rates = [g.dl_cap if g.dl_tag is None else self.level for g in flows]
+        want = fair_shares([g.dl_cap for g in flows], cap)
+        for got, exp in zip(rates, want):
+            assert got == pytest.approx(exp, rel=1e-12)
+        assert sum(rates) <= cap * (1.0 + 1e-12)
+        assert self.mb_downloaded <= cap * now * (1.0 + 1e-12)
+        for g in flows:
+            r = g.dl_cur
+            if g.dl_tag is None:
+                left = r.input_left - (now - g.dl_mark) * g.dl_cap
+            else:
+                left = g.dl_tag - self._clock(now)
+            assert left == pytest.approx(self.left.setdefault(r, self.task.input_size), abs=1e-6)
+        self.rates = {g.dl_cur: rate for g, rate in zip(flows, rates)}
+        self.checked_at = now
+        # the one pending shared event is due when the earliest live tag is reached
+        shared = [g for g in flows if g.dl_tag is not None]
+        live_tags = sorted(t for t, _, e, g in self.tags if e == g.dl_epoch)
+        assert live_tags == sorted(g.dl_tag for g in shared)
+        if shared:
+            left = max(live_tags[0] - self._clock(now), 0.0)
+            assert self.shared_eta == pytest.approx(now + left / self.level, rel=1e-12)
+        else:
+            assert self.level == math.inf and self.shared_eta is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_hosts=st.integers(1, 16),
+    link_cv=st.floats(0.05, 2.0),
+    cap_frac=st.floats(0.05, 2.0),
+    arrival_rate=st.floats(0.0, 20.0),
+    lifetime=st.floats(0.2, 5.0),
+    availability=st.floats(0.5, 1.0),
+    dwell_hours=st.floats(0.5, 6.0),
+    deadline=st.floats(0.02, 1.0),
+    input_mb=st.floats(1.0, 40.0),
+    task_flop=st.floats(1e11, 2e13),
+)
+def test_lazy_egress_sharing_matches_fair_shares(
+    seed, n_hosts, link_cv, cap_frac, arrival_rate, lifetime, availability,
+    dwell_hours, deadline, input_mb, task_flop,
+):
+    spec = flat_spec(n_hosts, seed=seed % 1000, on=availability,
+                     conn=availability, act=availability)
+    # heterogeneous links, so flows below the fair share keep their own rate
+    links = EmpiricalDistribution.from_lognormal(mean=1000.0, cv=link_cv, n=64)
+    spec = replace(spec, field_generators={**spec.field_generators, "throughput_down": links})
+    link_total_mbps = sum(h.throughput_down for h in generate_pool(spec)) / 1000.0
+    cfg = SimConfig(
+        duration_days=1.0, seed=seed,
+        churn=ChurnModel(arrival_rate=arrival_rate, lifetime_mean_days=lifetime),
+        pool_spec=spec,
+        task=TaskSpec(flops_per_task=task_flop, input_size=input_mb, deadline=deadline),
+        min_quorum=2, max_replicas=3, error_rate=0.1,
+        server_egress_cap=cap_frac * link_total_mbps, mean_dwell_hours=dwell_hours,
+    )
+    engine = _CheckedEngine(cfg)
+    report = engine.run()
+    assert engine.n_checks > 0
+    assert report.bytes_downloaded <= engine.cap_mb * DAY_S * (1.0 + 1e-12)
+
+
+def _capped_quorum_config(cap_mbps):
+    return sim_config_from_config({
+        "duration_days": 2.0, "seed": 1,
+        "churn": {"arrival_rate": 25.0, "lifetime_mean_days": 10.0},
+        "pool": {"n_hosts": 250},
+        "task": {"input_size_mb": 20.0},
+        "min_quorum": 2, "max_replicas": 4, "error_rate": 0.05,
+        "server_egress_cap_mbps": cap_mbps,
+    })
+
+
+def test_binding_egress_cap_costs_few_events():
+    """Sharing a binding cap re-schedules only the flows that change kind."""
+    uncapped = simmod._Engine(_capped_quorum_config(None))
+    free = uncapped.run()
+    capped = simmod._Engine(_capped_quorum_config(1.25))
+    shared = capped.run()
+    assert shared.bytes_downloaded < 0.6 * free.bytes_downloaded  # the cap binds
+    assert capped.seq <= 2 * uncapped.seq
 
 
 # -- config validation ------------------------------------------------------------
