@@ -34,7 +34,7 @@ def main() -> None:
         pool = assign_users(pool, presets.HOSTS_PER_USER_PCT, seed=args.seed)
 
     write_hosts_csv(pool, args.out, header_comment=f"synthetic fixture seed={args.seed}")
-    users = len({r.user_id for r in pool})
+    users = len(set(pool.user_id))
     print(f"{len(pool)} hosts across {users} users -> {args.out}")
 
 

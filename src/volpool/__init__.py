@@ -2,7 +2,7 @@
 
 The package splits into six small modules:
 
-- :mod:`volpool.hosts` - the host record model
+- :mod:`volpool.hosts` - the host record and the columnar host table
 - :mod:`volpool.population` - synthetic pools, churn and lifetime statistics
 - :mod:`volpool.capacity` - closed-form capacity, storage and rate analysis
 - :mod:`volpool.sim` - an event-driven simulation of a redundant project
@@ -21,7 +21,7 @@ from .capacity import (
     storage_potential,
     utilization_product,
 )
-from .hosts import HostRecord
+from .hosts import HostRecord, HostTable
 from .ingest import parse_hosts, serialize_hosts, write_hosts_csv
 from .population import (
     ChurnModel,
@@ -54,6 +54,7 @@ __all__ = [
     "ChurnModel",
     "EmpiricalDistribution",
     "HostRecord",
+    "HostTable",
     "PoolSpec",
     "QuorumDecision",
     "ResultOutcome",

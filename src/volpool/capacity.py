@@ -12,7 +12,7 @@ MB of input per 3.6e12 FLOP of computing. A host whose link can no longer
 feed its CPU at rate R is saturated; its contribution flattens at what the
 link delivers. Sweeping R produces the pool's compute-versus-data-rate curve.
 
-Everything here is closed-form over a host list; nothing samples.
+Everything here is closed-form over a host table's columns; nothing samples.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import config
-from .hosts import HostRecord, field_getter, whole_host_flops
+from .hosts import HostRecord, HostTable, whole_host_flops
 from .units import (
     MB_PER_MBPS_HOUR,
     MEGA,
@@ -109,9 +109,9 @@ def potential_flops(factors: CapacityFactors) -> float:
     return hardware_product(factors) * utilization_product(factors)
 
 
-def hardware_flops(pool: Sequence[HostRecord]) -> float:
+def hardware_flops(pool: HostTable) -> float:
     """Summed whole-host nominal speed of an explicit pool, in GFLOPS."""
-    return float(sum(whole_host_flops(h) for h in pool))
+    return float(sum(pool.column("flops").tolist()))
 
 
 def critical_data_rate(host: HostRecord) -> float:
@@ -154,7 +154,7 @@ def rate_grid(r_grid: Sequence[float]) -> list[float]:
 
 
 def compute_vs_rate_curve(
-    pool: Sequence[HostRecord],
+    pool: HostTable,
     r_grid: Sequence[float],
     factors: CapacityFactors,
     per_host_factors: bool = False,
@@ -169,18 +169,13 @@ def compute_vs_rate_curve(
     """
     grid = rate_grid(r_grid)
     n = len(pool)
-    speed = np.asarray([whole_host_flops(h) for h in pool], dtype=float)
-    link_hourly = np.asarray(
-        [MB_PER_MBPS_HOUR * kbps_to_mbps(h.throughput_down) for h in pool], dtype=float
-    )
+    speed = pool.column("flops")
+    link_hourly = MB_PER_MBPS_HOUR * kbps_to_mbps(pool.throughput_down)
     if per_host_factors:
-        util = np.asarray(
-            [
-                h.cpu_efficiency * h.on_fraction * h.active_fraction * h.resource_share
-                for h in pool
-            ],
-            dtype=float,
-        ) / factors.redundancy
+        util = (
+            pool.cpu_efficiency * pool.on_fraction * pool.active_fraction
+            * pool.resource_share / factors.redundancy
+        )
     else:
         util = utilization_product(factors)
 
@@ -203,20 +198,18 @@ def compute_vs_rate_curve(
 
 
 def conditional_aggregate(
-    pool: Sequence[HostRecord],
-    resource_a,
-    resource_b,
+    pool: HostTable,
+    resource_a: str,
+    resource_b: str,
     thresholds: Sequence[float],
 ) -> list[tuple[float, float]]:
     """Total of resource_a over hosts whose resource_b meets each threshold.
 
-    Selectors follow ``hosts.field_getter``. Raising the threshold only
+    Selectors follow ``HostTable.column``. Raising the threshold only
     shrinks the qualifying set, so totals are non-increasing in it.
     """
-    get_a = field_getter(resource_a)
-    get_b = field_getter(resource_b)
-    a_vals = np.asarray([get_a(h) for h in pool], dtype=float)
-    b_vals = np.asarray([get_b(h) for h in pool], dtype=float)
+    a_vals = pool.column(resource_a).astype(float)
+    b_vals = pool.column(resource_b).astype(float)
     out = []
     for t in thresholds:
         t = float(t)
@@ -234,7 +227,7 @@ _STORAGE_FACTORS = {
 
 
 def storage_potential(
-    pool: Sequence[HostRecord],
+    pool: HostTable,
     factors: CapacityFactors,
     selection: Sequence[str] = (),
 ) -> float:
@@ -253,11 +246,11 @@ def storage_potential(
             scale /= factors.redundancy
         else:
             scale *= getattr(factors, name)
-    return float(sum(h.disk_free for h in pool)) * scale
+    return float(sum(pool.disk_free.tolist())) * scale
 
 
 def access_rate(
-    pool: Sequence[HostRecord],
+    pool: HostTable,
     factors: CapacityFactors,
     mode: str = "network",
     per_host_disk_rate: float = 0.0,
@@ -269,7 +262,7 @@ def access_rate(
     rate in MB/s, discounted by the on and active fractions.
     """
     if mode == "network":
-        total_link = sum(kbps_to_bytes_per_s(h.throughput_down) for h in pool)
+        total_link = sum(kbps_to_bytes_per_s(pool.throughput_down).tolist())
         return float(total_link) * factors.on_fraction * factors.connected_fraction
     if mode == "disk":
         if per_host_disk_rate < 0:

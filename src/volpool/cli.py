@@ -34,11 +34,11 @@ from . import config
 from . import ingest as ing
 from . import population as pop
 from . import sim as simmod
-from .hosts import field_getter
+from .hosts import HostTable
 from .units import SECONDS_PER_DAY
 
-# (file stem, field selector) pairs behind the hist_<stem>.csv outputs;
-# flops and iops are whole-host aggregates, the rest raw record fields.
+# (file stem, HostTable.column selector) pairs behind the hist_<stem>.csv
+# outputs; flops and iops are whole-host aggregates, the rest raw fields.
 HIST_FIELDS = (
     ("flops", "flops"),
     ("iops", "iops"),
@@ -122,8 +122,8 @@ def _write_csv(path: str, meta: Mapping, header: Sequence[str], rows) -> None:
 
 
 def _cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
+    if isinstance(v, float):  # NumPy floats too, written as plain numbers
+        return repr(float(v))
     return str(v)
 
 
@@ -175,10 +175,12 @@ def _host_source(cfg: Mapping, seed: int):
 def _rate_grid(cfg: Mapping) -> list[float]:
     spec = cfg.get("rates", {})
     if isinstance(spec, list):
+        config.within_limit(len(spec), "rates entries")
         return cap.rate_grid([config.real(r, "rates entry") for r in spec])
     where = "rates option"
     config.section(spec, where, ("start", "stop", "n", "log"))
     n = config.count(spec, "n", 51, where)
+    config.within_limit(n, f"{where} 'n'")
     start = config.number(spec, "start", 0.0, where)
     stop = config.number(spec, "stop", 10.0, where)
     if config.flag(spec, "log", where):
@@ -233,13 +235,13 @@ def _parse_input(path: str):
         raise _DataError(str(err)) from err
 
 
-def _records(source) -> list:
-    """Host records of a ``_host_source`` result."""
+def _records(source) -> HostTable:
+    """The host table of a ``_host_source`` result."""
     if isinstance(source, str):
         result = _parse_input(source)
         if not result.records:
             raise _DataError("no rows accepted from input")
-        return list(result.records)
+        return result.records
     return pop.generate_pool(source)
 
 
@@ -299,11 +301,11 @@ def cmd_stats(args, meta: Mapping, source) -> int:
     )
 
     for stem, selector in HIST_FIELDS:
-        values = [field_getter(selector)(r) for r in records]
+        values = records.column(selector)
         hist = ing.histogram_of_values(values, ing.auto_edges(values), stem)
         _write_histogram(_outpath(args, f"hist_{stem}.csv"), meta, hist)
 
-    now = max(r.last_contact for r in records) + 30.0 * SECONDS_PER_DAY
+    now = int(records.last_contact.max()) + 30.0 * SECONDS_PER_DAY
     try:
         life = pop.lifetime_stats(records, now=now)
     except ValueError:

@@ -12,8 +12,20 @@ from __future__ import annotations
 import math
 
 
+# The most hosts, expected arrivals, timeline samples, data rates or
+# lognormal quantiles one config may ask for: three times the 331,785-host
+# snapshot. A finite but huge count would otherwise run out of memory.
+MAX_COUNT = 1_000_000
+
+
 class ConfigError(ValueError):
     """A config value has the wrong shape or type, or is unknown."""
+
+
+def within_limit(n: float, what: str) -> None:
+    """Reject a count above MAX_COUNT before anything is allocated for it."""
+    if n > MAX_COUNT:
+        raise ConfigError(f"{what} of {n:.6g} exceeds the limit of {MAX_COUNT}")
 
 
 def section(value, where: str, allowed) -> dict:

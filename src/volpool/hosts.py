@@ -1,16 +1,22 @@
-"""Domain model for a volunteered host.
+"""Domain model for a volunteered host and for a pool of them.
 
 A host record bundles the hardware inventory (CPUs, benchmark speeds, memory,
 disk, network throughput), the measured availability fractions, and ownership
-and locale attributes. Records are immutable; generators and parsers construct
-them, everything downstream only reads them.
+and locale attributes. A pool is a ``HostTable``: one column per record
+field, validated once per column. Generators and parsers build tables and
+everything downstream reads their columns; a ``HostRecord`` is one row of a
+table, for code that follows a single host, such as the simulator. Both are
+immutable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Callable
+from itertools import chain
+from typing import Mapping
+
+import numpy as np
 
 
 class CpuVendor(Enum):
@@ -108,18 +114,30 @@ class HostRecord:
     resource_share: float
 
     def __post_init__(self):
-        if self.n_cpus < 1:
-            raise ValueError("n_cpus must be at least 1")
-        for name in _NONNEGATIVE_FIELDS:
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} is negative")
-        for name in _FRACTION_FIELDS:
-            if not (0.0 <= getattr(self, name) <= 1.0):
-                raise ValueError(f"{name} outside [0, 1]")
-        if self.disk_free > self.disk_total:
-            raise ValueError("disk_free exceeds disk_total")
-        if self.last_contact < self.created:
-            raise ValueError("last_contact precedes created")
+        check_host(vars(self))
+
+
+def check_host(values: Mapping, violated=bool) -> None:
+    """Raise ValueError naming the first host rule ``values`` break.
+
+    ``values`` maps field names to one host's values, or to whole columns
+    with ``violated=np.any``; the rules, their order and their messages are
+    the same either way. The fraction test is written without a chained
+    comparison so that it works on columns too; NaN fails it.
+    """
+    if violated(values["n_cpus"] < 1):
+        raise ValueError("n_cpus must be at least 1")
+    for name in _NONNEGATIVE_FIELDS:
+        if violated(values[name] < 0):
+            raise ValueError(f"{name} is negative")
+    for name in _FRACTION_FIELDS:
+        v = values[name]
+        if violated((v < 0.0) | (v > 1.0) | (v != v)):
+            raise ValueError(f"{name} outside [0, 1]")
+    if violated(values["disk_free"] > values["disk_total"]):
+        raise ValueError("disk_free exceeds disk_total")
+    if violated(values["last_contact"] < values["created"]):
+        raise ValueError("last_contact precedes created")
 
 
 def whole_host_flops(host: HostRecord) -> float:
@@ -152,23 +170,180 @@ NUMERIC_FIELDS = (
     "resource_share",
 )
 
-# Derived quantities accepted anywhere a field selector is.
-_DERIVED_GETTERS: dict[str, Callable[[HostRecord], float]] = {
-    "flops": whole_host_flops,
-    "iops": whole_host_iops,
-}
+
+HOST_FIELDS = tuple(f.name for f in fields(HostRecord))
+ID_FIELDS = ("host_id", "user_id")
+CATEGORICAL_FIELDS = ("cpu_vendor", "os", "country", "venue")
+INT_FIELDS = ("n_cpus", "tz_offset", "created", "last_contact")
+# Rows converted to Python values at a time when a table is read row by row
+# or written out, which bounds the memory that conversion takes.
+ROW_BLOCK = 4096
 
 
-def field_getter(selector) -> Callable[[HostRecord], float]:
-    """Resolve a field selector to a callable on host records.
+def _read_only(values, dtype) -> np.ndarray:
+    """``values`` as an array of ``dtype`` that cannot be written through."""
+    arr = np.asarray(values, dtype=dtype).view()
+    arr.flags.writeable = False
+    return arr
 
-    Accepts a callable as-is, a numeric field name, or one of the derived
-    names "flops" / "iops" meaning the whole-host aggregate.
+
+class Categorical:
+    """A column of repeated labels: one code per row into ``levels``.
+
+    Levels are distinct; a level no row uses is allowed. Two categoricals
+    are equal when they hold the same label in every row, whatever their
+    codes.
     """
-    if callable(selector):
-        return selector
-    if selector in _DERIVED_GETTERS:
-        return _DERIVED_GETTERS[selector]
-    if selector in NUMERIC_FIELDS:
-        return lambda host: getattr(host, selector)
-    raise ValueError(f"unknown host field selector: {selector!r}")
+
+    __slots__ = ("codes", "levels")
+
+    def __init__(self, codes, levels):
+        self.levels = tuple(levels)
+        self.codes = _read_only(codes, np.intp)
+        if self.codes.ndim != 1:
+            raise ValueError("codes must be one-dimensional")
+        if len(self.codes) and not (
+            0 <= self.codes.min() and self.codes.max() < len(self.levels)
+        ):
+            raise ValueError("category code outside its levels")
+
+    @classmethod
+    def of(cls, labels) -> "Categorical":
+        """Encode a sequence of labels, levels in order of first appearance."""
+        labels = list(labels)
+        index = {label: code for code, label in enumerate(dict.fromkeys(labels))}
+        return cls(np.fromiter(map(index.__getitem__, labels), np.intp, len(labels)), index)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def tolist(self, rows=slice(None)) -> list:
+        """The labels of ``rows``, one per row."""
+        return list(map(self.levels.__getitem__, self.codes[rows].tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Categorical):
+            return NotImplemented
+        return self.tolist() == other.tolist()
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class HostTable:
+    """A pool of hosts held column by column.
+
+    Each ``HostRecord`` field is one column: a tuple of strings for the two
+    ids, a ``Categorical`` for vendor, os, country and venue, and a read-only
+    numpy array for the rest, int64 for ``n_cpus`` and the three timestamps,
+    float64 otherwise. Construction converts the columns and checks them
+    with the ``HostRecord`` rules, once per column. ``len``, indexing and
+    iteration give ``HostRecord`` rows of Python scalars; a slice gives a
+    table. Equality is column by column and exact.
+    """
+
+    host_id: tuple
+    user_id: tuple
+    n_cpus: np.ndarray
+    flops_per_cpu: np.ndarray
+    iops_per_cpu: np.ndarray
+    ram: np.ndarray
+    swap: np.ndarray
+    disk_total: np.ndarray
+    disk_free: np.ndarray
+    throughput_down: np.ndarray
+    on_fraction: np.ndarray
+    connected_fraction: np.ndarray
+    active_fraction: np.ndarray
+    cpu_efficiency: np.ndarray
+    cpu_vendor: Categorical
+    os: Categorical
+    country: Categorical
+    venue: Categorical
+    tz_offset: np.ndarray
+    created: np.ndarray
+    last_contact: np.ndarray
+    resource_share: np.ndarray
+
+    def __post_init__(self):
+        for name in HOST_FIELDS:
+            value = getattr(self, name)
+            if name in ID_FIELDS:
+                value = tuple(value)
+            elif name in CATEGORICAL_FIELDS:
+                if not isinstance(value, Categorical):
+                    value = Categorical.of(value)
+            else:
+                value = _read_only(value, np.int64 if name in INT_FIELDS else np.float64)
+                if value.ndim != 1:
+                    raise ValueError(f"{name} column must be one-dimensional")
+            object.__setattr__(self, name, value)
+        if any(len(getattr(self, name)) != len(self.host_id) for name in HOST_FIELDS):
+            raise ValueError("host columns differ in length")
+        check_host(vars(self), np.any)
+
+    @classmethod
+    def from_records(cls, records) -> "HostTable":
+        records = list(records)
+        return cls(**{name: [getattr(r, name) for r in records] for name in HOST_FIELDS})
+
+    @classmethod
+    def concat(cls, tables) -> "HostTable":
+        """The rows of ``tables``, one table after another."""
+        tables = list(tables)
+        columns = {}
+        for name in HOST_FIELDS:
+            parts = [getattr(t, name) for t in tables]
+            if name in ID_FIELDS:
+                columns[name] = tuple(chain.from_iterable(parts))
+            elif name in CATEGORICAL_FIELDS:
+                columns[name] = list(chain.from_iterable(p.tolist() for p in parts))
+            else:
+                columns[name] = np.concatenate(parts) if parts else []
+        return cls(**columns)
+
+    def __len__(self) -> int:
+        return len(self.host_id)
+
+    def _lists(self, rows=slice(None)) -> list[list]:
+        """Every column's Python values over ``rows``, in field order."""
+        out = []
+        for name in HOST_FIELDS:
+            col = getattr(self, name)
+            if name in ID_FIELDS:
+                out.append(list(col[rows]))
+            elif name in CATEGORICAL_FIELDS:
+                out.append(col.tolist(rows))
+            else:
+                out.append(col[rows].tolist())
+        return out
+
+    def __iter__(self):
+        for start in range(0, len(self), ROW_BLOCK):
+            for values in zip(*self._lists(slice(start, start + ROW_BLOCK))):
+                yield HostRecord(*values)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return HostTable(**dict(zip(HOST_FIELDS, self._lists(index))))
+        i = range(len(self))[index]  # bounds and negative indices
+        return HostRecord(*(values[0] for values in self._lists(slice(i, i + 1))))
+
+    def column(self, selector: str) -> np.ndarray:
+        """One numeric field, or "flops" / "iops" for the whole-host aggregate."""
+        if selector == "flops":
+            return self.n_cpus * self.flops_per_cpu
+        if selector == "iops":
+            return self.n_cpus * self.iops_per_cpu
+        if selector in NUMERIC_FIELDS:
+            return getattr(self, selector)
+        raise ValueError(f"unknown host field selector: {selector!r}")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, HostTable):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in ((getattr(self, n), getattr(other, n)) for n in HOST_FIELDS)
+        )
+
+    def __repr__(self) -> str:
+        return f"HostTable(<{len(self)} hosts>)"

@@ -8,7 +8,7 @@ parsing continues. Serialization is canonical, so parse -> serialize is a
 byte-level identity on files this module wrote.
 
 Breakdown tables, ownership buckets and half-open histograms live here too;
-they operate on host records regardless of where those came from.
+they read the columns of a host table regardless of where it came from.
 """
 
 from __future__ import annotations
@@ -16,19 +16,25 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .hosts import (
+    CATEGORICAL_FIELDS,
+    HOST_FIELDS,
+    ID_FIELDS,
+    INT_FIELDS,
+    ROW_BLOCK,
     CpuVendor,
-    HostRecord,
+    HostTable,
     OperatingSystem,
     Venue,
-    field_getter,
-    whole_host_flops,
+    check_host,
 )
 
 HOST_CSV_COLUMNS = (
@@ -65,7 +71,7 @@ _VENUE_BY_LABEL = {v.value: v for v in Venue}
 
 @dataclass(frozen=True)
 class ParseResult:
-    records: tuple[HostRecord, ...]
+    records: HostTable
     rejects: tuple[tuple[int, str], ...]  # (line number, reason)
 
 
@@ -108,14 +114,21 @@ def _float_field(name: str, text: str) -> float:
     return value
 
 
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
 def _int_field(name: str, text: str) -> int:
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ValueError(f"invalid {name}: {text!r}") from None
+    if not _INT64_MIN <= value <= _INT64_MAX:  # a host table column is int64
+        raise ValueError(f"invalid {name}: {text!r}")
+    return value
 
 
-def _row_to_record(row: Sequence[str]) -> HostRecord:
+def _row_values(row: Sequence[str]) -> dict:
+    """One CSV row as host field values, checked like a ``HostRecord``."""
     if len(row) != len(HOST_CSV_COLUMNS):
         raise ValueError("wrong column count")
     (
@@ -148,7 +161,7 @@ def _row_to_record(row: Sequence[str]) -> HostRecord:
         raise ValueError(f"unknown os: {os_label!r}")
     if venue not in _VENUE_BY_LABEL:
         raise ValueError(f"unknown venue: {venue!r}")
-    return HostRecord(
+    values = dict(
         host_id=host_id,
         user_id=user_id,
         n_cpus=_int_field("n_cpus", n_cpus),
@@ -172,6 +185,8 @@ def _row_to_record(row: Sequence[str]) -> HostRecord:
         last_contact=_int_field("last_contact_utc", last_contact),
         resource_share=_float_field("resource_share", share),
     )
+    check_host(values)
+    return values
 
 
 def parse_hosts(source) -> ParseResult:
@@ -203,117 +218,114 @@ def _parse_stream(fh) -> ParseResult:
             raise ValueError(f"unknown column: {unknown[0]!r}")
         raise ValueError("header does not match host CSV schema")
 
-    records: list[HostRecord] = []
+    # numbers go straight into machine arrays, so no Python object per
+    # value outlives its row
+    columns = {
+        name: [] if name in ID_FIELDS or name in CATEGORICAL_FIELDS
+        else array("q" if name in INT_FIELDS else "d")
+        for name in HOST_FIELDS
+    }
+    appends = [(name, columns[name].append) for name in HOST_FIELDS]
     rejects: list[tuple[int, str]] = []
     for row in reader:
         if not row:
             continue
         try:
-            records.append(_row_to_record(row))
+            values = _row_values(row)
         except ValueError as err:
             rejects.append((reader.line_num, str(err)))
-    return ParseResult(tuple(records), tuple(rejects))
+            continue
+        for name, append in appends:
+            append(values[name])
+    return ParseResult(HostTable(**columns), tuple(rejects))
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _text_columns(records: HostTable, rows: slice) -> list[list[str]]:
+    """Each column's ``rows`` as CSV text: shortest round-trip floats, labels."""
+    out = []
+    for name in HOST_FIELDS:
+        col = getattr(records, name)
+        if name in ID_FIELDS:
+            out.append(col[rows])
+        elif name in CATEGORICAL_FIELDS:
+            labels = [getattr(v, "value", v) for v in col.levels]
+            out.append([labels[c] for c in col.codes[rows].tolist()])
+        else:
+            out.append(list(map(repr if col.dtype.kind == "f" else str, col[rows].tolist())))
+    return out
 
 
-def record_to_row(r: HostRecord) -> list[str]:
-    return [
-        r.host_id,
-        r.user_id,
-        str(r.n_cpus),
-        repr(r.flops_per_cpu),
-        repr(r.iops_per_cpu),
-        repr(r.ram),
-        repr(r.swap),
-        repr(r.disk_total),
-        repr(r.disk_free),
-        repr(r.throughput_down),
-        repr(r.on_fraction),
-        repr(r.connected_fraction),
-        repr(r.active_fraction),
-        repr(r.cpu_efficiency),
-        r.cpu_vendor.value,
-        r.os.value,
-        r.country,
-        r.venue.value,
-        str(r.tz_offset),
-        str(r.created),
-        str(r.last_contact),
-        repr(r.resource_share),
-    ]
-
-
-def serialize_hosts(records: Iterable[HostRecord], header_comment: str | None = None) -> str:
-    """Render records to canonical CSV text (shortest round-trip floats)."""
+def serialize_hosts(records: HostTable, header_comment: str | None = None) -> str:
+    """Render a host table to canonical CSV text."""
     buf = io.StringIO()
     if header_comment is not None:
         buf.write(f"# {header_comment}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(HOST_CSV_COLUMNS)
-    for r in records:
-        writer.writerow(record_to_row(r))
+    for start in range(0, len(records), ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        writer.writerows(zip(*_text_columns(records, rows)))
     return buf.getvalue()
 
 
-def write_hosts_csv(records: Iterable[HostRecord], path, header_comment=None) -> None:
+def write_hosts_csv(records: HostTable, path, header_comment=None) -> None:
     Path(path).write_text(serialize_hosts(records, header_comment))
 
 
-def breakdown(records: Sequence[HostRecord], key: str) -> list[BreakdownRow]:
+def breakdown(records: HostTable, key: str) -> list[BreakdownRow]:
     """Per-category host counts and means, largest group first, Total last.
 
     ``key`` is one of cpu_vendor, os, country, venue. The os key uses the
     flat per-version labels; callers wanting one Windows line can regroup by
-    ``OperatingSystem.family``.
+    ``OperatingSystem.family``. Every sum adds its hosts one by one in
+    table order: ``np.bincount`` adds each group's weights in row order, as
+    the builtin ``sum`` does up to Python 3.11, which the Total row uses.
     """
     if key not in BREAKDOWN_KEYS:
         raise ValueError(f"unknown breakdown key: {key!r}")
-    groups: dict[str, list[HostRecord]] = {}
-    for r in records:
-        attr = getattr(r, key)
-        label = attr.value if hasattr(attr, "value") else str(attr)
-        groups.setdefault(label, []).append(r)
+    cat = getattr(records, key)
+    columns = (records.column("flops"), records.disk_free, records.throughput_down)
+    counts = np.bincount(cat.codes, minlength=len(cat.levels)).tolist()
+    sums = [
+        np.bincount(cat.codes, weights=col, minlength=len(cat.levels)).tolist()
+        for col in columns
+    ]
 
-    def _row(label: str, members: Sequence[HostRecord]) -> BreakdownRow:
-        n = len(members)
-        flops = [whole_host_flops(r) for r in members]
+    def _row(label: str, n: int, flops: float, disk_free: float, thr: float) -> BreakdownRow:
         return BreakdownRow(
             key=label,
             n_hosts=n,
-            mean_flops=sum(flops) / n if n else 0.0,
-            total_flops=sum(flops),
-            mean_disk_free=sum(r.disk_free for r in members) / n if n else 0.0,
-            mean_throughput=sum(r.throughput_down for r in members) / n if n else 0.0,
+            mean_flops=flops / n if n else 0.0,
+            total_flops=flops,
+            mean_disk_free=disk_free / n if n else 0.0,
+            mean_throughput=thr / n if n else 0.0,
         )
 
-    rows = [_row(label, members) for label, members in groups.items()]
+    rows = [
+        _row(getattr(level, "value", str(level)), n, *(s[k] for s in sums))
+        for k, (level, n) in enumerate(zip(cat.levels, counts))
+        if n
+    ]
     rows.sort(key=lambda row: (-row.n_hosts, row.key))
-    rows.append(_row("Total", records))
+    rows.append(_row("Total", len(records), *(sum(col.tolist()) for col in columns)))
     return rows
 
 
-def hosts_per_user(records: Sequence[HostRecord]) -> list[UserBucketRow]:
+def hosts_per_user(records: HostTable) -> list[UserBucketRow]:
     """Ownership distribution: users and hosts per hosts-owned bucket."""
     from .population import USER_BUCKETS  # bucket boundaries shared with generation
 
-    per_user: dict[str, int] = {}
-    for r in records:
-        per_user[r.user_id] = per_user.get(r.user_id, 0) + 1
+    per_user = np.fromiter(Counter(records.user_id).values(), dtype=np.int64)
     total_hosts = len(records)
     rows = []
     for bucket, lo, _hi in USER_BUCKETS:
         hi = math.inf if bucket.endswith("+") else _hi
-        users = [c for c in per_user.values() if lo <= c <= hi]
-        n_hosts = sum(users)
+        owned = per_user[(lo <= per_user) & (per_user <= hi)]
+        n_hosts = int(owned.sum())
         rows.append(
             UserBucketRow(
                 bucket=bucket,
-                n_users=len(users),
+                n_users=len(owned),
                 n_hosts=n_hosts,
                 pct_hosts=100.0 * n_hosts / total_hosts if total_hosts else 0.0,
             )
@@ -327,7 +339,7 @@ def histogram_of_values(values, bin_edges: Sequence[float], field_name: str) -> 
         raise ValueError("need at least two bin edges")
     if any(a >= b for a, b in zip(edges, edges[1:])):
         raise ValueError("bin edges not strictly ascending")
-    arr = np.asarray(list(values), dtype=float)
+    arr = np.asarray(values, dtype=float)
     e = np.asarray(edges)
     if arr.size == 0:
         return Histogram(field_name, tuple(edges), (0,) * (len(edges) - 1), 0)
@@ -342,21 +354,17 @@ def histogram_of_values(values, bin_edges: Sequence[float], field_name: str) -> 
     )
 
 
-def histogram(
-    records: Sequence[HostRecord], selector, bin_edges: Sequence[float]
-) -> Histogram:
+def histogram(records: HostTable, selector: str, bin_edges: Sequence[float]) -> Histogram:
     """Histogram of one host field over explicit half-open bins."""
-    getter = field_getter(selector)
-    name = selector if isinstance(selector, str) else getattr(selector, "__name__", "")
-    return histogram_of_values([getter(r) for r in records], bin_edges, name)
+    return histogram_of_values(records.column(selector), bin_edges, selector)
 
 
 def auto_edges(values, n_bins: int = 50) -> list[float]:
     """Deterministic linear bin edges covering the data, max included."""
-    vals = list(values)
-    if not vals:
+    vals = np.asarray(values, dtype=float)
+    if vals.size == 0:
         return [0.0, 1.0]
-    lo, hi = min(vals), max(vals)
+    lo, hi = float(vals.min()), float(vals.max())
     if hi <= lo:
         return [float(lo), float(lo) + 1.0]
     edges = np.linspace(lo, hi, n_bins + 1)

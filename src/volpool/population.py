@@ -3,7 +3,7 @@
 Three building blocks live here: resampling distributions fitted from data
 (or built from a parametric shape), a churn model pairing an arrival rate
 with a lifetime distribution, and a pool specification that deterministically
-expands into a list of host records under a 64-bit seed.
+expands into a ``HostTable`` under a 64-bit seed.
 
 Generation is marginal-by-marginal: every numeric field draws independently
 unless a rank-correlation hook couples a pair. Categorical fields draw from
@@ -23,12 +23,13 @@ import numpy as np
 
 from . import config, ingest
 from .hosts import (
+    INT_FIELDS,
     NUMERIC_FIELDS,
+    Categorical,
     CpuVendor,
-    HostRecord,
+    HostTable,
     OperatingSystem,
     Venue,
-    field_getter,
 )
 from .units import SECONDS_PER_DAY
 
@@ -115,14 +116,12 @@ class EmpiricalDistribution:
         return cls(tuple(float(v) for v in scaled), field_name=field_name)
 
 
-def fit_empirical(records: Sequence[HostRecord], selector) -> EmpiricalDistribution:
-    """Fit a resampling distribution to one field of a host list."""
+def fit_empirical(records: HostTable, selector: str) -> EmpiricalDistribution:
+    """Fit a resampling distribution to one field of a host table."""
     if len(records) == 0:
         raise ValueError("no data to fit")
-    getter = field_getter(selector)
-    values = sorted(float(getter(r)) for r in records)
-    name = selector if isinstance(selector, str) else getattr(selector, "__name__", "")
-    return EmpiricalDistribution(tuple(values), field_name=name)
+    values = np.sort(records.column(selector).astype(float))
+    return EmpiricalDistribution(tuple(values.tolist()), field_name=selector)
 
 
 @dataclass(frozen=True)
@@ -307,18 +306,15 @@ class PoolSpec:
         return float(gen)
 
 
-def _categorical(rng, weights: Mapping, n: int):
+def _categorical(rng, weights: Mapping, n: int) -> Categorical:
     keys = list(weights.keys())
     w = np.asarray([float(weights[k]) for k in keys], dtype=float)
-    idx = rng.choice(len(keys), size=n, p=w / w.sum())
-    return [keys[i] for i in idx]
+    return Categorical(rng.choice(len(keys), size=n, p=w / w.sum()), keys)
 
 
-def generate_pool(spec: PoolSpec) -> list[HostRecord]:
-    """Expand a pool spec into host records, bit-identical per seed."""
+def generate_pool(spec: PoolSpec) -> HostTable:
+    """Expand a pool spec into a host table, bit-identical per seed."""
     n = spec.n_hosts
-    if n == 0:
-        return []
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
 
     reuse = {b: (a, w) for a, b, w in spec.rank_correlations}
@@ -346,58 +342,20 @@ def generate_pool(spec: PoolSpec) -> list[HostRecord]:
         columns[name] = vals
 
     columns["disk_free"] = np.minimum(columns["disk_free"], columns["disk_total"])
+    columns["n_cpus"] = np.maximum(np.rint(columns["n_cpus"]), 1)
+    for name in INT_FIELDS:
+        columns[name] = np.rint(columns[name]).astype(np.int64)
     columns["last_contact"] = np.maximum(columns["last_contact"], columns["created"])
-    n_cpus = np.maximum(np.rint(columns["n_cpus"]), 1).astype(np.int64)
-    tz = np.rint(columns["tz_offset"]).astype(np.int64)
-    created = np.rint(columns["created"]).astype(np.int64)
-    last_contact = np.maximum(np.rint(columns["last_contact"]).astype(np.int64), created)
 
-    vendors = _categorical(rng, spec.vendor_weights, n)
-    oses = _categorical(rng, spec.os_weights, n)
-    countries = _categorical(rng, spec.country_weights, n)
-    venues = _categorical(rng, spec.venue_weights, n)
-
-    flops = columns["flops_per_cpu"]
-    iops = columns["iops_per_cpu"]
-    ram = columns["ram"]
-    swap = columns["swap"]
-    disk_total = columns["disk_total"]
-    disk_free = columns["disk_free"]
-    thr = columns["throughput_down"]
-    onf = columns["on_fraction"]
-    conn = columns["connected_fraction"]
-    act = columns["active_fraction"]
-    eff = columns["cpu_efficiency"]
-    share = columns["resource_share"]
-
-    pool = [
-        HostRecord(
-            host_id=f"h{i}",
-            user_id=f"u{i}",
-            n_cpus=int(n_cpus[i]),
-            flops_per_cpu=float(flops[i]),
-            iops_per_cpu=float(iops[i]),
-            ram=float(ram[i]),
-            swap=float(swap[i]),
-            disk_total=float(disk_total[i]),
-            disk_free=float(disk_free[i]),
-            throughput_down=float(thr[i]),
-            on_fraction=float(onf[i]),
-            connected_fraction=float(conn[i]),
-            active_fraction=float(act[i]),
-            cpu_efficiency=float(eff[i]),
-            cpu_vendor=vendors[i],
-            os=oses[i],
-            country=countries[i],
-            venue=venues[i],
-            tz_offset=int(tz[i]),
-            created=int(created[i]),
-            last_contact=int(last_contact[i]),
-            resource_share=float(share[i]),
-        )
-        for i in range(n)
-    ]
-    return pool
+    return HostTable(
+        host_id=[f"h{i}" for i in range(n)],
+        user_id=[f"u{i}" for i in range(n)],
+        cpu_vendor=_categorical(rng, spec.vendor_weights, n),
+        os=_categorical(rng, spec.os_weights, n),
+        country=_categorical(rng, spec.country_weights, n),
+        venue=_categorical(rng, spec.venue_weights, n),
+        **columns,
+    )
 
 
 def _apportion(weights: Sequence[float], total: int) -> list[int]:
@@ -417,11 +375,11 @@ def _apportion(weights: Sequence[float], total: int) -> list[int]:
 
 
 def assign_users(
-    pool: Sequence[HostRecord],
+    pool: HostTable,
     weights: Mapping[str, float],
     seed: int,
     prefix: str = "u",
-) -> list[HostRecord]:
+) -> HostTable:
     """Group hosts into users so each ownership bucket owns its weight of hosts.
 
     The pool is partitioned into contiguous bucket chunks by largest-remainder
@@ -429,10 +387,10 @@ def assign_users(
     range. The tail of a chunk is reshaped so the final users stay inside the
     bucket's bounds whenever the chunk is big enough to allow it, keeping
     recovered bucket shares faithful to the weights. Host order is preserved;
-    only user ids change.
+    only the user id column changes.
     """
-    if not pool:
-        return []
+    if len(pool) == 0:
+        return pool
     by_bucket = {b: (lo, hi) for b, lo, hi in USER_BUCKETS}
     for b in weights:
         if b not in by_bucket:
@@ -444,8 +402,7 @@ def assign_users(
     counts = _apportion(w, len(pool))
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    out: list[HostRecord] = []
-    cursor = 0
+    user_ids: list[str] = []
     user_seq = 0
     for label, chunk in zip(labels, counts):
         lo, hi = by_bucket[label]
@@ -458,13 +415,10 @@ def assign_users(
                     size = remaining
                 else:
                     size = remaining - lo
-            uid = f"{prefix}{user_seq}"
+            user_ids += [f"{prefix}{user_seq}"] * size
             user_seq += 1
-            for host in pool[cursor : cursor + size]:
-                out.append(replace(host, user_id=uid))
-            cursor += size
             remaining -= size
-    return out
+    return replace(pool, user_id=user_ids)
 
 
 @dataclass(frozen=True)
@@ -477,7 +431,7 @@ class LifetimeStats:
 
 
 def lifetime_stats(
-    records: Sequence[HostRecord],
+    records: HostTable,
     now: float,
     bin_edges: Sequence[float] | None = None,
 ) -> LifetimeStats:
@@ -486,14 +440,13 @@ def lifetime_stats(
     Only hosts silent for at least CENSOR_DAYS before ``now`` count; their
     lifetime is last_contact minus created. Default bins are 30-day wide.
     """
-    lifetimes = []
-    for r in records:
-        if (now - r.last_contact) / SECONDS_PER_DAY >= CENSOR_DAYS:
-            lifetimes.append((r.last_contact - r.created) / SECONDS_PER_DAY)
-    if not lifetimes:
+    last = records.last_contact
+    gone = (now - last) / SECONDS_PER_DAY >= CENSOR_DAYS
+    lifetimes = (last[gone] - records.created[gone]) / SECONDS_PER_DAY
+    if len(lifetimes) == 0:
         raise ValueError("all hosts censored")
     if bin_edges is None:
-        top = max(lifetimes)
+        top = float(lifetimes.max())
         n_bins = max(1, math.ceil((top + 1e-9) / CENSOR_DAYS))
         bin_edges = [CENSOR_DAYS * i for i in range(n_bins + 1)]
     hist = ingest.histogram_of_values(lifetimes, bin_edges, "lifetime_days")
@@ -511,9 +464,10 @@ def pool_spec_from_config(cfg: Mapping, default_seed: int) -> PoolSpec:
         "n_hosts", "seed", "fields", "vendor_weights", "os_weights",
         "country_weights", "venue_weights", "hosts_per_user_weights",
     ))
+    n_hosts = config.count(cfg, "n_hosts", 10000, where)
+    config.within_limit(n_hosts, f"{where} 'n_hosts'")
     base = presets.reference_pool_spec(
-        n_hosts=config.count(cfg, "n_hosts", 10000, where),
-        seed=config.count(cfg, "seed", default_seed, where),
+        n_hosts=n_hosts, seed=config.count(cfg, "seed", default_seed, where)
     )
     gens = dict(base.field_generators)
     field_cfg = config.section(cfg.get("fields", {}), "numeric field", NUMERIC_FIELDS)
@@ -546,10 +500,12 @@ def _generator_from_config(name: str, genspec):
     if isinstance(genspec, Mapping) and "lognormal" in genspec:
         config.section(genspec, where, ("lognormal",))
         p = config.section(genspec["lognormal"], "lognormal option", ("mean", "cv", "n"))
+        n = config.count(p, "n", 1024, "lognormal option")
+        config.within_limit(n, "lognormal option 'n'")
         return EmpiricalDistribution.from_lognormal(
             mean=config.number(p, "mean", None, "lognormal option"),
             cv=config.number(p, "cv", None, "lognormal option"),
-            n=config.count(p, "n", 1024, "lognormal option"),
+            n=n,
             field_name=name,
         )
     if isinstance(genspec, Mapping) and isinstance(genspec.get("samples"), list):

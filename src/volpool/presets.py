@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .capacity import CapacityFactors
-from .hosts import CpuVendor, OperatingSystem, Venue
+from .hosts import CpuVendor, HostTable, OperatingSystem, Venue
 from .population import EmpiricalDistribution, PoolSpec, generate_pool
 from .units import SECONDS_PER_DAY
 
@@ -193,7 +193,7 @@ def reference_pool_spec(n_hosts: int, seed: int) -> PoolSpec:
     )
 
 
-def vendor_conditional_pool(n_hosts: int, seed: int):
+def vendor_conditional_pool(n_hosts: int, seed: int) -> HostTable:
     """Synthetic pool whose per-vendor speed means follow the vendor table.
 
     Builds one sub-pool per vendor, sized by the table's host counts and
@@ -205,7 +205,7 @@ def vendor_conditional_pool(n_hosts: int, seed: int):
     base = reference_pool_spec(n_hosts, seed)
     vendors = list(VENDOR_TABLE.items())
     counts = _apportion([float(c) for _, (c, _) in vendors], n_hosts)
-    pool = []
+    parts = []
     for i, ((vendor, (_, mean)), sub_n) in enumerate(zip(vendors, counts)):
         if sub_n == 0:
             continue
@@ -220,8 +220,10 @@ def vendor_conditional_pool(n_hosts: int, seed: int):
             field_generators=generators,
             vendor_weights={vendor: 1.0},
         )
-        for h in generate_pool(spec):
-            pool.append(
-                replace(h, host_id=f"v{i}.{h.host_id}", user_id=f"v{i}.{h.user_id}")
-            )
-    return pool
+        sub = generate_pool(spec)
+        parts.append(replace(
+            sub,
+            host_id=[f"v{i}.{h}" for h in sub.host_id],
+            user_id=[f"v{i}.{u}" for u in sub.user_id],
+        ))
+    return HostTable.concat(parts)

@@ -947,10 +947,11 @@ class _Engine:
         arrival_pool = generate_pool(
             replace(cfg.pool_spec, n_hosts=len(arrivals_d), seed=arrival_seed)
         )
-        arrival_pool = [
-            replace(r, host_id=f"a{r.host_id}", user_id=f"a{r.user_id}")
-            for r in arrival_pool
-        ]
+        arrival_pool = replace(
+            arrival_pool,
+            host_id=["a" + h for h in arrival_pool.host_id],
+            user_id=["a" + u for u in arrival_pool.user_id],
+        )
         lifetimes_d = cfg.churn.sample_lifetimes(
             len(initial) + len(arrival_pool), self.life_rng
         )
@@ -969,6 +970,7 @@ class _Engine:
             h.depart_s = (t_arr + life) * SECONDS_PER_DAY
             self._push(t_arr * SECONDS_PER_DAY, _EV_ARRIVE, h)
 
+        del initial, arrival_pool  # each host keeps its own row; free the columns
         step = cfg.timeline_step_hours * SECONDS_PER_HOUR
         t = step
         while t < self.duration_s:
@@ -1137,7 +1139,7 @@ def sim_config_from_config(cfg: Mapping, seed_override: int | None = None) -> Si
         # absent and null both leave the value unset
         return None if cfg.get(key) is None else config.number(cfg, key, None, top)
 
-    return SimConfig(
+    sim_cfg = SimConfig(
         duration_days=config.number(cfg, "duration_days", 30.0, top),
         seed=seed,
         churn=churn,
@@ -1152,3 +1154,7 @@ def sim_config_from_config(cfg: Mapping, seed_override: int | None = None) -> Si
         work_buffer_days=optional("work_buffer_days"),
         timeline_step_hours=config.number(cfg, "timeline_step_hours", 6.0, top),
     )
+    days = sim_cfg.duration_days
+    config.within_limit(churn.mean_arrival_rate(days) * days, "expected arrivals")
+    config.within_limit(days * 24.0 / sim_cfg.timeline_step_hours, "timeline samples")
+    return sim_cfg

@@ -27,6 +27,7 @@ from volpool.capacity import (
     storage_potential,
     utilization_product,
 )
+from volpool.hosts import HostTable
 from volpool.population import generate_pool
 
 from conftest import flat_spec
@@ -144,8 +145,8 @@ def test_multiplicative_separability(name, c):
 
 
 def test_hardware_flops_examples():
-    assert hardware_flops([]) == 0.0
-    pool = [one_host(1.0), one_host(2.0)]
+    assert hardware_flops(HostTable.from_records([])) == 0.0
+    pool = HostTable.from_records([one_host(1.0), one_host(2.0)])
     assert hardware_flops(pool) == pytest.approx(3.0)
 
 
@@ -212,7 +213,9 @@ def test_curve_monotone(reference_pool_2k):
 
 def test_curve_single_host_threshold():
     host = one_host(1.0, 1000.0)
-    points = compute_vs_rate_curve([host], [450.0, 451.0], measured_factors())
+    points = compute_vs_rate_curve(
+        HostTable.from_records([host]), [450.0, 451.0], measured_factors()
+    )
     assert points[0].unsaturated_fraction == 1.0
     assert points[1].unsaturated_fraction == 0.0
 
@@ -251,7 +254,7 @@ def test_curve_per_host_factors_matches_direct_product():
 
 
 def test_curve_empty_pool():
-    points = compute_vs_rate_curve([], [0.0, 1.0], measured_factors())
+    points = compute_vs_rate_curve(HostTable.from_records([]), [0.0, 1.0], measured_factors())
     assert [p.total_flops for p in points] == [0.0, 0.0]
 
 
@@ -266,7 +269,7 @@ def make_trio():
                 one_host(speed), disk_free=disk, host_id=f"t{i}"
             )
         )
-    return hosts
+    return HostTable.from_records(hosts)
 
 
 def test_conditional_aggregate_trio():
@@ -334,7 +337,7 @@ def test_access_rate_network_oracle():
 
 def test_access_rate_disk_mode():
     f = measured_factors(on_fraction=1.0, active_fraction=1.0)
-    pool = [one_host()]
+    pool = HostTable.from_records([one_host()])
     assert access_rate(pool, f, mode="disk", per_host_disk_rate=1.0) == 1e6
     assert access_rate(pool, f, mode="disk", per_host_disk_rate=0.0) == 0.0
     with pytest.raises(ValueError, match="disk rate is negative"):

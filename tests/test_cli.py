@@ -72,7 +72,7 @@ def test_ingest_accepts_and_rejects(tmp_path, capsys, hosts_csv):
     assert "ingest: 20 accepted, 1 rejected" in capsys.readouterr().out
 
     parsed = ing.parse_hosts(out / "hosts.parsed.csv")
-    assert parsed.records == tuple(pool)
+    assert parsed.records == pool
     comment, header, rows = read_csv(out / "rejects.csv")
     assert header == ["line", "reason"]
     assert rows == [["22", "unknown cpu_vendor: 'VIA'"]]
@@ -353,6 +353,19 @@ def test_simulate_reruns_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_timeline_cells_are_plain_numbers(tmp_path):
+    """A churned reference-pool run: every timeline cell parses as a float."""
+    payload = {"duration_days": 1.0, "seed": 3, "pool": {"n_hosts": 30},
+               "churn": {"arrival_rate": 20.0, "lifetime_mean_days": 0.5}}
+    cfg = write_config(tmp_path, "sim.json", payload)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    _, header, rows = read_csv(out / "timeline.csv")
+    assert len(rows) == 4 and "raw_gflops" in header
+    for row in rows:
+        assert [float(cell) for cell in row]  # no np.float64(...) text
+
+
 def test_simulate_seed_flag_changes_run(tmp_path):
     cfg = write_config(
         tmp_path, "sim.json",
@@ -468,6 +481,20 @@ MALFORMED = [
     # both factors finite, their product not: no JSON can hold the result
     pytest.param("capacity", {"factors": {"arrival_rate": 1e308, "mean_lifetime": 1e308}},
                  "not JSON compliant", id="capacity-overflow"),
+    # finite but huge counts, each of which used to run out of memory
+    pytest.param("stats", {"pool": {"n_hosts": 10**8}},
+                 "'n_hosts' of 1e+08 exceeds the limit", id="stats-huge-pool"),
+    pytest.param("simulate", {"duration_days": 1000, "pool": {"n_hosts": 1},
+                              "churn": {"arrival_rate": 1e5}},
+                 "expected arrivals of 1e+08 exceeds the limit", id="simulate-huge-arrivals"),
+    pytest.param("simulate", {"duration_days": 1e7, "pool": {"n_hosts": 1},
+                              "churn": {"arrival_rate": 0}},
+                 "timeline samples of 4e+07 exceeds the limit", id="simulate-huge-timeline"),
+    pytest.param("sweep", {"pool": {"n_hosts": 5}, "rates": {"n": 10**9}},
+                 "rates option 'n' of 1e+09 exceeds the limit", id="sweep-huge-grid"),
+    pytest.param("stats", {"pool": {"n_hosts": 5, "fields": {
+                     "ram": {"lognormal": {"mean": 1.0, "cv": 1.0, "n": 10**9}}}}},
+                 "lognormal option 'n' of 1e+09 exceeds the limit", id="stats-huge-lognormal"),
 ]
 
 

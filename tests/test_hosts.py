@@ -9,8 +9,8 @@ from volpool.hosts import (
     CpuVendor,
     HostRecord,
     OperatingSystem,
+    HostTable,
     Venue,
-    field_getter,
     whole_host_flops,
     whole_host_iops,
 )
@@ -93,11 +93,10 @@ def test_record_is_immutable():
 # -- field selectors ---------------------------------------------------------------
 
 
-def test_field_getter_resolution():
-    h = make_host(n_cpus=2, flops_per_cpu=1.5, iops_per_cpu=1.0)
-    assert field_getter("ram")(h) == 512.0
-    assert field_getter("flops")(h) == 3.0
-    assert field_getter("iops")(h) == 2.0
-    assert field_getter(whole_host_flops)(h) == 3.0
+def test_column_resolution():
+    table = HostTable.from_records([make_host(n_cpus=2, flops_per_cpu=1.5, iops_per_cpu=1.0)])
+    assert table.column("ram").tolist() == [512.0]
+    assert table.column("flops").tolist() == [3.0]
+    assert table.column("iops").tolist() == [2.0]
     with pytest.raises(ValueError, match="unknown host field selector"):
-        field_getter("speed")
+        table.column("speed")

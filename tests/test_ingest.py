@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from volpool import ingest, presets
-from volpool.hosts import whole_host_flops
+from volpool.hosts import HostTable, whole_host_flops
 from volpool.ingest import (
     auto_edges,
     breakdown,
@@ -16,7 +16,6 @@ from volpool.ingest import (
     histogram_of_values,
     hosts_per_user,
     parse_hosts,
-    record_to_row,
     serialize_hosts,
     write_hosts_csv,
 )
@@ -77,7 +76,7 @@ def test_round_trip_through_file(tmp_path, canon_records):
 def test_round_trip_generated_pool():
     pool = generate_pool(presets.reference_pool_spec(n_hosts=50, seed=4))
     result = parse_hosts(io.StringIO(serialize_hosts(pool)))
-    assert result.records == tuple(pool)
+    assert result.records == pool
     assert result.rejects == ()
 
 
@@ -89,7 +88,7 @@ def test_comment_lines_before_header_skipped():
 
 def test_header_only_file():
     result = parse_hosts(io.StringIO(HEADER + "\n"))
-    assert result.records == ()
+    assert len(result.records) == 0
     assert result.rejects == ()
 
 
@@ -137,7 +136,7 @@ def row_with(**patches) -> str:
 def test_bad_rows_rejected_with_reason(patch, reason):
     text = HEADER + "\n" + row_with(**patch) + "\n"
     result = parse_hosts(io.StringIO(text))
-    assert result.records == ()
+    assert len(result.records) == 0
     assert len(result.rejects) == 1
     line, msg = result.rejects[0]
     assert line == 2
@@ -162,8 +161,8 @@ def test_good_rows_survive_bad_neighbours():
     assert result.rejects == ((3, "unknown cpu_vendor: 'VIA'"),)
 
 
-def test_record_to_row_uses_shortest_repr(canon_records):
-    row = record_to_row(canon_records[0])
+def test_serialized_row_uses_shortest_repr(canon_records):
+    row = serialize_hosts(canon_records[:1]).splitlines()[1].split(",")
     assert row[3] == "1.5"
     assert row[2] == "1"
     assert row[18] == "-18000"
@@ -173,7 +172,7 @@ def test_record_to_row_uses_shortest_repr(canon_records):
 
 
 def test_breakdown_trio(canon_records):
-    rows = breakdown(list(canon_records), "cpu_vendor")
+    rows = breakdown(canon_records, "cpu_vendor")
     # 1 host each: alphabetical order, Total appended
     assert [r.key for r in rows] == ["AMD", "Intel", "SPARC", "Total"]
     by_key = {r.key: r for r in rows}
@@ -188,26 +187,26 @@ def test_breakdown_trio(canon_records):
 
 def test_breakdown_sorted_by_count(canon_records):
     extra = dataclasses.replace(canon_records[2], host_id="c4")
-    rows = breakdown(list(canon_records) + [extra], "cpu_vendor")
+    rows = breakdown(HostTable.from_records([*canon_records, extra]), "cpu_vendor")
     assert [r.key for r in rows] == ["SPARC", "AMD", "Intel", "Total"]
     assert rows[0].n_hosts == 2
 
 
 def test_breakdown_counts_sum_to_total(canon_records):
     for key in ingest.BREAKDOWN_KEYS:
-        rows = breakdown(list(canon_records), key)
+        rows = breakdown(canon_records, key)
         assert rows[-1].key == "Total"
         assert sum(r.n_hosts for r in rows[:-1]) == rows[-1].n_hosts
 
 
 def test_breakdown_venue_none_label(canon_records):
-    rows = breakdown(list(canon_records), "venue")
+    rows = breakdown(canon_records, "venue")
     assert any(r.key == "None" and r.n_hosts == 1 for r in rows)
 
 
 def test_breakdown_unknown_key(canon_records):
     with pytest.raises(ValueError, match="unknown breakdown key"):
-        breakdown(list(canon_records), "ram")
+        breakdown(canon_records, "ram")
 
 
 def test_vendor_conditional_pool_breakdown():
@@ -242,7 +241,7 @@ def test_hosts_per_user_buckets():
         + owned("m", 5)
         + owned("farm", 2987)
     )
-    rows = {r.bucket: r for r in hosts_per_user(records)}
+    rows = {r.bucket: r for r in hosts_per_user(HostTable.from_records(records))}
     assert rows["1"].n_users == 3 and rows["1"].n_hosts == 3
     assert rows["2-10"].n_users == 1 and rows["2-10"].n_hosts == 5
     assert rows["11-100"].n_users == 0
@@ -254,7 +253,7 @@ def test_hosts_per_user_buckets():
 
 
 def test_hosts_per_user_empty():
-    rows = hosts_per_user([])
+    rows = hosts_per_user(HostTable.from_records([]))
     assert all(r.n_users == 0 and r.pct_hosts == 0.0 for r in rows)
 
 
@@ -320,7 +319,7 @@ def test_histogram_permutation_invariant(values, seed):
 
 
 def test_histogram_over_records(canon_records):
-    h = histogram(list(canon_records), "flops", [0.0, 1.0, 2.0, 4.0])
+    h = histogram(canon_records, "flops", [0.0, 1.0, 2.0, 4.0])
     direct = histogram_of_values(
         [whole_host_flops(r) for r in canon_records], [0.0, 1.0, 2.0, 4.0], "flops"
     )
@@ -329,7 +328,7 @@ def test_histogram_over_records(canon_records):
 
 
 def test_histogram_named_field(canon_records):
-    h = histogram(list(canon_records), "ram", [0.0, 600.0, 2000.0])
+    h = histogram(canon_records, "ram", [0.0, 600.0, 2000.0])
     assert h.counts == (2, 1)
     assert h.field_name == "ram"
 

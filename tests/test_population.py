@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from volpool import population as pop
 from volpool import presets
-from volpool.hosts import CpuVendor, HostRecord, OperatingSystem, Venue
+from volpool.hosts import CpuVendor, HostRecord, HostTable, OperatingSystem, Venue
 from volpool.population import (
     ChurnModel,
     EmpiricalDistribution,
@@ -91,16 +91,16 @@ def test_fit_empirical_examples():
         HostRecord(**{**h.__dict__, "disk_free": v, "host_id": f"h{i}"})
         for i, (h, v) in enumerate(zip(hosts, (10.0, 20.0, 30.0)))
     ]
-    dist = fit_empirical(hosts, "disk_free")
+    dist = fit_empirical(HostTable.from_records(hosts), "disk_free")
     assert dist.mean() == pytest.approx(20.0)
     assert dist.sorted_samples == (10.0, 20.0, 30.0)
 
-    same = fit_empirical(hosts, "ram")
+    same = fit_empirical(HostTable.from_records(hosts), "ram")
     rng = np.random.default_rng(1)
     assert set(np.unique(same.sample(rng, 100))) == {hosts[0].ram}
 
     with pytest.raises(ValueError, match="no data"):
-        fit_empirical([], "ram")
+        fit_empirical(HostTable.from_records([]), "ram")
 
 
 def test_generate_then_fit_closure(reference_pool_20k):
@@ -124,7 +124,7 @@ def test_throughput_fit_within_2pct():
 
 
 def test_empty_pool():
-    assert generate_pool(flat_spec(0, seed=1)) == []
+    assert len(generate_pool(flat_spec(0, seed=1))) == 0
 
 
 def test_generation_is_deterministic():
@@ -302,7 +302,8 @@ def test_assign_users_tail_stays_in_bounds():
 
 def test_assign_users_errors():
     pool = generate_pool(flat_spec(3, 1))
-    assert assign_users([], {"1": 1.0}, seed=1) == []
+    empty = HostTable.from_records([])
+    assert len(assign_users(empty, {"1": 1.0}, seed=1)) == 0
     with pytest.raises(ValueError, match="unknown ownership bucket"):
         assign_users(pool, {"nope": 1.0}, seed=1)
     with pytest.raises(ValueError, match="non-negative"):
@@ -395,7 +396,7 @@ def _aged_host(created_day: float, last_day: float, hid: str) -> HostRecord:
 
 def test_lifetime_mean_91_days():
     host = _aged_host(0.0, 91.0, "a")
-    stats = lifetime_stats([host], now=140.0 * SECONDS_PER_DAY)
+    stats = lifetime_stats(HostTable.from_records([host]), now=140.0 * SECONDS_PER_DAY)
     assert stats.mean_days == pytest.approx(91.0)
     assert stats.n_hosts == 1
     # 30-day default bins: day 91 falls in [90, 120)
@@ -407,23 +408,23 @@ def test_lifetime_censoring():
     active = _aged_host(0.0, 135.0, "recent")  # heard from 5 days ago
     gone = _aged_host(0.0, 50.0, "gone")
     now = 140.0 * SECONDS_PER_DAY
-    stats = lifetime_stats([active, gone], now=now)
+    stats = lifetime_stats(HostTable.from_records([active, gone]), now=now)
     assert stats.n_hosts == 1
     assert stats.mean_days == pytest.approx(50.0)
     with pytest.raises(ValueError, match="all hosts censored"):
-        lifetime_stats([active], now=now)
+        lifetime_stats(HostTable.from_records([active]), now=now)
 
 
 def test_lifetime_zero_allowed():
     host = _aged_host(10.0, 10.0, "z")
-    stats = lifetime_stats([host], now=100.0 * SECONDS_PER_DAY)
+    stats = lifetime_stats(HostTable.from_records([host]), now=100.0 * SECONDS_PER_DAY)
     assert stats.mean_days == 0.0
     assert stats.histogram.counts[0] == 1
 
 
 def test_lifetime_explicit_bins():
     host = _aged_host(0.0, 45.0, "b")
-    stats = lifetime_stats([host], now=300.0 * SECONDS_PER_DAY, bin_edges=[0, 50, 100])
+    stats = lifetime_stats(HostTable.from_records([host]), now=300.0 * SECONDS_PER_DAY, bin_edges=[0, 50, 100])
     assert stats.histogram.counts == (1, 0)
 
 

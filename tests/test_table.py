@@ -1,0 +1,406 @@
+"""The columnar host table: construction, validation, row views, and a
+reference oracle holding every columnar pool function to the per-record
+loop it replaced, bit for bit."""
+
+import dataclasses
+import io
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from volpool import capacity, ingest, population, presets
+from volpool.capacity import CapacityFactors
+from volpool.cli import HIST_FIELDS
+from volpool.hosts import (
+    Categorical,
+    CpuVendor,
+    HostTable,
+    OperatingSystem,
+    Venue,
+    whole_host_flops,
+    whole_host_iops,
+)
+from volpool.units import MB_PER_MBPS_HOUR, SECONDS_PER_DAY, kbps_to_bytes_per_s, kbps_to_mbps
+
+from conftest import flat_spec
+from test_hosts import make_host
+
+
+def small_pool(n=6, seed=2):
+    return population.generate_pool(presets.reference_pool_spec(n_hosts=n, seed=seed))
+
+
+# -- construction and validation ---------------------------------------------------
+
+# (field, bad value) pairs, one per HostRecord rule, in the order the rules run
+BROKEN = (
+    [("n_cpus", 0)]
+    + [(name, -1.0) for name in ("flops_per_cpu", "iops_per_cpu", "ram", "swap",
+                                 "disk_total", "disk_free", "throughput_down")]
+    + [(name, bad) for name in ("on_fraction", "connected_fraction", "active_fraction",
+                                "cpu_efficiency", "resource_share")
+       for bad in (1.5, -0.1, math.nan)]
+    + [("disk_free", 41.0), ("last_contact", -1)]
+)
+
+
+def record_error(**overrides) -> str:
+    with pytest.raises(ValueError) as err:
+        make_host(**overrides)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("name, bad", BROKEN)
+def test_table_rejects_each_record_rule_with_its_message(name, bad):
+    good = HostTable.from_records([make_host(), make_host(host_id="h1")])
+    column = list(getattr(good, name).tolist())
+    column[1] = bad
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(good, **{name: column})
+    assert str(err.value) == record_error(**{name: bad})
+
+
+def test_table_checks_rules_in_record_order():
+    # one host breaks ram, another n_cpus: the n_cpus rule comes first, as
+    # it does for a single record breaking both
+    good = HostTable.from_records([make_host(), make_host(host_id="h1")])
+    with pytest.raises(ValueError, match="^n_cpus must be at least 1$"):
+        dataclasses.replace(good, ram=[-1.0, 512.0], n_cpus=[1, 0])
+    assert record_error(ram=-1.0, n_cpus=0) == "n_cpus must be at least 1"
+
+
+def test_table_rejects_ragged_columns():
+    good = HostTable.from_records([make_host(), make_host(host_id="h1")])
+    with pytest.raises(ValueError, match="differ in length"):
+        dataclasses.replace(good, ram=[512.0])
+    with pytest.raises(ValueError, match="code outside its levels"):
+        dataclasses.replace(good, venue=Categorical([0, 1], [Venue.HOME]))
+
+
+def test_table_is_immutable():
+    table = small_pool()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.ram = table.swap
+    with pytest.raises(ValueError, match="read-only"):
+        table.ram[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        table.os.codes[0] = 0
+
+
+def test_rows_round_trip_through_from_records():
+    table = small_pool(40, seed=3)
+    rows = list(table)
+    assert HostTable.from_records(rows) == table
+    assert [table[i] for i in range(len(table))] == rows
+    assert table[-1] == rows[-1]
+    with pytest.raises(IndexError):
+        table[len(table)]
+
+
+def test_rows_hold_python_scalars():
+    row = small_pool()[0]
+    assert all(type(getattr(row, n)) is float for n in ("ram", "on_fraction"))
+    assert all(type(getattr(row, n)) is int for n in ("n_cpus", "created", "tz_offset"))
+    assert isinstance(row.cpu_vendor, CpuVendor) and type(row.country) is str
+    assert "np." not in repr(row)
+
+
+def test_slices_and_concat():
+    table = small_pool(30, seed=5)
+    assert isinstance(table[5:9], HostTable)
+    assert list(table[5:9]) == list(table)[5:9]
+    assert HostTable.concat([table[:7], table[7:]]) == table
+    assert HostTable.concat([]) == HostTable.from_records([])
+
+
+def test_equality_is_exact_and_ignores_category_codes():
+    table = small_pool(20, seed=1)
+    assert table == small_pool(20, seed=1)
+    assert table != small_pool(20, seed=2)
+    flipped = Categorical(
+        len(table.venue.levels) - 1 - table.venue.codes, table.venue.levels[::-1]
+    )
+    assert dataclasses.replace(table, venue=flipped) == table
+    nudged = table.ram.copy()
+    nudged[3] = np.nextafter(nudged[3], math.inf)
+    assert dataclasses.replace(table, ram=nudged) != table
+
+
+def test_empty_pool_is_an_empty_table():
+    empty = population.generate_pool(flat_spec(0, seed=1))
+    assert isinstance(empty, HostTable)
+    assert len(empty) == 0 and list(empty) == []
+    assert empty == HostTable.from_records([])
+
+
+def test_parse_then_serialize_is_a_byte_identity():
+    pool = population.assign_users(small_pool(300, seed=8), presets.HOSTS_PER_USER_PCT, seed=8)
+    text = ingest.serialize_hosts(pool, "fixture")
+    parsed = ingest.parse_hosts(io.StringIO(text))
+    assert parsed.records == pool
+    assert ingest.serialize_hosts(parsed.records, "fixture") == text
+
+
+def test_parse_rejects_integers_outside_int64():
+    row = ",".join(ingest.serialize_hosts(small_pool(1)).splitlines()[1].split(",")[:19]
+                   + [str(2**63), str(2**63), "1.0"])
+    result = ingest.parse_hosts(io.StringIO(",".join(ingest.HOST_CSV_COLUMNS) + "\n" + row + "\n"))
+    assert len(result.records) == 0
+    assert result.rejects == ((2, f"invalid created_utc: '{2**63}'"),)
+
+
+# -- reference oracle ---------------------------------------------------------------
+# The per-record loops the columnar functions replaced, kept verbatim as the
+# reference. Every columnar result must equal its loop's result bit for bit,
+# so results are compared by repr, which also tells 0 from 0.0.
+
+
+def _getter(selector):
+    derived = {"flops": whole_host_flops, "iops": whole_host_iops}
+    return derived.get(selector, lambda host: getattr(host, selector))
+
+
+def ref_histogram_of_values(values, bin_edges, field_name):
+    edges = [float(e) for e in bin_edges]
+    arr = np.asarray(list(values), dtype=float)
+    e = np.asarray(edges)
+    if arr.size == 0:
+        return ingest.Histogram(field_name, tuple(edges), (0,) * (len(edges) - 1), 0)
+    idx = np.searchsorted(e, arr, side="right") - 1
+    in_range = (arr >= e[0]) & (idx <= len(edges) - 2)
+    counts = np.bincount(idx[in_range], minlength=len(edges) - 1)
+    return ingest.Histogram(
+        field_name, tuple(edges), tuple(int(c) for c in counts), int(arr.size - in_range.sum())
+    )
+
+
+def ref_auto_edges(values, n_bins=50):
+    vals = list(values)
+    if not vals:
+        return [0.0, 1.0]
+    lo, hi = min(vals), max(vals)
+    if hi <= lo:
+        return [float(lo), float(lo) + 1.0]
+    edges = np.linspace(lo, hi, n_bins + 1)
+    edges[-1] = np.nextafter(hi, math.inf)
+    return [float(e) for e in edges]
+
+
+def ref_breakdown(records, key):
+    groups = {}
+    for r in records:
+        attr = getattr(r, key)
+        label = attr.value if hasattr(attr, "value") else str(attr)
+        groups.setdefault(label, []).append(r)
+
+    def _row(label, members):
+        n = len(members)
+        flops = [whole_host_flops(r) for r in members]
+        return ingest.BreakdownRow(
+            key=label,
+            n_hosts=n,
+            mean_flops=sum(flops) / n if n else 0.0,
+            total_flops=sum(flops),
+            mean_disk_free=sum(r.disk_free for r in members) / n if n else 0.0,
+            mean_throughput=sum(r.throughput_down for r in members) / n if n else 0.0,
+        )
+
+    rows = [_row(label, members) for label, members in groups.items()]
+    rows.sort(key=lambda row: (-row.n_hosts, row.key))
+    rows.append(_row("Total", records))
+    return rows
+
+
+def ref_hosts_per_user(records):
+    per_user = {}
+    for r in records:
+        per_user[r.user_id] = per_user.get(r.user_id, 0) + 1
+    rows = []
+    for bucket, lo, _hi in population.USER_BUCKETS:
+        hi = math.inf if bucket.endswith("+") else _hi
+        users = [c for c in per_user.values() if lo <= c <= hi]
+        n_hosts = sum(users)
+        rows.append(ingest.UserBucketRow(
+            bucket=bucket, n_users=len(users), n_hosts=n_hosts,
+            pct_hosts=100.0 * n_hosts / len(records) if records else 0.0,
+        ))
+    return rows
+
+
+def ref_lifetime_stats(records, now):
+    lifetimes = []
+    for r in records:
+        if (now - r.last_contact) / SECONDS_PER_DAY >= population.CENSOR_DAYS:
+            lifetimes.append((r.last_contact - r.created) / SECONDS_PER_DAY)
+    if not lifetimes:
+        raise ValueError("all hosts censored")
+    top = max(lifetimes)
+    n_bins = max(1, math.ceil((top + 1e-9) / population.CENSOR_DAYS))
+    bin_edges = [population.CENSOR_DAYS * i for i in range(n_bins + 1)]
+    hist = ref_histogram_of_values(lifetimes, bin_edges, "lifetime_days")
+    return population.LifetimeStats(
+        mean_days=float(np.mean(lifetimes)), n_hosts=len(lifetimes), histogram=hist
+    )
+
+
+def ref_rate_curve(pool, grid, factors, per_host_factors):
+    n = len(pool)
+    speed = np.asarray([whole_host_flops(h) for h in pool], dtype=float)
+    link_hourly = np.asarray(
+        [MB_PER_MBPS_HOUR * kbps_to_mbps(h.throughput_down) for h in pool], dtype=float
+    )
+    if per_host_factors:
+        util = np.asarray(
+            [h.cpu_efficiency * h.on_fraction * h.active_fraction * h.resource_share
+             for h in pool],
+            dtype=float,
+        ) / factors.redundancy
+    else:
+        util = capacity.utilization_product(factors)
+    points = []
+    for r in grid:
+        if r == 0:
+            avail, unsat = speed, 1.0
+        else:
+            avail = np.minimum(speed, link_hourly / r)
+            unsat = float(np.mean(link_hourly >= r * speed)) if n else 1.0
+        points.append(capacity.RateCurvePoint(
+            data_rate=r, total_flops=float(np.sum(avail * util)), unsaturated_fraction=unsat
+        ))
+    return points
+
+
+def ref_conditional_aggregate(pool, resource_a, resource_b, thresholds):
+    get_a, get_b = _getter(resource_a), _getter(resource_b)
+    a_vals = np.asarray([get_a(h) for h in pool], dtype=float)
+    b_vals = np.asarray([get_b(h) for h in pool], dtype=float)
+    return [(float(t), float(a_vals[b_vals >= float(t)].sum()) if len(pool) else 0.0)
+            for t in thresholds]
+
+
+def outcome(fn, *args):
+    """``repr`` of a call's result, or of the error it raised."""
+    try:
+        return repr(fn(*args))
+    except ValueError as err:
+        return f"ValueError({err})"
+
+
+_SIZES = st.floats(0.0, 1e4, allow_nan=False, allow_subnormal=False) | st.sampled_from(
+    [0.0, 0.1, 0.2, 0.3, 1e-9, 1234.5678]
+)
+_FRACTIONS = st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.1, 0.3, 1.0])
+COUNTRIES = ("USA", "Germany", "Japan", "None", "Other")
+
+
+@st.composite
+def categorical(draw, levels, n):
+    levels = draw(st.permutations(levels))
+    used = draw(st.integers(1, len(levels)))  # the rest stay empty groups
+    return Categorical(draw(st.lists(st.integers(0, used - 1), min_size=n, max_size=n)), levels)
+
+
+@st.composite
+def pools(draw):
+    n = draw(st.integers(0, 30))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    disk_total = column(_SIZES)
+    created = column(st.integers(0, 400 * 86_400))
+    n_users = draw(st.integers(1, max(n, 1)))
+    return HostTable(
+        host_id=[f"h{i}" for i in range(n)],
+        user_id=[f"u{u}" for u in column(st.integers(0, n_users - 1))],  # multi-host users
+        n_cpus=column(st.integers(1, 8)),
+        flops_per_cpu=column(_SIZES),
+        iops_per_cpu=column(_SIZES),
+        ram=column(_SIZES),
+        swap=column(_SIZES),
+        disk_total=disk_total,
+        disk_free=[t * f for t, f in zip(disk_total, column(_FRACTIONS))],
+        throughput_down=column(_SIZES),
+        on_fraction=column(_FRACTIONS),
+        connected_fraction=column(_FRACTIONS),
+        active_fraction=column(_FRACTIONS),
+        cpu_efficiency=column(_FRACTIONS),
+        cpu_vendor=draw(categorical(list(CpuVendor), n)),
+        os=draw(categorical(list(OperatingSystem), n)),
+        country=draw(categorical(list(COUNTRIES), n)),
+        venue=draw(categorical(list(Venue), n)),
+        tz_offset=column(st.integers(-43_200, 50_400)),
+        created=created,
+        last_contact=[c + d for c, d in zip(created, column(st.integers(0, 200 * 86_400)))],
+        resource_share=column(_FRACTIONS),
+    )
+
+
+FACTORS = CapacityFactors(
+    arrival_rate=3645.99, mean_lifetime=91.0, mean_ncpus=1.0, mean_flops_per_cpu=1.613,
+    cpu_efficiency=0.899, on_fraction=0.81, active_fraction=0.84, redundancy=3.0,
+    resource_share=0.917, connected_fraction=0.83,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    table=pools(),
+    silence_days=st.floats(-50.0, 400.0),
+    grid=st.lists(st.floats(1e-3, 2000.0) | st.just(0.0), min_size=1, max_size=5,
+                  unique=True).map(sorted),
+    thresholds=st.lists(_SIZES, max_size=4),
+)
+def test_columnar_functions_match_the_record_loops(table, silence_days, grid, thresholds):
+    rows = list(table)
+    for key in ingest.BREAKDOWN_KEYS:
+        assert repr(ingest.breakdown(table, key)) == repr(ref_breakdown(rows, key)), key
+    assert repr(ingest.hosts_per_user(table)) == repr(ref_hosts_per_user(rows))
+
+    # the stats command's histograms, values taken the way it takes them
+    for stem, selector in HIST_FIELDS:
+        values = table.column(selector)
+        got = ingest.histogram_of_values(values, ingest.auto_edges(values), stem)
+        old = [_getter(selector)(r) for r in rows]
+        assert repr(got) == repr(ref_histogram_of_values(old, ref_auto_edges(old), stem))
+        assert repr(ingest.histogram(table, selector, [0.0, 1.0, 50.0])) == repr(
+            ref_histogram_of_values(old, [0.0, 1.0, 50.0], selector))
+
+    # all censored, none censored and between, from how long the pool is silent
+    now = (max(table.last_contact.tolist(), default=0)) + silence_days * SECONDS_PER_DAY
+    assert outcome(population.lifetime_stats, table, now) == outcome(ref_lifetime_stats, rows, now)
+
+    assert repr(capacity.hardware_flops(table)) == repr(
+        float(sum(whole_host_flops(h) for h in rows)))
+    for selection in ((), ("on_fraction", "connected_fraction", "redundancy")):
+        scale = math.prod(getattr(FACTORS, s) for s in selection if s != "redundancy")
+        scale /= FACTORS.redundancy if "redundancy" in selection else 1.0
+        assert repr(capacity.storage_potential(table, FACTORS, selection)) == repr(
+            float(sum(h.disk_free for h in rows)) * scale)
+    network = float(sum(kbps_to_bytes_per_s(h.throughput_down) for h in rows))
+    assert repr(capacity.access_rate(table, FACTORS)) == repr(
+        network * FACTORS.on_fraction * FACTORS.connected_fraction)
+    for a, b in (("flops", "disk_free"), ("iops", "n_cpus"), ("ram", "tz_offset")):
+        assert repr(capacity.conditional_aggregate(table, a, b, thresholds)) == repr(
+            ref_conditional_aggregate(rows, a, b, thresholds))
+    for per_host in (False, True):
+        assert repr(capacity.compute_vs_rate_curve(table, grid, FACTORS, per_host)) == repr(
+            ref_rate_curve(rows, grid, FACTORS, per_host))
+    if rows:
+        assert population.fit_empirical(table, "flops").sorted_samples == tuple(
+            sorted(float(whole_host_flops(r)) for r in rows))
+
+
+def test_oracle_covers_a_generated_pool_with_owners():
+    """The same comparison on a reference pool grouped into multi-host users."""
+    table = population.assign_users(small_pool(3000, seed=4), presets.HOSTS_PER_USER_PCT, seed=4)
+    rows = list(table)
+    for key in ingest.BREAKDOWN_KEYS:
+        assert repr(ingest.breakdown(table, key)) == repr(ref_breakdown(rows, key))
+    assert repr(ingest.hosts_per_user(table)) == repr(ref_hosts_per_user(rows))
+    now = max(r.last_contact for r in rows) + 30.0 * SECONDS_PER_DAY
+    assert repr(population.lifetime_stats(table, now)) == repr(ref_lifetime_stats(rows, now))
+    assert repr(capacity.compute_vs_rate_curve(table, [0.0, 50.0, 450.0], FACTORS, True)) == repr(
+        ref_rate_curve(rows, [0.0, 50.0, 450.0], FACTORS, True))
