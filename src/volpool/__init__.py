@@ -39,8 +39,6 @@ from .sim import (
     SimConfig,
     SimReport,
     TaskSpec,
-    WorkUnit,
-    WorkUnitState,
     analytic_comparison,
     factors_from_sim_config,
     run_simulation,
@@ -62,8 +60,6 @@ __all__ = [
     "SimConfig",
     "SimReport",
     "TaskSpec",
-    "WorkUnit",
-    "WorkUnitState",
     "analytic_comparison",
     "assign_users",
     "available_flops_at_rate",

@@ -80,10 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=needs_config, help="JSON config file")
         sp.add_argument("--seed", type=int, default=None, help="override config seed")
         sp.add_argument("--out", default=".", help="output directory")
-        sp.add_argument(
-            "--format", choices=("csv", "json"), default="json",
-            help="format for single-document outputs",
-        )
+        if name == "capacity":
+            sp.add_argument(
+                "--format", choices=("csv", "json"), default="json",
+                help="write capacity.csv or capacity.json",
+            )
     return p
 
 

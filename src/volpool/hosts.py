@@ -69,7 +69,7 @@ _NONNEGATIVE_FIELDS = (
     "throughput_down",
 )
 
-_FRACTION_FIELDS = (
+FRACTION_FIELDS = (
     "on_fraction",
     "connected_fraction",
     "active_fraction",
@@ -130,7 +130,7 @@ def check_host(values: Mapping, violated=bool) -> None:
     for name in _NONNEGATIVE_FIELDS:
         if violated(values[name] < 0):
             raise ValueError(f"{name} is negative")
-    for name in _FRACTION_FIELDS:
+    for name in FRACTION_FIELDS:
         v = values[name]
         if violated((v < 0.0) | (v > 1.0) | (v != v)):
             raise ValueError(f"{name} outside [0, 1]")

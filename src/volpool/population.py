@@ -23,6 +23,7 @@ import numpy as np
 
 from . import config, ingest
 from .hosts import (
+    FRACTION_FIELDS,
     INT_FIELDS,
     NUMERIC_FIELDS,
     Categorical,
@@ -219,15 +220,6 @@ def expected_active_hosts(arrival_rate: float, mean_lifetime: float) -> float:
     return arrival_rate * mean_lifetime
 
 
-_FRACTION_FIELDS = frozenset(
-    {
-        "on_fraction",
-        "connected_fraction",
-        "active_fraction",
-        "cpu_efficiency",
-        "resource_share",
-    }
-)
 # tz_offset may be negative; everything else non-negative.
 _SIGNED_FIELDS = frozenset({"tz_offset"})
 
@@ -238,11 +230,11 @@ class PoolSpec:
 
     ``field_generators`` maps every numeric host field to a constant or an
     EmpiricalDistribution. Categorical weights need not be normalised; they
-    only need a positive sum. ``hosts_per_user_weights`` gives the target
-    share of hosts owned through each ownership bucket. The optional
-    ``rank_correlations`` entries (field_a, field_b, weight) couple two
-    fields through a mixture copula: with probability ``weight`` field_b
-    reuses field_a's uniform draw, so the rank correlation equals the weight.
+    only need a positive sum. Every host gets its own user; ``assign_users``
+    groups hosts into multi-host users. The optional ``rank_correlations``
+    entries (field_a, field_b, weight) couple two fields through a mixture
+    copula: with probability ``weight`` field_b reuses field_a's uniform
+    draw, so the rank correlation equals the weight.
     """
 
     n_hosts: int
@@ -260,9 +252,6 @@ class PoolSpec:
     venue_weights: Mapping[Venue, float] = field(
         default_factory=lambda: {Venue.NONE: 1.0}
     )
-    hosts_per_user_weights: Mapping[str, float] = field(
-        default_factory=lambda: {"1": 1.0}
-    )
     rank_correlations: tuple[tuple[str, str, float], ...] = ()
 
     def __post_init__(self):
@@ -278,16 +267,12 @@ class PoolSpec:
             ("os_weights", self.os_weights),
             ("country_weights", self.country_weights),
             ("venue_weights", self.venue_weights),
-            ("hosts_per_user_weights", self.hosts_per_user_weights),
         ):
             if any(w < 0 for w in weights.values()):
                 raise ValueError(f"{name} has a negative weight")
         for name in ("vendor", "os", "country", "venue"):
             if sum(getattr(self, f"{name}_weights").values()) <= 0:
                 raise ValueError(f"{name} weights sum to zero")
-        bad = set(self.hosts_per_user_weights) - {b for b, _, _ in USER_BUCKETS}
-        if bad:
-            raise ValueError(f"unknown ownership buckets: {sorted(bad)}")
         seen = set()
         for a, b, w in self.rank_correlations:
             if not (0.0 <= w <= 1.0):
@@ -335,7 +320,7 @@ def generate_pool(spec: PoolSpec) -> HostTable:
             vals = np.asarray(gen.quantile(uniforms[name]), dtype=float)
         else:
             vals = np.full(n, float(gen))
-        if name in _FRACTION_FIELDS:
+        if name in FRACTION_FIELDS:
             vals = np.clip(vals, 0.0, 1.0)
         elif name not in _SIGNED_FIELDS:
             vals = np.maximum(vals, 0.0)
@@ -462,7 +447,7 @@ def pool_spec_from_config(cfg: Mapping, default_seed: int) -> PoolSpec:
     where = "pool option"
     config.section(cfg, where, (
         "n_hosts", "seed", "fields", "vendor_weights", "os_weights",
-        "country_weights", "venue_weights", "hosts_per_user_weights",
+        "country_weights", "venue_weights",
     ))
     n_hosts = config.count(cfg, "n_hosts", 10000, where)
     config.within_limit(n_hosts, f"{where} 'n_hosts'")
@@ -487,9 +472,6 @@ def pool_spec_from_config(cfg: Mapping, default_seed: int) -> PoolSpec:
         os_weights=weights("os_weights", OperatingSystem, base.os_weights),
         country_weights=weights("country_weights", str, base.country_weights),
         venue_weights=weights("venue_weights", Venue, base.venue_weights),
-        hosts_per_user_weights=weights(
-            "hosts_per_user_weights", str, base.hosts_per_user_weights
-        ),
     )
 
 

@@ -185,7 +185,6 @@ def reference_pool_spec(n_hosts: int, seed: int) -> PoolSpec:
         os_weights={o: float(c) for o, (c, _) in OS_TABLE.items()},
         country_weights={c: float(n) for c, n in COUNTRY_TABLE.items()},
         venue_weights={v: float(c) for v, c in VENUE_TABLE.items()},
-        hosts_per_user_weights=dict(HOSTS_PER_USER_PCT),
         # free space tracks disk size; full coupling also keeps the free
         # mean exact, since equal dispersion means free < total at every
         # quantile and the consistency clamp never fires

@@ -56,7 +56,6 @@ MIN_CONNECTION_INTERVAL_DAYS = 0.1
 
 
 class WorkUnitState(Enum):
-    UNSENT = "Unsent"
     IN_PROGRESS = "InProgress"
     VALIDATED = "Validated"
     INVALID = "Invalid"
@@ -99,6 +98,8 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class ResultRecord:
+    """One returned result, as ``validate_quorum`` reads it."""
+
     host_id: str
     user_id: str
     outcome: ResultOutcome
@@ -107,11 +108,12 @@ class ResultRecord:
 
 @dataclass
 class WorkUnit:
+    """Server-side counts for one unit; it is created with its first replica."""
+
     id: int
-    spec: TaskSpec
     replicas_issued: int = 0
-    results: list[ResultRecord] = field(default_factory=list)
-    state: WorkUnitState = WorkUnitState.UNSENT
+    n_results: int = 0
+    state: WorkUnitState = WorkUnitState.IN_PROGRESS
     # scheduler bookkeeping
     users: set = field(default_factory=set)
     n_correct: int = 0
@@ -131,6 +133,22 @@ class QuorumDecision:
     additional_replicas: int = 0
 
 
+def _still_needed(
+    n_correct: int, n_results: int, min_quorum: int, max_replicas: int
+) -> int | None:
+    """Correct results a unit still needs: 0 once validated, None for a write-off.
+
+    A unit is a write-off when the replicas its budget has left after
+    ``n_results`` returns are fewer than the correct results it lacks.
+    """
+    needed = min_quorum - n_correct
+    if needed <= 0:
+        return 0
+    if needed > max_replicas - n_results:
+        return None
+    return needed
+
+
 def validate_quorum(
     results: Sequence[ResultRecord], min_quorum: int, max_replicas: int
 ) -> QuorumDecision:
@@ -145,12 +163,10 @@ def validate_quorum(
     if max_replicas < min_quorum:
         raise ValueError("max_replicas below min_quorum")
     correct_users = {r.user_id for r in results if r.outcome is ResultOutcome.CORRECT}
-    n_correct = len(correct_users)
-    if n_correct >= min_quorum:
+    needed = _still_needed(len(correct_users), len(results), min_quorum, max_replicas)
+    if needed == 0:
         return QuorumDecision(QuorumOutcome.VALIDATED)
-    needed = min_quorum - n_correct
-    budget = max_replicas - len(results)
-    if needed > budget:
+    if needed is None:
         return QuorumDecision(QuorumOutcome.INVALID)
     return QuorumDecision(QuorumOutcome.NEED_MORE, additional_replicas=needed)
 
@@ -172,8 +188,6 @@ class SimConfig:
     mean_dwell_hours: float = 12.0  # mean sojourn in the up state of each renewal
     work_buffer_days: float | None = None  # fetch horizon; default connection interval
     timeline_step_hours: float = 6.0
-    collect_fetch_log: bool = False
-    collect_workunits: bool = False
 
     def __post_init__(self):
         if self.duration_days <= 0:
@@ -226,8 +240,6 @@ class SimReport:
     observed_on_fraction: float = 0.0
     observed_connected_fraction: float = 0.0
     observed_active_fraction: float = 0.0
-    fetch_log: tuple = ()
-    workunit_log: tuple = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -290,8 +302,7 @@ _PROC_ON, _PROC_CONN, _PROC_ALLOW = range(3)
 
 
 class _Replica:
-    __slots__ = ("wu", "host", "flops_left", "input_left", "deadline_s", "loc",
-                 "outcome", "finish_s")
+    __slots__ = ("wu", "host", "flops_left", "input_left", "deadline_s", "loc", "outcome")
 
     def __init__(self, wu, host, flops, input_mb, deadline_s):
         self.wu = wu
@@ -301,7 +312,6 @@ class _Replica:
         self.deadline_s = deadline_s
         self.loc = _DL_QUEUE
         self.outcome = None
-        self.finish_s = 0.0
 
 
 class _Host:
@@ -411,8 +421,6 @@ class _Engine:
         self.shared_epoch = 0
         self.shared_eta: float | None = None
         self.timeline: list[TimelineSample] = []
-        self.fetch_log: list[tuple[str, float]] = []
-        self.unit_log: list[WorkUnit] | None = [] if cfg.collect_workunits else None
 
     # -- event plumbing ----------------------------------------------------
 
@@ -597,8 +605,6 @@ class _Engine:
         wu.replicas_issued += 1
         wu.deficit -= 1
         wu.users.add(h.user)
-        if wu.state is WorkUnitState.UNSENT:
-            wu.state = WorkUnitState.IN_PROGRESS
         return _Replica(
             wu, h, self.task.flops_per_task, self.task.input_size,
             now + self.task.deadline * SECONDS_PER_DAY,
@@ -624,10 +630,8 @@ class _Engine:
         if skipped:
             self.needs.extendleft(reversed(skipped))
         while n > 0:
-            wu = WorkUnit(id=self.wu_seq, spec=self.task, deficit=self.cfg.min_quorum)
+            wu = WorkUnit(id=self.wu_seq, deficit=self.cfg.min_quorum)
             self.wu_seq += 1
-            if self.unit_log is not None:
-                self.unit_log.append(wu)
             out.append(self._make_replica(wu, h, now))
             n -= 1
             if wu.deficit > 0:
@@ -635,16 +639,10 @@ class _Engine:
                 self.needs.append(wu)
         return out
 
-    def _deliver(self, r: _Replica, outcome: ResultOutcome, finish_s: float):
-        """Attach a terminal result to its work unit and react."""
+    def _deliver(self, r: _Replica, outcome: ResultOutcome):
+        """Count a terminal result against its work unit and react."""
         wu = r.wu
-        rec = ResultRecord(
-            host_id=r.host.rec.host_id,
-            user_id=r.host.user,
-            outcome=outcome,
-            finish_time=finish_s / SECONDS_PER_DAY,
-        )
-        wu.results.append(rec)
+        wu.n_results += 1
         self.n_results += 1
         if wu.state is WorkUnitState.VALIDATED:
             self.validated_results_total += 1
@@ -652,24 +650,24 @@ class _Engine:
         if wu.state is not WorkUnitState.IN_PROGRESS:
             return
         if outcome is ResultOutcome.CORRECT:
-            wu.n_correct += 1
-            if wu.n_correct >= self.cfg.min_quorum:
-                wu.state = WorkUnitState.VALIDATED
-                self.n_validated += 1
-                self.validated_results_total += len(wu.results)
-                self.validated_flop += self.task.flops_per_task
-                wu.deficit = 0
-                return
-        outstanding = wu.replicas_issued - len(wu.results)
-        potential = wu.n_correct + outstanding + (self.cfg.max_replicas - wu.replicas_issued)
-        if potential < self.cfg.min_quorum:
+            wu.n_correct += 1  # one replica per user, so one per distinct user
+        cfg = self.cfg
+        needed = _still_needed(wu.n_correct, wu.n_results, cfg.min_quorum, cfg.max_replicas)
+        if needed == 0:
+            wu.state = WorkUnitState.VALIDATED
+            self.n_validated += 1
+            self.validated_results_total += wu.n_results
+            self.validated_flop += self.task.flops_per_task
+            wu.deficit = 0
+            return
+        if needed is None:
             wu.state = WorkUnitState.INVALID
             self.n_invalid += 1
             wu.deficit = 0
             return
-        want = self.cfg.min_quorum - wu.n_correct - outstanding - wu.deficit
-        room = self.cfg.max_replicas - wu.replicas_issued - wu.deficit
-        grow = min(want, room)
+        # top up the replicas outstanding or owed to what is still needed;
+        # needed <= max_replicas - n_results keeps issued + owed within budget
+        grow = needed - (wu.replicas_issued - wu.n_results) - wu.deficit
         if grow > 0:
             wu.deficit += grow
             if not wu.in_needs:
@@ -682,7 +680,7 @@ class _Engine:
             if r.loc is not _COMPLETED:
                 continue
             r.loc = _GONE
-            self._deliver(r, r.outcome, r.finish_s)
+            self._deliver(r, r.outcome)
 
     # -- work fetch ----------------------------------------------------------
 
@@ -707,8 +705,6 @@ class _Engine:
             if r.deadline_s <= self.duration_s:
                 self._push(r.deadline_s, _EV_DEADLINE, r)
         h.next_fetch_s = now + MIN_CONNECTION_INTERVAL_DAYS * SECONDS_PER_DAY
-        if self.cfg.collect_fetch_log:
-            self.fetch_log.append((h.rec.host_id, now / SECONDS_PER_DAY))
         self._dl_changed(h, now)
         self._sync_compute(h, now)
 
@@ -817,7 +813,7 @@ class _Engine:
         h.dl_epoch += 1
         for r in doomed:
             r.loc = _GONE
-            self._deliver(r, ResultOutcome.LOST, now)
+            self._deliver(r, ResultOutcome.LOST)
         if self.cap_mb is not None:
             self._sync_download_capped(h, now)
 
@@ -859,7 +855,6 @@ class _Engine:
             h.on_hand_flop -= r.flops_left
             r.flops_left = 0.0
         r.loc = _COMPLETED
-        r.finish_s = now
         r.outcome = (
             ResultOutcome.ERRONEOUS
             if self.cfg.error_rate > 0.0 and self.rng.random() < self.cfg.error_rate
@@ -908,7 +903,7 @@ class _Engine:
         self._settle_download(h, now)
         was = r.loc
         self._drop_replica(h, r)
-        self._deliver(r, ResultOutcome.TIMED_OUT, now)
+        self._deliver(r, ResultOutcome.TIMED_OUT)
         if was == _COMPUTING:
             self._sync_compute(h, now)
         if was == _DL_ACTIVE or was == _DL_QUEUE:
@@ -1032,8 +1027,6 @@ class _Engine:
             observed_on_fraction=self.on_time / member if member else 0.0,
             observed_connected_fraction=self.conn_time / member if member else 0.0,
             observed_active_fraction=self.allow_time / member if member else 0.0,
-            fetch_log=tuple(self.fetch_log) if cfg.collect_fetch_log else (),
-            workunit_log=tuple(self.unit_log) if self.unit_log is not None else (),
         )
 
 

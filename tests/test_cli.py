@@ -1,5 +1,6 @@
 """End-to-end command line behaviour, run in-process through cli.main."""
 
+import argparse
 import contextlib
 import csv
 import io
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from volpool import capacity as cap
+from volpool import cli
 from volpool import ingest as ing
 from volpool import population as pop
 from volpool import presets
@@ -400,6 +402,14 @@ def test_missing_required_config(capsys):
     assert "volpool:" in capsys.readouterr().err
 
 
+def test_format_only_on_capacity(tmp_path, capsys):
+    cfg = write_config(tmp_path, "s.json", {"pool": {"n_hosts": 5}})
+    out = tmp_path / "o"
+    assert main(["stats", "--config", cfg, "--out", str(out), "--format", "csv"]) == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_missing(tmp_path, capsys):
     assert main(["stats", "--config", str(tmp_path / "nope.json")]) == 2
     assert "cannot read config" in capsys.readouterr().err
@@ -452,6 +462,10 @@ MALFORMED = [
                  "unknown pool option: 'n_host'", id="stats-pool-typo"),
     pytest.param("stats", {"sed": 1, "pool": {"n_hosts": 50}},
                  "unknown stats option: 'sed'", id="stats-top-typo"),
+    # accepted once, but it never shaped a generated pool
+    pytest.param("stats", {"pool": {"n_hosts": 5, "hosts_per_user_weights": {"1": 1.0}}},
+                 "unknown pool option: 'hosts_per_user_weights'",
+                 id="stats-hosts-per-user-weights"),
     pytest.param("stats", {"seed": 1, "pool": {"n_hosts": 50.7}},
                  "'n_hosts' must be an integer", id="stats-fractional-hosts"),
     pytest.param("sweep", {"pool": {"n_hosts": 5}, "per_host_factors": "no"},
@@ -522,6 +536,23 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, payload, fragment):
     assert err.startswith("volpool: ") and err.count("\n") == 1, err
     assert fragment in err
     assert not out.exists() or not any(out.iterdir())
+
+
+SAMPLE_CONFIGS = sorted(
+    (Path(__file__).resolve().parents[1] / "scripts" / "configs").glob("*.json")
+)
+
+
+@pytest.mark.parametrize("path", SAMPLE_CONFIGS, ids=lambda p: p.stem)
+def test_sample_configs_pass_their_reader(path):
+    """Each shipped config passes the reader its name prefix names; none is run."""
+    command = path.stem.split("_", 1)[0]
+    read = getattr(cli, f"read_{command}")
+    read(argparse.Namespace(command=command, seed=None), json.loads(path.read_text()))
+
+
+def test_sample_configs_cover_every_command():
+    assert {p.stem.split("_", 1)[0] for p in SAMPLE_CONFIGS} == set(cli._COMMANDS)
 
 
 def test_readme_lists_every_simulate_option():

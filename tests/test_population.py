@@ -158,13 +158,6 @@ def test_spec_validation():
             field_generators=flat_spec(1, 1).field_generators,
             vendor_weights={CpuVendor.INTEL: -1.0},
         )
-    with pytest.raises(ValueError, match="unknown ownership buckets"):
-        PoolSpec(
-            n_hosts=1,
-            seed=1,
-            field_generators=flat_spec(1, 1).field_generators,
-            hosts_per_user_weights={"5-7": 1.0},
-        )
 
 
 def test_rank_correlation_validation():

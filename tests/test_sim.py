@@ -22,6 +22,7 @@ from volpool.sim import (
     ResultRecord,
     SimConfig,
     TaskSpec,
+    WorkUnitState,
     analytic_comparison,
     factors_from_sim_config,
     fair_shares,
@@ -480,6 +481,48 @@ def test_steady_pool_size_obeys_arrival_lifetime_product():
 # -- workhorse run: churn, errors and deadlines together ------------------------------
 
 
+class _LoggingEngine(simmod._Engine):
+    """Logs every work unit, each result and each fetch, which the engine only counts.
+
+    After every delivery it also holds the engine's count-based decision to
+    ``validate_quorum`` over the unit's results so far.
+    """
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.units = {}  # unit id -> WorkUnit, in creation order
+        self.results = {}  # unit id -> its results, in the order the server got them
+        self.fetches = []  # (host id, day) of each fetch
+
+    def _make_replica(self, wu, h, now):
+        if wu.replicas_issued == 0:
+            self.units[wu.id] = wu
+            self.results[wu.id] = []
+        return super()._make_replica(wu, h, now)
+
+    def _assign(self, h, n, now):
+        self.fetches.append((h.rec.host_id, now / DAY_S))
+        return super()._assign(h, n, now)
+
+    def _deliver(self, r, outcome):
+        wu = r.wu
+        deciding = wu.state is WorkUnitState.IN_PROGRESS
+        results = self.results[wu.id]
+        # a result's finish time is when the server gets it
+        results.append(ResultRecord(r.host.rec.host_id, r.host.user, outcome, self.now / DAY_S))
+        super()._deliver(r, outcome)
+        if not deciding:
+            return  # a late result for a unit already decided
+        d = validate_quorum(results, self.cfg.min_quorum, self.cfg.max_replicas)
+        if wu.state is WorkUnitState.IN_PROGRESS:
+            assert d.outcome is QuorumOutcome.NEED_MORE
+            # the replicas outstanding or owed cover what is still needed
+            assert wu.replicas_issued - len(results) + wu.deficit >= d.additional_replicas
+            assert wu.replicas_issued + wu.deficit <= self.cfg.max_replicas
+        else:
+            assert d.outcome.value == wu.state.value
+
+
 @pytest.fixture(scope="module")
 def workhorse():
     cfg = SimConfig(
@@ -489,9 +532,8 @@ def workhorse():
                             flops=1.5, thr=400.0),
         task=TaskSpec(flops_per_task=2e13, input_size=2.0, deadline=2.0),
         min_quorum=2, max_replicas=4, error_rate=0.1,
-        collect_fetch_log=True, collect_workunits=True,
     )
-    engine = simmod._Engine(cfg)
+    engine = _LoggingEngine(cfg)
     report = engine.run()
     return cfg, engine, report
 
@@ -518,25 +560,24 @@ def test_workhorse_redundancy_overhead(workhorse):
 
 
 def test_workhorse_unit_invariants(workhorse):
-    cfg, _, r = workhorse
-    assert len(r.workunit_log) == r.n_workunits
+    cfg, engine, r = workhorse
+    assert len(engine.units) == r.n_workunits
     states = {"Validated": 0, "Invalid": 0}
     n_results = 0
-    for wu in r.workunit_log:
+    for wu in engine.units.values():
+        results = engine.results[wu.id]
         assert 0 <= wu.replicas_issued <= cfg.max_replicas
-        assert len(wu.results) <= wu.replicas_issued
-        users = [res.user_id for res in wu.results]
+        assert len(results) <= wu.replicas_issued
+        users = [res.user_id for res in results]
         assert len(set(users)) == len(users)  # never two replicas per user
-        n_results += len(wu.results)
-        correct = {res.user_id for res in wu.results
+        n_results += len(results)
+        correct = {res.user_id for res in results
                    if res.outcome is ResultOutcome.CORRECT}
         name = wu.state.value
         if name == "Validated":
             assert len(correct) >= cfg.min_quorum
         elif name == "Invalid":
             assert len(correct) < cfg.min_quorum
-        elif name == "Unsent":
-            assert wu.replicas_issued == 0
         states[name] = states.get(name, 0) + 1
     assert states["Validated"] == r.n_validated
     assert states["Invalid"] == r.n_invalid
@@ -547,8 +588,8 @@ def test_workhorse_results_bounded_by_membership(workhorse):
     _, engine, r = workhorse
     depart = {h.rec.host_id: h.depart_s / DAY_S for h in engine.hosts}
     arrive = {h.rec.host_id: h.arrive_s / DAY_S for h in engine.hosts}
-    for wu in r.workunit_log:
-        for res in wu.results:
+    for results in engine.results.values():
+        for res in results:
             assert 0.0 <= res.finish_time <= r.duration_days + 1e-9
             assert res.finish_time >= arrive[res.host_id] - 1e-9
             if res.outcome is ResultOutcome.LOST:
@@ -557,14 +598,42 @@ def test_workhorse_results_bounded_by_membership(workhorse):
 
 
 def test_workhorse_fetch_spacing_respects_connection_interval(workhorse):
-    _, _, r = workhorse
+    _, engine, _ = workhorse
     per_host = {}
-    for host_id, t in r.fetch_log:
+    for host_id, t in engine.fetches:
         per_host.setdefault(host_id, []).append(t)
     assert len(per_host) > 100
     for times in per_host.values():
         for a, b in zip(times, times[1:]):
             assert b - a >= 0.1 - 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    quorum=st.integers(1, 3),
+    extra=st.integers(0, 2),
+    error_rate=st.floats(0.0, 0.5),
+    n_hosts=st.integers(1, 12),
+    deadline=st.floats(0.05, 1.0),
+)
+def test_engine_quorum_decisions_match_validate_quorum(
+    seed, quorum, extra, error_rate, n_hosts, deadline,
+):
+    """Every quorum size and budget, with losses, timeouts and errors."""
+    cfg = SimConfig(
+        duration_days=1.0, seed=seed,
+        churn=ChurnModel(arrival_rate=10.0, lifetime_mean_days=0.5),
+        pool_spec=flat_spec(n_hosts, seed=seed % 1000, on=0.8, conn=0.8, act=0.8),
+        task=TaskSpec(flops_per_task=5e12, input_size=1.0, deadline=deadline),
+        min_quorum=quorum, max_replicas=quorum + extra, error_rate=error_rate,
+    )
+    engine = _LoggingEngine(cfg)
+    r = engine.run()  # the subclass checks each delivery
+    assert sum(len(results) for results in engine.results.values()) == r.n_results
+    states = [wu.state for wu in engine.units.values()]
+    assert states.count(WorkUnitState.VALIDATED) == r.n_validated
+    assert states.count(WorkUnitState.INVALID) == r.n_invalid
 
 
 def test_workhorse_observed_fractions(workhorse):
@@ -603,17 +672,17 @@ def churny_config(seed):
         pool_spec=flat_spec(10, seed=4, on=0.8),
         task=TaskSpec(flops_per_task=1e13, input_size=3.0, deadline=2.0),
         min_quorum=2, max_replicas=4, error_rate=0.05,
-        collect_fetch_log=True,
     )
 
 
 def test_same_seed_same_report():
-    a = run_simulation(churny_config(33))
-    b = run_simulation(churny_config(33))
+    first, second = _LoggingEngine(churny_config(33)), _LoggingEngine(churny_config(33))
+    a, b = first.run(), second.run()
     assert a == b
     assert json.dumps(a.to_json_dict(), sort_keys=True) == json.dumps(
         b.to_json_dict(), sort_keys=True
     )
+    assert first.fetches == second.fetches
 
 
 def test_different_seed_different_run():
