@@ -12,7 +12,6 @@ The package splits into six small modules:
 
 from .capacity import (
     CapacityFactors,
-    available_flops_at_rate,
     compute_vs_rate_curve,
     critical_data_rate,
     hardware_flops,
@@ -28,7 +27,6 @@ from .population import (
     EmpiricalDistribution,
     PoolSpec,
     assign_users,
-    expected_active_hosts,
     generate_pool,
     lifetime_stats,
 )
@@ -62,10 +60,8 @@ __all__ = [
     "TaskSpec",
     "analytic_comparison",
     "assign_users",
-    "available_flops_at_rate",
     "compute_vs_rate_curve",
     "critical_data_rate",
-    "expected_active_hosts",
     "factors_from_sim_config",
     "generate_pool",
     "hardware_flops",

@@ -127,21 +127,6 @@ def critical_data_rate(host: HostRecord) -> float:
     return MB_PER_MBPS_HOUR * kbps_to_mbps(host.throughput_down) / speed
 
 
-def available_flops_at_rate(host: HostRecord, data_rate: float) -> float:
-    """Speed the host can sustain at a workload data rate, in GFLOPS.
-
-    Below the critical rate the CPU is the bottleneck; above it the link is,
-    and the host delivers 450*b/R.
-    """
-    if data_rate < 0:
-        raise ValueError("data rate is negative")
-    speed = whole_host_flops(host)
-    if data_rate == 0:
-        return speed
-    link = MB_PER_MBPS_HOUR * kbps_to_mbps(host.throughput_down) / data_rate
-    return min(speed, link)
-
-
 def rate_grid(r_grid: Sequence[float]) -> list[float]:
     """The data rates of a curve as floats; they must be non-negative and
     strictly ascending."""
@@ -161,11 +146,13 @@ def compute_vs_rate_curve(
 ) -> list[RateCurvePoint]:
     """Total usable GFLOPS at each workload data rate in an ascending grid.
 
-    Each point discounts the per-host deliverable speed by the utilization
-    product, either the pool-average one from ``factors`` or, with
-    ``per_host_factors``, each host's own fractions (redundancy still comes
-    from ``factors``). ``unsaturated_fraction`` is the share of hosts whose
-    critical rate is at or above the grid point.
+    At data rate R a host on a b Mbps link delivers min(speed, 450*b/R)
+    GFLOPS: below its critical rate the CPU is the bottleneck, above it the
+    link is. Each point discounts this per-host deliverable speed by the
+    utilization product, either the pool-average one from ``factors`` or,
+    with ``per_host_factors``, each host's own fractions (redundancy still
+    comes from ``factors``). ``unsaturated_fraction`` is the share of hosts
+    whose critical rate is at or above the grid point.
     """
     grid = rate_grid(r_grid)
     n = len(pool)

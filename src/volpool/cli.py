@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from typing import Mapping, Sequence
@@ -114,16 +116,22 @@ def _comment(meta: Mapping) -> str:
 
 
 def _write_csv(path: str, meta: Mapping, header: Sequence[str], rows) -> None:
+    # every cell is checked before the file is opened, so a bad one leaves none
+    try:
+        cells = [[_cell(v) for v in row] for row in rows]
+    except ValueError as err:
+        raise _DataError(f"cannot write {path}: {err}") from err
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_comment(meta) + "\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
+        writer.writerows(cells)
 
 
 def _cell(v) -> str:
     if isinstance(v, float):  # NumPy floats too, written as plain numbers
+        if not math.isfinite(v):  # as in JSON output, no NaN or infinity
+            raise ValueError(f"{float(v)!r} is not a finite number")
         return repr(float(v))
     return str(v)
 
@@ -335,18 +343,7 @@ def cmd_capacity(args, meta: Mapping, factors: cap.CapacityFactors) -> int:
         "hardware_gflops": hardware,
         "utilization": util,
         "potential_gflops": potential,
-        "factors": {
-            "arrival_rate": factors.arrival_rate,
-            "mean_lifetime": factors.mean_lifetime,
-            "mean_ncpus": factors.mean_ncpus,
-            "mean_flops_per_cpu": factors.mean_flops_per_cpu,
-            "cpu_efficiency": factors.cpu_efficiency,
-            "on_fraction": factors.on_fraction,
-            "active_fraction": factors.active_fraction,
-            "redundancy": factors.redundancy,
-            "resource_share": factors.resource_share,
-            "connected_fraction": factors.connected_fraction,
-        },
+        "factors": dataclasses.asdict(factors),
     }
     if args.format == "csv":
         rows = [("hardware_gflops", hardware), ("utilization", util),

@@ -30,8 +30,7 @@ class CpuVendor(Enum):
 class OperatingSystem(Enum):
     """Operating system labels, Windows split out by version.
 
-    The enum value is the flat label used in CSV files and breakdown keys;
-    ``family`` collapses the Windows versions back to one group.
+    The enum value is the flat label used in CSV files and breakdown keys.
     """
 
     WINDOWS_XP = "Windows XP"
@@ -46,10 +45,6 @@ class OperatingSystem(Enum):
     DARWIN = "Darwin"
     SUNOS = "SunOS"
     OTHER = "Other"
-
-    @property
-    def family(self) -> str:
-        return self.value.split(" ")[0]
 
 
 class Venue(Enum):
@@ -143,10 +138,6 @@ def check_host(values: Mapping, violated=bool) -> None:
 def whole_host_flops(host: HostRecord) -> float:
     """Aggregate nominal speed of the box in GFLOPS."""
     return host.n_cpus * host.flops_per_cpu
-
-
-def whole_host_iops(host: HostRecord) -> float:
-    return host.n_cpus * host.iops_per_cpu
 
 
 # Numeric fields a pool generator or fitter may target, in the canonical

@@ -276,10 +276,10 @@ def breakdown(records: HostTable, key: str) -> list[BreakdownRow]:
     """Per-category host counts and means, largest group first, Total last.
 
     ``key`` is one of cpu_vendor, os, country, venue. The os key uses the
-    flat per-version labels; callers wanting one Windows line can regroup by
-    ``OperatingSystem.family``. Every sum adds its hosts one by one in
-    table order: ``np.bincount`` adds each group's weights in row order, as
-    the builtin ``sum`` does up to Python 3.11, which the Total row uses.
+    flat per-version labels, one line per Windows version. Every sum adds
+    its hosts one by one in table order: ``np.bincount`` adds each group's
+    weights in row order, as the builtin ``sum`` does up to Python 3.11,
+    which the Total row uses.
     """
     if key not in BREAKDOWN_KEYS:
         raise ValueError(f"unknown breakdown key: {key!r}")
@@ -334,6 +334,7 @@ def hosts_per_user(records: HostTable) -> list[UserBucketRow]:
 
 
 def histogram_of_values(values, bin_edges: Sequence[float], field_name: str) -> Histogram:
+    """Counts of ``values`` over the half-open bins between ``bin_edges``."""
     edges = [float(e) for e in bin_edges]
     if len(edges) < 2:
         raise ValueError("need at least two bin edges")
@@ -352,11 +353,6 @@ def histogram_of_values(values, bin_edges: Sequence[float], field_name: str) -> 
         tuple(int(c) for c in counts),
         int(arr.size - in_range.sum()),
     )
-
-
-def histogram(records: HostTable, selector: str, bin_edges: Sequence[float]) -> Histogram:
-    """Histogram of one host field over explicit half-open bins."""
-    return histogram_of_values(records.column(selector), bin_edges, selector)
 
 
 def auto_edges(values, n_bins: int = 50) -> list[float]:

@@ -51,14 +51,13 @@ USER_BUCKETS = (
 class EmpiricalDistribution:
     """A distribution represented by its sorted sample vector.
 
-    Sampling inverts the empirical CDF: a uniform draw picks one of the
+    ``quantile`` inverts the empirical CDF: a uniform draw picks one of the
     stored samples (plain resampling), or linearly interpolates between
     neighbouring order statistics when ``interpolate`` is set. The mean of
     the resampling distribution equals the sample mean exactly.
     """
 
     sorted_samples: tuple[float, ...]
-    field_name: str = ""
     interpolate: bool = False
 
     def __post_init__(self):
@@ -90,14 +89,9 @@ class EmpiricalDistribution:
             out = arr[idx]
         return out if out.ndim else float(out)
 
-    def sample(self, rng: np.random.Generator, n: int | None = None):
-        if n is None:
-            return self.quantile(rng.random())
-        return self.quantile(rng.random(n))
-
     @classmethod
     def from_lognormal(
-        cls, mean: float, cv: float, n: int = 1024, field_name: str = ""
+        cls, mean: float, cv: float, n: int = 1024
     ) -> "EmpiricalDistribution":
         """Deterministic lognormal-shaped sample vector with an exact mean.
 
@@ -114,15 +108,7 @@ class EmpiricalDistribution:
         z = [norm.inv_cdf((i + 0.5) / n) for i in range(n)]
         raw = np.exp(sigma * np.asarray(z))
         scaled = raw * (mean / float(np.mean(raw)))
-        return cls(tuple(float(v) for v in scaled), field_name=field_name)
-
-
-def fit_empirical(records: HostTable, selector: str) -> EmpiricalDistribution:
-    """Fit a resampling distribution to one field of a host table."""
-    if len(records) == 0:
-        raise ValueError("no data to fit")
-    values = np.sort(records.column(selector).astype(float))
-    return EmpiricalDistribution(tuple(values.tolist()), field_name=selector)
+        return cls(tuple(float(v) for v in scaled))
 
 
 @dataclass(frozen=True)
@@ -131,13 +117,11 @@ class ChurnModel:
 
     ``arrival_rate`` is either a constant in hosts/day or a piecewise-constant
     schedule ((start_day, rate), ...) with the first segment starting at day
-    zero. Lifetimes are exponential with the given mean unless an empirical
-    sample vector is supplied.
+    zero. Lifetimes are exponential with the given mean.
     """
 
     arrival_rate: float | tuple[tuple[float, float], ...] = 0.0
     lifetime_mean_days: float = 91.0
-    lifetime_samples: EmpiricalDistribution | None = None
 
     def __post_init__(self):
         if isinstance(self.arrival_rate, (int, float)):
@@ -152,11 +136,8 @@ class ChurnModel:
                 raise ValueError("arrival schedule segments out of order")
             if any(r < 0 for _, r in segs):
                 raise ValueError("arrival_rate is negative")
-        if self.lifetime_samples is None:
-            if self.lifetime_mean_days <= 0:
-                raise ValueError("lifetime_mean_days must be positive")
-        elif self.lifetime_samples.sorted_samples[0] <= 0:
-            raise ValueError("lifetime samples must be positive")
+        if self.lifetime_mean_days <= 0:
+            raise ValueError("lifetime_mean_days must be positive")
 
     def _segments(self, duration: float) -> list[tuple[float, float, float]]:
         if isinstance(self.arrival_rate, (int, float)):
@@ -170,27 +151,12 @@ class ChurnModel:
             out.append((start, min(end, duration), float(rate)))
         return out
 
-    def rate_at(self, day: float) -> float:
-        if isinstance(self.arrival_rate, (int, float)):
-            return float(self.arrival_rate)
-        current = 0.0
-        for start, rate in self.arrival_rate:
-            if day < start:
-                break
-            current = rate
-        return current
-
     def mean_arrival_rate(self, duration: float) -> float:
         """Time-averaged arrival rate over [0, duration] days."""
         if duration <= 0:
             raise ValueError("duration must be positive")
         total = sum((e - s) * r for s, e, r in self._segments(duration))
         return total / duration
-
-    def mean_lifetime(self) -> float:
-        if self.lifetime_samples is not None:
-            return self.lifetime_samples.mean()
-        return self.lifetime_mean_days
 
     def arrival_times(self, duration: float, rng: np.random.Generator) -> list[float]:
         """Poisson arrival instants in days over [0, duration)."""
@@ -208,16 +174,7 @@ class ChurnModel:
         return times
 
     def sample_lifetimes(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        if self.lifetime_samples is not None:
-            return np.asarray(self.lifetime_samples.quantile(rng.random(n)), dtype=float)
         return rng.exponential(self.lifetime_mean_days, n)
-
-
-def expected_active_hosts(arrival_rate: float, mean_lifetime: float) -> float:
-    """Steady-state pool size: arrivals/day times mean lifetime in days."""
-    if arrival_rate < 0 or mean_lifetime < 0:
-        raise ValueError("rate and lifetime must be non-negative")
-    return arrival_rate * mean_lifetime
 
 
 # tz_offset may be negative; everything else non-negative.
@@ -363,7 +320,6 @@ def assign_users(
     pool: HostTable,
     weights: Mapping[str, float],
     seed: int,
-    prefix: str = "u",
 ) -> HostTable:
     """Group hosts into users so each ownership bucket owns its weight of hosts.
 
@@ -400,7 +356,7 @@ def assign_users(
                     size = remaining
                 else:
                     size = remaining - lo
-            user_ids += [f"{prefix}{user_seq}"] * size
+            user_ids += [f"u{user_seq}"] * size
             user_seq += 1
             remaining -= size
     return replace(pool, user_id=user_ids)
@@ -488,13 +444,11 @@ def _generator_from_config(name: str, genspec):
             mean=config.number(p, "mean", None, "lognormal option"),
             cv=config.number(p, "cv", None, "lognormal option"),
             n=n,
-            field_name=name,
         )
     if isinstance(genspec, Mapping) and isinstance(genspec.get("samples"), list):
         config.section(genspec, where, ("samples", "interpolate"))
         return EmpiricalDistribution(
             tuple(sorted(config.real(v, f"sample of {name!r}") for v in genspec["samples"])),
-            field_name=name,
             interpolate=config.flag(genspec, "interpolate", where),
         )
     raise ValueError(f"bad generator spec for field {name!r}")

@@ -142,7 +142,7 @@ def _lifetime_offsets(n: int = 1024) -> EmpiricalDistribution:
     samples = sorted(
         created + min(-mean_s * math.log(1.0 - (i + 0.5) / n), cap) for i in range(n)
     )
-    return EmpiricalDistribution(tuple(samples), field_name="last_contact")
+    return EmpiricalDistribution(tuple(samples))
 
 
 def reference_pool_spec(n_hosts: int, seed: int) -> PoolSpec:
@@ -155,9 +155,7 @@ def reference_pool_spec(n_hosts: int, seed: int) -> PoolSpec:
     created = int(SNAPSHOT_UTC - _FIXTURE_AGE_DAYS * SECONDS_PER_DAY)
 
     def ln(name: str, mean: float) -> EmpiricalDistribution:
-        return EmpiricalDistribution.from_lognormal(
-            mean=mean, cv=_FIXTURE_CV[name], field_name=name
-        )
+        return EmpiricalDistribution.from_lognormal(mean=mean, cv=_FIXTURE_CV[name])
 
     generators = {
         "n_cpus": 1.0,
@@ -210,7 +208,7 @@ def vendor_conditional_pool(n_hosts: int, seed: int) -> HostTable:
             continue
         generators = dict(base.field_generators)
         generators["flops_per_cpu"] = EmpiricalDistribution.from_lognormal(
-            mean=mean, cv=_FIXTURE_CV["flops_per_cpu"], field_name="flops_per_cpu"
+            mean=mean, cv=_FIXTURE_CV["flops_per_cpu"]
         )
         spec = replace(
             base,

@@ -74,7 +74,6 @@ class TaskSpec:
 
     flops_per_task: float
     input_size: float
-    output_size: float = 0.0
     deadline: float = 7.0
     memory_footprint: float = 32.0
 
@@ -83,8 +82,6 @@ class TaskSpec:
             raise ValueError("flops_per_task must be positive")
         if self.input_size <= 0:
             raise ValueError("input_size must be positive")
-        if self.output_size < 0:
-            raise ValueError("output_size is negative")
         if self.deadline <= 0:
             raise ValueError("deadline must be positive")
         if self.memory_footprint <= 0:
@@ -100,10 +97,8 @@ class TaskSpec:
 class ResultRecord:
     """One returned result, as ``validate_quorum`` reads it."""
 
-    host_id: str
     user_id: str
     outcome: ResultOutcome
-    finish_time: float  # days since simulation start
 
 
 @dataclass
@@ -259,18 +254,6 @@ class SimReport:
             "observed_connected_fraction": self.observed_connected_fraction,
             "observed_active_fraction": self.observed_active_fraction,
         }
-
-
-def fair_shares(caps: Sequence[float], total: float | None) -> list[float]:
-    """Max-min fair split of ``total`` among flows individually capped.
-
-    Flows too slow to use an equal share keep their own cap; the slack is
-    redistributed among the rest. With no total, every flow gets its cap.
-    """
-    if total is None:
-        return list(caps)
-    level = _water_level(sorted(caps), len(caps), total)
-    return [min(c, level) for c in caps]
 
 
 def _water_level(caps: Iterable[float], n: int, total: float) -> float:
@@ -1067,7 +1050,7 @@ def factors_from_sim_config(cfg: SimConfig) -> CapacityFactors:
 
     return CapacityFactors(
         arrival_rate=cfg.churn.mean_arrival_rate(cfg.duration_days),
-        mean_lifetime=cfg.churn.mean_lifetime(),
+        mean_lifetime=cfg.churn.lifetime_mean_days,
         mean_ncpus=pool.field_mean("n_cpus"),
         mean_flops_per_cpu=pool.field_mean("flops_per_cpu"),
         cpu_efficiency=frac("cpu_efficiency"),
@@ -1117,13 +1100,11 @@ def sim_config_from_config(cfg: Mapping, seed_override: int | None = None) -> Si
     pool = pool_spec_from_config({"n_hosts": 200, **pool_cfg}, default_seed=seed)
 
     task_cfg = config.section(cfg.get("task", {}), task_opt, (
-        "flops_per_task", "input_size_mb", "output_size_mb", "deadline_days",
-        "memory_footprint_mb",
+        "flops_per_task", "input_size_mb", "deadline_days", "memory_footprint_mb",
     ))
     task = TaskSpec(
         flops_per_task=config.number(task_cfg, "flops_per_task", 1.3e13, task_opt),
         input_size=config.number(task_cfg, "input_size_mb", 5.0, task_opt),
-        output_size=config.number(task_cfg, "output_size_mb", 0.1, task_opt),
         deadline=config.number(task_cfg, "deadline_days", 7.0, task_opt),
         memory_footprint=config.number(task_cfg, "memory_footprint_mb", 32.0, task_opt),
     )

@@ -130,9 +130,7 @@ def _oracle_replicas_per_validated(n_trials, p, q, maxr, seed):
                 if rng.random() < p
                 else ResultOutcome.CORRECT
             )
-            results.append(
-                ResultRecord(f"h{len(results)}", f"u{len(results)}", out, 0.0)
-            )
+            results.append(ResultRecord(f"u{len(results)}", out))
             outstanding -= 1
             d = validate_quorum(results, q, maxr)
             if d.outcome is QuorumOutcome.VALIDATED:

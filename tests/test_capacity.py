@@ -16,7 +16,6 @@ from volpool import presets
 from volpool.capacity import (
     CapacityFactors,
     access_rate,
-    available_flops_at_rate,
     compute_vs_rate_curve,
     conditional_aggregate,
     critical_data_rate,
@@ -61,6 +60,14 @@ def measured_factors(**overrides) -> CapacityFactors:
     return CapacityFactors(**base)
 
 
+def unit_factors() -> CapacityFactors:
+    """Every fraction 1 and redundancy 1, so the utilization product is 1."""
+    return measured_factors(
+        cpu_efficiency=1.0, on_fraction=1.0, active_fraction=1.0,
+        redundancy=1.0, resource_share=1.0,
+    )
+
+
 def one_host(speed_gflops=1.0, kbps=1000.0, disk_free=20.0, **overrides):
     spec = flat_spec(1, seed=1, flops=speed_gflops, thr=kbps)
     h = generate_pool(spec)[0]
@@ -83,11 +90,7 @@ def test_utilization_product_measured_band():
 
 
 def test_utilization_identity_and_annihilator():
-    ones = measured_factors(
-        cpu_efficiency=1.0, on_fraction=1.0, active_fraction=1.0,
-        redundancy=1.0, resource_share=1.0,
-    )
-    assert utilization_product(ones) == 1.0
+    assert utilization_product(unit_factors()) == 1.0
     assert utilization_product(measured_factors(on_fraction=0.0)) == 0.0
 
 
@@ -162,13 +165,19 @@ def test_critical_rate_scaling():
         critical_data_rate(one_host(0.0, 1000.0))
 
 
+def available_flops(host, data_rate):
+    """What one host sustains at a data rate: its one-row curve at unit factors."""
+    pool = HostTable.from_records([host])
+    return compute_vs_rate_curve(pool, [data_rate], unit_factors())[0].total_flops
+
+
 def test_available_flops_examples():
     ref = one_host(1.0, 1000.0)
-    assert available_flops_at_rate(ref, 450.0) == pytest.approx(1.0)
-    assert available_flops_at_rate(ref, 900.0) == pytest.approx(0.5)
-    assert available_flops_at_rate(ref, 0.0) == 1.0
+    assert available_flops(ref, 450.0) == pytest.approx(1.0)
+    assert available_flops(ref, 900.0) == pytest.approx(0.5)
+    assert available_flops(ref, 0.0) == 1.0
     with pytest.raises(ValueError, match="negative"):
-        available_flops_at_rate(ref, -1.0)
+        available_flops(ref, -1.0)
 
 
 @settings(max_examples=50)
@@ -181,8 +190,8 @@ def test_available_flops_examples():
 def test_available_flops_monotone_and_capped(speed, kbps, r1, r2):
     host = one_host(speed, kbps)
     lo, hi = sorted((r1, r2))
-    a_lo = available_flops_at_rate(host, lo)
-    a_hi = available_flops_at_rate(host, hi)
+    a_lo = available_flops(host, lo)
+    a_hi = available_flops(host, hi)
     assert a_hi <= a_lo + 1e-12
     assert a_lo <= speed * (1 + 1e-12)
     crit = critical_data_rate(host)
@@ -245,7 +254,7 @@ def test_curve_per_host_factors_matches_direct_product():
     r = 300.0
     points = compute_vs_rate_curve(pool, [r], f, per_host_factors=True)
     expected = sum(
-        available_flops_at_rate(h, r)
+        min(h.n_cpus * h.flops_per_cpu, MB_PER_HOUR_AT_1MBPS * h.throughput_down / 1000.0 / r)
         * h.cpu_efficiency * h.on_fraction * h.active_fraction * h.resource_share
         / f.redundancy
         for h in pool

@@ -286,7 +286,6 @@ def simulate_config(**overrides):
         "task": {
             "flops_per_task": 5e11,
             "input_size_mb": 0.1,
-            "output_size_mb": 0.0,
             "deadline_days": 7.0,
         },
         "min_quorum": 1,
@@ -333,7 +332,6 @@ def test_simulate_steady_state_comparison(tmp_path):
             task={
                 "flops_per_task": 5e11,
                 "input_size_mb": 0.5,
-                "output_size_mb": 0.0,
                 "deadline_days": 1.0,
             },
         ),
@@ -443,7 +441,7 @@ def test_stats_rerun_byte_identical(tmp_path):
 NAN, INF = float("nan"), float("inf")
 NO_CV = {"ram": {"lognormal": {"mean": 1.0}}}
 
-# (subcommand, config, fragment of the one stderr line); each config either
+# (subcommand and its flags, config, fragment of the one stderr line); each config either
 # hung, exited 0 with wrong or non-standard output, or died with a traceback
 # before the one config reader existed
 MALFORMED = [
@@ -466,6 +464,9 @@ MALFORMED = [
     pytest.param("stats", {"pool": {"n_hosts": 5, "hosts_per_user_weights": {"1": 1.0}}},
                  "unknown pool option: 'hosts_per_user_weights'",
                  id="stats-hosts-per-user-weights"),
+    # accepted once, but uploads are not simulated
+    pytest.param("simulate", simulate_config(task={"output_size_mb": 0.1}),
+                 "unknown task option: 'output_size_mb'", id="simulate-output-size"),
     pytest.param("stats", {"seed": 1, "pool": {"n_hosts": 50.7}},
                  "'n_hosts' must be an integer", id="stats-fractional-hosts"),
     pytest.param("sweep", {"pool": {"n_hosts": 5}, "per_host_factors": "no"},
@@ -495,6 +496,10 @@ MALFORMED = [
     # both factors finite, their product not: no JSON can hold the result
     pytest.param("capacity", {"factors": {"arrival_rate": 1e308, "mean_lifetime": 1e308}},
                  "not JSON compliant", id="capacity-overflow"),
+    # the same overflow used to be written to CSV as inf, with exit 0
+    pytest.param("capacity --format csv",
+                 {"factors": {"arrival_rate": 1e308, "mean_lifetime": 1e308}},
+                 "inf is not a finite number", id="capacity-csv-overflow"),
     # finite but huge counts, each of which used to run out of memory
     pytest.param("stats", {"pool": {"n_hosts": 10**8}},
                  "'n_hosts' of 1e+08 exceeds the limit", id="stats-huge-pool"),
@@ -531,7 +536,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, payload, fragment):
     cfg = write_config(tmp_path, "bad.json", payload)
     out = tmp_path / "out"
     with time_limit(10):
-        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert main([*command.split(), "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("volpool: ") and err.count("\n") == 1, err
     assert fragment in err

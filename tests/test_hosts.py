@@ -12,7 +12,6 @@ from volpool.hosts import (
     HostTable,
     Venue,
     whole_host_flops,
-    whole_host_iops,
 )
 
 
@@ -52,10 +51,6 @@ def test_whole_host_flops_examples():
     assert whole_host_flops(make_host(n_cpus=1, flops_per_cpu=1.613)) == 1.613
     assert whole_host_flops(make_host(n_cpus=2, flops_per_cpu=0.8)) == pytest.approx(1.6)
     assert whole_host_flops(make_host(n_cpus=4, flops_per_cpu=0.0)) == 0.0
-
-
-def test_whole_host_iops():
-    assert whole_host_iops(make_host(n_cpus=3, iops_per_cpu=1.5)) == 4.5
 
 
 @given(

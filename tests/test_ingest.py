@@ -12,7 +12,6 @@ from volpool.hosts import HostTable, whole_host_flops
 from volpool.ingest import (
     auto_edges,
     breakdown,
-    histogram,
     histogram_of_values,
     hosts_per_user,
     parse_hosts,
@@ -319,7 +318,7 @@ def test_histogram_permutation_invariant(values, seed):
 
 
 def test_histogram_over_records(canon_records):
-    h = histogram(canon_records, "flops", [0.0, 1.0, 2.0, 4.0])
+    h = histogram_of_values(canon_records.column("flops"), [0.0, 1.0, 2.0, 4.0], "flops")
     direct = histogram_of_values(
         [whole_host_flops(r) for r in canon_records], [0.0, 1.0, 2.0, 4.0], "flops"
     )
@@ -328,7 +327,7 @@ def test_histogram_over_records(canon_records):
 
 
 def test_histogram_named_field(canon_records):
-    h = histogram(canon_records, "ram", [0.0, 600.0, 2000.0])
+    h = histogram_of_values(canon_records.column("ram"), [0.0, 600.0, 2000.0], "ram")
     assert h.counts == (2, 1)
     assert h.field_name == "ram"
 

@@ -19,8 +19,6 @@ from volpool.population import (
     EmpiricalDistribution,
     PoolSpec,
     assign_users,
-    expected_active_hosts,
-    fit_empirical,
     generate_pool,
     lifetime_stats,
     pool_spec_from_config,
@@ -47,15 +45,15 @@ def test_distribution_rejects_bad_vectors():
 def test_resampling_returns_stored_samples_only():
     dist = EmpiricalDistribution((1.0, 2.0, 7.0))
     rng = np.random.default_rng(0)
-    draws = dist.sample(rng, 500)
+    draws = dist.quantile(rng.random(500))
     assert set(np.unique(draws)) <= {1.0, 2.0, 7.0}
-    assert isinstance(dist.sample(rng), float)
+    assert isinstance(dist.quantile(rng.random()), float)
 
 
 def test_interpolating_mode_stays_in_hull():
     dist = EmpiricalDistribution((1.0, 2.0, 7.0), interpolate=True)
     rng = np.random.default_rng(0)
-    draws = dist.sample(rng, 500)
+    draws = dist.quantile(rng.random(500))
     assert np.all(draws >= 1.0) and np.all(draws <= 7.0)
     assert dist.quantile(0.5) == 2.0  # middle order statistic
 
@@ -82,42 +80,21 @@ def test_from_lognormal_hits_mean_exactly():
         EmpiricalDistribution.from_lognormal(mean=1.0, cv=0.0)
 
 
-def test_fit_empirical_examples():
-    hosts = [
-        generate_pool(flat_spec(1, seed=i))[0] for i in range(3)
-    ]
-    hosts = [
-        # three hosts with disk_free 10 / 20 / 30
-        HostRecord(**{**h.__dict__, "disk_free": v, "host_id": f"h{i}"})
-        for i, (h, v) in enumerate(zip(hosts, (10.0, 20.0, 30.0)))
-    ]
-    dist = fit_empirical(HostTable.from_records(hosts), "disk_free")
-    assert dist.mean() == pytest.approx(20.0)
-    assert dist.sorted_samples == (10.0, 20.0, 30.0)
-
-    same = fit_empirical(HostTable.from_records(hosts), "ram")
-    rng = np.random.default_rng(1)
-    assert set(np.unique(same.sample(rng, 100))) == {hosts[0].ram}
-
-    with pytest.raises(ValueError, match="no data"):
-        fit_empirical(HostTable.from_records([]), "ram")
-
-
 def test_generate_then_fit_closure(reference_pool_20k):
-    """Fitted means land within 3 sigma of each generator's mean."""
+    """Column means land within 3 sigma of each generator's mean."""
     spec = presets.reference_pool_spec(n_hosts=20000, seed=7)
     n = len(reference_pool_20k)
     for name in ("flops_per_cpu", "ram", "swap", "throughput_down"):
         gen = spec.field_generators[name]
-        fitted = fit_empirical(reference_pool_20k, name)
+        mean = float(np.mean(reference_pool_20k.column(name)))
         tol = three_sigma_of_mean(gen, n)
-        assert abs(fitted.mean() - gen.mean()) <= tol, name
+        assert abs(mean - gen.mean()) <= tol, name
 
 
 def test_throughput_fit_within_2pct():
     pool = generate_pool(presets.reference_pool_spec(n_hosts=10000, seed=3))
-    fitted = fit_empirical(pool, "throughput_down")
-    assert fitted.mean() == pytest.approx(289.0, rel=0.02)
+    mean = float(np.mean(pool.column("throughput_down")))
+    assert mean == pytest.approx(289.0, rel=0.02)
 
 
 # -- pool generation ---------------------------------------------------------------
@@ -322,9 +299,6 @@ def test_churn_validation():
 def test_piecewise_mean_rate():
     m = ChurnModel(arrival_rate=((0.0, 10.0), (5.0, 0.0)))
     assert m.mean_arrival_rate(10.0) == pytest.approx(5.0)
-    assert m.rate_at(0.0) == 10.0
-    assert m.rate_at(5.0) == 0.0
-    assert m.rate_at(4.999) == 10.0
     flat = ChurnModel(arrival_rate=3.0)
     assert flat.mean_arrival_rate(123.0) == 3.0
 
@@ -349,27 +323,8 @@ def test_arrival_times_rate_matches():
 
 def test_lifetime_sampling():
     m = ChurnModel(arrival_rate=1.0, lifetime_mean_days=30.0)
-    assert m.mean_lifetime() == 30.0
     draws = m.sample_lifetimes(100_000, np.random.default_rng(3))
     assert abs(float(np.mean(draws)) - 30.0) < 3 * 30.0 / math.sqrt(100_000)
-
-    emp = ChurnModel(
-        arrival_rate=1.0,
-        lifetime_samples=EmpiricalDistribution((5.0, 10.0, 15.0)),
-    )
-    assert emp.mean_lifetime() == pytest.approx(10.0)
-    draws = emp.sample_lifetimes(1000, np.random.default_rng(4))
-    assert set(np.unique(draws)) <= {5.0, 10.0, 15.0}
-    with pytest.raises(ValueError, match="lifetime samples"):
-        ChurnModel(arrival_rate=1.0, lifetime_samples=EmpiricalDistribution((0.0, 1.0)))
-
-
-def test_expected_active_hosts_examples():
-    assert expected_active_hosts(100.0, 91.0) == 9100.0
-    assert expected_active_hosts(0.0, 5.0) == 0.0
-    assert expected_active_hosts(7.0, 1.0) == 7.0
-    with pytest.raises(ValueError):
-        expected_active_hosts(-1.0, 1.0)
 
 
 # -- lifetime statistics -----------------------------------------------------------

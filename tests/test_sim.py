@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from volpool import sim as simmod
-from volpool.capacity import available_flops_at_rate
+from volpool.capacity import compute_vs_rate_curve, utilization_product
 from volpool.population import ChurnModel, EmpiricalDistribution, generate_pool
 from volpool.sim import (
     QuorumOutcome,
@@ -25,7 +25,6 @@ from volpool.sim import (
     WorkUnitState,
     analytic_comparison,
     factors_from_sim_config,
-    fair_shares,
     run_simulation,
     sim_config_from_config,
     validate_quorum,
@@ -38,7 +37,7 @@ DAY_S = 86400.0
 
 
 def result(outcome, user):
-    return ResultRecord(host_id=f"h.{user}", user_id=user, outcome=outcome, finish_time=0.0)
+    return ResultRecord(user_id=user, outcome=outcome)
 
 
 C, E = ResultOutcome.CORRECT, ResultOutcome.ERRONEOUS
@@ -166,10 +165,16 @@ def test_engine_replication_cost_with_errors():
 # -- fair shares -----------------------------------------------------------------
 
 
+def fair_shares(caps, total):
+    """Max-min fair split of ``total`` among capped flows, as the engine makes it:
+    each flow gets the smaller of its cap and the water level."""
+    level = simmod._water_level(sorted(caps), len(caps), total)
+    return [min(c, level) for c in caps]
+
+
 def test_fair_shares_examples():
     assert fair_shares([1.0, 2.0, 3.0], 3.0) == [1.0, 1.0, 1.0]
     assert fair_shares([0.5, 2.0, 3.0], 3.0) == [0.5, 1.25, 1.25]
-    assert fair_shares([1.0, 2.0], None) == [1.0, 2.0]
     assert fair_shares([1.0, 2.0], 10.0) == [1.0, 2.0]  # cap not binding
     assert fair_shares([], 5.0) == []
 
@@ -177,13 +182,13 @@ def test_fair_shares_examples():
 @settings(max_examples=100)
 @given(
     caps=st.lists(st.floats(0.0, 100.0), max_size=8),
-    total=st.one_of(st.none(), st.floats(0.0, 300.0)),
+    total=st.floats(0.0, 300.0),
 )
 def test_fair_shares_properties(caps, total):
     alloc = fair_shares(caps, total)
     assert len(alloc) == len(caps)
     assert all(0.0 <= a <= c + 1e-9 for a, c in zip(alloc, caps))
-    want = sum(caps) if total is None else min(total, sum(caps))
+    want = min(total, sum(caps))
     assert sum(alloc) == pytest.approx(want, abs=1e-6)
     # max-min fairness: every uncapped flow gets the largest allocation
     if alloc:
@@ -319,8 +324,6 @@ def test_task_spec_validation():
         TaskSpec(flops_per_task=0.0, input_size=1.0)
     with pytest.raises(ValueError, match="input_size must be positive"):
         TaskSpec(flops_per_task=1.0, input_size=0.0)
-    with pytest.raises(ValueError, match="output_size is negative"):
-        TaskSpec(flops_per_task=1.0, input_size=1.0, output_size=-1.0)
     with pytest.raises(ValueError, match="deadline must be positive"):
         TaskSpec(flops_per_task=1.0, input_size=1.0, deadline=0.0)
 
@@ -374,15 +377,17 @@ def test_network_bound_run_matches_saturation_formula():
     """Input data 10x the link-feedable rate cuts throughput to a tenth."""
     task = TaskSpec(flops_per_task=1e12, input_size=1250.0, deadline=5.0)
     assert task.data_rate == 4500.0
-    pool = generate_pool(flat_spec(20, seed=5))
-    # 1 GFLOPS at 1 Mbps: critical rate 450, so 4500 leaves a tenth
-    predicted = sum(available_flops_at_rate(h, task.data_rate) for h in pool)
-    assert predicted == pytest.approx(2.0)
     cfg = SimConfig(
         duration_days=40.0, seed=13, churn=NO_CHURN,
         pool_spec=flat_spec(20, seed=5),
         task=task, min_quorum=1, max_replicas=1,
     )
+    factors = factors_from_sim_config(cfg)
+    assert utilization_product(factors) == 1.0  # always on, quorum 1
+    # 1 GFLOPS at 1 Mbps: critical rate 450, so 4500 leaves a tenth
+    curve = compute_vs_rate_curve(generate_pool(cfg.pool_spec), [task.data_rate], factors)
+    predicted = curve[0].total_flops
+    assert predicted == pytest.approx(2.0)
     r = run_simulation(cfg)
     assert r.achieved_flops == pytest.approx(predicted, rel=0.05)
 
@@ -492,6 +497,7 @@ class _LoggingEngine(simmod._Engine):
         super().__init__(cfg)
         self.units = {}  # unit id -> WorkUnit, in creation order
         self.results = {}  # unit id -> its results, in the order the server got them
+        self.returns = []  # (host id, outcome, day the server got it) of each result
         self.fetches = []  # (host id, day) of each fetch
 
     def _make_replica(self, wu, h, now):
@@ -508,8 +514,8 @@ class _LoggingEngine(simmod._Engine):
         wu = r.wu
         deciding = wu.state is WorkUnitState.IN_PROGRESS
         results = self.results[wu.id]
-        # a result's finish time is when the server gets it
-        results.append(ResultRecord(r.host.rec.host_id, r.host.user, outcome, self.now / DAY_S))
+        results.append(ResultRecord(r.host.user, outcome))
+        self.returns.append((r.host.rec.host_id, outcome, self.now / DAY_S))
         super()._deliver(r, outcome)
         if not deciding:
             return  # a late result for a unit already decided
@@ -588,13 +594,13 @@ def test_workhorse_results_bounded_by_membership(workhorse):
     _, engine, r = workhorse
     depart = {h.rec.host_id: h.depart_s / DAY_S for h in engine.hosts}
     arrive = {h.rec.host_id: h.arrive_s / DAY_S for h in engine.hosts}
-    for results in engine.results.values():
-        for res in results:
-            assert 0.0 <= res.finish_time <= r.duration_days + 1e-9
-            assert res.finish_time >= arrive[res.host_id] - 1e-9
-            if res.outcome is ResultOutcome.LOST:
-                # a lost result is surrendered the moment its host departs
-                assert res.finish_time == pytest.approx(depart[res.host_id], abs=1e-9)
+    assert len(engine.returns) == r.n_results
+    for host_id, outcome, day in engine.returns:
+        assert 0.0 <= day <= r.duration_days + 1e-9
+        assert day >= arrive[host_id] - 1e-9
+        if outcome is ResultOutcome.LOST:
+            # a lost result is surrendered the moment its host departs
+            assert day == pytest.approx(depart[host_id], abs=1e-9)
 
 
 def test_workhorse_fetch_spacing_respects_connection_interval(workhorse):
@@ -786,7 +792,6 @@ def test_sim_config_from_config_full():
             "task": {
                 "flops_per_task": 2e13,
                 "input_size_mb": 4.0,
-                "output_size_mb": 0.5,
                 "deadline_days": 3.0,
             },
             "pool": {"n_hosts": 25},
