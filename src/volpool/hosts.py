@@ -140,31 +140,14 @@ def whole_host_flops(host: HostRecord) -> float:
     return host.n_cpus * host.flops_per_cpu
 
 
-# Numeric fields a pool generator or fitter may target, in the canonical
-# order generators consume random draws.
-NUMERIC_FIELDS = (
-    "n_cpus",
-    "flops_per_cpu",
-    "iops_per_cpu",
-    "ram",
-    "swap",
-    "disk_total",
-    "disk_free",
-    "throughput_down",
-    "on_fraction",
-    "connected_fraction",
-    "active_fraction",
-    "cpu_efficiency",
-    "tz_offset",
-    "created",
-    "last_contact",
-    "resource_share",
-)
-
-
 HOST_FIELDS = tuple(f.name for f in fields(HostRecord))
 ID_FIELDS = ("host_id", "user_id")
 CATEGORICAL_FIELDS = ("cpu_vendor", "os", "country", "venue")
+# Numeric fields a pool generator or fitter may target, in the canonical
+# order generators consume random draws.
+NUMERIC_FIELDS = tuple(
+    name for name in HOST_FIELDS if name not in ID_FIELDS + CATEGORICAL_FIELDS
+)
 INT_FIELDS = ("n_cpus", "tz_offset", "created", "last_contact")
 # Rows converted to Python values at a time when a table is read row by row
 # or written out, which bounds the memory that conversion takes.

@@ -17,7 +17,9 @@ fairly), computes one replica at a time at ``whole_host_flops *
 cpu_efficiency`` (scaled by its resource share when other projects compete),
 and overlaps the next download with the current computation. Completed results return at the next allowed
 communication; results still out at their deadline are written off and
-reissued.
+reissued. Every replica gets the same deadline offset and passes through its
+host first in, first out, so the oldest replica on a host is always the next
+one due: each host keeps a single deadline event, armed on its oldest replica.
 
 Everything random flows from one 64-bit seed: identical configs give
 identical reports, byte for byte. Time is seconds internally, days at the
@@ -256,6 +258,11 @@ class SimReport:
         }
 
 
+def _buffer_s(cfg: SimConfig) -> float:
+    """Seconds of work a host fetches ahead."""
+    return max(cfg.work_buffer_days or 0.0, MIN_CONNECTION_INTERVAL_DAYS) * SECONDS_PER_DAY
+
+
 def _water_level(caps: Iterable[float], n: int, total: float) -> float:
     """The max-min fair share of ``total`` among ``n`` flows with ascending ``caps``.
 
@@ -274,9 +281,6 @@ def _water_level(caps: Iterable[float], n: int, total: float) -> float:
     return math.inf
 
 
-# Replica locations.
-_DL_QUEUE, _DL_ACTIVE, _READY, _COMPUTING, _COMPLETED, _GONE = range(6)
-
 # Event codes, dispatch order is tie-broken by insertion sequence.
 (_EV_ARRIVE, _EV_DEPART, _EV_TOGGLE, _EV_FETCH, _EV_DL_DONE, _EV_DL_SHARED, _EV_CP_DONE,
  _EV_DEADLINE, _EV_SAMPLE) = range(9)
@@ -285,15 +289,15 @@ _PROC_ON, _PROC_CONN, _PROC_ALLOW = range(3)
 
 
 class _Replica:
-    __slots__ = ("wu", "host", "flops_left", "input_left", "deadline_s", "loc", "outcome")
+    __slots__ = ("wu", "host", "flops_left", "input_left", "deadline_s", "seq", "outcome")
 
-    def __init__(self, wu, host, flops, input_mb, deadline_s):
+    def __init__(self, wu, host, flops, input_mb, deadline_s, seq):
         self.wu = wu
         self.host = host
         self.flops_left = flops
         self.input_left = input_mb
         self.deadline_s = deadline_s
-        self.loc = _DL_QUEUE
+        self.seq = seq  # where its deadline sorts among same-time events
         self.outcome = None
 
 
@@ -302,7 +306,7 @@ class _Host:
         "rec", "idx", "user", "alive", "arrive_s", "depart_s",
         "on", "conn", "allow",
         "flops_rate", "dl_cap", "mem_ok", "buffer_flop",
-        "computing", "ready", "dl_queue", "dl_cur", "completed",
+        "work", "n_done", "n_ready", "deadline_armed",
         "cp_running", "cp_mark", "cp_epoch",
         "dl_running", "dl_rate", "dl_mark", "dl_epoch", "dl_tag", "dl_listed",
         "on_hand_flop", "next_fetch_s", "fetch_pending",
@@ -323,11 +327,13 @@ class _Host:
         self.dl_cap = kbps_to_mb_per_s(rec.throughput_down)
         self.mem_ok = True
         self.buffer_flop = 0.0
-        self.computing = None
-        self.ready = deque()
-        self.dl_queue = deque()
-        self.dl_cur = None
-        self.completed = deque()
+        # Replicas in fetch order: ``n_done`` computed ones awaiting return,
+        # then ``n_ready`` downloaded ones, the first of which is computing,
+        # then the one downloading and those waiting for input.
+        self.work: deque[_Replica] = deque()
+        self.n_done = 0
+        self.n_ready = 0
+        self.deadline_armed = False  # a deadline event is pending
         self.cp_running = False
         self.cp_mark = 0.0
         self.cp_epoch = 0
@@ -380,16 +386,16 @@ class _Engine:
         self.validated_results_total = 0
         self.validated_flop = 0.0
 
-        # accumulators
-        self.raw_flop = 0.0
+        # accumulators; raw work is ``_raw_flop``
+        self.done_flop = 0.0  # one whole task per completed replica
+        self.lost_flop = 0.0  # partial work of replicas written off or lost
         self.mb_downloaded = 0.0
         self.downloads_completed = 0
         self.member_time = 0.0
         self.on_time = 0.0
         self.conn_time = 0.0
         self.allow_time = 0.0
-        self.hosts: list[_Host] = []
-        self.n_alive = 0
+        self.live_hosts: dict[int, _Host] = {}  # by idx, in arrival order
         # Egress sharing. Running downloads sit in ``flows`` sorted by
         # (dl_cap, idx). A flow whose cap is at most ``level`` runs at its cap
         # with its own completion event; every other flow runs at ``level``
@@ -428,47 +434,38 @@ class _Engine:
     # -- compute side ------------------------------------------------------
 
     def _settle_compute(self, h: _Host, now: float):
-        r = h.computing
-        if r is not None and h.cp_running:
+        if h.cp_running:
+            r = h.work[h.n_done]
             done = (now - h.cp_mark) * h.flops_rate
             if done > r.flops_left:
                 done = r.flops_left
             if done > 0.0:
                 r.flops_left -= done
                 h.on_hand_flop -= done
-                self.raw_flop += done
         h.cp_mark = now
 
     def _sync_compute(self, h: _Host, now: float):
-        """Start the next replica if idle, pause or resume the current one.
+        """Run the oldest downloaded replica exactly while the host may compute.
 
         Settle must have run first. A running replica whose state did not
         change keeps its scheduled completion: constant rate means the
         completion instant is unchanged.
         """
-        if h.computing is None and h.ready:
-            nxt = h.ready.popleft()
-            nxt.loc = _COMPUTING
-            h.computing = nxt
-        desired = (
-            h.computing is not None and h.compute_ok() and h.flops_rate > 0.0
-        )
-        if desired == h.cp_running and not desired:
-            return
-        if desired == h.cp_running and h.computing is not None:
-            return  # still running, same rate, same completion instant
+        desired = h.n_ready > 0 and h.compute_ok() and h.flops_rate > 0.0
+        if desired == h.cp_running:
+            return  # idle stays idle; a running replica keeps its completion
         h.cp_epoch += 1
         h.cp_running = desired
         if desired:
             h.cp_mark = now
-            eta = now + h.computing.flops_left / h.flops_rate
+            eta = now + h.work[h.n_done].flops_left / h.flops_rate
             self._push(eta, _EV_CP_DONE, h, h.cp_epoch)
 
     # -- download side -----------------------------------------------------
 
     def _settle_download(self, h: _Host, now: float):
-        r = h.dl_cur
-        if r is not None and h.dl_running:
+        if h.dl_running:
+            r = h.work[h.n_done + h.n_ready]
             if h.dl_tag is not None:
                 left = h.dl_tag - self._clock(now)
                 r.input_left = left if left > 0.0 else 0.0
@@ -481,11 +478,7 @@ class _Engine:
         h.dl_mark = now
 
     def _sync_download_uncapped(self, h: _Host, now: float):
-        if h.dl_cur is None and h.dl_queue:
-            nxt = h.dl_queue.popleft()
-            nxt.loc = _DL_ACTIVE
-            h.dl_cur = nxt
-        desired = h.dl_cur is not None and h.comm_ok() and h.dl_cap > 0.0
+        desired = len(h.work) > h.n_done + h.n_ready and h.comm_ok() and h.dl_cap > 0.0
         if desired and h.dl_running and h.dl_rate == h.dl_cap:
             return  # unchanged; completion event stands
         h.dl_epoch += 1
@@ -493,7 +486,7 @@ class _Engine:
         if desired:
             h.dl_rate = h.dl_cap
             h.dl_mark = now
-            eta = now + h.dl_cur.input_left / h.dl_rate
+            eta = now + h.work[h.n_done + h.n_ready].input_left / h.dl_rate
             self._push(eta, _EV_DL_DONE, h, h.dl_epoch)
         else:
             h.dl_rate = 0.0
@@ -505,11 +498,7 @@ class _Engine:
         level, and then only the flows whose cap lies between the old and
         the new level change kind.
         """
-        if h.dl_cur is None and h.dl_queue:
-            nxt = h.dl_queue.popleft()
-            nxt.loc = _DL_ACTIVE
-            h.dl_cur = nxt
-        want = h.dl_cur is not None and h.comm_ok() and h.dl_cap > 0.0
+        want = len(h.work) > h.n_done + h.n_ready and h.comm_ok() and h.dl_cap > 0.0
         if want == h.dl_listed:
             if want and not h.dl_running:
                 # the next input on a listed host: same list, same level
@@ -548,7 +537,7 @@ class _Engine:
         h.dl_running = True
         h.dl_mark = now
         h.dl_rate = h.dl_cap
-        left = h.dl_cur.input_left
+        left = h.work[h.n_done + h.n_ready].input_left
         if h.dl_cap <= self.level:
             h.dl_tag = None
             self._push(now + left / h.dl_cap, _EV_DL_DONE, h, h.dl_epoch)
@@ -588,9 +577,10 @@ class _Engine:
         wu.replicas_issued += 1
         wu.deficit -= 1
         wu.users.add(h.user)
+        self.seq += 1
         return _Replica(
             wu, h, self.task.flops_per_task, self.task.input_size,
-            now + self.task.deadline * SECONDS_PER_DAY,
+            now + self.task.deadline * SECONDS_PER_DAY, self.seq,
         )
 
     def _assign(self, h: _Host, n: int, now: float) -> list[_Replica]:
@@ -658,12 +648,23 @@ class _Engine:
                 self.needs.append(wu)
 
     def _flush_returns(self, h: _Host, now: float):
-        while h.completed:
-            r = h.completed.popleft()
-            if r.loc is not _COMPLETED:
-                continue
-            r.loc = _GONE
+        while h.n_done:
+            h.n_done -= 1
+            r = h.work.popleft()
             self._deliver(r, r.outcome)
+
+    def _arm_deadline(self, h: _Host):
+        """Keep one deadline event pending for the oldest replica on ``h``.
+
+        It takes the seq reserved when that replica was fetched, so it sorts
+        among same-time events where a deadline event of its own would.
+        """
+        if h.deadline_armed or not h.work:
+            return
+        r = h.work[0]
+        if r.deadline_s <= self.duration_s:
+            h.deadline_armed = True
+            heapq.heappush(self.heap, (r.deadline_s, r.seq, _EV_DEADLINE, h, 0))
 
     # -- work fetch ----------------------------------------------------------
 
@@ -683,10 +684,9 @@ class _Engine:
         n = math.ceil(need / self.task.flops_per_task)
         replicas = self._assign(h, n, now)
         for r in replicas:
-            h.dl_queue.append(r)
+            h.work.append(r)
             h.on_hand_flop += self.task.flops_per_task
-            if r.deadline_s <= self.duration_s:
-                self._push(r.deadline_s, _EV_DEADLINE, r)
+        self._arm_deadline(h)
         h.next_fetch_s = now + MIN_CONNECTION_INTERVAL_DAYS * SECONDS_PER_DAY
         self._dl_changed(h, now)
         self._sync_compute(h, now)
@@ -699,33 +699,6 @@ class _Engine:
         if h.comm_ok():
             self._flush_returns(h, now)
             self._try_fetch(h, now)
-
-    def _drop_replica(self, h: _Host, r: _Replica):
-        """Remove a replica from wherever it sits on the host.
-
-        Caller settles first. Epoch bumps orphan any in-flight completion
-        event for the removed replica.
-        """
-        loc = r.loc
-        r.loc = _GONE
-        if loc == _COMPUTING:
-            h.computing = None
-            h.cp_running = False
-            h.cp_epoch += 1
-            h.on_hand_flop -= r.flops_left
-        elif loc == _DL_ACTIVE:
-            h.dl_cur = None
-            h.dl_running = False
-            h.dl_epoch += 1
-            h.on_hand_flop -= r.flops_left
-        elif loc == _DL_QUEUE:
-            h.dl_queue.remove(r)
-            h.on_hand_flop -= r.flops_left
-        elif loc == _READY:
-            h.ready.remove(r)
-            h.on_hand_flop -= r.flops_left
-        elif loc == _COMPLETED:
-            h.completed.remove(r)
 
     # -- event handlers --------------------------------------------------------
 
@@ -740,8 +713,7 @@ class _Engine:
             * (h.rec.resource_share if cfg.competing_share else 1.0)
         )
         h.mem_ok = h.rec.ram >= self.task.memory_footprint
-        buffer_days = max(cfg.work_buffer_days or 0.0, MIN_CONNECTION_INTERVAL_DAYS)
-        h.buffer_flop = buffer_days * SECONDS_PER_DAY * h.flops_rate
+        h.buffer_flop = _buffer_s(cfg) * h.flops_rate
         h.occ_mark = now
         h.cp_mark = now
         h.dl_mark = now
@@ -764,8 +736,7 @@ class _Engine:
             else:
                 h.allow = state
 
-        self.hosts.append(h)
-        self.n_alive += 1
+        self.live_hosts[h.idx] = h
         if h.comm_ok():
             self._try_fetch(h, now)
 
@@ -776,26 +747,20 @@ class _Engine:
         self._settle_compute(h, now)
         self._settle_download(h, now)
         h.alive = False
-        self.n_alive -= 1
-        doomed = []
-        if h.computing is not None:
-            doomed.append(h.computing)
-        if h.dl_cur is not None:
-            doomed.append(h.dl_cur)
-        doomed.extend(h.dl_queue)
-        doomed.extend(h.ready)
-        doomed.extend(h.completed)
-        h.computing = None
-        h.dl_cur = None
-        h.dl_queue.clear()
-        h.ready.clear()
-        h.completed.clear()
+        del self.live_hosts[h.idx]
+        work = list(h.work)
+        done, fetched = work[:h.n_done], work[h.n_done:h.n_done + h.n_ready]
+        if fetched:
+            self.lost_flop += self.task.flops_per_task - fetched[0].flops_left
+        # computing, then the input still to come, downloaded, computed
+        doomed = fetched[:1] + work[h.n_done + h.n_ready:] + fetched[1:] + done
+        h.work.clear()
+        h.n_done = h.n_ready = 0
         h.cp_running = False
         h.dl_running = False
         h.cp_epoch += 1
         h.dl_epoch += 1
         for r in doomed:
-            r.loc = _GONE
             self._deliver(r, ResultOutcome.LOST)
         if self.cap_mb is not None:
             self._sync_download_capped(h, now)
@@ -829,24 +794,19 @@ class _Engine:
         if not h.alive or epoch != h.cp_epoch:
             return
         self._settle_compute(h, now)
-        r = h.computing
-        if r is None:
-            return
-        # credit any float residue so raw accounting is exact
-        if r.flops_left > 0.0:
-            self.raw_flop += r.flops_left
-            h.on_hand_flop -= r.flops_left
-            r.flops_left = 0.0
-        r.loc = _COMPLETED
+        r = h.work[h.n_done]
+        # a float residue may be left; the replica still did one whole task
+        self.done_flop += self.task.flops_per_task
+        h.on_hand_flop -= r.flops_left
         r.outcome = (
             ResultOutcome.ERRONEOUS
             if self.cfg.error_rate > 0.0 and self.rng.random() < self.cfg.error_rate
             else ResultOutcome.CORRECT
         )
-        h.computing = None
+        h.n_done += 1
+        h.n_ready -= 1
         h.cp_running = False
         h.cp_epoch += 1
-        h.completed.append(r)
         if h.comm_ok():
             self._flush_returns(h, now)
         self._sync_compute(h, now)
@@ -857,15 +817,10 @@ class _Engine:
         if not h.alive or epoch != h.dl_epoch:
             return
         self._settle_download(h, now)
-        r = h.dl_cur
-        if r is None:
-            return
-        r.input_left = 0.0
-        r.loc = _READY
-        h.dl_cur = None
+        h.work[h.n_done + h.n_ready].input_left = 0.0
+        h.n_ready += 1
         h.dl_running = False
         h.dl_epoch += 1
-        h.ready.append(r)
         self.mb_downloaded += self.task.input_size
         self.downloads_completed += 1
         self._dl_changed(h, now)
@@ -878,35 +833,63 @@ class _Engine:
         _, _, dl_epoch, h = heapq.heappop(self.tags)
         self._on_dl_done(h, dl_epoch, now)
 
-    def _on_deadline(self, r: _Replica, now: float):
-        if r.loc == _GONE:
-            return
-        h = r.host
-        self._settle_compute(h, now)
-        self._settle_download(h, now)
-        was = r.loc
-        self._drop_replica(h, r)
-        self._deliver(r, ResultOutcome.TIMED_OUT)
-        if was == _COMPUTING:
-            self._sync_compute(h, now)
-        if was == _DL_ACTIVE or was == _DL_QUEUE:
-            self._dl_changed(h, now)
-        if h.comm_ok():
-            self._try_fetch(h, now)
+    def _on_deadline(self, h: _Host, now: float):
+        """Write off each oldest replica that is due, then re-arm at the next.
+
+        Replicas share one deadline offset and pass through the host in
+        fetch order, so only the oldest can be due.
+        """
+        work = h.work
+        while work and work[0].deadline_s <= now:
+            self._settle_compute(h, now)
+            self._settle_download(h, now)
+            r = work.popleft()
+            if h.n_done:  # computed, awaiting return
+                h.n_done -= 1
+            elif h.n_ready:  # computing
+                h.n_ready -= 1
+                h.cp_running = False
+                h.cp_epoch += 1
+                h.on_hand_flop -= r.flops_left
+                self.lost_flop += self.task.flops_per_task - r.flops_left
+                self._sync_compute(h, now)
+            else:  # downloading
+                h.dl_running = False
+                h.dl_epoch += 1
+                h.on_hand_flop -= r.flops_left
+                self._dl_changed(h, now)
+            self._deliver(r, ResultOutcome.TIMED_OUT)
+            if h.comm_ok():
+                self._try_fetch(h, now)
+        h.deadline_armed = False
+        self._arm_deadline(h)
 
     def _on_fetch(self, h: _Host, now: float):
         h.fetch_pending = False
         self._try_fetch(h, now)
+
+    def _raw_flop(self) -> float:
+        """Work done so far, as settled: whole tasks, then partial ones.
+
+        Completed replicas count whole tasks, as validated units do, and the
+        other terms are not negative, so raw work never rounds below
+        validated work.
+        """
+        f = self.task.flops_per_task
+        computing = sum(
+            f - h.work[h.n_done].flops_left for h in self.live_hosts.values() if h.n_ready
+        )
+        return self.done_flop + self.lost_flop + computing
 
     def _on_sample(self, now: float):
         t = now if now > 0 else 1.0
         self.timeline.append(
             TimelineSample(
                 time_days=now / SECONDS_PER_DAY,
-                active_hosts=self.n_alive,
+                active_hosts=len(self.live_hosts),
                 validated_workunits=self.n_validated,
                 achieved_gflops=self.validated_flop / t / GIGA,
-                raw_gflops=self.raw_flop / t / GIGA,
+                raw_gflops=self._raw_flop() / t / GIGA,
                 bytes_downloaded=self.mb_downloaded,
             )
         )
@@ -982,16 +965,15 @@ class _Engine:
                 self._on_sample(t)
 
         end = self.duration_s
-        for h in self.hosts:
-            if h.alive:
-                self._settle_occupancy(h, end)
-                self._settle_compute(h, end)
+        for h in self.live_hosts.values():
+            self._settle_occupancy(h, end)
+            self._settle_compute(h, end)
 
         dur_s = self.duration_s
         member = self.member_time
         return SimReport(
             achieved_flops=self.validated_flop / dur_s / GIGA,
-            raw_flops=self.raw_flop / dur_s / GIGA,
+            raw_flops=self._raw_flop() / dur_s / GIGA,
             bytes_downloaded=self.mb_downloaded,
             mean_active_hosts=member / dur_s,
             replicas_per_validated_task=(
@@ -1129,6 +1111,15 @@ def sim_config_from_config(cfg: Mapping, seed_override: int | None = None) -> Si
         timeline_step_hours=config.number(cfg, "timeline_step_hours", 6.0, top),
     )
     days = sim_cfg.duration_days
-    config.within_limit(churn.mean_arrival_rate(days) * days, "expected arrivals")
+    arrivals = churn.mean_arrival_rate(days) * days
+    config.within_limit(arrivals, "expected arrivals")
     config.within_limit(days * 24.0 / sim_cfg.timeline_step_hours, "timeline samples")
+    # every host fetches a full buffer on arrival, and each fetch at least one task
+    mean_flops = (
+        pool.field_mean("n_cpus") * pool.field_mean("flops_per_cpu") * GIGA
+        * pool.field_mean("cpu_efficiency")
+        * (pool.field_mean("resource_share") if sim_cfg.competing_share else 1.0)
+    )
+    per_host = max(1.0, _buffer_s(sim_cfg) * mean_flops / task.flops_per_task)
+    config.within_limit((pool.n_hosts + arrivals) * per_host, "expected buffered replicas")
     return sim_cfg

@@ -11,7 +11,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from volpool import capacity as cap
 from volpool import cli
@@ -509,6 +509,10 @@ MALFORMED = [
     pytest.param("simulate", {"duration_days": 1e7, "pool": {"n_hosts": 1},
                               "churn": {"arrival_rate": 0}},
                  "timeline samples of 4e+07 exceeds the limit", id="simulate-huge-timeline"),
+    pytest.param("simulate", {"duration_days": 1, "work_buffer_days": 5000,
+                              "churn": {"arrival_rate": 0}},
+                 "expected buffered replicas of 9.6375e+06 exceeds the limit",
+                 id="simulate-huge-buffer"),
     pytest.param("sweep", {"pool": {"n_hosts": 5}, "rates": {"n": 10**9}},
                  "rates option 'n' of 1e+09 exceeds the limit", id="sweep-huge-grid"),
     pytest.param("stats", {"pool": {"n_hosts": 5, "fields": {
@@ -594,6 +598,16 @@ def _reject_constant(name):
 
 @settings(max_examples=150, deadline=None)
 @given(payload=small_simulate_configs())
+# one host computes four tasks and departs; summing the pieces of its work
+# used to round raw work below validated work
+@example(payload={
+    "duration_days": 1.0, "seed": 1869,
+    "churn": {"arrival_rate": 0.0, "lifetime_mean_days": 1.21875},
+    "pool": {"n_hosts": 1},
+    "task": {"flops_per_task": 7675076352880.257, "input_size_mb": 3.0, "deadline_days": 1.0},
+    "min_quorum": 1, "max_replicas": 1, "error_rate": 0.0,
+    "server_egress_cap_mbps": None, "mean_dwell_hours": 8.25,
+})
 def test_simulate_random_small_configs(payload):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write_config(Path(tmp), "sim.json", payload)

@@ -9,6 +9,8 @@ import json
 import math
 import random
 from dataclasses import replace
+from itertools import islice
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -221,12 +223,12 @@ class _CheckedEngine(simmod._Engine):
         for r, rate in self.rates.items():
             self.left[r] -= rate * (now - self.checked_at)
             assert self.left[r] >= -1e-6  # no download overruns its input
-            if r.loc == simmod._READY:  # its download finished just now
+            if r in islice(r.host.work, r.host.n_done + r.host.n_ready):  # finished just now
                 assert self.left[r] == pytest.approx(0.0, abs=1e-6)
         cap = self.cap_mb
         running = sorted(
-            (g.dl_cap, g.idx) for g in self.hosts
-            if g.alive and g.dl_cur is not None and g.comm_ok() and g.dl_cap > 0.0
+            (g.dl_cap, g.idx) for g in self.live_hosts.values()
+            if len(g.work) > g.n_done + g.n_ready and g.comm_ok() and g.dl_cap > 0.0
         )
         assert [(c, i) for c, i, _ in self.flows] == running
         flows = [g for _, _, g in self.flows]
@@ -237,14 +239,14 @@ class _CheckedEngine(simmod._Engine):
             assert got == pytest.approx(exp, rel=1e-12)
         assert sum(rates) <= cap * (1.0 + 1e-12)
         assert self.mb_downloaded <= cap * now * (1.0 + 1e-12)
-        for g in flows:
-            r = g.dl_cur
+        downloading = [g.work[g.n_done + g.n_ready] for g in flows]
+        for g, r in zip(flows, downloading):
             if g.dl_tag is None:
                 left = r.input_left - (now - g.dl_mark) * g.dl_cap
             else:
                 left = g.dl_tag - self._clock(now)
             assert left == pytest.approx(self.left.setdefault(r, self.task.input_size), abs=1e-6)
-        self.rates = {g.dl_cur: rate for g, rate in zip(flows, rates)}
+        self.rates = dict(zip(downloading, rates))
         self.checked_at = now
         # the one pending shared event is due when the earliest live tag is reached
         shared = [g for g in flows if g.dl_tag is not None]
@@ -314,6 +316,45 @@ def test_binding_egress_cap_costs_few_events():
     shared = capped.run()
     assert shared.bytes_downloaded < 0.6 * free.bytes_downloaded  # the cap binds
     assert capped.seq <= 2 * uncapped.seq
+
+
+class _DeadlineCountingEngine(simmod._Engine):
+    """Counts hosts, deadline events and the results they time out."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.n_hosts = 0
+        self.deadline_events = 0
+        self.timed_out = 0
+
+    def _on_arrive(self, h, now):
+        self.n_hosts += 1
+        super()._on_arrive(h, now)
+
+    def _on_deadline(self, *args):
+        self.deadline_events += 1
+        super()._on_deadline(*args)
+
+    def _deliver(self, r, outcome):
+        self.timed_out += outcome is ResultOutcome.TIMED_OUT
+        super()._deliver(r, outcome)
+
+
+def test_deadlines_cost_few_events():
+    """One deadline timer per host, not one event per replica."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "configs" / "simulate_steady_state.json"
+    cfg = json.loads(path.read_text())
+    cfg.update(duration_days=10.0, seed=1)
+    cfg["pool"]["n_hosts"] = 200
+    cfg["churn"]["arrival_rate"] = 200 / cfg["churn"]["lifetime_mean_days"]
+    sim_cfg = sim_config_from_config(cfg)
+    engine = _DeadlineCountingEngine(sim_cfg)
+    report = engine.run()
+    bound = engine.timed_out + engine.n_hosts * (
+        sim_cfg.duration_days / sim_cfg.task.deadline + 1.0
+    )
+    assert report.n_results > 4 * bound  # one event per replica would not fit
+    assert engine.deadline_events <= bound
 
 
 # -- config validation ------------------------------------------------------------
@@ -487,7 +528,7 @@ def test_steady_pool_size_obeys_arrival_lifetime_product():
 
 
 class _LoggingEngine(simmod._Engine):
-    """Logs every work unit, each result and each fetch, which the engine only counts.
+    """Logs every host, work unit, result and fetch, which the engine does not keep.
 
     After every delivery it also holds the engine's count-based decision to
     ``validate_quorum`` over the unit's results so far.
@@ -499,6 +540,12 @@ class _LoggingEngine(simmod._Engine):
         self.results = {}  # unit id -> its results, in the order the server got them
         self.returns = []  # (host id, outcome, day the server got it) of each result
         self.fetches = []  # (host id, day) of each fetch
+        self.hosts = []  # every host, in arrival order
+        self.timeouts = []  # (deadline, instant written off) of each timed-out replica
+
+    def _on_arrive(self, h, now):
+        self.hosts.append(h)
+        super()._on_arrive(h, now)
 
     def _make_replica(self, wu, h, now):
         if wu.replicas_issued == 0:
@@ -516,6 +563,8 @@ class _LoggingEngine(simmod._Engine):
         results = self.results[wu.id]
         results.append(ResultRecord(r.host.user, outcome))
         self.returns.append((r.host.rec.host_id, outcome, self.now / DAY_S))
+        if outcome is ResultOutcome.TIMED_OUT:
+            self.timeouts.append((r.deadline_s, self.now))
         super()._deliver(r, outcome)
         if not deciding:
             return  # a late result for a unit already decided
@@ -549,6 +598,12 @@ def test_workhorse_produces_work(workhorse):
     assert r.n_validated > 5000
     assert r.n_invalid > 0
     assert 0 < r.mean_active_hosts < 30.0 * 8.0
+
+
+def test_workhorse_deadlines_fire_on_time(workhorse):
+    _, engine, _ = workhorse
+    assert len(engine.timeouts) > 20
+    assert all(now == deadline for deadline, now in engine.timeouts)
 
 
 def test_workhorse_download_conservation(workhorse):
@@ -637,6 +692,7 @@ def test_engine_quorum_decisions_match_validate_quorum(
     engine = _LoggingEngine(cfg)
     r = engine.run()  # the subclass checks each delivery
     assert sum(len(results) for results in engine.results.values()) == r.n_results
+    assert all(now == deadline for deadline, now in engine.timeouts)  # never late
     states = [wu.state for wu in engine.units.values()]
     assert states.count(WorkUnitState.VALIDATED) == r.n_validated
     assert states.count(WorkUnitState.INVALID) == r.n_invalid
