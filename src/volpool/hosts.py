@@ -119,6 +119,12 @@ def check_host(values: Mapping, violated=bool) -> None:
     with ``violated=np.any``; the rules, their order and their messages are
     the same either way. The fraction test is written without a chained
     comparison so that it works on columns too; NaN fails it.
+
+    ``violated`` receives each rule's test, a bool or a mask over the rows,
+    and a true return raises that rule's error. A ``violated`` that ORs every
+    mask into a mask of its own and returns False runs all the rules without
+    raising and leaves behind the rows that break any of them; the block
+    parser of ``volpool.ingest`` flags rows this way.
     """
     if violated(values["n_cpus"] < 1):
         raise ValueError("n_cpus must be at least 1")

@@ -7,6 +7,14 @@ reject entry carrying its line number and the first violated rule, and
 parsing continues. Serialization is canonical, so parse -> serialize is a
 byte-level identity on files this module wrote.
 
+Rows are parsed a block of ``ROW_BLOCK`` at a time: each numeric column of a
+block is converted in one pass, each label column is mapped to enum codes,
+and the host rules are evaluated over the block's columns to flag the rows
+that break them. Only the flagged rows go through the per-row rules of
+``_row_values``, which stay the one source of reject reasons and of their
+order. Writing joins a block's cells by hand and leaves only the cells that
+need quoting to the ``csv`` module.
+
 Breakdown tables, ownership buckets and half-open histograms live here too;
 they read the columns of a host table regardless of where it came from.
 """
@@ -19,6 +27,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Sequence
 
@@ -30,6 +39,7 @@ from .hosts import (
     ID_FIELDS,
     INT_FIELDS,
     ROW_BLOCK,
+    Categorical,
     CpuVendor,
     HostTable,
     OperatingSystem,
@@ -67,6 +77,18 @@ BREAKDOWN_KEYS = ("cpu_vendor", "os", "country", "venue")
 _VENDOR_BY_LABEL = {v.value: v for v in CpuVendor}
 _OS_BY_LABEL = {o.value: o for o in OperatingSystem}
 _VENUE_BY_LABEL = {v.value: v for v in Venue}
+# A block parse keeps the ids and countries as strings, and maps each enum
+# column's labels to codes over all of the enum's members.
+_TEXT_FIELDS = (*ID_FIELDS, "country")
+_ENUM_LEVELS = {
+    "cpu_vendor": tuple(CpuVendor),
+    "os": tuple(OperatingSystem),
+    "venue": tuple(Venue),
+}
+_ENUM_CODES = {
+    name: {level.value: code for code, level in enumerate(levels)}
+    for name, levels in _ENUM_LEVELS.items()
+}
 
 
 @dataclass(frozen=True)
@@ -218,41 +240,129 @@ def _parse_stream(fh) -> ParseResult:
             raise ValueError(f"unknown column: {unknown[0]!r}")
         raise ValueError("header does not match host CSV schema")
 
-    # numbers go straight into machine arrays, so no Python object per
-    # value outlives its row
+    # numbers and enum codes go straight into machine arrays, so no Python
+    # object per value outlives its block
     columns = {
-        name: [] if name in ID_FIELDS or name in CATEGORICAL_FIELDS
-        else array("q" if name in INT_FIELDS else "d")
+        name: [] if name in _TEXT_FIELDS
+        else array("q" if name in INT_FIELDS or name in _ENUM_LEVELS else "d")
         for name in HOST_FIELDS
     }
-    appends = [(name, columns[name].append) for name in HOST_FIELDS]
     rejects: list[tuple[int, str]] = []
-    for row in reader:
-        if not row:
-            continue
-        try:
-            values = _row_values(row)
-        except ValueError as err:
-            rejects.append((reader.line_num, str(err)))
-            continue
-        for name, append in appends:
-            append(values[name])
+    for rows, lines in _row_blocks(reader):
+        _parse_block(rows, lines, columns, rejects)
+    for name, levels in _ENUM_LEVELS.items():
+        columns[name] = Categorical(columns[name], levels)
     return ParseResult(HostTable(**columns), tuple(rejects))
 
 
-def _text_columns(records: HostTable, rows: slice) -> list[list[str]]:
-    """Each column's ``rows`` as CSV text: shortest round-trip floats, labels."""
+def _row_blocks(reader):
+    """The non-empty rows of ``reader``, ``ROW_BLOCK`` at a time, each block
+    with the line number every row of it ends on."""
+    rows, lines = [], []
+    for row in reader:
+        if row:
+            rows.append(row)
+            lines.append(reader.line_num)
+            if len(rows) == ROW_BLOCK:
+                yield rows, lines
+                rows, lines = [], []
+    if rows:
+        yield rows, lines
+
+
+def _parse_block(rows, lines, columns, rejects) -> None:
+    """Append the accepted ``rows`` to ``columns`` and the rejected ones to
+    ``rejects``, each with its reason from ``_row_values``."""
+    width = len(HOST_CSV_COLUMNS)
+    fits = np.fromiter(map(len, rows), np.intp, len(rows)) == width
+    shaped = rows if fits.all() else list(compress(rows, fits))
+    n = len(shaped)
+    bad = np.zeros(n, bool)  # rows of ``shaped`` that break a rule
+    values = {}
+    texts_by_column = list(zip(*shaped)) or [()] * width
+    for name, csv_name, texts in zip(HOST_FIELDS, HOST_CSV_COLUMNS, texts_by_column):
+        if name in _TEXT_FIELDS:
+            values[name] = texts
+        elif name in _ENUM_CODES:
+            codes = np.fromiter(map(_ENUM_CODES[name].get, texts, repeat(-1)), np.intp, n)
+            bad |= codes < 0
+            values[name] = codes
+        else:
+            values[name] = _number_column(csv_name, texts, name in INT_FIELDS, bad)
+
+    def violated(mask) -> bool:
+        np.logical_or(bad, mask, out=bad)
+        return False
+
+    check_host(values, violated)
+
+    flagged = ~fits
+    flagged[fits] = bad
+    for i in np.flatnonzero(flagged).tolist():
+        try:
+            _row_values(rows[i])
+        except ValueError as err:
+            rejects.append((lines[i], str(err)))
+    keep = ~bad
+    whole = keep.all()
+    for name, col in values.items():
+        if isinstance(col, np.ndarray):
+            columns[name].frombytes((col if whole else col[keep]).tobytes())
+        else:
+            columns[name].extend(col if whole else compress(col, keep))
+
+
+def _number_column(csv_name: str, texts, is_int: bool, bad: np.ndarray) -> np.ndarray:
+    """``texts`` as an int64 or float64 column; a cell that ``_int_field`` or
+    ``_float_field`` would refuse is set in ``bad``."""
+    dtype = np.int64 if is_int else np.float64
+    try:
+        col = np.fromiter(map(int if is_int else float, texts), dtype, len(texts))
+    except (ValueError, OverflowError):  # a bad cell: convert one at a time
+        field = _int_field if is_int else _float_field
+        col = np.zeros(len(texts), dtype)
+        for i, text in enumerate(texts):
+            try:
+                col[i] = field(csv_name, text)
+            except ValueError:
+                bad[i] = True
+    if not is_int:
+        bad |= ~np.isfinite(col)
+    return col
+
+
+def _text_columns(records: HostTable, rows: slice) -> list:
+    """Each column's ``rows`` as CSV cells: shortest round-trip floats, labels."""
     out = []
     for name in HOST_FIELDS:
         col = getattr(records, name)
         if name in ID_FIELDS:
-            out.append(col[rows])
+            out.append(_csv_cells(col[rows]))
         elif name in CATEGORICAL_FIELDS:
-            labels = [getattr(v, "value", v) for v in col.levels]
+            labels = _csv_cells([getattr(v, "value", v) for v in col.levels])
             out.append([labels[c] for c in col.codes[rows].tolist()])
         else:
             out.append(list(map(repr if col.dtype.kind == "f" else str, col[rows].tolist())))
     return out
+
+
+_CSV_SPECIAL = (",", '"', "\r", "\n")
+
+
+def _csv_cells(texts):
+    """``texts`` as CSV cells. A text holding a delimiter, quote or line break
+    is rendered by the ``csv`` module, whose quoting of a bare carriage
+    return differs between Python versions; any other text is its own cell."""
+    joined = "".join(texts)
+    if not any(c in joined for c in _CSV_SPECIAL):
+        return texts
+    return [_csv_cell(t) if any(c in t for c in _CSV_SPECIAL) else t for t in texts]
+
+
+def _csv_cell(text: str) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text])
+    return buf.getvalue()[:-1]
 
 
 def serialize_hosts(records: HostTable, header_comment: str | None = None) -> str:
@@ -260,11 +370,11 @@ def serialize_hosts(records: HostTable, header_comment: str | None = None) -> st
     buf = io.StringIO()
     if header_comment is not None:
         buf.write(f"# {header_comment}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(HOST_CSV_COLUMNS)
+    buf.write(",".join(HOST_CSV_COLUMNS) + "\n")
     for start in range(0, len(records), ROW_BLOCK):
-        rows = slice(start, start + ROW_BLOCK)
-        writer.writerows(zip(*_text_columns(records, rows)))
+        cells = _text_columns(records, slice(start, start + ROW_BLOCK))
+        buf.write("\n".join(map(",".join, zip(*cells))))
+        buf.write("\n")
     return buf.getvalue()
 
 
@@ -362,7 +472,10 @@ def auto_edges(values, n_bins: int = 50) -> list[float]:
         return [0.0, 1.0]
     lo, hi = float(vals.min()), float(vals.max())
     if hi <= lo:
-        return [float(lo), float(lo) + 1.0]
+        # past 2**53 adding 1.0 rounds back to lo
+        return [lo, max(lo + 1.0, math.nextafter(lo, math.inf))]
     edges = np.linspace(lo, hi, n_bins + 1)
     edges[-1] = np.nextafter(hi, math.inf)
-    return [float(e) for e in edges]
+    # a range a few ulps wide rounds several edges to one value; a set, as
+    # the first np.unique call of a process costs megabytes of resident code
+    return sorted(set(edges.tolist()))

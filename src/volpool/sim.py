@@ -289,11 +289,10 @@ _PROC_ON, _PROC_CONN, _PROC_ALLOW = range(3)
 
 
 class _Replica:
-    __slots__ = ("wu", "host", "flops_left", "input_left", "deadline_s", "seq", "outcome")
+    __slots__ = ("wu", "flops_left", "input_left", "deadline_s", "seq", "outcome")
 
-    def __init__(self, wu, host, flops, input_mb, deadline_s, seq):
+    def __init__(self, wu, flops, input_mb, deadline_s, seq):
         self.wu = wu
-        self.host = host
         self.flops_left = flops
         self.input_left = input_mb
         self.deadline_s = deadline_s
@@ -579,7 +578,7 @@ class _Engine:
         wu.users.add(h.user)
         self.seq += 1
         return _Replica(
-            wu, h, self.task.flops_per_task, self.task.input_size,
+            wu, self.task.flops_per_task, self.task.input_size,
             now + self.task.deadline * SECONDS_PER_DAY, self.seq,
         )
 

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -166,6 +167,18 @@ def test_stats_reads_host_csv(tmp_path, capsys, hosts_csv):
     doc = read_json(out / "stats.json")
     assert doc["n_hosts"] == 20
     assert doc["hardware_gflops"] == pytest.approx(cap.hardware_flops(pool))
+
+
+def test_stats_on_equal_huge_values_exits_0(tmp_path, capsys):
+    """Every host with ram 1e17 MB, where 1e17 + 1.0 rounds back to 1e17."""
+    pool = pop.generate_pool(presets.reference_pool_spec(n_hosts=20, seed=4))
+    path = tmp_path / "hosts.csv"
+    path.write_text(ing.serialize_hosts(dataclasses.replace(pool, ram=[1e17] * 20)))
+    cfg = write_config(tmp_path, "s.json", {"input": str(path)})
+    out = tmp_path / "out"
+    assert main(["stats", "--config", cfg, "--out", str(out)]) == 0
+    _, _, rows = read_csv(out / "hist_ram.csv")
+    assert rows == [["1e+17", "1.0000000000000002e+17", "20"], ["overflow", "", "0"]]
 
 
 # -- capacity --------------------------------------------------------------------

@@ -1,14 +1,24 @@
 """Host CSV parsing, serialization and summary statistics."""
 
+import csv
 import dataclasses
 import io
 import math
+from array import array
+from enum import Enum
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from volpool import ingest, presets
-from volpool.hosts import HostTable, whole_host_flops
+from volpool.hosts import (
+    CATEGORICAL_FIELDS,
+    HOST_FIELDS,
+    ID_FIELDS,
+    INT_FIELDS,
+    HostTable,
+    whole_host_flops,
+)
 from volpool.ingest import (
     auto_edges,
     breakdown,
@@ -165,6 +175,135 @@ def test_serialized_row_uses_shortest_repr(canon_records):
     assert row[3] == "1.5"
     assert row[2] == "1"
     assert row[18] == "-18000"
+
+
+# -- block parse and joined write, against the row-by-row code they replaced -------
+
+
+def ref_parse_stream(fh):
+    """The row-by-row parser: every row through ``_row_values``."""
+    reader = csv.reader(fh)
+    header = None
+    for row in reader:
+        if row and row[0].startswith("#"):
+            continue
+        header = row
+        break
+    assert tuple(header) == ingest.HOST_CSV_COLUMNS
+    columns = {
+        name: [] if name in ID_FIELDS or name in CATEGORICAL_FIELDS
+        else array("q" if name in INT_FIELDS else "d")
+        for name in HOST_FIELDS
+    }
+    appends = [(name, columns[name].append) for name in HOST_FIELDS]
+    rejects = []
+    for row in reader:
+        if not row:
+            continue
+        try:
+            values = ingest._row_values(row)
+        except ValueError as err:
+            rejects.append((reader.line_num, str(err)))
+            continue
+        for name, append in appends:
+            append(values[name])
+    return ingest.ParseResult(HostTable(**columns), tuple(rejects))
+
+
+COLUMN = {name: i for i, name in enumerate(ingest.HOST_CSV_COLUMNS)}
+# every reject kind of test_bad_rows_rejected_with_reason, as (column, text)
+BAD_CELLS = [
+    ("cpu_vendor", "VIA"), ("os", "BeOS"), ("venue", "Cafe"), ("ram_mb", "soft"),
+    ("n_cpus", "1.5"), ("ram_mb", "nan"), ("disk_free_gb", "61.0"), ("on_fraction", "1.2"),
+    ("last_contact_utc", "0"),
+]
+# texts that Python's int or float read in a way worth checking
+NUMBER_TEXTS = [
+    "nan", "inf", "1e400", "1_0", " 2 ", "+3", "9223372036854775808", "-9223372036854775809",
+]
+IDS = ["a1", "x,y", "p\nq", "r\r\ns", 'say "hi"', ""]
+
+
+@st.composite
+def csv_rows(draw):
+    """A CANON row with a few cells replaced, a quoted id, or a wrong width."""
+    row = draw(st.sampled_from(CANON_ROWS)).split(",")
+    row[0] = draw(st.sampled_from(IDS))
+    edits = st.sampled_from(BAD_CELLS) | st.tuples(
+        st.sampled_from(ingest.HOST_CSV_COLUMNS), st.sampled_from(NUMBER_TEXTS)
+    )
+    for column, text in draw(st.lists(edits, max_size=2)):
+        row[COLUMN[column]] = text
+    width = draw(st.sampled_from([0, 0, 0, -1, 1]))
+    return row[:width] if width < 0 else row + ["extra"] * width
+
+
+@st.composite
+def host_csv_texts(draw):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(ingest.HOST_CSV_COLUMNS)
+    for row in draw(st.lists(csv_rows() | st.none(), max_size=12)):
+        if row is None:
+            buf.write("\n")  # a blank line, skipped but counted
+        else:
+            writer.writerow(row)
+    return buf.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=host_csv_texts(), block=st.integers(1, 3))
+def test_block_parse_matches_row_parse(text, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "ROW_BLOCK", block)  # flagged rows cross block edges
+        got = parse_hosts(io.StringIO(text))
+    want = ref_parse_stream(io.StringIO(text))
+    assert got.records == want.records
+    assert got.rejects == want.rejects
+
+
+def test_block_parse_matches_row_parse_on_a_generated_pool():
+    pool = generate_pool(presets.reference_pool_spec(n_hosts=5000, seed=5))  # two blocks
+    lines = serialize_hosts(pool).splitlines()
+    for i in range(2, len(lines), 37):
+        lines[i] = lines[i].replace(",", ",-", 3 + i % 5)  # rows break different rules
+    text = "\n".join(lines) + "\n"
+    got, want = parse_hosts(io.StringIO(text)), ref_parse_stream(io.StringIO(text))
+    assert len(got.rejects) > 50
+    assert got.records == want.records
+    assert got.rejects == want.rejects
+
+
+def ref_serialize(records):
+    """Every row through ``csv.writer``, cells rendered one value at a time."""
+
+    def cell(value):
+        if isinstance(value, Enum):
+            return value.value
+        return repr(value) if isinstance(value, float) else str(value)
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(ingest.HOST_CSV_COLUMNS)
+    writer.writerows([cell(getattr(host, name)) for name in HOST_FIELDS] for host in records)
+    return buf.getvalue()
+
+
+CANON_HOSTS = list(parse_hosts(io.StringIO(CANON_TEXT)).records)
+TEXTS = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "é"]), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cells=st.lists(st.tuples(TEXTS, TEXTS, TEXTS), max_size=7), block=st.integers(1, 3))
+def test_serialize_matches_csv_writer(cells, block):
+    table = HostTable.from_records(
+        dataclasses.replace(CANON_HOSTS[i % 3], host_id=h, user_id=u, country=c)
+        for i, (h, u, c) in enumerate(cells)
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "ROW_BLOCK", block)  # blocks with and without quoted cells
+        got = serialize_hosts(table)
+    assert got == ref_serialize(table)
 
 
 # -- breakdowns ------------------------------------------------------------------
@@ -346,3 +485,11 @@ def test_auto_edges_cover_data():
 def test_auto_edges_degenerate():
     assert auto_edges([], 5) == [0.0, 1.0]
     assert auto_edges([2.0, 2.0], 5) == [2.0, 3.0]
+    assert auto_edges([1e17, 1e17], 5) == [1e17, 1e17 + 16]  # 1e17 + 1.0 == 1e17
+    # ranges a few ulps wide, where linear edges round onto each other
+    for values in ([1e17, 1e17], [1e17, 1e17 + 16], [0.0, 5e-324]):
+        edges = auto_edges(values, 50)
+        assert all(a < b for a, b in zip(edges, edges[1:])), edges
+        assert edges[0] == min(values) and edges[-1] > max(values)
+        h = histogram_of_values(values, edges, "x")
+        assert h.overflow == 0 and sum(h.counts) == len(values)

@@ -216,6 +216,12 @@ class _CheckedEngine(simmod._Engine):
         self.checked_at = 0.0
         self.rates = {}  # replica -> its download rate since checked_at, MB/s
         self.left = {}  # replica -> input MB it still needed at checked_at
+        self.host_of = {}  # replica -> the host it was issued to
+
+    def _make_replica(self, wu, h, now):
+        r = super()._make_replica(wu, h, now)
+        self.host_of[r] = h
+        return r
 
     def _sync_download_capped(self, h, now):
         super()._sync_download_capped(h, now)
@@ -223,7 +229,8 @@ class _CheckedEngine(simmod._Engine):
         for r, rate in self.rates.items():
             self.left[r] -= rate * (now - self.checked_at)
             assert self.left[r] >= -1e-6  # no download overruns its input
-            if r in islice(r.host.work, r.host.n_done + r.host.n_ready):  # finished just now
+            host = self.host_of[r]
+            if r in islice(host.work, host.n_done + host.n_ready):  # finished just now
                 assert self.left[r] == pytest.approx(0.0, abs=1e-6)
         cap = self.cap_mb
         running = sorted(
@@ -542,6 +549,7 @@ class _LoggingEngine(simmod._Engine):
         self.fetches = []  # (host id, day) of each fetch
         self.hosts = []  # every host, in arrival order
         self.timeouts = []  # (deadline, instant written off) of each timed-out replica
+        self.host_of = {}  # replica -> the host it was issued to
 
     def _on_arrive(self, h, now):
         self.hosts.append(h)
@@ -551,7 +559,9 @@ class _LoggingEngine(simmod._Engine):
         if wu.replicas_issued == 0:
             self.units[wu.id] = wu
             self.results[wu.id] = []
-        return super()._make_replica(wu, h, now)
+        r = super()._make_replica(wu, h, now)
+        self.host_of[r] = h
+        return r
 
     def _assign(self, h, n, now):
         self.fetches.append((h.rec.host_id, now / DAY_S))
@@ -561,8 +571,9 @@ class _LoggingEngine(simmod._Engine):
         wu = r.wu
         deciding = wu.state is WorkUnitState.IN_PROGRESS
         results = self.results[wu.id]
-        results.append(ResultRecord(r.host.user, outcome))
-        self.returns.append((r.host.rec.host_id, outcome, self.now / DAY_S))
+        h = self.host_of[r]
+        results.append(ResultRecord(h.user, outcome))
+        self.returns.append((h.rec.host_id, outcome, self.now / DAY_S))
         if outcome is ResultOutcome.TIMED_OUT:
             self.timeouts.append((r.deadline_s, self.now))
         super()._deliver(r, outcome)

@@ -181,10 +181,10 @@ def ref_auto_edges(values, n_bins=50):
         return [0.0, 1.0]
     lo, hi = min(vals), max(vals)
     if hi <= lo:
-        return [float(lo), float(lo) + 1.0]
+        return [float(lo), max(float(lo) + 1.0, math.nextafter(lo, math.inf))]
     edges = np.linspace(lo, hi, n_bins + 1)
     edges[-1] = np.nextafter(hi, math.inf)
-    return [float(e) for e in edges]
+    return sorted({float(e) for e in edges})
 
 
 def ref_breakdown(records, key):
