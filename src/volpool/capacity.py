@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import config
-from .hosts import HostRecord, HostTable, whole_host_flops
+from .hosts import HostRecord, HostTable, row_sum, whole_host_flops
 from .units import (
     MB_PER_MBPS_HOUR,
     MEGA,
@@ -111,7 +111,7 @@ def potential_flops(factors: CapacityFactors) -> float:
 
 def hardware_flops(pool: HostTable) -> float:
     """Summed whole-host nominal speed of an explicit pool, in GFLOPS."""
-    return float(sum(pool.column("flops").tolist()))
+    return row_sum(pool.column("flops"))
 
 
 def critical_data_rate(host: HostRecord) -> float:
@@ -233,7 +233,7 @@ def storage_potential(
             scale /= factors.redundancy
         else:
             scale *= getattr(factors, name)
-    return float(sum(pool.disk_free.tolist())) * scale
+    return row_sum(pool.disk_free) * scale
 
 
 def access_rate(
@@ -249,8 +249,8 @@ def access_rate(
     rate in MB/s, discounted by the on and active fractions.
     """
     if mode == "network":
-        total_link = sum(kbps_to_bytes_per_s(pool.throughput_down).tolist())
-        return float(total_link) * factors.on_fraction * factors.connected_fraction
+        total_link = row_sum(kbps_to_bytes_per_s(pool.throughput_down))
+        return total_link * factors.on_fraction * factors.connected_fraction
     if mode == "disk":
         if per_host_disk_rate < 0:
             raise ValueError("disk rate is negative")

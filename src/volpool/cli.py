@@ -240,7 +240,7 @@ def _parse_input(path: str):
         return ing.parse_hosts(path)
     except OSError as err:
         raise _DataError(f"cannot read input: {err}") from err
-    except ValueError as err:
+    except (ValueError, csv.Error) as err:
         raise _DataError(str(err)) from err
 
 

@@ -112,33 +112,39 @@ class HostRecord:
         check_host(vars(self))
 
 
-def check_host(values: Mapping, violated=bool) -> None:
-    """Raise ValueError naming the first host rule ``values`` break.
+_NONNEGATIVE_RULES = tuple((name, f"{name} is negative") for name in _NONNEGATIVE_FIELDS)
+_FRACTION_RULES = tuple((name, f"{name} outside [0, 1]") for name in FRACTION_FIELDS)
 
-    ``values`` maps field names to one host's values, or to whole columns
-    with ``violated=np.any``; the rules, their order and their messages are
-    the same either way. The fraction test is written without a chained
-    comparison so that it works on columns too; NaN fails it.
 
-    ``violated`` receives each rule's test, a bool or a mask over the rows,
-    and a true return raises that rule's error. A ``violated`` that ORs every
-    mask into a mask of its own and returns False runs all the rules without
-    raising and leaves behind the rows that break any of them; the block
-    parser of ``volpool.ingest`` flags rows this way.
+def host_rules(values: Mapping):
+    """The host rules in order, each as a (test, message) pair.
+
+    ``values`` maps field names to one host's values or to whole columns;
+    ``test`` is true, or a mask true on the rows, where ``values`` break the
+    rule. The fraction test is written without a chained comparison so that
+    it works on columns too; NaN fails it.
     """
-    if violated(values["n_cpus"] < 1):
-        raise ValueError("n_cpus must be at least 1")
-    for name in _NONNEGATIVE_FIELDS:
-        if violated(values[name] < 0):
-            raise ValueError(f"{name} is negative")
-    for name in FRACTION_FIELDS:
+    yield values["n_cpus"] < 1, "n_cpus must be at least 1"
+    for name, message in _NONNEGATIVE_RULES:
+        yield values[name] < 0, message
+    for name, message in _FRACTION_RULES:
         v = values[name]
-        if violated((v < 0.0) | (v > 1.0) | (v != v)):
-            raise ValueError(f"{name} outside [0, 1]")
-    if violated(values["disk_free"] > values["disk_total"]):
-        raise ValueError("disk_free exceeds disk_total")
-    if violated(values["last_contact"] < values["created"]):
-        raise ValueError("last_contact precedes created")
+        yield (v < 0.0) | (v > 1.0) | (v != v), message
+    yield values["disk_free"] > values["disk_total"], "disk_free exceeds disk_total"
+    yield values["last_contact"] < values["created"], "last_contact precedes created"
+
+
+def check_host(values: Mapping, is_broken=bool) -> None:
+    """Raise ValueError with the message of the first of ``host_rules``
+    that ``values`` break.
+
+    ``is_broken`` reduces a rule's test to a bool: ``bool`` for one host,
+    ``np.any`` for whole columns. The block parser of ``volpool.ingest``
+    reads the same rules as masks, to name the first rule each row breaks.
+    """
+    for test, message in host_rules(values):
+        if is_broken(test):
+            raise ValueError(message)
 
 
 def whole_host_flops(host: HostRecord) -> float:
@@ -165,6 +171,18 @@ def _read_only(values, dtype) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype).view()
     arr.flags.writeable = False
     return arr
+
+
+def row_sum(column) -> float:
+    """The sum of ``column`` added one row at a time, in row order, from 0.0.
+
+    ``np.bincount`` adds each group's weights this way, and so does the
+    builtin ``sum`` up to Python 3.11; NumPy's ``sum`` adds pairwise and the
+    builtin ``sum`` of Python 3.12+ compensates, so both can differ from it
+    in the last bits.
+    """
+    zeros = np.zeros(len(column), np.intp)
+    return float(np.bincount(zeros, weights=column, minlength=1)[0])
 
 
 class Categorical:

@@ -3,17 +3,18 @@
 The CSV schema is fixed: one header row with exact column names, one host per
 line, integer epoch timestamps, decimal units as named in the headers. A
 malformed file (wrong header) fails as a whole; a malformed row becomes a
-reject entry carrying its line number and the first violated rule, and
+reject entry carrying its line number and the first rule it breaks, and
 parsing continues. Serialization is canonical, so parse -> serialize is a
 byte-level identity on files this module wrote.
 
-Rows are parsed a block of ``ROW_BLOCK`` at a time: each numeric column of a
-block is converted in one pass, each label column is mapped to enum codes,
-and the host rules are evaluated over the block's columns to flag the rows
-that break them. Only the flagged rows go through the per-row rules of
-``_row_values``, which stay the one source of reject reasons and of their
-order. Writing joins a block's cells by hand and leaves only the cells that
-need quoting to the ``csv`` module.
+Rows are parsed a block of ``ROW_BLOCK`` at a time, and that is the only
+parse path: each label column of a block is mapped to enum codes, each
+numeric column is converted in one pass, and ``hosts.host_rules`` are
+evaluated over the block's columns as masks. A rejected row is given the
+first rule it breaks, in this order: the column count; ``cpu_vendor``,
+``os``, ``venue``; the numbers in column order; the host rules. Writing
+joins a block's cells by hand and quotes an id or country cell that holds a
+delimiter, quote or line break.
 
 Breakdown tables, ownership buckets and half-open histograms live here too;
 they read the columns of a host table regardless of where it came from.
@@ -38,13 +39,15 @@ from .hosts import (
     HOST_FIELDS,
     ID_FIELDS,
     INT_FIELDS,
+    NUMERIC_FIELDS,
     ROW_BLOCK,
     Categorical,
     CpuVendor,
     HostTable,
     OperatingSystem,
     Venue,
-    check_host,
+    host_rules,
+    row_sum,
 )
 
 HOST_CSV_COLUMNS = (
@@ -74,9 +77,6 @@ HOST_CSV_COLUMNS = (
 
 BREAKDOWN_KEYS = ("cpu_vendor", "os", "country", "venue")
 
-_VENDOR_BY_LABEL = {v.value: v for v in CpuVendor}
-_OS_BY_LABEL = {o.value: o for o in OperatingSystem}
-_VENUE_BY_LABEL = {v.value: v for v in Venue}
 # A block parse keeps the ids and countries as strings, and maps each enum
 # column's labels to codes over all of the enum's members.
 _TEXT_FIELDS = (*ID_FIELDS, "country")
@@ -124,91 +124,6 @@ class Histogram:
     bin_edges: tuple[float, ...]
     counts: tuple[int, ...]
     overflow: int
-
-
-def _float_field(name: str, text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ValueError(f"invalid {name}: {text!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"invalid {name}: {text!r}")
-    return value
-
-
-_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-
-
-def _int_field(name: str, text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ValueError(f"invalid {name}: {text!r}") from None
-    if not _INT64_MIN <= value <= _INT64_MAX:  # a host table column is int64
-        raise ValueError(f"invalid {name}: {text!r}")
-    return value
-
-
-def _row_values(row: Sequence[str]) -> dict:
-    """One CSV row as host field values, checked like a ``HostRecord``."""
-    if len(row) != len(HOST_CSV_COLUMNS):
-        raise ValueError("wrong column count")
-    (
-        host_id,
-        user_id,
-        n_cpus,
-        flops,
-        iops,
-        ram,
-        swap,
-        disk_total,
-        disk_free,
-        throughput,
-        on_f,
-        conn_f,
-        act_f,
-        eff,
-        vendor,
-        os_label,
-        country,
-        venue,
-        tz,
-        created,
-        last_contact,
-        share,
-    ) = row
-    if vendor not in _VENDOR_BY_LABEL:
-        raise ValueError(f"unknown cpu_vendor: {vendor!r}")
-    if os_label not in _OS_BY_LABEL:
-        raise ValueError(f"unknown os: {os_label!r}")
-    if venue not in _VENUE_BY_LABEL:
-        raise ValueError(f"unknown venue: {venue!r}")
-    values = dict(
-        host_id=host_id,
-        user_id=user_id,
-        n_cpus=_int_field("n_cpus", n_cpus),
-        flops_per_cpu=_float_field("flops_per_cpu_gflops", flops),
-        iops_per_cpu=_float_field("iops_per_cpu_giops", iops),
-        ram=_float_field("ram_mb", ram),
-        swap=_float_field("swap_gb", swap),
-        disk_total=_float_field("disk_total_gb", disk_total),
-        disk_free=_float_field("disk_free_gb", disk_free),
-        throughput_down=_float_field("throughput_down_kbps", throughput),
-        on_fraction=_float_field("on_fraction", on_f),
-        connected_fraction=_float_field("connected_fraction", conn_f),
-        active_fraction=_float_field("active_fraction", act_f),
-        cpu_efficiency=_float_field("cpu_efficiency", eff),
-        cpu_vendor=_VENDOR_BY_LABEL[vendor],
-        os=_OS_BY_LABEL[os_label],
-        country=country,
-        venue=_VENUE_BY_LABEL[venue],
-        tz_offset=_int_field("tz_offset_s", tz),
-        created=_int_field("created_utc", created),
-        last_contact=_int_field("last_contact_utc", last_contact),
-        resource_share=_float_field("resource_share", share),
-    )
-    check_host(values)
-    return values
 
 
 def parse_hosts(source) -> ParseResult:
@@ -272,63 +187,64 @@ def _row_blocks(reader):
 
 def _parse_block(rows, lines, columns, rejects) -> None:
     """Append the accepted ``rows`` to ``columns`` and the rejected ones to
-    ``rejects``, each with its reason from ``_row_values``."""
-    width = len(HOST_CSV_COLUMNS)
-    fits = np.fromiter(map(len, rows), np.intp, len(rows)) == width
-    shaped = rows if fits.all() else list(compress(rows, fits))
+    ``rejects``, each with the first rule it breaks: the column count, then
+    the labels, then the numbers in column order, then the host rules."""
+    fits = np.fromiter(map(len, rows), np.intp, len(rows)) == len(HOST_CSV_COLUMNS)
+    at = np.flatnonzero(fits).tolist()  # the index in ``rows`` of each shaped row
+    shaped = rows if len(at) == len(rows) else [rows[i] for i in at]
     n = len(shaped)
-    bad = np.zeros(n, bool)  # rows of ``shaped`` that break a rule
-    values = {}
-    texts_by_column = list(zip(*shaped)) or [()] * width
-    for name, csv_name, texts in zip(HOST_FIELDS, HOST_CSV_COLUMNS, texts_by_column):
-        if name in _TEXT_FIELDS:
-            values[name] = texts
-        elif name in _ENUM_CODES:
-            codes = np.fromiter(map(_ENUM_CODES[name].get, texts, repeat(-1)), np.intp, n)
-            bad |= codes < 0
-            values[name] = codes
-        else:
-            values[name] = _number_column(csv_name, texts, name in INT_FIELDS, bad)
+    why = dict.fromkeys(np.flatnonzero(~fits).tolist(), "wrong column count")
 
-    def violated(mask) -> bool:
-        np.logical_or(bad, mask, out=bad)
-        return False
+    def reject(broken, message, texts=None) -> None:
+        """Give each row of ``broken`` without an earlier reason this one."""
+        for i in np.flatnonzero(broken).tolist():
+            why.setdefault(at[i], message if texts is None else f"{message}: {texts[i]!r}")
 
-    check_host(values, violated)
+    texts = dict(zip(HOST_FIELDS, zip(*shaped) if n else repeat((), len(HOST_FIELDS))))
+    values = {name: texts[name] for name in _TEXT_FIELDS}
+    for name, codes in _ENUM_CODES.items():
+        values[name] = np.fromiter(map(codes.get, texts[name], repeat(-1)), np.intp, n)
+        reject(values[name] < 0, f"unknown {name}", texts[name])
+    for name, csv_name in zip(HOST_FIELDS, HOST_CSV_COLUMNS):
+        if name in NUMERIC_FIELDS:
+            values[name], broken = _number_column(texts[name], name in INT_FIELDS)
+            reject(broken, f"invalid {csv_name}", texts[name])
+    for broken, message in host_rules(values):
+        reject(broken, message)
 
-    flagged = ~fits
-    flagged[fits] = bad
-    for i in np.flatnonzero(flagged).tolist():
-        try:
-            _row_values(rows[i])
-        except ValueError as err:
-            rejects.append((lines[i], str(err)))
-    keep = ~bad
+    rejects.extend((lines[i], why[i]) for i in sorted(why))
+    keep = np.ones(len(rows), bool)
+    keep[np.fromiter(why, np.intp, len(why))] = False
+    keep = keep[at]
     whole = keep.all()
-    for name, col in values.items():
+    for name in HOST_FIELDS:
+        col = values[name]
         if isinstance(col, np.ndarray):
             columns[name].frombytes((col if whole else col[keep]).tobytes())
         else:
             columns[name].extend(col if whole else compress(col, keep))
 
 
-def _number_column(csv_name: str, texts, is_int: bool, bad: np.ndarray) -> np.ndarray:
-    """``texts`` as an int64 or float64 column; a cell that ``_int_field`` or
-    ``_float_field`` would refuse is set in ``bad``."""
+def _number_column(texts, is_int: bool) -> tuple[np.ndarray, np.ndarray]:
+    """``texts`` as an int64 or float64 column, and the mask of the cells that
+    are not an int64 integer or a finite float."""
     dtype = np.int64 if is_int else np.float64
+    convert = int if is_int else float
     try:
-        col = np.fromiter(map(int if is_int else float, texts), dtype, len(texts))
+        col = np.fromiter(map(convert, texts), dtype, len(texts))
+        broken = np.zeros(len(texts), bool)
     except (ValueError, OverflowError):  # a bad cell: convert one at a time
-        field = _int_field if is_int else _float_field
         col = np.zeros(len(texts), dtype)
+        broken = np.ones(len(texts), bool)
         for i, text in enumerate(texts):
             try:
-                col[i] = field(csv_name, text)
-            except ValueError:
-                bad[i] = True
+                col[i] = convert(text)
+            except (ValueError, OverflowError):
+                continue
+            broken[i] = False
     if not is_int:
-        bad |= ~np.isfinite(col)
-    return col
+        broken |= ~np.isfinite(col)
+    return col, broken
 
 
 def _text_columns(records: HostTable, rows: slice) -> list:
@@ -351,18 +267,15 @@ _CSV_SPECIAL = (",", '"', "\r", "\n")
 
 def _csv_cells(texts):
     """``texts`` as CSV cells. A text holding a delimiter, quote or line break
-    is rendered by the ``csv`` module, whose quoting of a bare carriage
-    return differs between Python versions; any other text is its own cell."""
+    is quoted with its quotes doubled, a bare carriage return included on
+    every Python version; any other text is its own cell."""
     joined = "".join(texts)
     if not any(c in joined for c in _CSV_SPECIAL):
         return texts
-    return [_csv_cell(t) if any(c in t for c in _CSV_SPECIAL) else t for t in texts]
-
-
-def _csv_cell(text: str) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow([text])
-    return buf.getvalue()[:-1]
+    return [
+        '"' + t.replace('"', '""') + '"' if any(c in t for c in _CSV_SPECIAL) else t
+        for t in texts
+    ]
 
 
 def serialize_hosts(records: HostTable, header_comment: str | None = None) -> str:
@@ -387,9 +300,9 @@ def breakdown(records: HostTable, key: str) -> list[BreakdownRow]:
 
     ``key`` is one of cpu_vendor, os, country, venue. The os key uses the
     flat per-version labels, one line per Windows version. Every sum adds
-    its hosts one by one in table order: ``np.bincount`` adds each group's
-    weights in row order, as the builtin ``sum`` does up to Python 3.11,
-    which the Total row uses.
+    its hosts one by one in table order, on every Python version:
+    ``np.bincount`` adds each group's weights in row order, and ``row_sum``
+    adds the Total row's the same way.
     """
     if key not in BREAKDOWN_KEYS:
         raise ValueError(f"unknown breakdown key: {key!r}")
@@ -417,7 +330,7 @@ def breakdown(records: HostTable, key: str) -> list[BreakdownRow]:
         if n
     ]
     rows.sort(key=lambda row: (-row.n_hosts, row.key))
-    rows.append(_row("Total", len(records), *(sum(col.tolist()) for col in columns)))
+    rows.append(_row("Total", len(records), *map(row_sum, columns)))
     return rows
 
 

@@ -106,6 +106,15 @@ def test_ingest_unreadable_input(tmp_path, capsys):
     assert "cannot read input" in capsys.readouterr().err
 
 
+def test_ingest_field_over_the_csv_limit(tmp_path, capsys, hosts_csv):
+    path, _ = hosts_csv
+    header, row = path.read_text().splitlines()[:2]
+    path.write_text(f"{header}\n{'x' * 200_000}{row[row.index(','):]}\n")
+    cfg = write_config(tmp_path, "ingest.json", {"input": str(path)})
+    assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "field larger than field limit" in capsys.readouterr().err
+
+
 def test_ingest_requires_input_key(tmp_path, capsys):
     cfg = write_config(tmp_path, "i.json", {})
     assert main(["ingest", "--config", cfg]) == 2

@@ -4,7 +4,6 @@ import csv
 import dataclasses
 import io
 import math
-from array import array
 from enum import Enum
 
 import pytest
@@ -12,11 +11,14 @@ from hypothesis import given, settings, strategies as st
 
 from volpool import ingest, presets
 from volpool.hosts import (
-    CATEGORICAL_FIELDS,
     HOST_FIELDS,
     ID_FIELDS,
     INT_FIELDS,
+    CpuVendor,
+    HostRecord,
     HostTable,
+    OperatingSystem,
+    Venue,
     whole_host_flops,
 )
 from volpool.ingest import (
@@ -79,6 +81,18 @@ def test_round_trip_through_file(tmp_path, canon_records):
     assert text.startswith("# fixture\n")
     again = parse_hosts(path)
     assert again.records == canon_records
+    assert again.rejects == ()
+
+
+def test_round_trip_through_file_keeps_a_bare_carriage_return(tmp_path, canon_records):
+    table = HostTable.from_records(
+        dataclasses.replace(host, host_id=f"a\rb{i}", country="J\rP")
+        for i, host in enumerate(canon_records)
+    )
+    path = tmp_path / "hosts.csv"
+    write_hosts_csv(table, path)
+    again = parse_hosts(path)
+    assert again.records == table
     assert again.rejects == ()
 
 
@@ -177,37 +191,65 @@ def test_serialized_row_uses_shortest_repr(canon_records):
     assert row[18] == "-18000"
 
 
-# -- block parse and joined write, against the row-by-row code they replaced -------
+# -- block parse and joined write, against row-by-row references -----------------
+
+
+def csv_line(cells) -> str:
+    """``cells`` as one CSV line. ``csv.writer`` quotes the characters of its
+    line terminator, so a bare ``\r`` is quoted on every Python version."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\r\n").writerow(cells)
+    return buf.getvalue()[:-2] + "\n"
+
+
+LABELS = {"cpu_vendor": CpuVendor, "os": OperatingSystem, "venue": Venue}
+
+
+def ref_number(csv_name, text, convert):
+    """One numeric cell: an int64 integer or a finite float."""
+    try:
+        value = convert(text)
+    except ValueError:
+        raise ValueError(f"invalid {csv_name}: {text!r}") from None
+    if not (-(2**63) <= value < 2**63 if convert is int else math.isfinite(value)):
+        raise ValueError(f"invalid {csv_name}: {text!r}")
+    return value
+
+
+def ref_host(row):
+    """One CSV row as a ``HostRecord``, its rules checked in reason order:
+    the column count, the labels, the numbers in column order, the host."""
+    if len(row) != len(ingest.HOST_CSV_COLUMNS):
+        raise ValueError("wrong column count")
+    cells = dict(zip(HOST_FIELDS, row))
+    for name, enum in LABELS.items():
+        if cells[name] not in {member.value for member in enum}:
+            raise ValueError(f"unknown {name}: {cells[name]!r}")
+    values = {}
+    for name, csv_name in zip(HOST_FIELDS, ingest.HOST_CSV_COLUMNS):
+        if name in LABELS:
+            values[name] = LABELS[name](cells[name])
+        elif name in ID_FIELDS or name == "country":
+            values[name] = cells[name]
+        else:
+            values[name] = ref_number(csv_name, cells[name], int if name in INT_FIELDS else float)
+    return HostRecord(**values)
 
 
 def ref_parse_stream(fh):
-    """The row-by-row parser: every row through ``_row_values``."""
+    """The row-by-row parser: every row through ``ref_host``."""
     reader = csv.reader(fh)
-    header = None
-    for row in reader:
-        if row and row[0].startswith("#"):
-            continue
-        header = row
-        break
+    header = next(row for row in reader if not (row and row[0].startswith("#")))
     assert tuple(header) == ingest.HOST_CSV_COLUMNS
-    columns = {
-        name: [] if name in ID_FIELDS or name in CATEGORICAL_FIELDS
-        else array("q" if name in INT_FIELDS else "d")
-        for name in HOST_FIELDS
-    }
-    appends = [(name, columns[name].append) for name in HOST_FIELDS]
-    rejects = []
+    records, rejects = [], []
     for row in reader:
         if not row:
             continue
         try:
-            values = ingest._row_values(row)
+            records.append(ref_host(row))
         except ValueError as err:
             rejects.append((reader.line_num, str(err)))
-            continue
-        for name, append in appends:
-            append(values[name])
-    return ingest.ParseResult(HostTable(**columns), tuple(rejects))
+    return ingest.ParseResult(HostTable.from_records(records), tuple(rejects))
 
 
 COLUMN = {name: i for i, name in enumerate(ingest.HOST_CSV_COLUMNS)}
@@ -221,18 +263,19 @@ BAD_CELLS = [
 NUMBER_TEXTS = [
     "nan", "inf", "1e400", "1_0", " 2 ", "+3", "9223372036854775808", "-9223372036854775809",
 ]
-IDS = ["a1", "x,y", "p\nq", "r\r\ns", 'say "hi"', ""]
+IDS = ["a1", "x,y", "p\nq", "r\r\ns", "a\rb", 'say "hi"', ""]
 
 
 @st.composite
 def csv_rows(draw):
-    """A CANON row with a few cells replaced, a quoted id, or a wrong width."""
+    """A CANON row with up to three cells replaced, so that one row can break
+    a label, a number and a host rule at once, a quoted id, or a wrong width."""
     row = draw(st.sampled_from(CANON_ROWS)).split(",")
     row[0] = draw(st.sampled_from(IDS))
     edits = st.sampled_from(BAD_CELLS) | st.tuples(
         st.sampled_from(ingest.HOST_CSV_COLUMNS), st.sampled_from(NUMBER_TEXTS)
     )
-    for column, text in draw(st.lists(edits, max_size=2)):
+    for column, text in draw(st.lists(edits, max_size=3)):
         row[COLUMN[column]] = text
     width = draw(st.sampled_from([0, 0, 0, -1, 1]))
     return row[:width] if width < 0 else row + ["extra"] * width
@@ -240,15 +283,10 @@ def csv_rows(draw):
 
 @st.composite
 def host_csv_texts(draw):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ingest.HOST_CSV_COLUMNS)
-    for row in draw(st.lists(csv_rows() | st.none(), max_size=12)):
-        if row is None:
-            buf.write("\n")  # a blank line, skipped but counted
-        else:
-            writer.writerow(row)
-    return buf.getvalue()
+    rows = draw(st.lists(csv_rows() | st.none(), max_size=12))
+    # None is a blank line, skipped but counted
+    lines = ("\n" if row is None else csv_line(row) for row in rows)
+    return csv_line(ingest.HOST_CSV_COLUMNS) + "".join(lines)
 
 
 @settings(max_examples=300, deadline=None)
@@ -275,18 +313,15 @@ def test_block_parse_matches_row_parse_on_a_generated_pool():
 
 
 def ref_serialize(records):
-    """Every row through ``csv.writer``, cells rendered one value at a time."""
+    """Every row through ``csv_line``, cells rendered one value at a time."""
 
     def cell(value):
         if isinstance(value, Enum):
             return value.value
         return repr(value) if isinstance(value, float) else str(value)
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(ingest.HOST_CSV_COLUMNS)
-    writer.writerows([cell(getattr(host, name)) for name in HOST_FIELDS] for host in records)
-    return buf.getvalue()
+    rows = ([cell(getattr(host, name)) for name in HOST_FIELDS] for host in records)
+    return "".join(map(csv_line, [ingest.HOST_CSV_COLUMNS, *rows]))
 
 
 CANON_HOSTS = list(parse_hosts(io.StringIO(CANON_TEXT)).records)

@@ -161,6 +161,15 @@ def _getter(selector):
     return derived.get(selector, lambda host: getattr(host, selector))
 
 
+def left_to_right(values) -> float:
+    """The sum of ``values`` added one at a time, in order, from 0.0, which
+    the builtin ``sum`` of Python 3.12+ does not do: it compensates."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def ref_histogram_of_values(values, bin_edges, field_name):
     edges = [float(e) for e in bin_edges]
     arr = np.asarray(list(values), dtype=float)
@@ -196,14 +205,14 @@ def ref_breakdown(records, key):
 
     def _row(label, members):
         n = len(members)
-        flops = [whole_host_flops(r) for r in members]
+        flops = left_to_right(whole_host_flops(r) for r in members)
         return ingest.BreakdownRow(
             key=label,
             n_hosts=n,
-            mean_flops=sum(flops) / n if n else 0.0,
-            total_flops=sum(flops),
-            mean_disk_free=sum(r.disk_free for r in members) / n if n else 0.0,
-            mean_throughput=sum(r.throughput_down for r in members) / n if n else 0.0,
+            mean_flops=flops / n if n else 0.0,
+            total_flops=flops,
+            mean_disk_free=left_to_right(r.disk_free for r in members) / n if n else 0.0,
+            mean_throughput=left_to_right(r.throughput_down for r in members) / n if n else 0.0,
         )
 
     rows = [_row(label, members) for label, members in groups.items()]
@@ -372,13 +381,13 @@ def test_columnar_functions_match_the_record_loops(table, silence_days, grid, th
     assert outcome(population.lifetime_stats, table, now) == outcome(ref_lifetime_stats, rows, now)
 
     assert repr(capacity.hardware_flops(table)) == repr(
-        float(sum(whole_host_flops(h) for h in rows)))
+        left_to_right(whole_host_flops(h) for h in rows))
     for selection in ((), ("on_fraction", "connected_fraction", "redundancy")):
         scale = math.prod(getattr(FACTORS, s) for s in selection if s != "redundancy")
         scale /= FACTORS.redundancy if "redundancy" in selection else 1.0
         assert repr(capacity.storage_potential(table, FACTORS, selection)) == repr(
-            float(sum(h.disk_free for h in rows)) * scale)
-    network = float(sum(kbps_to_bytes_per_s(h.throughput_down) for h in rows))
+            left_to_right(h.disk_free for h in rows) * scale)
+    network = left_to_right(kbps_to_bytes_per_s(h.throughput_down) for h in rows)
     assert repr(capacity.access_rate(table, FACTORS)) == repr(
         network * FACTORS.on_fraction * FACTORS.connected_fraction)
     for a, b in (("flops", "disk_free"), ("iops", "n_cpus"), ("ram", "tz_offset")):
