@@ -172,7 +172,8 @@ def compute_vs_rate_curve(
             avail = speed
             unsat = 1.0
         else:
-            avail = np.minimum(speed, link_hourly / r)
+            with np.errstate(over="ignore"):  # inf at a tiny rate; the speed caps it
+                avail = np.minimum(speed, link_hourly / r)
             unsat = float(np.mean(link_hourly >= r * speed)) if n else 1.0
         points.append(
             RateCurvePoint(

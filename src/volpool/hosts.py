@@ -5,8 +5,7 @@ disk, network throughput), the measured availability fractions, and ownership
 and locale attributes. A pool is a ``HostTable``: one column per record
 field, validated once per column. Generators and parsers build tables and
 everything downstream reads their columns; a ``HostRecord`` is one row of a
-table, for code that follows a single host, such as the simulator. Both are
-immutable.
+table, for code that follows a single host. Both are immutable.
 """
 
 from __future__ import annotations

@@ -135,7 +135,7 @@ def parse_hosts(source) -> ParseResult:
     """
     if hasattr(source, "read"):
         return _parse_stream(source)
-    with open(source, "r", newline="") as fh:
+    with open(source, "r", encoding="utf-8", newline="") as fh:
         return _parse_stream(fh)
 
 
@@ -292,7 +292,7 @@ def serialize_hosts(records: HostTable, header_comment: str | None = None) -> st
 
 
 def write_hosts_csv(records: HostTable, path, header_comment=None) -> None:
-    Path(path).write_text(serialize_hosts(records, header_comment))
+    Path(path).write_text(serialize_hosts(records, header_comment), encoding="utf-8")
 
 
 def breakdown(records: HostTable, key: str) -> list[BreakdownRow]:

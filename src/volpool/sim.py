@@ -5,21 +5,23 @@ lifetimes, and flip between on/off, connected/disconnected and
 allowed/blocked states through independent alternating renewal processes
 with exponential sojourns calibrated so the long-run fractions match each
 host's recorded availability. A central server hands out replicas of
-identical work units, at most one per user per unit, requiring ``min_quorum``
-matching results to validate and topping up replicas after mismatches,
-timeouts and host departures until ``max_replicas`` is exhausted.
+identical work units, at most one per host per unit (each host is its own
+user), requiring ``min_quorum`` matching results to validate and topping up
+replicas after mismatches, timeouts and host departures until
+``max_replicas`` is exhausted.
 
 A host fetches work only while communication is allowed, spacing RPCs by the
 stock client's minimum connection interval and requesting enough to cover at
 least that interval. It downloads one input file at a time at its own link
 speed (jointly capped by the optional server egress limit, shared max-min
-fairly), computes one replica at a time at ``whole_host_flops *
-cpu_efficiency`` (scaled by its resource share when other projects compete),
-and overlaps the next download with the current computation. Completed results return at the next allowed
-communication; results still out at their deadline are written off and
-reissued. Every replica gets the same deadline offset and passes through its
-host first in, first out, so the oldest replica on a host is always the next
-one due: each host keeps a single deadline event, armed on its oldest replica.
+fairly), computes one replica at a time at its pool's ``flops`` column times
+``cpu_efficiency`` (times ``resource_share`` when other projects compete),
+and overlaps the next download with the current computation. Completed
+results return at the next allowed communication; results still out at their
+deadline are written off and reissued. Every replica gets the same deadline
+offset and passes through its host first in, first out, so the oldest
+replica on a host is always the next one due: each host keeps a single
+deadline event, armed on its oldest replica.
 
 Everything random flows from one 64-bit seed: identical configs give
 identical reports, byte for byte. Time is seconds internally, days at the
@@ -41,7 +43,6 @@ import numpy as np
 
 from . import config
 from .capacity import CapacityFactors, potential_flops
-from .hosts import HostRecord, whole_host_flops
 from .population import ChurnModel, PoolSpec, generate_pool, pool_spec_from_config
 from .units import (
     GIGA,
@@ -112,7 +113,7 @@ class WorkUnit:
     n_results: int = 0
     state: WorkUnitState = WorkUnitState.IN_PROGRESS
     # scheduler bookkeeping
-    users: set = field(default_factory=set)
+    users: set = field(default_factory=set)  # indices of the hosts issued a replica
     n_correct: int = 0
     deficit: int = 0
     in_needs: bool = False
@@ -302,30 +303,30 @@ class _Replica:
 
 class _Host:
     __slots__ = (
-        "rec", "idx", "user", "alive", "arrive_s", "depart_s",
-        "on", "conn", "allow",
+        "idx", "alive", "arrive_s", "depart_s",
+        "fracs", "on", "conn", "allow",
         "flops_rate", "dl_cap", "mem_ok", "buffer_flop",
         "work", "n_done", "n_ready", "deadline_armed",
         "cp_running", "cp_mark", "cp_epoch",
-        "dl_running", "dl_rate", "dl_mark", "dl_epoch", "dl_tag", "dl_listed",
+        "dl_running", "dl_mark", "dl_epoch", "dl_tag", "dl_listed",
         "on_hand_flop", "next_fetch_s", "fetch_pending",
         "occ_mark",
     )
 
-    def __init__(self, rec: HostRecord, idx: int):
-        self.rec = rec
-        self.idx = idx
-        self.user = rec.user_id
+    def __init__(self, idx, arrive_s, depart_s, fracs, flops_rate, dl_cap, mem_ok,
+                 buffer_flop):
+        self.idx = idx  # also the host's user: one replica per host per unit
         self.alive = True
-        self.arrive_s = 0.0
-        self.depart_s = math.inf
+        self.arrive_s = arrive_s
+        self.depart_s = depart_s
+        self.fracs = fracs  # long-run on, connected, allowed fractions, by _PROC_*
         self.on = True
         self.conn = True
         self.allow = True
-        self.flops_rate = 0.0
-        self.dl_cap = kbps_to_mb_per_s(rec.throughput_down)
-        self.mem_ok = True
-        self.buffer_flop = 0.0
+        self.flops_rate = flops_rate
+        self.dl_cap = dl_cap  # MB/s
+        self.mem_ok = mem_ok
+        self.buffer_flop = buffer_flop
         # Replicas in fetch order: ``n_done`` computed ones awaiting return,
         # then ``n_ready`` downloaded ones, the first of which is computing,
         # then the one downloading and those waiting for input.
@@ -334,18 +335,17 @@ class _Host:
         self.n_ready = 0
         self.deadline_armed = False  # a deadline event is pending
         self.cp_running = False
-        self.cp_mark = 0.0
+        self.cp_mark = arrive_s
         self.cp_epoch = 0
         self.dl_running = False
-        self.dl_rate = 0.0
-        self.dl_mark = 0.0
+        self.dl_mark = arrive_s
         self.dl_epoch = 0
         self.dl_tag = None  # finish tag on the shared clock while at the fair share
         self.dl_listed = False  # in the engine's flow list under an egress cap
         self.on_hand_flop = 0.0
         self.next_fetch_s = -1.0
         self.fetch_pending = False
-        self.occ_mark = 0.0
+        self.occ_mark = arrive_s
 
     def comm_ok(self) -> bool:
         return self.on and self.conn and self.allow
@@ -469,7 +469,7 @@ class _Engine:
                 left = h.dl_tag - self._clock(now)
                 r.input_left = left if left > 0.0 else 0.0
             else:
-                moved = (now - h.dl_mark) * h.dl_rate
+                moved = (now - h.dl_mark) * h.dl_cap
                 if moved > r.input_left:
                     moved = r.input_left
                 if moved > 0.0:
@@ -478,17 +478,14 @@ class _Engine:
 
     def _sync_download_uncapped(self, h: _Host, now: float):
         desired = len(h.work) > h.n_done + h.n_ready and h.comm_ok() and h.dl_cap > 0.0
-        if desired and h.dl_running and h.dl_rate == h.dl_cap:
+        if desired and h.dl_running:
             return  # unchanged; completion event stands
         h.dl_epoch += 1
         h.dl_running = desired
         if desired:
-            h.dl_rate = h.dl_cap
             h.dl_mark = now
-            eta = now + h.work[h.n_done + h.n_ready].input_left / h.dl_rate
+            eta = now + h.work[h.n_done + h.n_ready].input_left / h.dl_cap
             self._push(eta, _EV_DL_DONE, h, h.dl_epoch)
-        else:
-            h.dl_rate = 0.0
 
     def _sync_download_capped(self, h: _Host, now: float):
         """Keep ``h`` listed in ``flows`` exactly while its download can run.
@@ -535,7 +532,6 @@ class _Engine:
         h.dl_epoch += 1
         h.dl_running = True
         h.dl_mark = now
-        h.dl_rate = h.dl_cap
         left = h.work[h.n_done + h.n_ready].input_left
         if h.dl_cap <= self.level:
             h.dl_tag = None
@@ -575,7 +571,7 @@ class _Engine:
     def _make_replica(self, wu: WorkUnit, h: _Host, now: float) -> _Replica:
         wu.replicas_issued += 1
         wu.deficit -= 1
-        wu.users.add(h.user)
+        wu.users.add(h.idx)
         self.seq += 1
         return _Replica(
             wu, self.task.flops_per_task, self.task.input_size,
@@ -590,7 +586,7 @@ class _Engine:
             if wu.state is not WorkUnitState.IN_PROGRESS or wu.deficit <= 0:
                 wu.in_needs = False
                 continue
-            if h.user in wu.users:
+            if h.idx in wu.users:
                 skipped.append(wu)
                 continue
             out.append(self._make_replica(wu, h, now))
@@ -622,7 +618,7 @@ class _Engine:
         if wu.state is not WorkUnitState.IN_PROGRESS:
             return
         if outcome is ResultOutcome.CORRECT:
-            wu.n_correct += 1  # one replica per user, so one per distinct user
+            wu.n_correct += 1  # one replica per host, and each host is its own user
         cfg = self.cfg
         needed = _still_needed(wu.n_correct, wu.n_results, cfg.min_quorum, cfg.max_replicas)
         if needed == 0:
@@ -702,39 +698,19 @@ class _Engine:
     # -- event handlers --------------------------------------------------------
 
     def _on_arrive(self, h: _Host, now: float):
-        f_on = h.rec.on_fraction
-        f_conn = h.rec.connected_fraction
-        f_allow = h.rec.active_fraction
-        cfg = self.cfg
-        h.arrive_s = now
-        h.flops_rate = (
-            whole_host_flops(h.rec) * GIGA * h.rec.cpu_efficiency
-            * (h.rec.resource_share if cfg.competing_share else 1.0)
-        )
-        h.mem_ok = h.rec.ram >= self.task.memory_footprint
-        h.buffer_flop = _buffer_s(cfg) * h.flops_rate
-        h.occ_mark = now
-        h.cp_mark = now
-        h.dl_mark = now
-
         if h.depart_s <= self.duration_s:
             self._push(h.depart_s, _EV_DEPART, h)
-        for proc, frac in ((_PROC_ON, f_on), (_PROC_CONN, f_conn), (_PROC_ALLOW, f_allow)):
+        states = []
+        for proc, frac in enumerate(h.fracs):
             if frac >= 1.0:
                 state = True
             elif frac <= 0.0:
                 state = False
             else:
                 state = self.rng.random() < frac
-                mean = self.dwell_s if state else self.dwell_s * (1.0 - frac) / frac
-                self._push_toggle(h, proc, now + self.rng.expovariate(1.0 / mean))
-            if proc == _PROC_ON:
-                h.on = state
-            elif proc == _PROC_CONN:
-                h.conn = state
-            else:
-                h.allow = state
-
+                self._push_toggle(h, proc, state, now)
+            states.append(state)
+        h.on, h.conn, h.allow = states
         self.live_hosts[h.idx] = h
         if h.comm_ok():
             self._try_fetch(h, now)
@@ -771,19 +747,23 @@ class _Engine:
         self._settle_compute(h, now)
         self._settle_download(h, now)
         if proc == _PROC_ON:
-            h.on = not h.on
-            frac, state = h.rec.on_fraction, h.on
+            h.on = state = not h.on
         elif proc == _PROC_CONN:
-            h.conn = not h.conn
-            frac, state = h.rec.connected_fraction, h.conn
+            h.conn = state = not h.conn
         else:
-            h.allow = not h.allow
-            frac, state = h.rec.active_fraction, h.allow
-        mean = self.dwell_s if state else self.dwell_s * (1.0 - frac) / frac
-        self._push_toggle(h, proc, now + self.rng.expovariate(1.0 / mean))
+            h.allow = state = not h.allow
+        self._push_toggle(h, proc, state, now)
         self._apply_transition(h, now)
 
-    def _push_toggle(self, h: _Host, proc: int, t: float):
+    def _push_toggle(self, h: _Host, proc: int, up: bool, now: float):
+        """Draw how long ``proc`` stays ``up`` (or down) from ``now``; push its flip.
+
+        Up sojourns average ``dwell_s``, down ones whatever makes the long-run
+        up fraction the host's fraction for ``proc``.
+        """
+        frac = h.fracs[proc]
+        mean = self.dwell_s if up else self.dwell_s * (1.0 - frac) / frac
+        t = now + self.rng.expovariate(1.0 / mean)
         # The departure was pushed first, so a toggle at or after it would
         # find the host gone; the draw that timed it is made all the same.
         if t < h.depart_s and t <= self.duration_s:
@@ -907,30 +887,34 @@ class _Engine:
         arrival_pool = generate_pool(
             replace(cfg.pool_spec, n_hosts=len(arrivals_d), seed=arrival_seed)
         )
-        arrival_pool = replace(
-            arrival_pool,
-            host_id=["a" + h for h in arrival_pool.host_id],
-            user_id=["a" + u for u in arrival_pool.user_id],
-        )
         lifetimes_d = cfg.churn.sample_lifetimes(
             len(initial) + len(arrival_pool), self.life_rng
         )
 
-        idx = 0
-        for rec, life in zip(initial, lifetimes_d[: len(initial)]):
-            h = _Host(rec, idx)
-            idx += 1
-            h.depart_s = life * SECONDS_PER_DAY
-            self._push(0.0, _EV_ARRIVE, h)
-        for rec, t_arr, life in zip(
-            arrival_pool, arrivals_d, lifetimes_d[len(initial):]
-        ):
-            h = _Host(rec, idx)
-            idx += 1
-            h.depart_s = (t_arr + life) * SECONDS_PER_DAY
-            self._push(t_arr * SECONDS_PER_DAY, _EV_ARRIVE, h)
+        def column(name):
+            return np.concatenate([initial.column(name), arrival_pool.column(name)])
 
-        del initial, arrival_pool  # each host keeps its own row; free the columns
+        # Each host's static values, a column at a time; host ``idx`` is row
+        # ``idx`` of the initial pool followed by the arrival pool.
+        arrive_d = np.concatenate([np.zeros(len(initial)), arrivals_d])
+        flops_rate = column("flops") * GIGA * column("cpu_efficiency")
+        if cfg.competing_share:
+            flops_rate = flops_rate * column("resource_share")
+        hosts = zip(
+            (arrive_d * SECONDS_PER_DAY).tolist(),
+            ((arrive_d + lifetimes_d) * SECONDS_PER_DAY).tolist(),
+            zip(*(column(name).tolist() for name in
+                  ("on_fraction", "connected_fraction", "active_fraction"))),
+            flops_rate.tolist(),
+            kbps_to_mb_per_s(column("throughput_down")).tolist(),
+            (column("ram") >= self.task.memory_footprint).tolist(),
+            (_buffer_s(cfg) * flops_rate).tolist(),
+        )
+        del initial, arrival_pool  # the hosts hold their values; free the columns
+        for idx, values in enumerate(hosts):
+            h = _Host(idx, *values)
+            self._push(h.arrive_s, _EV_ARRIVE, h)
+
         step = cfg.timeline_step_hours * SECONDS_PER_HOUR
         t = step
         while t < self.duration_s:

@@ -7,6 +7,7 @@ compared against the library.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -208,6 +209,15 @@ def test_curve_at_zero_equals_potential(reference_pool_2k):
     expected = utilization_product(f) * hardware_flops(reference_pool_2k)
     assert points[0].total_flops == pytest.approx(expected, rel=1e-12)
     assert points[0].unsaturated_fraction == 1.0
+
+
+def test_curve_at_a_tiny_rate_equals_the_zero_rate_point():
+    # link / 1e-310 overflows to inf, which the host's speed caps
+    pool = HostTable.from_records([one_host(1.0, 1000.0), one_host(2.5, 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zero, tiny = compute_vs_rate_curve(pool, [0.0, 1e-310], unit_factors())
+    assert tiny.total_flops == zero.total_flops
 
 
 def test_curve_monotone(reference_pool_2k):

@@ -6,8 +6,11 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
 import signal
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -113,6 +116,33 @@ def test_ingest_field_over_the_csv_limit(tmp_path, capsys, hosts_csv):
     cfg = write_config(tmp_path, "ingest.json", {"input": str(path)})
     assert main(["ingest", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "field larger than field limit" in capsys.readouterr().err
+
+
+def test_host_csvs_are_utf8_under_an_ascii_locale(tmp_path):
+    """Host CSVs are read and written as UTF-8 whatever the locale says."""
+    pool = pop.generate_pool(presets.reference_pool_spec(n_hosts=3, seed=4))
+    pool = dataclasses.replace(pool, country=["Côte d'Ivoire"] * len(pool))
+    src = tmp_path / "hosts.csv"
+    src.write_text(ing.serialize_hosts(pool), encoding="utf-8")
+    cfg = write_config(tmp_path, "ingest.json", {"input": str(src)})
+    out = tmp_path / "out"
+    written = tmp_path / "written.csv"
+    env = {**os.environ, "LC_ALL": "C",
+           "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONUTF8", None)
+    ascii_python = [sys.executable, "-X", "utf8=0"]
+    done = subprocess.run(
+        ascii_python + ["-m", "volpool.cli", "ingest", "--config", cfg, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert ing.parse_hosts(out / "hosts.parsed.csv").records == pool
+    script = ("import sys; from volpool import ingest; "
+              "ingest.write_hosts_csv(ingest.parse_hosts(sys.argv[1]).records, sys.argv[2])")
+    done = subprocess.run(ascii_python + ["-c", script, str(src), str(written)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert written.read_bytes() == src.read_bytes()
 
 
 def test_ingest_requires_input_key(tmp_path, capsys):

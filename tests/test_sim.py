@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from volpool import sim as simmod
 from volpool.capacity import compute_vs_rate_curve, utilization_product
+from volpool.hosts import HostRecord
 from volpool.population import ChurnModel, EmpiricalDistribution, generate_pool
 from volpool.sim import (
     QuorumOutcome,
@@ -564,7 +565,7 @@ class _LoggingEngine(simmod._Engine):
         return r
 
     def _assign(self, h, n, now):
-        self.fetches.append((h.rec.host_id, now / DAY_S))
+        self.fetches.append((h.idx, now / DAY_S))
         return super()._assign(h, n, now)
 
     def _deliver(self, r, outcome):
@@ -572,8 +573,8 @@ class _LoggingEngine(simmod._Engine):
         deciding = wu.state is WorkUnitState.IN_PROGRESS
         results = self.results[wu.id]
         h = self.host_of[r]
-        results.append(ResultRecord(h.user, outcome))
-        self.returns.append((h.rec.host_id, outcome, self.now / DAY_S))
+        results.append(ResultRecord(h.idx, outcome))
+        self.returns.append((h.idx, outcome, self.now / DAY_S))
         if outcome is ResultOutcome.TIMED_OUT:
             self.timeouts.append((r.deadline_s, self.now))
         super()._deliver(r, outcome)
@@ -658,8 +659,8 @@ def test_workhorse_unit_invariants(workhorse):
 
 def test_workhorse_results_bounded_by_membership(workhorse):
     _, engine, r = workhorse
-    depart = {h.rec.host_id: h.depart_s / DAY_S for h in engine.hosts}
-    arrive = {h.rec.host_id: h.arrive_s / DAY_S for h in engine.hosts}
+    depart = {h.idx: h.depart_s / DAY_S for h in engine.hosts}
+    arrive = {h.idx: h.arrive_s / DAY_S for h in engine.hosts}
     assert len(engine.returns) == r.n_results
     for host_id, outcome, day in engine.returns:
         assert 0.0 <= day <= r.duration_days + 1e-9
@@ -762,6 +763,23 @@ def test_different_seed_different_run():
     a = run_simulation(churny_config(33))
     c = run_simulation(churny_config(34))
     assert a.achieved_flops != c.achieved_flops
+
+
+def test_a_run_builds_no_host_records(monkeypatch):
+    """The engine reads both pools by column, arrivals included, never by row."""
+    built = []
+    original = HostRecord.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(HostRecord, "__init__", counted)
+    engine = _LoggingEngine(churny_config(33))
+    report = engine.run()
+    assert any(h.arrive_s > 0.0 for h in engine.hosts)
+    assert report.n_results > 0
+    assert built == []
 
 
 # -- analytic comparison ---------------------------------------------------------------
