@@ -8,9 +8,11 @@ on-fraction, active-fraction, redundancy overhead, project share) gives the
 FLOPS a project can actually bank.
 
 The second half handles data-limited workloads. A workload's data rate R is
-MB of input per 3.6e12 FLOP of computing. A host whose link can no longer
-feed its CPU at rate R is saturated; its contribution flattens at what the
-link delivers. Sweeping R produces the pool's compute-versus-data-rate curve.
+MB of input per 3.6e12 FLOP of computing, an hour of a 1 GFLOPS machine, so
+R is also MB per hour per GFLOPS of sustained speed. A host whose link can no
+longer feed its CPU at rate R is saturated; its contribution flattens at what
+the link delivers. Sweeping R produces the pool's compute-versus-data-rate
+curve.
 
 Everything here is closed-form over a host table's columns; nothing samples.
 """
@@ -23,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import config
-from .hosts import HostRecord, HostTable, row_sum, whole_host_flops
+from .hosts import HostTable, row_sum
 from .units import (
     MB_PER_MBPS_HOUR,
     MEGA,
@@ -114,17 +116,23 @@ def hardware_flops(pool: HostTable) -> float:
     return row_sum(pool.column("flops"))
 
 
-def critical_data_rate(host: HostRecord) -> float:
-    """Largest data rate this host's link can feed its CPU, in MB/quantum.
+def _link_mb_per_hour(pool: HostTable) -> np.ndarray:
+    """MB each host's downstream link delivers in an hour."""
+    return MB_PER_MBPS_HOUR * kbps_to_mbps(pool.throughput_down)
+
+
+def critical_data_rate(pool: HostTable) -> np.ndarray:
+    """Each host's crossover data rate, in MB per 3.6e12 FLOP.
 
     A host computing at s GFLOPS consumes R*s MB per hour at data rate R,
-    while a b Mbps link delivers 450*b MB per hour; the crossover is
-    450*b/s. A host with no measured speed has no defined crossover.
+    while a b Mbps link delivers 450*b MB per hour; the crossover is 450*b/s.
+    At or below it the CPU limits the host, above it the link does. A host
+    with no speed is never link-bound: its crossover is infinite.
     """
-    speed = whole_host_flops(host)
-    if speed <= 0:
-        raise ValueError("undefined critical rate for zero-speed host")
-    return MB_PER_MBPS_HOUR * kbps_to_mbps(host.throughput_down) / speed
+    speed = pool.column("flops")
+    crossover = np.full(len(pool), np.inf)
+    with np.errstate(over="ignore"):  # inf at a tiny speed, which is right
+        return np.divide(_link_mb_per_hour(pool), speed, out=crossover, where=speed > 0)
 
 
 def rate_grid(r_grid: Sequence[float]) -> list[float]:
@@ -152,12 +160,13 @@ def compute_vs_rate_curve(
     utilization product, either the pool-average one from ``factors`` or,
     with ``per_host_factors``, each host's own fractions (redundancy still
     comes from ``factors``). ``unsaturated_fraction`` is the share of hosts
-    whose critical rate is at or above the grid point.
+    whose ``critical_data_rate`` is at or above the grid point.
     """
     grid = rate_grid(r_grid)
     n = len(pool)
     speed = pool.column("flops")
-    link_hourly = MB_PER_MBPS_HOUR * kbps_to_mbps(pool.throughput_down)
+    link_hourly = _link_mb_per_hour(pool)
+    crossover = critical_data_rate(pool)
     if per_host_factors:
         util = (
             pool.cpu_efficiency * pool.on_fraction * pool.active_fraction
@@ -170,16 +179,14 @@ def compute_vs_rate_curve(
     for r in grid:
         if r == 0:
             avail = speed
-            unsat = 1.0
         else:
             with np.errstate(over="ignore"):  # inf at a tiny rate; the speed caps it
                 avail = np.minimum(speed, link_hourly / r)
-            unsat = float(np.mean(link_hourly >= r * speed)) if n else 1.0
         points.append(
             RateCurvePoint(
                 data_rate=r,
                 total_flops=float(np.sum(avail * util)),
-                unsaturated_fraction=unsat,
+                unsaturated_fraction=float(np.mean(crossover >= r)) if n else 1.0,
             )
         )
     return points

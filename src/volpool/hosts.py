@@ -4,8 +4,9 @@ A host record bundles the hardware inventory (CPUs, benchmark speeds, memory,
 disk, network throughput), the measured availability fractions, and ownership
 and locale attributes. A pool is a ``HostTable``: one column per record
 field, validated once per column. Generators and parsers build tables and
-everything downstream reads their columns; a ``HostRecord`` is one row of a
-table, for code that follows a single host. Both are immutable.
+everything downstream, per-host figures such as the crossover data rate
+included, reads their columns. A ``HostRecord`` is only what indexing or
+iterating a table gives: one row of Python scalars. Both are immutable.
 """
 
 from __future__ import annotations
@@ -144,11 +145,6 @@ def check_host(values: Mapping, is_broken=bool) -> None:
     for test, message in host_rules(values):
         if is_broken(test):
             raise ValueError(message)
-
-
-def whole_host_flops(host: HostRecord) -> float:
-    """Aggregate nominal speed of the box in GFLOPS."""
-    return host.n_cpus * host.flops_per_cpu
 
 
 HOST_FIELDS = tuple(f.name for f in fields(HostRecord))

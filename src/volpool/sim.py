@@ -46,7 +46,6 @@ from .capacity import CapacityFactors, potential_flops
 from .population import ChurnModel, PoolSpec, generate_pool, pool_spec_from_config
 from .units import (
     GIGA,
-    RATE_QUANTUM_FLOP,
     SECONDS_PER_DAY,
     SECONDS_PER_HOUR,
     kbps_to_mb_per_s,
@@ -89,11 +88,6 @@ class TaskSpec:
             raise ValueError("deadline must be positive")
         if self.memory_footprint <= 0:
             raise ValueError("memory_footprint must be positive")
-
-    @property
-    def data_rate(self) -> float:
-        """MB of input per 3.6e12 FLOP of computing."""
-        return self.input_size / (self.flops_per_task / RATE_QUANTUM_FLOP)
 
 
 @dataclass(frozen=True)
@@ -1093,15 +1087,14 @@ def sim_config_from_config(cfg: Mapping, seed_override: int | None = None) -> Si
         work_buffer_days=optional("work_buffer_days"),
         timeline_step_hours=config.number(cfg, "timeline_step_hours", 6.0, top),
     )
+    f = factors_from_sim_config(sim_cfg)
     days = sim_cfg.duration_days
-    arrivals = churn.mean_arrival_rate(days) * days
+    arrivals = f.arrival_rate * days
     config.within_limit(arrivals, "expected arrivals")
     config.within_limit(days * 24.0 / sim_cfg.timeline_step_hours, "timeline samples")
     # every host fetches a full buffer on arrival, and each fetch at least one task
     mean_flops = (
-        pool.field_mean("n_cpus") * pool.field_mean("flops_per_cpu") * GIGA
-        * pool.field_mean("cpu_efficiency")
-        * (pool.field_mean("resource_share") if sim_cfg.competing_share else 1.0)
+        f.mean_ncpus * f.mean_flops_per_cpu * GIGA * f.cpu_efficiency * f.resource_share
     )
     per_host = max(1.0, _buffer_s(sim_cfg) * mean_flops / task.flops_per_task)
     config.within_limit((pool.n_hosts + arrivals) * per_host, "expected buffered replicas")

@@ -16,11 +16,6 @@ GIGA = 1e9
 
 GB_PER_PB = 1e6
 
-# FLOP executed by a 1 GFLOPS machine in one hour. A workload's data rate R
-# is expressed as MB of input consumed per this many FLOP, so R is also
-# "MB per hour per GFLOPS of sustained speed".
-RATE_QUANTUM_FLOP = 1e9 * SECONDS_PER_HOUR  # 3.6e12
-
 # MB moved in one hour by a sustained 1 Mbps stream (= 450.0).
 MB_PER_MBPS_HOUR = (MEGA / BITS_PER_BYTE) * SECONDS_PER_HOUR / MEGA
 

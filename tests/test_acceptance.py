@@ -74,8 +74,8 @@ def test_criterion_03_critical_rate_identity():
     # one sustained Mbps moves (1e6/8) bytes each second; over an hour and
     # scaled to decimal megabytes that is the whole identity
     derived = (10**6 / 8) * 3600 / 10**6
-    host = generate_pool(flat_spec(1, seed=1, flops=1.0, thr=1000.0))[0]
-    rate = critical_data_rate(host)
+    pool = generate_pool(flat_spec(1, seed=1, flops=1.0, thr=1000.0))
+    rate = critical_data_rate(pool)[0]
     ok = derived == 450.0 and rate == 450.0
     check(3, ok, f"critical_data_rate(1 GFLOPS, 1 Mbps) = {rate} (derived {derived})")
 

@@ -154,16 +154,22 @@ def test_hardware_flops_examples():
     assert hardware_flops(pool) == pytest.approx(3.0)
 
 
+def crossover(host) -> float:
+    """The critical data rate of a one-host pool."""
+    return critical_data_rate(HostTable.from_records([host]))[0]
+
+
 def test_critical_rate_reference_host():
     host = one_host(speed_gflops=1.0, kbps=1000.0)  # 1 GFLOPS, 1 Mbps
-    assert critical_data_rate(host) == MB_PER_HOUR_AT_1MBPS == 450.0
+    assert crossover(host) == MB_PER_HOUR_AT_1MBPS == 450.0
 
 
 def test_critical_rate_scaling():
-    assert critical_data_rate(one_host(2.0, 1000.0)) == pytest.approx(225.0)
-    assert critical_data_rate(one_host(1.0, 0.0)) == 0.0
-    with pytest.raises(ValueError, match="undefined critical rate"):
-        critical_data_rate(one_host(0.0, 1000.0))
+    assert crossover(one_host(2.0, 1000.0)) == pytest.approx(225.0)
+    assert crossover(one_host(1.0, 0.0)) == 0.0
+    # no speed, so never link-bound
+    assert crossover(one_host(0.0, 1000.0)) == math.inf
+    assert crossover(one_host(0.0, 0.0)) == math.inf
 
 
 def available_flops(host, data_rate):
@@ -195,8 +201,7 @@ def test_available_flops_monotone_and_capped(speed, kbps, r1, r2):
     a_hi = available_flops(host, hi)
     assert a_hi <= a_lo + 1e-12
     assert a_lo <= speed * (1 + 1e-12)
-    crit = critical_data_rate(host)
-    if hi <= crit:
+    if hi <= crossover(host):
         assert a_hi == pytest.approx(speed)
 
 
@@ -240,13 +245,19 @@ def test_curve_single_host_threshold():
 
 
 def test_curve_unsaturated_fraction_counts_hosts(reference_pool_2k):
-    r = 450.0
-    points = compute_vs_rate_curve(reference_pool_2k, [r], measured_factors())
-    direct = sum(
-        1 for h in reference_pool_2k if critical_data_rate(h) >= r
-    ) / len(reference_pool_2k)
-    assert points[0].unsaturated_fraction == pytest.approx(direct)
-    assert 0.0 < points[0].unsaturated_fraction < 1.0
+    # one host that is never link-bound and one that is at every positive rate
+    edge = HostTable.from_records([one_host(0.0, 1000.0), one_host(1.0, 0.0)])
+    pool = HostTable.concat([reference_pool_2k, edge])
+    crit = critical_data_rate(pool)
+    assert crit[-2] == math.inf and crit[-1] == 0.0
+    # rates at hosts' own crossovers, where link >= r * speed and link / speed
+    # >= r can round differently
+    grid = list(np.unique(np.append(crit[:-2:20], [0.0, 450.0])))
+    points = compute_vs_rate_curve(pool, grid, measured_factors())
+    for r, p in zip(grid, points):
+        assert p.unsaturated_fraction == np.mean(crit >= r)
+    assert points[0].unsaturated_fraction == 1.0
+    assert 0.0 < points[grid.index(450.0)].unsaturated_fraction < 1.0
 
 
 def test_curve_grid_validation(reference_pool_2k):

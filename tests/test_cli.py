@@ -565,6 +565,13 @@ MALFORMED = [
                               "churn": {"arrival_rate": 0}},
                  "expected buffered replicas of 9.6375e+06 exceeds the limit",
                  id="simulate-huge-buffer"),
+    # negative pool means used to pass the reader, then crash after the run
+    pytest.param("simulate",
+                 {"duration_days": 1, "pool": {"n_hosts": 5, "fields": {"n_cpus": -1}}},
+                 "mean_ncpus is negative", id="simulate-negative-cpus"),
+    pytest.param("simulate",
+                 {"duration_days": 1, "pool": {"n_hosts": 5, "fields": {"flops_per_cpu": -2.0}}},
+                 "mean_flops_per_cpu is negative", id="simulate-negative-speed"),
     pytest.param("sweep", {"pool": {"n_hosts": 5}, "rates": {"n": 10**9}},
                  "rates option 'n' of 1e+09 exceeds the limit", id="sweep-huge-grid"),
     pytest.param("stats", {"pool": {"n_hosts": 5, "fields": {

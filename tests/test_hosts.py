@@ -1,9 +1,8 @@
-"""Host record model: whole-host aggregates, validation and field selectors."""
+"""Host record model: validation and field selectors."""
 
 import dataclasses
 
 import pytest
-from hypothesis import given, strategies as st
 
 from volpool.hosts import (
     CpuVendor,
@@ -11,7 +10,6 @@ from volpool.hosts import (
     OperatingSystem,
     HostTable,
     Venue,
-    whole_host_flops,
 )
 
 
@@ -42,25 +40,6 @@ def make_host(**overrides) -> HostRecord:
     )
     base.update(overrides)
     return HostRecord(**base)
-
-
-# -- whole-host speed -----------------------------------------------------------
-
-
-def test_whole_host_flops_examples():
-    assert whole_host_flops(make_host(n_cpus=1, flops_per_cpu=1.613)) == 1.613
-    assert whole_host_flops(make_host(n_cpus=2, flops_per_cpu=0.8)) == pytest.approx(1.6)
-    assert whole_host_flops(make_host(n_cpus=4, flops_per_cpu=0.0)) == 0.0
-
-
-@given(
-    n=st.integers(min_value=1, max_value=64),
-    speed=st.floats(min_value=0.0, max_value=100.0),
-)
-def test_whole_host_flops_linear(n, speed):
-    one = whole_host_flops(make_host(n_cpus=1, flops_per_cpu=speed))
-    many = whole_host_flops(make_host(n_cpus=n, flops_per_cpu=speed))
-    assert many == pytest.approx(n * one)
 
 
 # -- record validation ------------------------------------------------------------

@@ -19,7 +19,6 @@ from volpool.hosts import (
     HostTable,
     OperatingSystem,
     Venue,
-    whole_host_flops,
 )
 from volpool.ingest import (
     auto_edges,
@@ -494,7 +493,7 @@ def test_histogram_permutation_invariant(values, seed):
 def test_histogram_over_records(canon_records):
     h = histogram_of_values(canon_records.column("flops"), [0.0, 1.0, 2.0, 4.0], "flops")
     direct = histogram_of_values(
-        [whole_host_flops(r) for r in canon_records], [0.0, 1.0, 2.0, 4.0], "flops"
+        [r.n_cpus * r.flops_per_cpu for r in canon_records], [0.0, 1.0, 2.0, 4.0], "flops"
     )
     assert h == direct
     assert h.counts == (1, 1, 1)  # 0.755, 1.5, 3.474

@@ -377,11 +377,6 @@ def test_task_spec_validation():
         TaskSpec(flops_per_task=1.0, input_size=1.0, deadline=0.0)
 
 
-def test_task_data_rate():
-    assert TaskSpec(flops_per_task=1e12, input_size=1250.0).data_rate == 4500.0
-    assert TaskSpec(flops_per_task=3.6e12, input_size=450.0).data_rate == 450.0
-
-
 def test_sim_config_validation():
     ok = dict(
         duration_days=1.0, seed=1, churn=NO_CHURN,
@@ -425,7 +420,8 @@ def test_single_dedicated_host_tracks_hardware_speed():
 def test_network_bound_run_matches_saturation_formula():
     """Input data 10x the link-feedable rate cuts throughput to a tenth."""
     task = TaskSpec(flops_per_task=1e12, input_size=1250.0, deadline=5.0)
-    assert task.data_rate == 4500.0
+    data_rate = 1250.0 / (1e12 / 3.6e12)  # MB per 3.6e12 FLOP
+    assert data_rate == 4500.0
     cfg = SimConfig(
         duration_days=40.0, seed=13, churn=NO_CHURN,
         pool_spec=flat_spec(20, seed=5),
@@ -434,7 +430,7 @@ def test_network_bound_run_matches_saturation_formula():
     factors = factors_from_sim_config(cfg)
     assert utilization_product(factors) == 1.0  # always on, quorum 1
     # 1 GFLOPS at 1 Mbps: critical rate 450, so 4500 leaves a tenth
-    curve = compute_vs_rate_curve(generate_pool(cfg.pool_spec), [task.data_rate], factors)
+    curve = compute_vs_rate_curve(generate_pool(cfg.pool_spec), [data_rate], factors)
     predicted = curve[0].total_flops
     assert predicted == pytest.approx(2.0)
     r = run_simulation(cfg)

@@ -9,7 +9,6 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Public on purpose, though no code outside the tests calls them.
 ALLOWED = {
-    "critical_data_rate": "the per-host crossover rate that criterion 3 checks",
     "validate_quorum": "the reference quorum rule that criterion 6 checks the engine against",
     "conditional_aggregate": "compute over hosts meeting a RAM or disk threshold, "
                              "the paper's memory and storage claim",

@@ -19,7 +19,6 @@ from volpool.hosts import (
     HostTable,
     OperatingSystem,
     Venue,
-    whole_host_flops,
 )
 from volpool.units import MB_PER_MBPS_HOUR, SECONDS_PER_DAY, kbps_to_bytes_per_s, kbps_to_mbps
 
@@ -157,7 +156,8 @@ def test_parse_rejects_integers_outside_int64():
 
 
 def _getter(selector):
-    derived = {"flops": whole_host_flops, "iops": lambda host: host.n_cpus * host.iops_per_cpu}
+    derived = {"flops": lambda host: host.n_cpus * host.flops_per_cpu,
+               "iops": lambda host: host.n_cpus * host.iops_per_cpu}
     return derived.get(selector, lambda host: getattr(host, selector))
 
 
@@ -205,7 +205,7 @@ def ref_breakdown(records, key):
 
     def _row(label, members):
         n = len(members)
-        flops = left_to_right(whole_host_flops(r) for r in members)
+        flops = left_to_right(r.n_cpus * r.flops_per_cpu for r in members)
         return ingest.BreakdownRow(
             key=label,
             n_hosts=n,
@@ -255,10 +255,13 @@ def ref_lifetime_stats(records, now):
 
 def ref_rate_curve(pool, grid, factors, per_host_factors):
     n = len(pool)
-    speed = np.asarray([whole_host_flops(h) for h in pool], dtype=float)
+    speed = np.asarray([h.n_cpus * h.flops_per_cpu for h in pool], dtype=float)
     link_hourly = np.asarray(
         [MB_PER_MBPS_HOUR * kbps_to_mbps(h.throughput_down) for h in pool], dtype=float
     )
+    # each host's crossover rate as documented; a host with no speed never saturates
+    crossover = [link / s if s > 0 else math.inf
+                 for link, s in zip(link_hourly.tolist(), speed.tolist())]
     if per_host_factors:
         util = np.asarray(
             [h.cpu_efficiency * h.on_fraction * h.active_fraction * h.resource_share
@@ -270,10 +273,10 @@ def ref_rate_curve(pool, grid, factors, per_host_factors):
     points = []
     for r in grid:
         if r == 0:
-            avail, unsat = speed, 1.0
+            avail = speed
         else:
             avail = np.minimum(speed, link_hourly / r)
-            unsat = float(np.mean(link_hourly >= r * speed)) if n else 1.0
+        unsat = sum(c >= r for c in crossover) / n if n else 1.0
         points.append(capacity.RateCurvePoint(
             data_rate=r, total_flops=float(np.sum(avail * util)), unsaturated_fraction=unsat
         ))
@@ -381,7 +384,7 @@ def test_columnar_functions_match_the_record_loops(table, silence_days, grid, th
     assert outcome(population.lifetime_stats, table, now) == outcome(ref_lifetime_stats, rows, now)
 
     assert repr(capacity.hardware_flops(table)) == repr(
-        left_to_right(whole_host_flops(h) for h in rows))
+        left_to_right(h.n_cpus * h.flops_per_cpu for h in rows))
     for selection in ((), ("on_fraction", "connected_fraction", "redundancy")):
         scale = math.prod(getattr(FACTORS, s) for s in selection if s != "redundancy")
         scale /= FACTORS.redundancy if "redundancy" in selection else 1.0
