@@ -378,11 +378,8 @@ def cmd_simulate(args, meta: Mapping, sim_cfg: simmod.SimConfig) -> int:
     _write_csv(
         _outpath(args, "timeline.csv"),
         meta,
-        ("time_days", "active_hosts", "validated_workunits",
-         "achieved_gflops", "raw_gflops", "bytes_downloaded"),
-        ((s.time_days, s.active_hosts, s.validated_workunits,
-          s.achieved_gflops, s.raw_gflops, s.bytes_downloaded)
-         for s in report.timeline),
+        [f.name for f in dataclasses.fields(simmod.TimelineSample)],
+        map(dataclasses.astuple, report.timeline),
     )
     factors = simmod.factors_from_sim_config(sim_cfg)
     try:
@@ -393,7 +390,7 @@ def cmd_simulate(args, meta: Mapping, sim_cfg: simmod.SimConfig) -> int:
     _write_json(_outpath(args, "analytic_comparison.json"), meta, payload)
     print(
         f"simulate: {report.n_validated} validated of {report.n_workunits} "
-        f"workunits, {report.achieved_flops:.3f} GFLOPS sustained"
+        f"workunits, {report.achieved_gflops:.3f} GFLOPS sustained"
     )
     return 0
 

@@ -52,13 +52,11 @@ class EmpiricalDistribution:
     """A distribution represented by its sorted sample vector.
 
     ``quantile`` inverts the empirical CDF: a uniform draw picks one of the
-    stored samples (plain resampling), or linearly interpolates between
-    neighbouring order statistics when ``interpolate`` is set. The mean of
-    the resampling distribution equals the sample mean exactly.
+    stored samples, each with equal probability, so the mean of the draws is
+    the mean of the stored samples.
     """
 
     sorted_samples: tuple[float, ...]
-    interpolate: bool = False
 
     def __post_init__(self):
         if len(self.sorted_samples) == 0:
@@ -72,9 +70,6 @@ class EmpiricalDistribution:
     def _array(self) -> np.ndarray:
         return np.asarray(self.sorted_samples, dtype=float)
 
-    def mean(self) -> float:
-        return float(np.mean(self._array))
-
     def quantile(self, u):
         """Inverse CDF at u in [0, 1); accepts scalars or arrays."""
         arr = self._array
@@ -82,11 +77,7 @@ class EmpiricalDistribution:
         u = np.asarray(u, dtype=float)
         if np.any((u < 0.0) | (u >= 1.0)):
             raise ValueError("quantile argument outside [0, 1)")
-        if self.interpolate:
-            out = np.interp(u * (n - 1), np.arange(n), arr)
-        else:
-            idx = np.minimum((u * n).astype(np.int64), n - 1)
-            out = arr[idx]
+        out = arr[np.minimum((u * n).astype(np.int64), n - 1)]
         return out if out.ndim else float(out)
 
     @classmethod
@@ -181,14 +172,35 @@ class ChurnModel:
 _SIGNED_FIELDS = frozenset({"tz_offset"})
 
 
+def _finish(name: str, values: np.ndarray) -> np.ndarray:
+    """The host values that a field's generator values become.
+
+    Fractions are clipped to [0, 1], every other field except ``tz_offset``
+    is floored at 0, integer fields are rounded, and ``n_cpus`` is raised to
+    at least 1. The result stays float; ``generate_pool`` casts the integer
+    columns.
+    """
+    if name in FRACTION_FIELDS:
+        values = np.clip(values, 0.0, 1.0)
+    elif name not in _SIGNED_FIELDS:
+        values = np.maximum(values, 0.0)
+    if name in INT_FIELDS:
+        values = np.rint(values)
+    if name == "n_cpus":
+        values = np.maximum(values, 1)
+    return values
+
+
 @dataclass(frozen=True)
 class PoolSpec:
     """Deterministic recipe for a synthetic pool.
 
     ``field_generators`` maps every numeric host field to a constant or an
-    EmpiricalDistribution. Categorical weights need not be normalised; they
-    only need a positive sum. Every host gets its own user; ``assign_users``
-    groups hosts into multi-host users. The optional ``rank_correlations``
+    EmpiricalDistribution; each drawn value becomes a host value through
+    ``_finish``, and ``field_mean`` is the exact mean of those host values.
+    Categorical weights need not be normalised; they only need a positive
+    sum. Every host gets its own user; ``assign_users`` groups hosts into
+    multi-host users. The optional ``rank_correlations``
     entries (field_a, field_b, weight) couple two fields through a mixture
     copula: with probability ``weight`` field_b reuses field_a's uniform
     draw, so the rank correlation equals the weight.
@@ -241,11 +253,20 @@ class PoolSpec:
             seen.update((a, b))
 
     def field_mean(self, name: str) -> float:
-        """Mean of a field's generator, before integer rounding or clamps."""
+        """Mean of the values a field's column holds, rounded and clamped.
+
+        Every draw picks one stored value of the generator (a constant is one
+        stored value) with equal probability, so the mean of the finished
+        stored values is the column's exact mean. The cross-field rules of
+        ``generate_pool`` (``disk_free`` at most ``disk_total``,
+        ``last_contact`` at least ``created``) are not applied.
+        """
         gen = self.field_generators[name]
         if isinstance(gen, EmpiricalDistribution):
-            return gen.mean()
-        return float(gen)
+            support = gen._array
+        else:
+            support = np.array([float(gen)])
+        return float(np.mean(_finish(name, support)))
 
 
 def _categorical(rng, weights: Mapping, n: int) -> Categorical:
@@ -273,20 +294,15 @@ def generate_pool(spec: PoolSpec) -> HostTable:
     columns: dict[str, np.ndarray] = {}
     for name in NUMERIC_FIELDS:
         gen = spec.field_generators[name]
-        if isinstance(gen, EmpiricalDistribution):
-            vals = np.asarray(gen.quantile(uniforms[name]), dtype=float)
-        else:
-            vals = np.full(n, float(gen))
-        if name in FRACTION_FIELDS:
-            vals = np.clip(vals, 0.0, 1.0)
-        elif name not in _SIGNED_FIELDS:
-            vals = np.maximum(vals, 0.0)
-        columns[name] = vals
+        # no name holds the drawn values, so they are freed once finished
+        columns[name] = _finish(name, (
+            gen.quantile(uniforms[name]) if isinstance(gen, EmpiricalDistribution)
+            else np.full(n, float(gen))
+        ))
 
     columns["disk_free"] = np.minimum(columns["disk_free"], columns["disk_total"])
-    columns["n_cpus"] = np.maximum(np.rint(columns["n_cpus"]), 1)
     for name in INT_FIELDS:
-        columns[name] = np.rint(columns[name]).astype(np.int64)
+        columns[name] = columns[name].astype(np.int64)
     columns["last_contact"] = np.maximum(columns["last_contact"], columns["created"])
 
     return HostTable(
@@ -446,9 +462,8 @@ def _generator_from_config(name: str, genspec):
             n=n,
         )
     if isinstance(genspec, Mapping) and isinstance(genspec.get("samples"), list):
-        config.section(genspec, where, ("samples", "interpolate"))
+        config.section(genspec, where, ("samples",))
         return EmpiricalDistribution(
-            tuple(sorted(config.real(v, f"sample of {name!r}") for v in genspec["samples"])),
-            interpolate=config.flag(genspec, "interpolate", where),
+            tuple(sorted(config.real(v, f"sample of {name!r}") for v in genspec["samples"]))
         )
     raise ValueError(f"bad generator spec for field {name!r}")

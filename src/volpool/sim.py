@@ -35,7 +35,7 @@ import math
 import random
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -216,8 +216,8 @@ class TimelineSample:
 class SimReport:
     """Aggregates of one run. Rates are GFLOPS, sustained over the run."""
 
-    achieved_flops: float
-    raw_flops: float
+    achieved_gflops: float
+    raw_gflops: float
     bytes_downloaded: float  # total input payload delivered, MB
     mean_active_hosts: float
     replicas_per_validated_task: float
@@ -234,23 +234,7 @@ class SimReport:
     observed_active_fraction: float = 0.0
 
     def to_json_dict(self) -> dict:
-        return {
-            "achieved_gflops": self.achieved_flops,
-            "raw_gflops": self.raw_flops,
-            "bytes_downloaded": self.bytes_downloaded,
-            "mean_active_hosts": self.mean_active_hosts,
-            "replicas_per_validated_task": self.replicas_per_validated_task,
-            "duration_days": self.duration_days,
-            "seed": self.seed,
-            "n_workunits": self.n_workunits,
-            "n_validated": self.n_validated,
-            "n_invalid": self.n_invalid,
-            "n_results": self.n_results,
-            "downloads_completed": self.downloads_completed,
-            "observed_on_fraction": self.observed_on_fraction,
-            "observed_connected_fraction": self.observed_connected_fraction,
-            "observed_active_fraction": self.observed_active_fraction,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "timeline"}
 
 
 def _buffer_s(cfg: SimConfig) -> float:
@@ -949,8 +933,8 @@ class _Engine:
         dur_s = self.duration_s
         member = self.member_time
         return SimReport(
-            achieved_flops=self.validated_flop / dur_s / GIGA,
-            raw_flops=self._raw_flop() / dur_s / GIGA,
+            achieved_gflops=self.validated_flop / dur_s / GIGA,
+            raw_gflops=self._raw_flop() / dur_s / GIGA,
             bytes_downloaded=self.mb_downloaded,
             mean_active_hosts=member / dur_s,
             replicas_per_validated_task=(
@@ -988,7 +972,7 @@ def analytic_comparison(report: SimReport, factors: CapacityFactors) -> dict:
     predicted = potential_flops(factors)
     if predicted <= 0:
         raise ValueError("predicted capacity is zero")
-    achieved = report.achieved_flops
+    achieved = report.achieved_gflops
     return {
         "predicted": predicted,
         "achieved": achieved,
@@ -999,25 +983,22 @@ def analytic_comparison(report: SimReport, factors: CapacityFactors) -> dict:
 def factors_from_sim_config(cfg: SimConfig) -> CapacityFactors:
     """Capacity factors implied by a simulation config.
 
-    Field means come from the pool generators before rounding and clamping,
-    redundancy from the quorum, resource share only when projects compete.
+    Field means are those of the rounded and clamped values the generated
+    hosts hold, redundancy comes from the quorum, resource share only when
+    projects compete.
     """
     pool = cfg.pool_spec
-
-    def frac(name: str) -> float:
-        return min(1.0, max(0.0, pool.field_mean(name)))
-
     return CapacityFactors(
         arrival_rate=cfg.churn.mean_arrival_rate(cfg.duration_days),
         mean_lifetime=cfg.churn.lifetime_mean_days,
         mean_ncpus=pool.field_mean("n_cpus"),
         mean_flops_per_cpu=pool.field_mean("flops_per_cpu"),
-        cpu_efficiency=frac("cpu_efficiency"),
-        on_fraction=frac("on_fraction"),
-        active_fraction=frac("active_fraction"),
+        cpu_efficiency=pool.field_mean("cpu_efficiency"),
+        on_fraction=pool.field_mean("on_fraction"),
+        active_fraction=pool.field_mean("active_fraction"),
         redundancy=float(cfg.min_quorum),
-        resource_share=frac("resource_share") if cfg.competing_share else 1.0,
-        connected_fraction=frac("connected_fraction"),
+        resource_share=pool.field_mean("resource_share") if cfg.competing_share else 1.0,
+        connected_fraction=pool.field_mean("connected_fraction"),
     )
 
 

@@ -433,6 +433,53 @@ def test_simulate_seed_flag_changes_run(tmp_path):
     assert a["achieved_gflops"] != b["achieved_gflops"]
 
 
+# a steady-state run whose pool fields are overridden by the test
+def steady_config(fields):
+    return {"duration_days": 25, "min_quorum": 1,
+            "pool": {"n_hosts": 20, "fields": fields},
+            "churn": {"arrival_rate": 20, "lifetime_mean_days": 1}}
+
+
+def simulate_outputs(tmp_path, name, payload) -> dict:
+    """Exit 0, then each of the three simulate outputs without its meta."""
+    cfg = write_config(tmp_path, f"{name}.json", payload)
+    out = tmp_path / name
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    _, header, rows = read_csv(out / "timeline.csv")
+    docs = {f: read_json(out / f) for f in ("sim_report.json", "analytic_comparison.json")}
+    for doc in docs.values():
+        del doc["meta"]
+    return {"timeline.csv": (header, rows), **docs}
+
+
+@pytest.mark.parametrize("fields, held", [
+    pytest.param({"n_cpus": 0.2}, {"n_cpus": 1}, id="fractional-cpus"),
+    pytest.param({"n_cpus": -1}, {"n_cpus": 1}, id="negative-cpus"),
+    pytest.param({"on_fraction": {"samples": [0.3, 1.7]}},
+                 {"on_fraction": {"samples": [0.3, 1.0]}}, id="on-fraction-above-1"),
+])
+def test_prediction_reads_the_values_the_hosts_hold(tmp_path, fields, held):
+    """A pool field that generate_pool rounds or clamps runs and predicts
+    exactly as the values its hosts hold."""
+    got = simulate_outputs(tmp_path, "given", steady_config(fields))
+    want = simulate_outputs(tmp_path, "held", steady_config(held))
+    assert got == want
+    comp = got["analytic_comparison.json"]
+    assert comp["valid"] is True and comp["relative_error"] < 0.2
+
+
+@pytest.mark.parametrize("fields", [
+    pytest.param({"n_cpus": -1}, id="negative-cpus"),
+    pytest.param({"flops_per_cpu": -2.0}, id="negative-speed"),
+])
+def test_negative_pool_means_run(tmp_path, fields):
+    """Negative means are floored: the hosts hold 1 CPU or zero speed, and a
+    one-day run has no valid comparison."""
+    payload = {"duration_days": 1, "pool": {"n_hosts": 5, "fields": fields}}
+    comp = simulate_outputs(tmp_path, "neg", payload)["analytic_comparison.json"]
+    assert comp == {"valid": False, "reason": "run too short for steady-state comparison"}
+
+
 def test_simulate_rejects_unknown_option(tmp_path, capsys):
     cfg = write_config(tmp_path, "sim.json", simulate_config(walltime=3))
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -565,13 +612,12 @@ MALFORMED = [
                               "churn": {"arrival_rate": 0}},
                  "expected buffered replicas of 9.6375e+06 exceeds the limit",
                  id="simulate-huge-buffer"),
-    # negative pool means used to pass the reader, then crash after the run
+    # a draw between stored values would leave field_mean inexact
     pytest.param("simulate",
-                 {"duration_days": 1, "pool": {"n_hosts": 5, "fields": {"n_cpus": -1}}},
-                 "mean_ncpus is negative", id="simulate-negative-cpus"),
-    pytest.param("simulate",
-                 {"duration_days": 1, "pool": {"n_hosts": 5, "fields": {"flops_per_cpu": -2.0}}},
-                 "mean_flops_per_cpu is negative", id="simulate-negative-speed"),
+                 {"duration_days": 1, "pool": {"n_hosts": 5, "fields": {
+                     "flops_per_cpu": {"samples": [1.0, 2.0], "interpolate": True}}}},
+                 "unknown flops_per_cpu generator option: 'interpolate'",
+                 id="simulate-interpolate"),
     pytest.param("sweep", {"pool": {"n_hosts": 5}, "rates": {"n": 10**9}},
                  "rates option 'n' of 1e+09 exceeds the limit", id="sweep-huge-grid"),
     pytest.param("stats", {"pool": {"n_hosts": 5, "fields": {

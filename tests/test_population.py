@@ -9,11 +9,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from volpool import population as pop
 from volpool import presets
-from volpool.hosts import CpuVendor, HostRecord, HostTable, OperatingSystem, Venue
+from volpool.hosts import (
+    FRACTION_FIELDS,
+    CpuVendor,
+    HostRecord,
+    HostTable,
+    OperatingSystem,
+    Venue,
+)
 from volpool.population import (
     ChurnModel,
     EmpiricalDistribution,
@@ -50,14 +57,6 @@ def test_resampling_returns_stored_samples_only():
     assert isinstance(dist.quantile(rng.random()), float)
 
 
-def test_interpolating_mode_stays_in_hull():
-    dist = EmpiricalDistribution((1.0, 2.0, 7.0), interpolate=True)
-    rng = np.random.default_rng(0)
-    draws = dist.quantile(rng.random(500))
-    assert np.all(draws >= 1.0) and np.all(draws <= 7.0)
-    assert dist.quantile(0.5) == 2.0  # middle order statistic
-
-
 def test_quantile_domain():
     dist = EmpiricalDistribution((1.0, 2.0))
     with pytest.raises(ValueError, match="quantile argument"):
@@ -70,7 +69,7 @@ def test_quantile_domain():
 
 def test_from_lognormal_hits_mean_exactly():
     dist = EmpiricalDistribution.from_lognormal(mean=289.0, cv=1.2)
-    assert dist.mean() == pytest.approx(289.0, rel=1e-12)
+    assert np.mean(dist.sorted_samples) == pytest.approx(289.0, rel=1e-12)
     # deterministic construction
     again = EmpiricalDistribution.from_lognormal(mean=289.0, cv=1.2)
     assert dist.sorted_samples == again.sorted_samples
@@ -88,13 +87,57 @@ def test_generate_then_fit_closure(reference_pool_20k):
         gen = spec.field_generators[name]
         mean = float(np.mean(reference_pool_20k.column(name)))
         tol = three_sigma_of_mean(gen, n)
-        assert abs(mean - gen.mean()) <= tol, name
+        assert abs(mean - spec.field_mean(name)) <= tol, name
 
 
 def test_throughput_fit_within_2pct():
     pool = generate_pool(presets.reference_pool_spec(n_hosts=10000, seed=3))
     mean = float(np.mean(pool.column("throughput_down")))
     assert mean == pytest.approx(289.0, rel=0.02)
+
+
+# the fields the capacity prediction reads from a pool spec
+PREDICTED_FIELDS = ("n_cpus", "flops_per_cpu", *FRACTION_FIELDS)
+# negatives, fractions above 1 and fractional CPU counts all reach the rounding
+# and clamping that generate_pool applies; rounded, since a subnormal value
+# would underflow the standard error
+_values = st.floats(-2.0, 3.0).map(lambda v: round(v, 3))
+_generators = st.one_of(
+    _values,
+    st.lists(_values, min_size=1, max_size=6).map(
+        lambda v: EmpiricalDistribution(tuple(sorted(v)))
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(gens=st.fixed_dictionaries({}, optional={n: _generators for n in PREDICTED_FIELDS}))
+@example(gens={"n_cpus": 0.2})
+@example(gens={"on_fraction": EmpiricalDistribution((0.3, 1.7))})
+def test_field_mean_is_the_mean_of_the_generated_column(gens):
+    """field_mean is the mean of the values the hosts hold, after rounding and
+    clamping: within 5 standard errors of a 20,000-host column's mean."""
+    base = flat_spec(20000, seed=11)
+    spec = PoolSpec(
+        n_hosts=base.n_hosts, seed=base.seed,
+        field_generators={**base.field_generators, **gens},
+    )
+    pool = generate_pool(spec)
+    for name in PREDICTED_FIELDS:
+        col = pool.column(name).astype(float)
+        tol = 5.0 * float(np.std(col)) / math.sqrt(len(col))
+        assert spec.field_mean(name) == pytest.approx(np.mean(col), rel=1e-12, abs=tol), name
+
+
+def test_reference_factors_match_the_reference_pool():
+    """The two preset descriptions of the snapshot agree on every mean the
+    capacity product reads."""
+    factors = presets.reference_capacity_factors()
+    spec = presets.reference_pool_spec(n_hosts=10, seed=1)
+    assert factors.mean_ncpus == spec.field_mean("n_cpus")
+    assert factors.mean_flops_per_cpu == spec.field_mean("flops_per_cpu")
+    for name in FRACTION_FIELDS:
+        assert getattr(factors, name) == spec.field_mean(name), name
 
 
 # -- pool generation ---------------------------------------------------------------
@@ -397,7 +440,7 @@ def test_pool_spec_from_config_overrides():
     )
     assert spec.n_hosts == 12 and spec.seed == 4
     assert spec.field_generators["ram"] == 2048.0
-    assert spec.field_generators["swap"].mean() == pytest.approx(3.0)
+    assert np.mean(spec.field_generators["swap"].sorted_samples) == pytest.approx(3.0)
     assert spec.field_generators["throughput_down"].sorted_samples == (100.0, 200.0)
     pool = generate_pool(spec)
     assert all(h.cpu_vendor is CpuVendor.AMD for h in pool)

@@ -408,8 +408,8 @@ def test_single_dedicated_host_tracks_hardware_speed():
     )
     r = run_simulation(cfg)
     assert r.mean_active_hosts == 1.0
-    assert 0.998 <= r.achieved_flops <= 1.0 + 1e-9
-    assert r.achieved_flops <= r.raw_flops <= 1.0 + 1e-9
+    assert 0.998 <= r.achieved_gflops <= 1.0 + 1e-9
+    assert r.achieved_gflops <= r.raw_gflops <= 1.0 + 1e-9
     # every validated unit took one download of one input file
     assert r.n_validated in (r.downloads_completed, r.downloads_completed - 1)
     assert r.bytes_downloaded == pytest.approx(r.downloads_completed * 0.1)
@@ -434,7 +434,7 @@ def test_network_bound_run_matches_saturation_formula():
     predicted = curve[0].total_flops
     assert predicted == pytest.approx(2.0)
     r = run_simulation(cfg)
-    assert r.achieved_flops == pytest.approx(predicted, rel=0.05)
+    assert r.achieved_gflops == pytest.approx(predicted, rel=0.05)
 
 
 def test_server_egress_cap_limits_aggregate_rate():
@@ -451,7 +451,7 @@ def test_server_egress_cap_limits_aggregate_rate():
     assert capped.bytes_downloaded <= budget_mb + 1e-6
     assert capped.bytes_downloaded >= 0.9 * budget_mb
     assert capped.bytes_downloaded < 0.5 * uncapped.bytes_downloaded
-    assert capped.achieved_flops < 0.5 * uncapped.achieved_flops
+    assert capped.achieved_gflops < 0.5 * uncapped.achieved_gflops
 
 
 def test_deadline_starved_units_invalidate():
@@ -465,10 +465,10 @@ def test_deadline_starved_units_invalidate():
     r = run_simulation(cfg)
     assert r.n_validated == 0
     assert r.n_invalid >= 9
-    assert r.achieved_flops == 0.0
+    assert r.achieved_gflops == 0.0
     assert r.replicas_per_validated_task == 0.0
     # the host still burnt its cycles on the doomed work
-    assert r.raw_flops == pytest.approx(1.0, rel=0.01)
+    assert r.raw_gflops == pytest.approx(1.0, rel=0.01)
 
 
 def test_empty_pool_runs_to_nothing():
@@ -479,8 +479,8 @@ def test_empty_pool_runs_to_nothing():
         min_quorum=1, max_replicas=1,
     )
     r = run_simulation(cfg)
-    assert r.achieved_flops == 0.0
-    assert r.raw_flops == 0.0
+    assert r.achieved_gflops == 0.0
+    assert r.raw_gflops == 0.0
     assert r.bytes_downloaded == 0.0
     assert r.mean_active_hosts == 0.0
     assert r.n_workunits == 0
@@ -624,7 +624,7 @@ def test_workhorse_download_conservation(workhorse):
 def test_workhorse_redundancy_overhead(workhorse):
     cfg, _, r = workhorse
     # each validated unit was computed at least min_quorum times
-    assert r.raw_flops >= cfg.min_quorum * r.achieved_flops * (1 - 1e-12)
+    assert r.raw_gflops >= cfg.min_quorum * r.achieved_gflops * (1 - 1e-12)
     assert r.replicas_per_validated_task >= cfg.min_quorum
 
 
@@ -724,11 +724,11 @@ def test_workhorse_timeline(workhorse):
         assert b.bytes_downloaded >= a.bytes_downloaded
     last = r.timeline[-1]
     assert last.validated_workunits == r.n_validated
-    assert last.achieved_gflops == pytest.approx(r.achieved_flops)
+    assert last.achieved_gflops == pytest.approx(r.achieved_gflops)
     # partial work still on cores at the horizon is settled into the report
     # after the last sample, so the sample may lag the final figure slightly
-    assert last.raw_gflops <= r.raw_flops
-    assert last.raw_gflops == pytest.approx(r.raw_flops, rel=0.01)
+    assert last.raw_gflops <= r.raw_gflops
+    assert last.raw_gflops == pytest.approx(r.raw_gflops, rel=0.01)
     assert last.bytes_downloaded == pytest.approx(r.bytes_downloaded)
 
 
@@ -758,7 +758,7 @@ def test_same_seed_same_report():
 def test_different_seed_different_run():
     a = run_simulation(churny_config(33))
     c = run_simulation(churny_config(34))
-    assert a.achieved_flops != c.achieved_flops
+    assert a.achieved_gflops != c.achieved_gflops
 
 
 def test_a_run_builds_no_host_records(monkeypatch):
@@ -857,8 +857,8 @@ def test_competing_share_scales_throughput():
     )
     alone = run_simulation(SimConfig(**base))
     shared = run_simulation(SimConfig(**base, competing_share=True))
-    assert alone.achieved_flops == pytest.approx(1.0, abs=0.01)
-    assert shared.achieved_flops == pytest.approx(0.5, abs=0.01)
+    assert alone.achieved_gflops == pytest.approx(1.0, abs=0.01)
+    assert shared.achieved_gflops == pytest.approx(0.5, abs=0.01)
 
 
 # -- JSON config loading -----------------------------------------------------------------
