@@ -134,16 +134,17 @@ def host_rules(values: Mapping):
     yield values["last_contact"] < values["created"], "last_contact precedes created"
 
 
-def check_host(values: Mapping, is_broken=bool) -> None:
+def check_host(values: Mapping) -> None:
     """Raise ValueError with the message of the first of ``host_rules``
     that ``values`` break.
 
-    ``is_broken`` reduces a rule's test to a bool: ``bool`` for one host,
-    ``np.any`` for whole columns. The block parser of ``volpool.ingest``
-    reads the same rules as masks, to name the first rule each row breaks.
+    ``values`` is one host or whole columns: ``np.any`` reads a rule's test
+    as broken when it is true, or true on any row. The block parser of
+    ``volpool.ingest`` reads the same rules as masks, to name the first rule
+    each row breaks.
     """
     for test, message in host_rules(values):
-        if is_broken(test):
+        if np.any(test):
             raise ValueError(message)
 
 
@@ -271,7 +272,7 @@ class HostTable:
             object.__setattr__(self, name, value)
         if any(len(getattr(self, name)) != len(self.host_id) for name in HOST_FIELDS):
             raise ValueError("host columns differ in length")
-        check_host(vars(self), np.any)
+        check_host(vars(self))
 
     @classmethod
     def from_records(cls, records) -> "HostTable":

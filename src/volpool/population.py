@@ -108,32 +108,29 @@ class ChurnModel:
 
     ``arrival_rate`` is either a constant in hosts/day or a piecewise-constant
     schedule ((start_day, rate), ...) with the first segment starting at day
-    zero. Lifetimes are exponential with the given mean.
+    zero; a constant r is stored as the schedule ((0.0, r),). Lifetimes are
+    exponential with the given mean.
     """
 
     arrival_rate: float | tuple[tuple[float, float], ...] = 0.0
     lifetime_mean_days: float = 91.0
 
     def __post_init__(self):
-        if isinstance(self.arrival_rate, (int, float)):
-            if self.arrival_rate < 0:
-                raise ValueError("arrival_rate is negative")
-        else:
-            segs = tuple(self.arrival_rate)
-            if not segs or segs[0][0] != 0.0:
-                raise ValueError("piecewise arrival schedule must start at day 0")
-            starts = [s for s, _ in segs]
-            if starts != sorted(starts):
-                raise ValueError("arrival schedule segments out of order")
-            if any(r < 0 for _, r in segs):
-                raise ValueError("arrival_rate is negative")
+        rate = self.arrival_rate
+        segs = ((0.0, rate),) if isinstance(rate, (int, float)) else tuple(rate)
+        object.__setattr__(self, "arrival_rate", segs)
+        if not segs or segs[0][0] != 0.0:
+            raise ValueError("piecewise arrival schedule must start at day 0")
+        starts = [s for s, _ in segs]
+        if starts != sorted(starts):
+            raise ValueError("arrival schedule segments out of order")
+        if any(r < 0 for _, r in segs):
+            raise ValueError("arrival_rate is negative")
         if self.lifetime_mean_days <= 0:
             raise ValueError("lifetime_mean_days must be positive")
 
     def _segments(self, duration: float) -> list[tuple[float, float, float]]:
-        if isinstance(self.arrival_rate, (int, float)):
-            return [(0.0, duration, float(self.arrival_rate))]
-        segs = list(self.arrival_rate)
+        segs = self.arrival_rate
         out = []
         for i, (start, rate) in enumerate(segs):
             end = segs[i + 1][0] if i + 1 < len(segs) else duration
@@ -251,6 +248,21 @@ class PoolSpec:
             if a == b or a in seen or b in seen:
                 raise ValueError("each field may appear in one correlated pair")
             seen.update((a, b))
+        for name in INT_FIELDS:
+            held = self._finished_support(name)
+            # NaN fails the test too
+            if not np.all((held >= -(2.0**63)) & (held < 2.0**63)):
+                raise ValueError(f"{name} values outside the int64 range")
+
+    def _finished_support(self, name: str) -> np.ndarray:
+        """The values a field's column can hold: each stored value of its
+        generator (a constant is one stored value), finished."""
+        gen = self.field_generators[name]
+        if isinstance(gen, EmpiricalDistribution):
+            support = gen._array
+        else:
+            support = np.array([float(gen)])
+        return _finish(name, support)
 
     def field_mean(self, name: str) -> float:
         """Mean of the values a field's column holds, rounded and clamped.
@@ -261,12 +273,7 @@ class PoolSpec:
         ``generate_pool`` (``disk_free`` at most ``disk_total``,
         ``last_contact`` at least ``created``) are not applied.
         """
-        gen = self.field_generators[name]
-        if isinstance(gen, EmpiricalDistribution):
-            support = gen._array
-        else:
-            support = np.array([float(gen)])
-        return float(np.mean(_finish(name, support)))
+        return float(np.mean(self._finished_support(name)))
 
 
 def _categorical(rng, weights: Mapping, n: int) -> Categorical:

@@ -260,10 +260,6 @@ def _water_level(caps: Iterable[float], n: int, total: float) -> float:
     return math.inf
 
 
-# Event codes, dispatch order is tie-broken by insertion sequence.
-(_EV_ARRIVE, _EV_DEPART, _EV_TOGGLE, _EV_FETCH, _EV_DL_DONE, _EV_DL_SHARED, _EV_CP_DONE,
- _EV_DEADLINE, _EV_SAMPLE) = range(9)
-
 _PROC_ON, _PROC_CONN, _PROC_ALLOW = range(3)
 
 
@@ -281,7 +277,7 @@ class _Replica:
 
 class _Host:
     __slots__ = (
-        "idx", "alive", "arrive_s", "depart_s",
+        "idx", "arrive_s", "depart_s",
         "fracs", "on", "conn", "allow",
         "flops_rate", "dl_cap", "mem_ok", "buffer_flop",
         "work", "n_done", "n_ready", "deadline_armed",
@@ -294,7 +290,6 @@ class _Host:
     def __init__(self, idx, arrive_s, depart_s, fracs, flops_rate, dl_cap, mem_ok,
                  buffer_flop):
         self.idx = idx  # also the host's user: one replica per host per unit
-        self.alive = True
         self.arrive_s = arrive_s
         self.depart_s = depart_s
         self.fracs = fracs  # long-run on, connected, allowed fractions, by _PROC_*
@@ -348,11 +343,14 @@ class _Engine:
         self.rng = random.Random(int(kids[2].generate_state(2, np.uint64)[0]))
 
         self.dwell_s = cfg.mean_dwell_hours * SECONDS_PER_HOUR
-        self.cap_mb = (
-            mbps_to_mb_per_s(cfg.server_egress_cap)
-            if cfg.server_egress_cap is not None
-            else None
-        )
+        # ``_dl_changed(h, now)``: a host's download queue or communication
+        # eligibility changed
+        if cfg.server_egress_cap is None:
+            self.cap_mb = None
+            self._dl_changed = self._sync_download_uncapped
+        else:
+            self.cap_mb = mbps_to_mb_per_s(cfg.server_egress_cap)
+            self._dl_changed = self._sync_download_capped
 
         # server
         self.needs: deque[WorkUnit] = deque()
@@ -372,13 +370,14 @@ class _Engine:
         self.on_time = 0.0
         self.conn_time = 0.0
         self.allow_time = 0.0
-        self.live_hosts: dict[int, _Host] = {}  # by idx, in arrival order
+        # the hosts arrived and not yet departed, by idx, in arrival order
+        self.live_hosts: dict[int, _Host] = {}
         # Egress sharing. Running downloads sit in ``flows`` sorted by
         # (dl_cap, idx). A flow whose cap is at most ``level`` runs at its cap
         # with its own completion event; every other flow runs at ``level``
         # and finishes when ``clock``, the MB each such flow has received
         # since the run began, reaches its tag in ``tags``. One pending
-        # _EV_DL_SHARED event, due at ``shared_eta``, serves the earliest tag.
+        # _on_shared_done event, due at ``shared_eta``, serves the earliest tag.
         self.flows: list[tuple[float, int, _Host]] = []
         self.level = math.inf
         self.clock = 0.0
@@ -390,9 +389,10 @@ class _Engine:
 
     # -- event plumbing ----------------------------------------------------
 
-    def _push(self, t: float, code: int, a=None, b=0):
+    def _push(self, t: float, handler, a=None, b=0):
+        """Call ``handler(a, b, t)`` at ``t``; same-time events run in push order."""
         self.seq += 1
-        heapq.heappush(self.heap, (t, self.seq, code, a, b))
+        heapq.heappush(self.heap, (t, self.seq, handler, a, b))
 
     # -- occupancy ---------------------------------------------------------
 
@@ -436,7 +436,7 @@ class _Engine:
         if desired:
             h.cp_mark = now
             eta = now + h.work[h.n_done].flops_left / h.flops_rate
-            self._push(eta, _EV_CP_DONE, h, h.cp_epoch)
+            self._push(eta, self._on_cp_done, h, h.cp_epoch)
 
     # -- download side -----------------------------------------------------
 
@@ -463,7 +463,7 @@ class _Engine:
         if desired:
             h.dl_mark = now
             eta = now + h.work[h.n_done + h.n_ready].input_left / h.dl_cap
-            self._push(eta, _EV_DL_DONE, h, h.dl_epoch)
+            self._push(eta, self._on_dl_done, h, h.dl_epoch)
 
     def _sync_download_capped(self, h: _Host, now: float):
         """Keep ``h`` listed in ``flows`` exactly while its download can run.
@@ -513,7 +513,7 @@ class _Engine:
         left = h.work[h.n_done + h.n_ready].input_left
         if h.dl_cap <= self.level:
             h.dl_tag = None
-            self._push(now + left / h.dl_cap, _EV_DL_DONE, h, h.dl_epoch)
+            self._push(now + left / h.dl_cap, self._on_dl_done, h, h.dl_epoch)
         else:
             h.dl_tag = self._clock(now) + left
             heapq.heappush(self.tags, (h.dl_tag, h.idx, h.dl_epoch, h))
@@ -535,14 +535,7 @@ class _Engine:
             self.shared_eta = eta
             self.shared_epoch += 1
             if eta is not None:
-                self._push(eta, _EV_DL_SHARED, None, self.shared_epoch)
-
-    def _dl_changed(self, h: _Host, now: float):
-        """A host's download queue or communication eligibility changed."""
-        if self.cap_mb is None:
-            self._sync_download_uncapped(h, now)
-        else:
-            self._sync_download_capped(h, now)
+                self._push(eta, self._on_shared_done, None, self.shared_epoch)
 
     # -- server ------------------------------------------------------------
 
@@ -637,17 +630,17 @@ class _Engine:
         r = h.work[0]
         if r.deadline_s <= self.duration_s:
             h.deadline_armed = True
-            heapq.heappush(self.heap, (r.deadline_s, r.seq, _EV_DEADLINE, h, 0))
+            heapq.heappush(self.heap, (r.deadline_s, r.seq, self._on_deadline, h, 0))
 
     # -- work fetch ----------------------------------------------------------
 
     def _try_fetch(self, h: _Host, now: float):
-        if not h.alive or not h.mem_ok or not h.comm_ok():
+        if h.idx not in self.live_hosts or not h.mem_ok or not h.comm_ok():
             return
         if now + 1e-9 < h.next_fetch_s:
             if not h.fetch_pending and h.next_fetch_s <= self.duration_s:
                 h.fetch_pending = True
-                self._push(h.next_fetch_s, _EV_FETCH, h)
+                self._push(h.next_fetch_s, self._on_fetch, h)
             return
         # bring the in-flight replica up to date so the buffer gap is real
         self._settle_compute(h, now)
@@ -675,9 +668,9 @@ class _Engine:
 
     # -- event handlers --------------------------------------------------------
 
-    def _on_arrive(self, h: _Host, now: float):
+    def _on_arrive(self, h: _Host, _, now: float):
         if h.depart_s <= self.duration_s:
-            self._push(h.depart_s, _EV_DEPART, h)
+            self._push(h.depart_s, self._on_depart, h)
         states = []
         for proc, frac in enumerate(h.fracs):
             if frac >= 1.0:
@@ -693,13 +686,10 @@ class _Engine:
         if h.comm_ok():
             self._try_fetch(h, now)
 
-    def _on_depart(self, h: _Host, now: float):
-        if not h.alive:
-            return
+    def _on_depart(self, h: _Host, _, now: float):
         self._settle_occupancy(h, now)
         self._settle_compute(h, now)
         self._settle_download(h, now)
-        h.alive = False
         del self.live_hosts[h.idx]
         work = list(h.work)
         done, fetched = work[:h.n_done], work[h.n_done:h.n_done + h.n_ready]
@@ -715,12 +705,9 @@ class _Engine:
         h.dl_epoch += 1
         for r in doomed:
             self._deliver(r, ResultOutcome.LOST)
-        if self.cap_mb is not None:
-            self._sync_download_capped(h, now)
+        self._dl_changed(h, now)  # under a cap, this takes the host off the flow list
 
     def _on_toggle(self, h: _Host, proc: int, now: float):
-        if not h.alive:
-            return
         self._settle_occupancy(h, now)
         self._settle_compute(h, now)
         self._settle_download(h, now)
@@ -742,13 +729,13 @@ class _Engine:
         frac = h.fracs[proc]
         mean = self.dwell_s if up else self.dwell_s * (1.0 - frac) / frac
         t = now + self.rng.expovariate(1.0 / mean)
-        # The departure was pushed first, so a toggle at or after it would
-        # find the host gone; the draw that timed it is made all the same.
+        # Only a live host toggles: a toggle at or after the departure is
+        # dropped, though the draw that timed it is made all the same.
         if t < h.depart_s and t <= self.duration_s:
-            self._push(t, _EV_TOGGLE, h, proc)
+            self._push(t, self._on_toggle, h, proc)
 
     def _on_cp_done(self, h: _Host, epoch: int, now: float):
-        if not h.alive or epoch != h.cp_epoch:
+        if epoch != h.cp_epoch:  # paused, finished or departed since
             return
         self._settle_compute(h, now)
         r = h.work[h.n_done]
@@ -771,7 +758,7 @@ class _Engine:
             self._try_fetch(h, now)
 
     def _on_dl_done(self, h: _Host, epoch: int, now: float):
-        if not h.alive or epoch != h.dl_epoch:
+        if epoch != h.dl_epoch:  # paused, finished or departed since
             return
         self._settle_download(h, now)
         h.work[h.n_done + h.n_ready].input_left = 0.0
@@ -783,14 +770,14 @@ class _Engine:
         self._dl_changed(h, now)
         self._sync_compute(h, now)
 
-    def _on_shared_done(self, epoch: int, now: float):
+    def _on_shared_done(self, _, epoch: int, now: float):
         if epoch != self.shared_epoch:
             return
         self.shared_eta = None
         _, _, dl_epoch, h = heapq.heappop(self.tags)
         self._on_dl_done(h, dl_epoch, now)
 
-    def _on_deadline(self, h: _Host, now: float):
+    def _on_deadline(self, h: _Host, _, now: float):
         """Write off each oldest replica that is due, then re-arm at the next.
 
         Replicas share one deadline offset and pass through the host in
@@ -821,7 +808,7 @@ class _Engine:
         h.deadline_armed = False
         self._arm_deadline(h)
 
-    def _on_fetch(self, h: _Host, now: float):
+    def _on_fetch(self, h: _Host, _, now: float):
         h.fetch_pending = False
         self._try_fetch(h, now)
 
@@ -838,7 +825,7 @@ class _Engine:
         )
         return self.done_flop + self.lost_flop + computing
 
-    def _on_sample(self, now: float):
+    def _on_sample(self, _, __, now: float):
         t = now if now > 0 else 1.0
         self.timeline.append(
             TimelineSample(
@@ -891,39 +878,22 @@ class _Engine:
         del initial, arrival_pool  # the hosts hold their values; free the columns
         for idx, values in enumerate(hosts):
             h = _Host(idx, *values)
-            self._push(h.arrive_s, _EV_ARRIVE, h)
+            self._push(h.arrive_s, self._on_arrive, h)
 
         step = cfg.timeline_step_hours * SECONDS_PER_HOUR
         t = step
         while t < self.duration_s:
-            self._push(t, _EV_SAMPLE)
+            self._push(t, self._on_sample)
             t += step
-        self._push(self.duration_s, _EV_SAMPLE)
+        self._push(self.duration_s, self._on_sample)
 
         heap = self.heap
         while heap:
-            t, _, code, a, b = heapq.heappop(heap)
+            t, _, handler, a, b = heapq.heappop(heap)
             if t > self.duration_s:
                 break
             self.now = t
-            if code == _EV_CP_DONE:
-                self._on_cp_done(a, b, t)
-            elif code == _EV_DL_DONE:
-                self._on_dl_done(a, b, t)
-            elif code == _EV_TOGGLE:
-                self._on_toggle(a, b, t)
-            elif code == _EV_FETCH:
-                self._on_fetch(a, t)
-            elif code == _EV_DEADLINE:
-                self._on_deadline(a, t)
-            elif code == _EV_ARRIVE:
-                self._on_arrive(a, t)
-            elif code == _EV_DEPART:
-                self._on_depart(a, t)
-            elif code == _EV_DL_SHARED:
-                self._on_shared_done(b, t)
-            else:
-                self._on_sample(t)
+            handler(a, b, t)
 
         end = self.duration_s
         for h in self.live_hosts.values():

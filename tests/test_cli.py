@@ -618,6 +618,15 @@ MALFORMED = [
                      "flops_per_cpu": {"samples": [1.0, 2.0], "interpolate": True}}}},
                  "unknown flops_per_cpu generator option: 'interpolate'",
                  id="simulate-interpolate"),
+    # an integer field beyond int64 was cast to INT64_MIN: a traceback, a cast
+    # warning with exit 0, or every host silently binned at INT64_MIN
+    pytest.param("stats", {"pool": {"n_hosts": 5, "fields": {"n_cpus": 1e300}}},
+                 "n_cpus values outside the int64 range", id="stats-huge-cpus"),
+    pytest.param("simulate", {"duration_days": 1, "pool": {"n_hosts": 5,
+                                                           "fields": {"created": 1e19}}},
+                 "created values outside the int64 range", id="simulate-huge-created"),
+    pytest.param("stats", {"pool": {"n_hosts": 5, "fields": {"tz_offset": -1e19}}},
+                 "tz_offset values outside the int64 range", id="stats-huge-tz-offset"),
     pytest.param("sweep", {"pool": {"n_hosts": 5}, "rates": {"n": 10**9}},
                  "rates option 'n' of 1e+09 exceeds the limit", id="sweep-huge-grid"),
     pytest.param("stats", {"pool": {"n_hosts": 5, "fields": {

@@ -326,6 +326,60 @@ def test_binding_egress_cap_costs_few_events():
     assert capped.seq <= 2 * uncapped.seq
 
 
+class _LivenessCheckedEngine(simmod._Engine):
+    """Checks that the handlers need no liveness test of their own.
+
+    Every toggle, and every compute or download completion whose epoch is
+    still current, is for a live host. Completions that reach a departed
+    host are counted: its epochs alone must turn them away.
+    """
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.n_toggles = 0
+        self.n_current = 0
+        self.n_after_departure = 0
+
+    def _check(self, h, current):
+        live = h.idx in self.live_hosts
+        if current:
+            assert live
+            self.n_current += 1
+        elif not live:
+            self.n_after_departure += 1
+
+    def _on_toggle(self, h, proc, now):
+        assert h.idx in self.live_hosts
+        self.n_toggles += 1
+        super()._on_toggle(h, proc, now)
+
+    def _on_cp_done(self, h, epoch, now):
+        self._check(h, epoch == h.cp_epoch)
+        super()._on_cp_done(h, epoch, now)
+
+    def _on_dl_done(self, h, epoch, now):
+        self._check(h, epoch == h.dl_epoch)
+        super()._on_dl_done(h, epoch, now)
+
+
+@pytest.mark.parametrize("cap_mbps", [None, 2.0], ids=["uncapped", "capped"])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_handlers_only_act_on_live_hosts(seed, cap_mbps):
+    """Half-day lifetimes: hosts depart mid-download and mid-compute."""
+    cfg = SimConfig(
+        duration_days=3.0, seed=seed,
+        churn=ChurnModel(arrival_rate=40.0, lifetime_mean_days=0.5),
+        pool_spec=flat_spec(20, seed=seed, on=0.7, conn=0.7, act=0.7, thr=500.0),
+        task=TaskSpec(flops_per_task=5e12, input_size=20.0, deadline=1.0),
+        min_quorum=2, max_replicas=3, error_rate=0.1,
+        server_egress_cap=cap_mbps, mean_dwell_hours=2.0,
+    )
+    engine = _LivenessCheckedEngine(cfg)
+    engine.run()
+    assert engine.n_toggles > 0 and engine.n_current > 0
+    assert engine.n_after_departure > 0
+
+
 class _DeadlineCountingEngine(simmod._Engine):
     """Counts hosts, deadline events and the results they time out."""
 
@@ -335,9 +389,9 @@ class _DeadlineCountingEngine(simmod._Engine):
         self.deadline_events = 0
         self.timed_out = 0
 
-    def _on_arrive(self, h, now):
+    def _on_arrive(self, h, _, now):
         self.n_hosts += 1
-        super()._on_arrive(h, now)
+        super()._on_arrive(h, _, now)
 
     def _on_deadline(self, *args):
         self.deadline_events += 1
@@ -548,9 +602,9 @@ class _LoggingEngine(simmod._Engine):
         self.timeouts = []  # (deadline, instant written off) of each timed-out replica
         self.host_of = {}  # replica -> the host it was issued to
 
-    def _on_arrive(self, h, now):
+    def _on_arrive(self, h, _, now):
         self.hosts.append(h)
-        super()._on_arrive(h, now)
+        super()._on_arrive(h, _, now)
 
     def _make_replica(self, wu, h, now):
         if wu.replicas_issued == 0:
@@ -886,7 +940,7 @@ def test_sim_config_from_config_full():
     )
     assert cfg.duration_days == 15.0
     assert cfg.seed == 7
-    assert cfg.churn.arrival_rate == 3.5
+    assert cfg.churn.arrival_rate == ((0.0, 3.5),)
     assert cfg.pool_spec.n_hosts == 25
     assert cfg.task.input_size == 4.0
     assert cfg.task.deadline == 3.0
