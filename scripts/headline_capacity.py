@@ -42,7 +42,7 @@ def main() -> None:
         presets.reference_pool_spec(n_hosts=args.n_hosts, seed=args.seed)
     )
     scale = presets.SNAPSHOT_N_HOSTS / max(len(pool), 1)
-    disk_pb = storage_potential(pool, factors, ()) * scale / GB_PER_PB
+    disk_pb = storage_potential(pool) * scale / GB_PER_PB
     net = access_rate(pool, factors, mode="network") * scale
     disk_rate = access_rate(pool, factors, mode="disk", per_host_disk_rate=20.0) * scale
     print(f"free disk            {disk_pb:>12.2f} PB")

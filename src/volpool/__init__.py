@@ -2,7 +2,8 @@
 
 The package splits into six small modules:
 
-- :mod:`volpool.hosts` - the host record and the columnar host table
+- :mod:`volpool.hosts` - the columnar host table, which declares and checks
+  the host fields, and the row record derived from it
 - :mod:`volpool.population` - synthetic pools, churn and lifetime statistics
 - :mod:`volpool.capacity` - closed-form capacity, storage and rate analysis
 - :mod:`volpool.sim` - an event-driven simulation of a redundant project

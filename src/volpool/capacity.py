@@ -212,36 +212,13 @@ def conditional_aggregate(
     return out
 
 
-_STORAGE_FACTORS = {
-    "on_fraction",
-    "connected_fraction",
-    "active_fraction",
-    "resource_share",
-    "redundancy",
-}
+def storage_potential(pool: HostTable) -> float:
+    """Volunteered free disk in GB: ``disk_free`` summed over ``pool`` in row order.
 
-
-def storage_potential(
-    pool: HostTable,
-    factors: CapacityFactors,
-    selection: Sequence[str] = (),
-) -> float:
-    """Usable volunteered disk in GB: summed free space times chosen factors.
-
-    ``selection`` names the discounts to apply, any subset of on_fraction,
-    connected_fraction, active_fraction, resource_share and redundancy (the
-    last divides). Which discounts apply depends on the storage application,
-    so the caller picks; an empty selection returns the raw free total.
+    Which availability or redundancy discounts apply depends on the storage
+    application, so a caller scales the raw total itself.
     """
-    scale = 1.0
-    for name in selection:
-        if name not in _STORAGE_FACTORS:
-            raise ValueError(f"unknown storage factor: {name!r}")
-        if name == "redundancy":
-            scale /= factors.redundancy
-        else:
-            scale *= getattr(factors, name)
-    return row_sum(pool.disk_free) * scale
+    return row_sum(pool.disk_free)
 
 
 def access_rate(

@@ -116,16 +116,15 @@ def _comment(meta: Mapping) -> str:
 
 
 def _write_csv(path: str, meta: Mapping, header: Sequence[str], rows) -> None:
-    # every cell is checked before the file is opened, so a bad one leaves none
+    # every cell is checked before the file is opened, so a bad one leaves none;
+    # cells are quoted by the rule host CSVs are written with
     try:
-        cells = [[_cell(v) for v in row] for row in rows]
+        lines = [",".join(ing.csv_cells([_cell(v) for v in row])) for row in (header, *rows)]
     except ValueError as err:
         raise _DataError(f"cannot write {path}: {err}") from err
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_comment(meta) + "\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(cells)
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _cell(v) -> str:

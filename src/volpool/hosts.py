@@ -1,17 +1,20 @@
-"""Domain model for a volunteered host and for a pool of them.
+"""Domain model for a pool of volunteered hosts.
 
-A host record bundles the hardware inventory (CPUs, benchmark speeds, memory,
-disk, network throughput), the measured availability fractions, and ownership
-and locale attributes. A pool is a ``HostTable``: one column per record
-field, validated once per column. Generators and parsers build tables and
-everything downstream, per-host figures such as the crossover data rate
-included, reads their columns. A ``HostRecord`` is only what indexing or
-iterating a table gives: one row of Python scalars. Both are immutable.
+A pool is a ``HostTable``: one column per host field, the hardware inventory
+(CPUs, benchmark speeds, memory, disk, network throughput), the measured
+availability fractions, and ownership and locale attributes. The table is
+the one declaration of those fields and the one place they are checked,
+once per column, against ``host_rules``. Generators and parsers build
+tables and everything downstream, per-host figures such as the crossover
+data rate included, reads their columns. A ``HostRecord`` is only what
+indexing or iterating a table gives: one row of Python scalars, its class
+derived from the table's fields and unchecked on its own, since its table
+checked the columns it came from. Both are immutable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, make_dataclass
 from enum import Enum
 from itertools import chain
 from typing import Mapping
@@ -54,109 +57,6 @@ class Venue(Enum):
     NONE = "None"
 
 
-_NONNEGATIVE_FIELDS = (
-    "flops_per_cpu",
-    "iops_per_cpu",
-    "ram",
-    "swap",
-    "disk_total",
-    "disk_free",
-    "throughput_down",
-)
-
-FRACTION_FIELDS = (
-    "on_fraction",
-    "connected_fraction",
-    "active_fraction",
-    "cpu_efficiency",
-    "resource_share",
-)
-
-
-@dataclass(frozen=True)
-class HostRecord:
-    """One volunteered host as measured at its last server contact.
-
-    Benchmark speeds are per CPU in GFLOPS / GIOPS, memory in MB, swap and
-    disk in GB, downstream throughput in Kbps. The three availability values
-    are long-run fractions of wall time; ``cpu_efficiency`` is the share of
-    nominal benchmark speed actually delivered while computing.
-    ``resource_share`` is the fraction of the host granted to this project
-    when it competes with others. Timestamps are UTC epoch seconds.
-    """
-
-    host_id: str
-    user_id: str
-    n_cpus: int
-    flops_per_cpu: float
-    iops_per_cpu: float
-    ram: float
-    swap: float
-    disk_total: float
-    disk_free: float
-    throughput_down: float
-    on_fraction: float
-    connected_fraction: float
-    active_fraction: float
-    cpu_efficiency: float
-    cpu_vendor: CpuVendor
-    os: OperatingSystem
-    country: str
-    venue: Venue
-    tz_offset: int
-    created: int
-    last_contact: int
-    resource_share: float
-
-    def __post_init__(self):
-        check_host(vars(self))
-
-
-_NONNEGATIVE_RULES = tuple((name, f"{name} is negative") for name in _NONNEGATIVE_FIELDS)
-_FRACTION_RULES = tuple((name, f"{name} outside [0, 1]") for name in FRACTION_FIELDS)
-
-
-def host_rules(values: Mapping):
-    """The host rules in order, each as a (test, message) pair.
-
-    ``values`` maps field names to one host's values or to whole columns;
-    ``test`` is true, or a mask true on the rows, where ``values`` break the
-    rule. The fraction test is written without a chained comparison so that
-    it works on columns too; NaN fails it.
-    """
-    yield values["n_cpus"] < 1, "n_cpus must be at least 1"
-    for name, message in _NONNEGATIVE_RULES:
-        yield values[name] < 0, message
-    for name, message in _FRACTION_RULES:
-        v = values[name]
-        yield (v < 0.0) | (v > 1.0) | (v != v), message
-    yield values["disk_free"] > values["disk_total"], "disk_free exceeds disk_total"
-    yield values["last_contact"] < values["created"], "last_contact precedes created"
-
-
-def check_host(values: Mapping) -> None:
-    """Raise ValueError with the message of the first of ``host_rules``
-    that ``values`` break.
-
-    ``values`` is one host or whole columns: ``np.any`` reads a rule's test
-    as broken when it is true, or true on any row. The block parser of
-    ``volpool.ingest`` reads the same rules as masks, to name the first rule
-    each row breaks.
-    """
-    for test, message in host_rules(values):
-        if np.any(test):
-            raise ValueError(message)
-
-
-HOST_FIELDS = tuple(f.name for f in fields(HostRecord))
-ID_FIELDS = ("host_id", "user_id")
-CATEGORICAL_FIELDS = ("cpu_vendor", "os", "country", "venue")
-# Numeric fields a pool generator or fitter may target, in the canonical
-# order generators consume random draws.
-NUMERIC_FIELDS = tuple(
-    name for name in HOST_FIELDS if name not in ID_FIELDS + CATEGORICAL_FIELDS
-)
-INT_FIELDS = ("n_cpus", "tz_offset", "created", "last_contact")
 # Rows converted to Python values at a time when a table is read row by row
 # or written out, which bounds the memory that conversion takes.
 ROW_BLOCK = 4096
@@ -225,13 +125,22 @@ class Categorical:
 class HostTable:
     """A pool of hosts held column by column.
 
-    Each ``HostRecord`` field is one column: a tuple of strings for the two
-    ids, a ``Categorical`` for vendor, os, country and venue, and a read-only
-    numpy array for the rest, int64 for ``n_cpus`` and the three timestamps,
-    float64 otherwise. Construction converts the columns and checks them
-    with the ``HostRecord`` rules, once per column. ``len``, indexing and
-    iteration give ``HostRecord`` rows of Python scalars; a slice gives a
-    table. Equality is column by column and exact.
+    Each row is one volunteered host as measured at its last server contact.
+    Benchmark speeds are per CPU in GFLOPS / GIOPS, memory in MB, swap and
+    disk in GB, downstream throughput in Kbps. The three availability values
+    are long-run fractions of wall time; ``cpu_efficiency`` is the share of
+    nominal benchmark speed actually delivered while computing.
+    ``resource_share`` is the fraction of the host granted to this project
+    when it competes with others. Timestamps are UTC epoch seconds.
+
+    Each field is one column: a tuple of strings for the two ids, a
+    ``Categorical`` for vendor, os, country and venue, and a read-only numpy
+    array for the rest, int64 for ``n_cpus`` and the three timestamps,
+    float64 otherwise. Construction converts the columns and raises
+    ValueError with the message of the first of ``host_rules`` that any row
+    breaks. ``len``, indexing and iteration give ``HostRecord`` rows of
+    Python scalars; a slice gives a table. Equality is column by column and
+    exact.
     """
 
     host_id: tuple
@@ -272,7 +181,9 @@ class HostTable:
             object.__setattr__(self, name, value)
         if any(len(getattr(self, name)) != len(self.host_id) for name in HOST_FIELDS):
             raise ValueError("host columns differ in length")
-        check_host(vars(self))
+        for test, message in host_rules(vars(self)):
+            if np.any(test):
+                raise ValueError(message)
 
     @classmethod
     def from_records(cls, records) -> "HostTable":
@@ -341,3 +252,68 @@ class HostTable:
 
     def __repr__(self) -> str:
         return f"HostTable(<{len(self)} hosts>)"
+
+
+HOST_FIELDS = tuple(f.name for f in fields(HostTable))
+ID_FIELDS = ("host_id", "user_id")
+CATEGORICAL_FIELDS = ("cpu_vendor", "os", "country", "venue")
+# Numeric fields a pool generator or fitter may target, in the canonical
+# order generators consume random draws.
+NUMERIC_FIELDS = tuple(
+    name for name in HOST_FIELDS if name not in ID_FIELDS + CATEGORICAL_FIELDS
+)
+INT_FIELDS = ("n_cpus", "tz_offset", "created", "last_contact")
+
+_NONNEGATIVE_FIELDS = (
+    "flops_per_cpu",
+    "iops_per_cpu",
+    "ram",
+    "swap",
+    "disk_total",
+    "disk_free",
+    "throughput_down",
+)
+
+FRACTION_FIELDS = (
+    "on_fraction",
+    "connected_fraction",
+    "active_fraction",
+    "cpu_efficiency",
+    "resource_share",
+)
+
+_NONNEGATIVE_RULES = tuple((name, f"{name} is negative") for name in _NONNEGATIVE_FIELDS)
+_FRACTION_RULES = tuple((name, f"{name} outside [0, 1]") for name in FRACTION_FIELDS)
+
+
+def host_rules(values: Mapping):
+    """The host rules in order, each as a (test, message) pair.
+
+    ``values`` maps field names to one host's values or to whole columns;
+    ``test`` is true, or a mask true on the rows, where ``values`` break the
+    rule. The fraction test is written without a chained comparison so that
+    it works on columns too; NaN fails it. A ``HostTable`` raises the
+    message of the first rule any of its rows breaks; the block parser of
+    ``volpool.ingest`` reads the rules as masks, to name the first rule each
+    row breaks.
+    """
+    yield values["n_cpus"] < 1, "n_cpus must be at least 1"
+    for name, message in _NONNEGATIVE_RULES:
+        yield values[name] < 0, message
+    for name, message in _FRACTION_RULES:
+        v = values[name]
+        yield (v < 0.0) | (v > 1.0) | (v != v), message
+    yield values["disk_free"] > values["disk_total"], "disk_free exceeds disk_total"
+    yield values["last_contact"] < values["created"], "last_contact precedes created"
+
+
+HostRecord = make_dataclass(
+    "HostRecord",
+    HOST_FIELDS,
+    frozen=True,
+    # before Python 3.12 make_dataclass would name the module ``types``
+    namespace={
+        "__module__": __name__,
+        "__doc__": "One row of a ``HostTable``: each host field's Python value.",
+    },
+)

@@ -14,7 +14,8 @@ evaluated over the block's columns as masks. A rejected row is given the
 first rule it breaks, in this order: the column count; ``cpu_vendor``,
 ``os``, ``venue``; the numbers in column order; the host rules. Writing
 joins a block's cells by hand and quotes an id or country cell that holds a
-delimiter, quote or line break.
+delimiter, quote or line break; ``csv_cells`` is that quoting rule, and the
+CLI writes its own CSVs through it too.
 
 Breakdown tables, ownership buckets and half-open histograms live here too;
 they read the columns of a host table regardless of where it came from.
@@ -253,9 +254,9 @@ def _text_columns(records: HostTable, rows: slice) -> list:
     for name in HOST_FIELDS:
         col = getattr(records, name)
         if name in ID_FIELDS:
-            out.append(_csv_cells(col[rows]))
+            out.append(csv_cells(col[rows]))
         elif name in CATEGORICAL_FIELDS:
-            labels = _csv_cells([getattr(v, "value", v) for v in col.levels])
+            labels = csv_cells([getattr(v, "value", v) for v in col.levels])
             out.append([labels[c] for c in col.codes[rows].tolist()])
         else:
             out.append(list(map(repr if col.dtype.kind == "f" else str, col[rows].tolist())))
@@ -265,7 +266,7 @@ def _text_columns(records: HostTable, rows: slice) -> list:
 _CSV_SPECIAL = (",", '"', "\r", "\n")
 
 
-def _csv_cells(texts):
+def csv_cells(texts):
     """``texts`` as CSV cells. A text holding a delimiter, quote or line break
     is quoted with its quotes doubled, a bare carriage return included on
     every Python version; any other text is its own cell."""

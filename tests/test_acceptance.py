@@ -226,14 +226,13 @@ def test_criterion_08_table_reproduction():
 
 
 def test_criterion_09_storage_aggregate():
-    factors = presets.reference_capacity_factors()
     full = generate_pool(
         presets.reference_pool_spec(n_hosts=presets.SNAPSHOT_N_HOSTS, seed=1)
     )
-    petabytes = storage_potential(full, factors, ()) / GB_PER_PB
+    petabytes = storage_potential(full) / GB_PER_PB
 
     small = generate_pool(presets.reference_pool_spec(n_hosts=10_000, seed=1))
-    small_total = storage_potential(small, factors, ())
+    small_total = storage_potential(small)
     small_dev = abs(small_total - 36.0 * 10_000)
     small_band = 3.0 * 36.0 * math.sqrt(10_000)  # resampling noise, cv = 1
     ok = 11.9 <= petabytes <= 12.1 and small_dev <= small_band

@@ -331,23 +331,8 @@ def test_conditional_aggregate_brute_force(reference_pool_2k):
 # -- storage and access -------------------------------------------------------------
 
 
-def test_storage_potential_selection():
-    pool = make_trio()
-    f = measured_factors()
-    raw = storage_potential(pool, f, ())
-    assert raw == pytest.approx(60.0)
-    picked = storage_potential(
-        pool, f, ("on_fraction", "connected_fraction", "redundancy")
-    )
-    assert picked == pytest.approx(60.0 * 0.81 * 0.83 / 2.0)
-    assert picked <= raw
-    with pytest.raises(ValueError, match="unknown storage factor"):
-        storage_potential(pool, f, ("swap",))
-
-
 def test_storage_scale_matches_snapshot_mean(reference_pool_20k):
-    f = measured_factors()
-    total_gb = storage_potential(reference_pool_20k, f, ())
+    total_gb = storage_potential(reference_pool_20k)
     per_host = total_gb / len(reference_pool_20k)
     sigma = 36.0 / math.sqrt(len(reference_pool_20k))  # cv = 1 fixture shape
     assert abs(per_host - 36.0) <= 3 * sigma

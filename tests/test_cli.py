@@ -44,11 +44,13 @@ def write_config(tmp_path, name, payload) -> str:
 
 
 def read_csv(path):
-    """Return (comment, header, rows) for a CLI-written CSV."""
-    lines = path.read_text().splitlines()
-    assert COMMENT_RE.match(lines[0]), lines[0]
-    rows = list(csv.reader(lines[1:]))
-    return lines[0], rows[0], rows[1:]
+    """Return (comment, header, rows) for a CLI-written CSV, read as csv.reader
+    needs it: a quoted cell keeps its carriage returns and newlines."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        comment = fh.readline().rstrip("\n")
+        rows = list(csv.reader(fh))
+    assert COMMENT_RE.match(comment), comment
+    return comment, rows[0], rows[1:]
 
 
 def read_json(path):
@@ -206,6 +208,18 @@ def test_stats_reads_host_csv(tmp_path, capsys, hosts_csv):
     doc = read_json(out / "stats.json")
     assert doc["n_hosts"] == 20
     assert doc["hardware_gflops"] == pytest.approx(cap.hardware_flops(pool))
+
+
+def test_output_cells_keep_a_bare_carriage_return(tmp_path):
+    """A label holding a bare \\r is quoted in every CLI CSV, on every Python."""
+    pool = pop.generate_pool(presets.reference_pool_spec(n_hosts=3, seed=4))
+    path = tmp_path / "hosts.csv"
+    path.write_text(ing.serialize_hosts(dataclasses.replace(pool, country=["a\rb"] * 3)))
+    cfg = write_config(tmp_path, "s.json", {"input": str(path)})
+    out = tmp_path / "out"
+    assert main(["stats", "--config", cfg, "--out", str(out)]) == 0
+    _, _, rows = read_csv(out / "breakdown_country.csv")
+    assert [row[:2] for row in rows] == [["a\rb", "3"], ["Total", "3"]]
 
 
 def test_stats_on_equal_huge_values_exits_0(tmp_path, capsys):

@@ -1,10 +1,11 @@
-"""Host record model: validation and field selectors."""
+"""Host model: the table's checks on one row, rows, and field selectors."""
 
 import dataclasses
 
 import pytest
 
 from volpool.hosts import (
+    HOST_FIELDS,
     CpuVendor,
     HostRecord,
     OperatingSystem,
@@ -42,20 +43,25 @@ def make_host(**overrides) -> HostRecord:
     return HostRecord(**base)
 
 
+def one_row_table(**overrides) -> HostTable:
+    """A table of the one host ``make_host`` builds: the table checks it."""
+    return HostTable.from_records([make_host(**overrides)])
+
+
 # -- record validation ------------------------------------------------------------
 
 
 def test_record_validation_messages():
     with pytest.raises(ValueError, match="n_cpus"):
-        make_host(n_cpus=0)
+        one_row_table(n_cpus=0)
     with pytest.raises(ValueError, match="ram is negative"):
-        make_host(ram=-1.0)
+        one_row_table(ram=-1.0)
     with pytest.raises(ValueError, match="on_fraction outside"):
-        make_host(on_fraction=1.5)
+        one_row_table(on_fraction=1.5)
     with pytest.raises(ValueError, match="disk_free exceeds disk_total"):
-        make_host(disk_free=50.0, disk_total=40.0)
+        one_row_table(disk_free=50.0, disk_total=40.0)
     with pytest.raises(ValueError, match="last_contact precedes created"):
-        make_host(created=10, last_contact=5)
+        one_row_table(created=10, last_contact=5)
 
 
 def test_record_is_immutable():
@@ -64,11 +70,17 @@ def test_record_is_immutable():
         h.ram = 1.0
 
 
+def test_record_fields_are_the_table_fields():
+    assert [f.name for f in dataclasses.fields(HostRecord)] == list(HOST_FIELDS)
+    assert [f.name for f in dataclasses.fields(HostTable)] == list(HOST_FIELDS)
+    assert HostRecord.__module__ == "volpool.hosts"
+
+
 # -- field selectors ---------------------------------------------------------------
 
 
 def test_column_resolution():
-    table = HostTable.from_records([make_host(n_cpus=2, flops_per_cpu=1.5, iops_per_cpu=1.0)])
+    table = one_row_table(n_cpus=2, flops_per_cpu=1.5, iops_per_cpu=1.0)
     assert table.column("ram").tolist() == [512.0]
     assert table.column("flops").tolist() == [3.0]
     assert table.column("iops").tolist() == [2.0]

@@ -19,6 +19,7 @@ from volpool.hosts import (
     HostTable,
     OperatingSystem,
     Venue,
+    host_rules,
 )
 from volpool.ingest import (
     auto_edges,
@@ -217,7 +218,8 @@ def ref_number(csv_name, text, convert):
 
 def ref_host(row):
     """One CSV row as a ``HostRecord``, its rules checked in reason order:
-    the column count, the labels, the numbers in column order, the host."""
+    the column count, the labels, the numbers in column order, then
+    ``host_rules`` on the row's values."""
     if len(row) != len(ingest.HOST_CSV_COLUMNS):
         raise ValueError("wrong column count")
     cells = dict(zip(HOST_FIELDS, row))
@@ -232,6 +234,9 @@ def ref_host(row):
             values[name] = cells[name]
         else:
             values[name] = ref_number(csv_name, cells[name], int if name in INT_FIELDS else float)
+    for broken, message in host_rules(values):
+        if broken:
+            raise ValueError(message)
     return HostRecord(**values)
 
 

@@ -15,10 +15,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from volpool import cli, ingest, presets
 from volpool import sim as simmod
 from volpool.capacity import compute_vs_rate_curve, utilization_product
 from volpool.hosts import HostRecord
-from volpool.population import ChurnModel, EmpiricalDistribution, generate_pool
+from volpool.population import ChurnModel, EmpiricalDistribution, assign_users, generate_pool
 from volpool.sim import (
     QuorumOutcome,
     ResultOutcome,
@@ -815,20 +816,67 @@ def test_different_seed_different_run():
     assert a.achieved_gflops != c.achieved_gflops
 
 
-def test_a_run_builds_no_host_records(monkeypatch):
-    """The engine reads both pools by column, arrivals included, never by row."""
-    built = []
+# (command, config) runs through cli.main; "input" names the host CSV a
+# case reads, which is written from a generated pool with multi-host users
+# and one malformed row. ingest reads only CSVs, so its "pool" case reads
+# the CSV of a generated pool as written, with no rejects.
+RECORD_FREE_RUNS = {
+    "ingest-csv": ("ingest", {"input": "edited"}),
+    "ingest-pool": ("ingest", {"input": "written"}),
+    "stats-csv": ("stats", {"input": "edited"}),
+    "stats-pool": ("stats", {"seed": 3, "pool": {"n_hosts": 300}}),
+    "sweep-csv": ("sweep", {"input": "edited", "rates": {"stop": 500.0, "n": 11}}),
+    "sweep-pool": ("sweep", {"seed": 3, "pool": {"n_hosts": 300}, "per_host_factors": True}),
+    # the settings of churny_config(33): arrivals join the initial pool
+    "simulate": ("simulate", {
+        "duration_days": 12.0, "seed": 33,
+        "churn": {"arrival_rate": 6.0, "lifetime_mean_days": 4.0},
+        "pool": {"n_hosts": 10, "seed": 4, "fields": dict(
+            flat_spec(10, seed=4, on=0.8).field_generators)},
+        "task": {"flops_per_task": 1e13, "input_size_mb": 3.0, "deadline_days": 2.0},
+        "min_quorum": 2, "max_replicas": 4, "error_rate": 0.05,
+    }),
+}
+
+
+@pytest.mark.parametrize("case", list(RECORD_FREE_RUNS))
+def test_a_run_builds_no_host_records(case, tmp_path, monkeypatch):
+    """Every command reads its pools by column, never by row: a whole CLI
+    run constructs no ``HostRecord``."""
+    pool = assign_users(
+        generate_pool(presets.reference_pool_spec(n_hosts=300, seed=2)),
+        presets.HOSTS_PER_USER_PCT, seed=2,
+    )
+    written = ingest.serialize_hosts(pool)
+    edited = written + written.splitlines()[1].replace("Intel", "VIA") + "\n"
+    for name, text in (("written", written), ("edited", edited)):
+        (tmp_path / f"{name}.csv").write_text(text)
+
+    command, cfg = RECORD_FREE_RUNS[case]
+    if "input" in cfg:
+        cfg = {**cfg, "input": str(tmp_path / f"{cfg['input']}.csv")}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+
+    built, pool_sizes = [], []
     original = HostRecord.__init__
 
     def counted(self, *args, **kwargs):
         built.append(self)
         original(self, *args, **kwargs)
 
+    def sized(spec):
+        drawn = generate_pool(spec)
+        pool_sizes.append(len(drawn))
+        return drawn
+
     monkeypatch.setattr(HostRecord, "__init__", counted)
-    engine = _LoggingEngine(churny_config(33))
-    report = engine.run()
-    assert any(h.arrive_s > 0.0 for h in engine.hosts)
-    assert report.n_results > 0
+    monkeypatch.setattr(simmod, "generate_pool", sized)
+    args = [command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "out")]
+    assert cli.main(args) == 0
+    if command == "simulate":
+        assert len(pool_sizes) == 2 and pool_sizes[1] > 0  # the arrival pool
+        report = json.loads((tmp_path / "out" / "sim_report.json").read_text())
+        assert report["n_results"] > 0
     assert built == []
 
 

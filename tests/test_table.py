@@ -23,7 +23,7 @@ from volpool.hosts import (
 from volpool.units import MB_PER_MBPS_HOUR, SECONDS_PER_DAY, kbps_to_bytes_per_s, kbps_to_mbps
 
 from conftest import flat_spec
-from test_hosts import make_host
+from test_hosts import make_host, one_row_table
 
 
 def small_pool(n=6, seed=2):
@@ -32,41 +32,44 @@ def small_pool(n=6, seed=2):
 
 # -- construction and validation ---------------------------------------------------
 
-# (field, bad value) pairs, one per HostRecord rule, in the order the rules run
+# (field, bad value, message) triples, one per host rule, in the order the
+# rules run; each case is named by its field and bad value
 BROKEN = (
-    [("n_cpus", 0)]
-    + [(name, -1.0) for name in ("flops_per_cpu", "iops_per_cpu", "ram", "swap",
-                                 "disk_total", "disk_free", "throughput_down")]
-    + [(name, bad) for name in ("on_fraction", "connected_fraction", "active_fraction",
-                                "cpu_efficiency", "resource_share")
+    [("n_cpus", 0, "n_cpus must be at least 1")]
+    + [(name, -1.0, f"{name} is negative")
+       for name in ("flops_per_cpu", "iops_per_cpu", "ram", "swap",
+                    "disk_total", "disk_free", "throughput_down")]
+    + [(name, bad, f"{name} outside [0, 1]")
+       for name in ("on_fraction", "connected_fraction", "active_fraction",
+                    "cpu_efficiency", "resource_share")
        for bad in (1.5, -0.1, math.nan)]
-    + [("disk_free", 41.0), ("last_contact", -1)]
+    + [("disk_free", 41.0, "disk_free exceeds disk_total"),
+       ("last_contact", -1, "last_contact precedes created")]
 )
 
 
-def record_error(**overrides) -> str:
-    with pytest.raises(ValueError) as err:
-        make_host(**overrides)
-    return str(err.value)
-
-
-@pytest.mark.parametrize("name, bad", BROKEN)
-def test_table_rejects_each_record_rule_with_its_message(name, bad):
+@pytest.mark.parametrize("name, bad, message", BROKEN,
+                         ids=[f"{name}-{bad}" for name, bad, _ in BROKEN])
+def test_table_rejects_each_record_rule_with_its_message(name, bad, message):
     good = HostTable.from_records([make_host(), make_host(host_id="h1")])
     column = list(getattr(good, name).tolist())
     column[1] = bad
     with pytest.raises(ValueError) as err:
         dataclasses.replace(good, **{name: column})
-    assert str(err.value) == record_error(**{name: bad})
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        one_row_table(**{name: bad})
+    assert str(err.value) == message
 
 
 def test_table_checks_rules_in_record_order():
     # one host breaks ram, another n_cpus: the n_cpus rule comes first, as
-    # it does for a single record breaking both
+    # it does for a single host breaking both
     good = HostTable.from_records([make_host(), make_host(host_id="h1")])
     with pytest.raises(ValueError, match="^n_cpus must be at least 1$"):
         dataclasses.replace(good, ram=[-1.0, 512.0], n_cpus=[1, 0])
-    assert record_error(ram=-1.0, n_cpus=0) == "n_cpus must be at least 1"
+    with pytest.raises(ValueError, match="^n_cpus must be at least 1$"):
+        one_row_table(ram=-1.0, n_cpus=0)
 
 
 def test_table_rejects_ragged_columns():
@@ -385,11 +388,8 @@ def test_columnar_functions_match_the_record_loops(table, silence_days, grid, th
 
     assert repr(capacity.hardware_flops(table)) == repr(
         left_to_right(h.n_cpus * h.flops_per_cpu for h in rows))
-    for selection in ((), ("on_fraction", "connected_fraction", "redundancy")):
-        scale = math.prod(getattr(FACTORS, s) for s in selection if s != "redundancy")
-        scale /= FACTORS.redundancy if "redundancy" in selection else 1.0
-        assert repr(capacity.storage_potential(table, FACTORS, selection)) == repr(
-            left_to_right(h.disk_free for h in rows) * scale)
+    assert repr(capacity.storage_potential(table)) == repr(
+        left_to_right(h.disk_free for h in rows))
     network = left_to_right(kbps_to_bytes_per_s(h.throughput_down) for h in rows)
     assert repr(capacity.access_rate(table, FACTORS)) == repr(
         network * FACTORS.on_fraction * FACTORS.connected_fraction)
