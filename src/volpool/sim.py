@@ -23,6 +23,12 @@ offset and passes through its host first in, first out, so the oldest
 replica on a host is always the next one due: each host keeps a single
 deadline event, armed on its oldest replica.
 
+Only a state change is an event. A download whose completion would start
+nothing (uncapped, while its host computes and no other input waits)
+completes without one, at the host's next event, the next sample or the end
+of the run; a fetch retry that could not fetch is not pushed. Each keeps the
+seq its event would have taken, so same-time events run in the same order.
+
 Everything random flows from one 64-bit seed: identical configs give
 identical reports, byte for byte. Time is seconds internally, days at the
 configuration and reporting surface.
@@ -36,6 +42,7 @@ import random
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -98,7 +105,7 @@ class ResultRecord:
     outcome: ResultOutcome
 
 
-@dataclass
+@dataclass(slots=True)
 class WorkUnit:
     """Server-side counts for one unit; it is created with its first replica."""
 
@@ -111,6 +118,7 @@ class WorkUnit:
     n_correct: int = 0
     deficit: int = 0
     in_needs: bool = False
+    stamp: int = 0  # order of its latest entry into the server's queue
 
 
 class QuorumOutcome(Enum):
@@ -283,7 +291,8 @@ class _Host:
         "work", "n_done", "n_ready", "deadline_armed",
         "cp_running", "cp_mark", "cp_epoch",
         "dl_running", "dl_mark", "dl_epoch", "dl_tag", "dl_listed",
-        "on_hand_flop", "next_fetch_s", "fetch_pending",
+        "dl_due", "dl_seq",
+        "on_hand_flop", "next_fetch_s", "fetch_due", "fetch_seq", "fetch_armed",
         "occ_mark",
     )
 
@@ -315,9 +324,19 @@ class _Host:
         self.dl_epoch = 0
         self.dl_tag = None  # finish tag on the shared clock while at the fair share
         self.dl_listed = False  # in the engine's flow list under an egress cap
+        # A lazy download completes at ``dl_due`` without an event of its own:
+        # uncapped, while the host computes and no other input waits, its
+        # completion would start nothing. ``dl_seq`` is the seq its event
+        # would have taken. ``dl_due`` is inf while no download is lazy.
+        self.dl_due = math.inf
+        self.dl_seq = 0
         self.on_hand_flop = 0.0
         self.next_fetch_s = -1.0
-        self.fetch_pending = False
+        # The fetch retry due at (fetch_due, fetch_seq); ``fetch_armed`` while
+        # its event is in the heap. A retry that cannot fetch is not pushed.
+        self.fetch_due = -1.0
+        self.fetch_seq = 0
+        self.fetch_armed = False
         self.occ_mark = arrive_s
 
     def comm_ok(self) -> bool:
@@ -335,6 +354,7 @@ class _Engine:
         self.heap: list = []
         self.seq = 0
         self.now = 0.0
+        self.now_seq = 0  # the seq of the event running at ``now``
 
         ss = np.random.SeedSequence(cfg.seed)
         kids = ss.spawn(3)
@@ -352,8 +372,11 @@ class _Engine:
             self.cap_mb = mbps_to_mb_per_s(cfg.server_egress_cap)
             self._dl_changed = self._sync_download_capped
 
-        # server
+        # server: the units owed replicas, in stamp order; ``parked`` holds
+        # those that every live host already holds, until a host arrives
         self.needs: deque[WorkUnit] = deque()
+        self.parked: list[WorkUnit] = []
+        self.n_queued = 0
         self.wu_seq = 0
         self.n_validated = 0
         self.n_invalid = 0
@@ -361,7 +384,7 @@ class _Engine:
         self.validated_results_total = 0
         self.validated_flop = 0.0
 
-        # accumulators; raw work is ``_raw_flop``
+        # accumulators; raw work is ``_sweep``
         self.done_flop = 0.0  # one whole task per completed replica
         self.lost_flop = 0.0  # partial work of replicas written off or lost
         self.mb_downloaded = 0.0
@@ -394,6 +417,10 @@ class _Engine:
         self.seq += 1
         heapq.heappush(self.heap, (t, self.seq, handler, a, b))
 
+    def _ran_by(self, t: float, seq: int, now: float) -> bool:
+        """Whether an event at (``t``, ``seq``) has run by the one running at ``now``."""
+        return t < now or (t == now and seq <= self.now_seq)
+
     # -- occupancy ---------------------------------------------------------
 
     def _settle_occupancy(self, h: _Host, now: float):
@@ -421,6 +448,14 @@ class _Engine:
                 h.on_hand_flop -= done
         h.cp_mark = now
 
+    def _progress(self, h: _Host, now: float) -> float:
+        """FLOP ``_settle_compute`` would count at ``now``; writes nothing."""
+        if not h.cp_running:
+            return 0.0
+        done = (now - h.cp_mark) * h.flops_rate
+        left = h.work[h.n_done].flops_left
+        return done if done < left else left
+
     def _sync_compute(self, h: _Host, now: float):
         """Run the oldest downloaded replica exactly while the host may compute.
 
@@ -429,14 +464,15 @@ class _Engine:
         completion instant is unchanged.
         """
         desired = h.n_ready > 0 and h.compute_ok() and h.flops_rate > 0.0
-        if desired == h.cp_running:
-            return  # idle stays idle; a running replica keeps its completion
-        h.cp_epoch += 1
-        h.cp_running = desired
-        if desired:
-            h.cp_mark = now
-            eta = now + h.work[h.n_done].flops_left / h.flops_rate
-            self._push(eta, self._on_cp_done, h, h.cp_epoch)
+        if desired != h.cp_running:  # else a running replica keeps its completion
+            h.cp_epoch += 1
+            h.cp_running = desired
+            if desired:
+                h.cp_mark = now
+                eta = now + h.work[h.n_done].flops_left / h.flops_rate
+                self._push(eta, self._on_cp_done, h, h.cp_epoch)
+        if not desired and h.dl_due < math.inf:
+            self._push_download(h)  # the download's completion now starts compute
 
     # -- download side -----------------------------------------------------
 
@@ -455,15 +491,40 @@ class _Engine:
         h.dl_mark = now
 
     def _sync_download_uncapped(self, h: _Host, now: float):
-        desired = len(h.work) > h.n_done + h.n_ready and h.comm_ok() and h.dl_cap > 0.0
+        i = h.n_done + h.n_ready  # the input downloading or next to download
+        desired = len(h.work) > i and h.comm_ok() and h.dl_cap > 0.0
         if desired and h.dl_running:
-            return  # unchanged; completion event stands
+            if len(h.work) > i + 1 and h.dl_due < math.inf:
+                self._push_download(h)  # its completion now starts the next input
+            return  # unchanged; completion stands
         h.dl_epoch += 1
         h.dl_running = desired
+        h.dl_due = math.inf
         if desired:
             h.dl_mark = now
-            eta = now + h.work[h.n_done + h.n_ready].input_left / h.dl_cap
-            self._push(eta, self._on_dl_done, h, h.dl_epoch)
+            eta = now + h.work[i].input_left / h.dl_cap
+            if h.cp_running and len(h.work) == i + 1:
+                self.seq += 1
+                h.dl_due = eta
+                h.dl_seq = self.seq
+            else:
+                self._push(eta, self._on_dl_done, h, h.dl_epoch)
+
+    def _push_download(self, h: _Host):
+        """Give a lazy download its completion event, under its reserved seq."""
+        heapq.heappush(self.heap, (h.dl_due, h.dl_seq, self._on_dl_done, h, h.dl_epoch))
+        h.dl_due = math.inf
+
+    def _land_download(self, h: _Host, now: float):
+        """Complete a lazy download due by ``now``, as its event would have."""
+        if h.dl_due == now and h.dl_seq > self.now_seq:  # ``_ran_by``, inline
+            return  # its event would run after the current one
+        h.dl_due = math.inf
+        h.work[h.n_done + h.n_ready].input_left = 0.0
+        h.n_ready += 1
+        h.dl_running = False
+        self.mb_downloaded += self.task.input_size
+        self.downloads_completed += 1
 
     def _sync_download_capped(self, h: _Host, now: float):
         """Keep ``h`` listed in ``flows`` exactly while its download can run.
@@ -549,6 +610,28 @@ class _Engine:
             now + self.task.deadline * SECONDS_PER_DAY, self.seq,
         )
 
+    def _queue(self, wu: WorkUnit):
+        wu.in_needs = True
+        wu.stamp = self.n_queued
+        self.n_queued += 1
+        self.needs.append(wu)
+
+    def _held_by_every_live_host(self, wu: WorkUnit) -> bool:
+        """Whether every live host already holds a replica of ``wu``.
+
+        ``wu.users`` holds at most ``max_replicas`` hosts, so this is cheap.
+        """
+        live = self.live_hosts
+        return len(wu.users) >= len(live) and live.keys() <= wu.users
+
+    def _unpark(self):
+        """Return the parked units to the queue, each where it stood."""
+        parked = sorted(self.parked, key=attrgetter("stamp"))
+        merged = list(heapq.merge(self.needs, parked, key=attrgetter("stamp")))
+        self.needs.clear()
+        self.needs.extend(merged)
+        self.parked.clear()
+
     def _assign(self, h: _Host, n: int, now: float) -> list[_Replica]:
         out: list[_Replica] = []
         skipped: list[WorkUnit] = []
@@ -558,7 +641,10 @@ class _Engine:
                 wu.in_needs = False
                 continue
             if h.idx in wu.users:
-                skipped.append(wu)
+                if self._held_by_every_live_host(wu):
+                    self.parked.append(wu)
+                else:
+                    skipped.append(wu)
                 continue
             out.append(self._make_replica(wu, h, now))
             n -= 1
@@ -574,8 +660,7 @@ class _Engine:
             out.append(self._make_replica(wu, h, now))
             n -= 1
             if wu.deficit > 0:
-                wu.in_needs = True
-                self.needs.append(wu)
+                self._queue(wu)
         return out
 
     def _deliver(self, r: _Replica, outcome: ResultOutcome):
@@ -610,8 +695,7 @@ class _Engine:
         if grow > 0:
             wu.deficit += grow
             if not wu.in_needs:
-                wu.in_needs = True
-                self.needs.append(wu)
+                self._queue(wu)
 
     def _flush_returns(self, h: _Host, now: float):
         while h.n_done:
@@ -635,18 +719,38 @@ class _Engine:
     # -- work fetch ----------------------------------------------------------
 
     def _try_fetch(self, h: _Host, now: float):
-        if h.idx not in self.live_hosts or not h.mem_ok or not h.comm_ok():
+        """Fetch what the buffer lacks, or keep one retry due when allowed.
+
+        The caller has checked that ``h`` is live and can communicate.
+        """
+        if not h.mem_ok:
             return
         if now + 1e-9 < h.next_fetch_s:
-            if not h.fetch_pending and h.next_fetch_s <= self.duration_s:
-                h.fetch_pending = True
-                self._push(h.next_fetch_s, self._on_fetch, h)
+            if h.fetch_armed:
+                return  # its retry is in the heap
+            # one retry at next_fetch_s, pending until its event would have
+            # run; it is pushed once a fetch could then succeed
+            if self._ran_by(h.fetch_due, h.fetch_seq, now):
+                if h.next_fetch_s > self.duration_s:
+                    return
+                self.seq += 1
+                h.fetch_due = h.next_fetch_s
+                h.fetch_seq = self.seq
+            if self._may_fetch_at(h, h.fetch_due):
+                self._arm_retry(h)
             return
-        # bring the in-flight replica up to date so the buffer gap is real
-        self._settle_compute(h, now)
+        # the buffer gap counts the in-flight replica's progress; a host
+        # with a full buffer writes nothing
+        done = self._progress(h, now)
+        if h.buffer_flop - (h.on_hand_flop - done) <= 0.0:
+            return
+        if not h.fetch_armed and not self._ran_by(h.fetch_due, h.fetch_seq, now):
+            self._arm_retry(h)  # this fetch moves next_fetch_s: that retry will act
+        if done > 0.0:  # settle, as _settle_compute would
+            h.work[h.n_done].flops_left -= done
+            h.on_hand_flop -= done
+        h.cp_mark = now
         need = h.buffer_flop - h.on_hand_flop
-        if need <= 0.0:
-            return
         n = math.ceil(need / self.task.flops_per_task)
         replicas = self._assign(h, n, now)
         for r in replicas:
@@ -654,8 +758,24 @@ class _Engine:
             h.on_hand_flop += self.task.flops_per_task
         self._arm_deadline(h)
         h.next_fetch_s = now + MIN_CONNECTION_INTERVAL_DAYS * SECONDS_PER_DAY
-        self._dl_changed(h, now)
-        self._sync_compute(h, now)
+        self._dl_changed(h, now)  # new replicas await input: compute is unchanged
+
+    def _arm_retry(self, h: _Host):
+        h.fetch_armed = True
+        heapq.heappush(self.heap, (h.fetch_due, h.fetch_seq, self._on_fetch, h, 0))
+
+    def _may_fetch_at(self, h: _Host, t: float) -> bool:
+        """Whether a retry at ``t`` could fetch, as far as is known now.
+
+        The host must still be there, and its buffer must have room even if
+        it computes without pause until ``t``. Only handlers that call
+        ``_try_fetch`` lower the buffer otherwise, and they ask again. The
+        margin absorbs the float residue a completion drops from the buffer.
+        """
+        if h.depart_s <= t:
+            return False
+        left_at_t = h.on_hand_flop - h.flops_rate * (t - h.cp_mark)
+        return left_at_t <= h.buffer_flop * (1.0 + 1e-9)
 
     # -- state changes -------------------------------------------------------
 
@@ -683,10 +803,14 @@ class _Engine:
             states.append(state)
         h.on, h.conn, h.allow = states
         self.live_hosts[h.idx] = h
+        if self.parked:
+            self._unpark()
         if h.comm_ok():
             self._try_fetch(h, now)
 
     def _on_depart(self, h: _Host, _, now: float):
+        if h.dl_due <= now:
+            self._land_download(h, now)
         self._settle_occupancy(h, now)
         self._settle_compute(h, now)
         self._settle_download(h, now)
@@ -701,6 +825,7 @@ class _Engine:
         h.n_done = h.n_ready = 0
         h.cp_running = False
         h.dl_running = False
+        h.dl_due = math.inf
         h.cp_epoch += 1
         h.dl_epoch += 1
         for r in doomed:
@@ -709,15 +834,24 @@ class _Engine:
 
     def _on_toggle(self, h: _Host, proc: int, now: float):
         self._settle_occupancy(h, now)
-        self._settle_compute(h, now)
-        self._settle_download(h, now)
+        # ``idle``: neither compute_ok() nor comm_ok() changes, so nothing
+        # runs before or after the flip and nothing else is written
         if proc == _PROC_ON:
             h.on = state = not h.on
+            idle = not h.allow
         elif proc == _PROC_CONN:
             h.conn = state = not h.conn
+            idle = not (h.on and h.allow)
         else:
             h.allow = state = not h.allow
+            idle = not h.on
         self._push_toggle(h, proc, state, now)
+        if idle:
+            return
+        if h.dl_due <= now:
+            self._land_download(h, now)
+        self._settle_compute(h, now)
+        self._settle_download(h, now)
         self._apply_transition(h, now)
 
     def _push_toggle(self, h: _Host, proc: int, up: bool, now: float):
@@ -737,6 +871,8 @@ class _Engine:
     def _on_cp_done(self, h: _Host, epoch: int, now: float):
         if epoch != h.cp_epoch:  # paused, finished or departed since
             return
+        if h.dl_due <= now:
+            self._land_download(h, now)
         self._settle_compute(h, now)
         r = h.work[h.n_done]
         # a float residue may be left; the replica still did one whole task
@@ -751,10 +887,11 @@ class _Engine:
         h.n_ready -= 1
         h.cp_running = False
         h.cp_epoch += 1
-        if h.comm_ok():
+        comm = h.comm_ok()
+        if comm:
             self._flush_returns(h, now)
         self._sync_compute(h, now)
-        if h.comm_ok():
+        if comm:
             self._try_fetch(h, now)
 
     def _on_dl_done(self, h: _Host, epoch: int, now: float):
@@ -783,6 +920,8 @@ class _Engine:
         Replicas share one deadline offset and pass through the host in
         fetch order, so only the oldest can be due.
         """
+        if h.dl_due <= now:
+            self._land_download(h, now)
         work = h.work
         while work and work[0].deadline_s <= now:
             self._settle_compute(h, now)
@@ -809,23 +948,33 @@ class _Engine:
         self._arm_deadline(h)
 
     def _on_fetch(self, h: _Host, _, now: float):
-        h.fetch_pending = False
-        self._try_fetch(h, now)
+        h.fetch_armed = False
+        if h.dl_due <= now:
+            self._land_download(h, now)
+        if h.idx in self.live_hosts and h.comm_ok():
+            self._try_fetch(h, now)
 
-    def _raw_flop(self) -> float:
-        """Work done so far, as settled: whole tasks, then partial ones.
+    def _sweep(self, now: float) -> float:
+        """Land every lazy download due by ``now``; return the raw work done by then.
 
-        Completed replicas count whole tasks, as validated units do, and the
-        other terms are not negative, so raw work never rounds below
-        validated work.
+        Raw work is whole tasks, then the partial work of the computing
+        replicas up to ``now``, which is not settled. Completed replicas
+        count whole tasks, as validated units do, and the other terms are not
+        negative, so raw work never rounds below validated work. A lazy
+        download needs a computing replica, so one pass over the hosts with
+        one serves both.
         """
         f = self.task.flops_per_task
-        computing = sum(
-            f - h.work[h.n_done].flops_left for h in self.live_hosts.values() if h.n_ready
-        )
+        computing = 0.0
+        for h in self.live_hosts.values():
+            if h.n_ready:
+                if h.dl_due <= now:
+                    self._land_download(h, now)
+                computing += f - (h.work[h.n_done].flops_left - self._progress(h, now))
         return self.done_flop + self.lost_flop + computing
 
     def _on_sample(self, _, __, now: float):
+        raw_flop = self._sweep(now)
         t = now if now > 0 else 1.0
         self.timeline.append(
             TimelineSample(
@@ -833,7 +982,7 @@ class _Engine:
                 active_hosts=len(self.live_hosts),
                 validated_workunits=self.n_validated,
                 achieved_gflops=self.validated_flop / t / GIGA,
-                raw_gflops=self._raw_flop() / t / GIGA,
+                raw_gflops=raw_flop / t / GIGA,
                 bytes_downloaded=self.mb_downloaded,
             )
         )
@@ -888,23 +1037,25 @@ class _Engine:
         self._push(self.duration_s, self._on_sample)
 
         heap = self.heap
+        pop = heapq.heappop
         while heap:
-            t, _, handler, a, b = heapq.heappop(heap)
+            t, seq, handler, a, b = pop(heap)
             if t > self.duration_s:
                 break
             self.now = t
+            self.now_seq = seq
             handler(a, b, t)
 
-        end = self.duration_s
-        for h in self.live_hosts.values():
-            self._settle_occupancy(h, end)
-            self._settle_compute(h, end)
-
         dur_s = self.duration_s
+        for h in self.live_hosts.values():
+            self._settle_occupancy(h, dur_s)
+        self.now_seq = self.seq + 1  # every event due by the end has run
+        raw_flop = self._sweep(dur_s)
+
         member = self.member_time
         return SimReport(
             achieved_gflops=self.validated_flop / dur_s / GIGA,
-            raw_gflops=self._raw_flop() / dur_s / GIGA,
+            raw_gflops=raw_flop / dur_s / GIGA,
             bytes_downloaded=self.mb_downloaded,
             mean_active_hosts=member / dur_s,
             replicas_per_validated_task=(
