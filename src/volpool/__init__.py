@@ -32,16 +32,12 @@ from .population import (
     lifetime_stats,
 )
 from .sim import (
-    QuorumDecision,
-    ResultOutcome,
-    ResultRecord,
     SimConfig,
     SimReport,
     TaskSpec,
     analytic_comparison,
     factors_from_sim_config,
     run_simulation,
-    validate_quorum,
 )
 
 __version__ = "0.1.0"
@@ -53,9 +49,6 @@ __all__ = [
     "HostRecord",
     "HostTable",
     "PoolSpec",
-    "QuorumDecision",
-    "ResultOutcome",
-    "ResultRecord",
     "SimConfig",
     "SimReport",
     "TaskSpec",
@@ -74,6 +67,5 @@ __all__ = [
     "serialize_hosts",
     "storage_potential",
     "utilization_product",
-    "validate_quorum",
     "write_hosts_csv",
 ]

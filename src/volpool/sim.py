@@ -44,7 +44,7 @@ from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -77,6 +77,12 @@ class ResultOutcome(Enum):
     LOST = "Lost"
 
 
+# The members, bound once: the hot paths read a module global, not an enum
+# class attribute, which costs an order of magnitude more.
+_IN_PROGRESS, _VALIDATED, _INVALID = WorkUnitState
+_CORRECT, _ERRONEOUS, _TIMED_OUT, _LOST = ResultOutcome
+
+
 @dataclass(frozen=True)
 class TaskSpec:
     """One work unit's resource demands. FLOP, MB and days throughout."""
@@ -97,14 +103,6 @@ class TaskSpec:
             raise ValueError("memory_footprint must be positive")
 
 
-@dataclass(frozen=True)
-class ResultRecord:
-    """One returned result, as ``validate_quorum`` reads it."""
-
-    user_id: str
-    outcome: ResultOutcome
-
-
 @dataclass(slots=True)
 class WorkUnit:
     """Server-side counts for one unit; it is created with its first replica."""
@@ -112,63 +110,13 @@ class WorkUnit:
     id: int
     replicas_issued: int = 0
     n_results: int = 0
-    state: WorkUnitState = WorkUnitState.IN_PROGRESS
+    state: WorkUnitState = _IN_PROGRESS
     # scheduler bookkeeping
     users: set = field(default_factory=set)  # indices of the hosts issued a replica
     n_correct: int = 0
     deficit: int = 0
     in_needs: bool = False
     stamp: int = 0  # order of its latest entry into the server's queue
-
-
-class QuorumOutcome(Enum):
-    VALIDATED = "Validated"
-    NEED_MORE = "NeedMore"
-    INVALID = "Invalid"
-
-
-@dataclass(frozen=True)
-class QuorumDecision:
-    outcome: QuorumOutcome
-    additional_replicas: int = 0
-
-
-def _still_needed(
-    n_correct: int, n_results: int, min_quorum: int, max_replicas: int
-) -> int | None:
-    """Correct results a unit still needs: 0 once validated, None for a write-off.
-
-    A unit is a write-off when the replicas its budget has left after
-    ``n_results`` returns are fewer than the correct results it lacks.
-    """
-    needed = min_quorum - n_correct
-    if needed <= 0:
-        return 0
-    if needed > max_replicas - n_results:
-        return None
-    return needed
-
-
-def validate_quorum(
-    results: Sequence[ResultRecord], min_quorum: int, max_replicas: int
-) -> QuorumDecision:
-    """Apply the validation rule to a finished set of results.
-
-    Correct results always agree, erroneous ones never match anything, so
-    validation needs ``min_quorum`` correct results from distinct users.
-    If the remaining replica budget cannot reach that, the unit is a write-off.
-    """
-    if min_quorum < 1:
-        raise ValueError("min_quorum must be at least 1")
-    if max_replicas < min_quorum:
-        raise ValueError("max_replicas below min_quorum")
-    correct_users = {r.user_id for r in results if r.outcome is ResultOutcome.CORRECT}
-    needed = _still_needed(len(correct_users), len(results), min_quorum, max_replicas)
-    if needed == 0:
-        return QuorumDecision(QuorumOutcome.VALIDATED)
-    if needed is None:
-        return QuorumDecision(QuorumOutcome.INVALID)
-    return QuorumDecision(QuorumOutcome.NEED_MORE, additional_replicas=needed)
 
 
 @dataclass(frozen=True)
@@ -637,7 +585,7 @@ class _Engine:
         skipped: list[WorkUnit] = []
         while n > 0 and self.needs:
             wu = self.needs.popleft()
-            if wu.state is not WorkUnitState.IN_PROGRESS or wu.deficit <= 0:
+            if wu.state is not _IN_PROGRESS or wu.deficit <= 0:
                 wu.in_needs = False
                 continue
             if h.idx in wu.users:
@@ -664,28 +612,34 @@ class _Engine:
         return out
 
     def _deliver(self, r: _Replica, outcome: ResultOutcome):
-        """Count a terminal result against its work unit and react."""
+        """Count a terminal result against its work unit and apply the quorum rule.
+
+        A unit is validated once ``min_quorum`` of its results are correct,
+        and written off once the replicas its budget has left are fewer than
+        the correct results it lacks; otherwise it is owed replicas.
+        """
         wu = r.wu
         wu.n_results += 1
         self.n_results += 1
-        if wu.state is WorkUnitState.VALIDATED:
+        state = wu.state
+        if state is _VALIDATED:
             self.validated_results_total += 1
             return
-        if wu.state is not WorkUnitState.IN_PROGRESS:
+        if state is not _IN_PROGRESS:
             return
-        if outcome is ResultOutcome.CORRECT:
+        if outcome is _CORRECT:
             wu.n_correct += 1  # one replica per host, and each host is its own user
         cfg = self.cfg
-        needed = _still_needed(wu.n_correct, wu.n_results, cfg.min_quorum, cfg.max_replicas)
-        if needed == 0:
-            wu.state = WorkUnitState.VALIDATED
+        needed = cfg.min_quorum - wu.n_correct
+        if needed <= 0:
+            wu.state = _VALIDATED
             self.n_validated += 1
             self.validated_results_total += wu.n_results
             self.validated_flop += self.task.flops_per_task
             wu.deficit = 0
             return
-        if needed is None:
-            wu.state = WorkUnitState.INVALID
+        if needed > cfg.max_replicas - wu.n_results:
+            wu.state = _INVALID
             self.n_invalid += 1
             wu.deficit = 0
             return
@@ -829,7 +783,7 @@ class _Engine:
         h.cp_epoch += 1
         h.dl_epoch += 1
         for r in doomed:
-            self._deliver(r, ResultOutcome.LOST)
+            self._deliver(r, _LOST)
         self._dl_changed(h, now)  # under a cap, this takes the host off the flow list
 
     def _on_toggle(self, h: _Host, proc: int, now: float):
@@ -879,9 +833,9 @@ class _Engine:
         self.done_flop += self.task.flops_per_task
         h.on_hand_flop -= r.flops_left
         r.outcome = (
-            ResultOutcome.ERRONEOUS
+            _ERRONEOUS
             if self.cfg.error_rate > 0.0 and self.rng.random() < self.cfg.error_rate
-            else ResultOutcome.CORRECT
+            else _CORRECT
         )
         h.n_done += 1
         h.n_ready -= 1
@@ -941,7 +895,7 @@ class _Engine:
                 h.dl_epoch += 1
                 h.on_hand_flop -= r.flops_left
                 self._dl_changed(h, now)
-            self._deliver(r, ResultOutcome.TIMED_OUT)
+            self._deliver(r, _TIMED_OUT)
             if h.comm_ok():
                 self._try_fetch(h, now)
         h.deadline_armed = False

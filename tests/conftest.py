@@ -1,9 +1,16 @@
-"""Shared fixtures: cheap deterministic pools and a homogeneous-spec factory."""
+"""Shared fixtures: cheap deterministic pools, a homogeneous-spec factory, and
+the quorum rule with the exact replica cost it implies."""
+
+import math
+from functools import cache
 
 import pytest
 
 from volpool import population as pop
 from volpool import presets
+from volpool.sim import WorkUnitState
+
+IN_PROGRESS, VALIDATED, INVALID = WorkUnitState
 
 
 def flat_spec(
@@ -41,6 +48,55 @@ def flat_spec(
             "resource_share": share,
         },
     )
+
+
+def quorum_state(correct_users, n_results, min_quorum, max_replicas):
+    """The validation rule, from its definition, over a unit's results so far.
+
+    ``correct_users`` holds the users whose results were correct. The unit is
+    validated once they number ``min_quorum``, and written off once the
+    replicas its budget has left after ``n_results`` results cannot make up
+    the difference. Returns the unit's state and the correct results it lacks.
+    """
+    lacking = min_quorum - len(set(correct_users))
+    if lacking <= 0:
+        return VALIDATED, 0
+    if lacking > max_replicas - n_results:
+        return INVALID, lacking
+    return IN_PROGRESS, lacking
+
+
+def replica_cost(p, min_quorum, max_replicas):
+    """P(validated), E[replicas | validated] and its sigma, exactly, for one unit.
+
+    The server issues ``min_quorum`` replicas. Each result comes from a user
+    of its own and is erroneous with probability ``p``, independently, and
+    none is lost or late. After each result the server applies
+    ``quorum_state`` and tops the replicas outstanding up to the correct
+    results the unit lacks. A validated unit costs every replica it was
+    issued.
+    """
+
+    @cache
+    def walk(correct, results, issued):
+        # P(validated), E[replicas; validated], E[replicas^2; validated] from
+        # a state with issued - results replicas outstanding
+        total = (0.0, 0.0, 0.0)
+        for ok, prob in ((1, 1.0 - p), (0, p)):
+            c, n = correct + ok, results + 1
+            state, lacking = quorum_state(range(c), n, min_quorum, max_replicas)
+            if state is VALIDATED:
+                part = (1.0, issued, issued * issued)
+            elif state is INVALID:
+                part = (0.0, 0.0, 0.0)
+            else:
+                part = walk(c, n, max(issued, n + lacking))
+            total = tuple(t + prob * x for t, x in zip(total, part))
+        return total
+
+    mass, first, second = walk(0, 0, min_quorum)
+    mean = first / mass
+    return mass, mean, math.sqrt(second / mass - mean * mean)
 
 
 @pytest.fixture(scope="session")

@@ -1,13 +1,12 @@
 """Acceptance gate: ten headline checks, one visible PASS/FAIL line each.
 
 Every check recomputes its expected value from first principles (explicit
-factor products, unit re-derivations, Monte-Carlo oracles, closed-form pool
-dynamics) and asserts at the stated tolerance. The collected lines are
-echoed again in the terminal summary.
+factor products, unit re-derivations, an exact recursion for the replica cost
+of the quorum, closed-form pool dynamics) and asserts at the stated tolerance.
+The collected lines are echoed again in the terminal summary.
 """
 
 import math
-import random
 
 import numpy as np
 import pytest
@@ -25,19 +24,15 @@ from volpool.capacity import (
 from volpool.cli import main as cli_main
 from volpool.population import ChurnModel, assign_users, generate_pool
 from volpool.sim import (
-    QuorumOutcome,
-    ResultOutcome,
-    ResultRecord,
     SimConfig,
     TaskSpec,
     analytic_comparison,
     factors_from_sim_config,
     run_simulation,
-    validate_quorum,
 )
 from volpool.units import GB_PER_PB
 
-from conftest import flat_spec
+from conftest import flat_spec, replica_cost
 
 RESULTS: list[str] = []
 
@@ -117,35 +112,6 @@ def test_criterion_05_littles_law():
     )
 
 
-def _oracle_replicas_per_validated(n_trials, p, q, maxr, seed):
-    """Replay the quorum rule on sequential random results, one unit at a time."""
-    rng = random.Random(seed)
-    total = n_ok = 0
-    for _ in range(n_trials):
-        results = []
-        issued = outstanding = q
-        while True:
-            out = (
-                ResultOutcome.ERRONEOUS
-                if rng.random() < p
-                else ResultOutcome.CORRECT
-            )
-            results.append(ResultRecord(f"u{len(results)}", out))
-            outstanding -= 1
-            d = validate_quorum(results, q, maxr)
-            if d.outcome is QuorumOutcome.VALIDATED:
-                total += issued
-                n_ok += 1
-                break
-            if d.outcome is QuorumOutcome.INVALID:
-                break
-            grow = d.additional_replicas - outstanding
-            if grow > 0:
-                issued += grow
-                outstanding += grow
-    return total / n_ok, n_ok
-
-
 def test_criterion_06_redundancy_overhead():
     exact = run_simulation(
         SimConfig(
@@ -163,8 +129,10 @@ def test_criterion_06_redundancy_overhead():
             min_quorum=2, max_replicas=4, error_rate=0.05,
         )
     )
-    oracle, n_ok = _oracle_replicas_per_validated(20_000, 0.05, 2, 4, seed=42)
-    spread = 3.0 * 0.33 * math.sqrt(1.0 / n_ok + 1.0 / noisy.n_validated)
+    # the simulated mean over n validated units is off the exact one by
+    # sigma / sqrt(n) in standard error; allow three
+    _, oracle, sigma = replica_cost(0.05, 2, 4)
+    spread = 3.0 * sigma / math.sqrt(noisy.n_validated)
     sim_val = noisy.replicas_per_validated_task
     ok = (
         exact.replicas_per_validated_task == 2.0
@@ -175,8 +143,8 @@ def test_criterion_06_redundancy_overhead():
         6,
         ok,
         f"replicas/validated: {exact.replicas_per_validated_task} at no errors; "
-        f"{sim_val:.4f} at 5% errors in (2, 2.35), oracle {oracle:.4f} "
-        f"+/- {spread:.4f}",
+        f"{sim_val:.4f} at 5% errors in (2, 2.35), exact {oracle:.5f} "
+        f"+/- {spread:.4f} (3 sigma / sqrt {noisy.n_validated})",
     )
 
 

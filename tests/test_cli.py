@@ -606,6 +606,8 @@ MALFORMED = [
     # zero used to fall back silently to the default buffer
     pytest.param("simulate", simulate_config(work_buffer_days=0),
                  "work_buffer_days must be positive", id="simulate-zero-buffer"),
+    pytest.param("simulate", {"min_quorum": 0},
+                 "min_quorum must be at least 1", id="simulate-zero-quorum"),
     # both factors finite, their product not: no JSON can hold the result
     pytest.param("capacity", {"factors": {"arrival_rate": 1e308, "mean_lifetime": 1e308}},
                  "not JSON compliant", id="capacity-overflow"),

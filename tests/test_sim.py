@@ -7,7 +7,6 @@ expected values come from closed forms computed in the test body.
 
 import json
 import math
-import random
 from collections import deque
 from dataclasses import replace
 from itertools import islice
@@ -22,122 +21,50 @@ from volpool.capacity import compute_vs_rate_curve, utilization_product
 from volpool.hosts import HostRecord
 from volpool.population import ChurnModel, EmpiricalDistribution, assign_users, generate_pool
 from volpool.sim import (
-    QuorumOutcome,
     ResultOutcome,
-    ResultRecord,
     SimConfig,
     TaskSpec,
-    WorkUnitState,
     analytic_comparison,
     factors_from_sim_config,
     run_simulation,
     sim_config_from_config,
-    validate_quorum,
 )
 from volpool.units import kbps_to_mb_per_s
 
-from conftest import flat_spec
+from conftest import IN_PROGRESS, INVALID, VALIDATED, flat_spec, quorum_state, replica_cost
 
 NO_CHURN = ChurnModel(arrival_rate=0.0, lifetime_mean_days=1e9)
 DAY_S = 86400.0
-
-
-def result(outcome, user):
-    return ResultRecord(user_id=user, outcome=outcome)
-
-
-C, E = ResultOutcome.CORRECT, ResultOutcome.ERRONEOUS
 
 
 # -- quorum rule ---------------------------------------------------------------
 
 
 def test_quorum_examples():
-    d = validate_quorum([result(C, "a"), result(C, "b")], 2, 4)
-    assert d.outcome is QuorumOutcome.VALIDATED
-    d = validate_quorum([result(C, "a"), result(E, "b")], 2, 4)
-    assert d.outcome is QuorumOutcome.NEED_MORE
-    assert d.additional_replicas == 1
+    assert quorum_state({"a", "b"}, 2, 2, 4) == (VALIDATED, 0)
+    assert quorum_state({"a"}, 2, 2, 4) == (IN_PROGRESS, 1)
     # two corrects from one user only count once
-    d = validate_quorum([result(C, "a"), result(C, "a")], 2, 4)
-    assert d.outcome is QuorumOutcome.NEED_MORE
-    d = validate_quorum([result(E, "a")] * 3, 2, 4)
-    assert d.outcome is QuorumOutcome.INVALID
-    d = validate_quorum([], 2, 4)
-    assert d.outcome is QuorumOutcome.NEED_MORE
-    assert d.additional_replicas == 2
+    assert quorum_state(["a", "a"], 2, 2, 4) == (IN_PROGRESS, 1)
+    assert quorum_state(set(), 3, 2, 4) == (INVALID, 2)
+    assert quorum_state(set(), 0, 2, 4) == (IN_PROGRESS, 2)
 
 
-def test_quorum_validation_errors():
-    with pytest.raises(ValueError, match="min_quorum"):
-        validate_quorum([], 0, 4)
-    with pytest.raises(ValueError, match="max_replicas below min_quorum"):
-        validate_quorum([], 3, 2)
-
-
-@settings(max_examples=120)
-@given(
-    q=st.integers(1, 3),
-    extra=st.integers(0, 3),
-    outcomes=st.lists(
-        st.tuples(st.sampled_from([C, E]), st.sampled_from(["u0", "u1", "u2", "u3"])),
-        max_size=6,
-    ),
-)
-def test_quorum_decision_consistency(q, extra, outcomes):
-    maxr = q + extra
-    results = [result(o, u) for o, u in outcomes[:maxr]]
-    d = validate_quorum(results, q, maxr)
-    n_correct = len({r.user_id for r in results if r.outcome is C})
-    if n_correct >= q:
-        assert d.outcome is QuorumOutcome.VALIDATED
-    elif q - n_correct > maxr - len(results):
-        assert d.outcome is QuorumOutcome.INVALID
-    else:
-        assert d.outcome is QuorumOutcome.NEED_MORE
-        assert d.additional_replicas == q - n_correct
-        assert len(results) + d.additional_replicas <= maxr
-
-
-def mc_replicas_per_validated(n_trials, p, q, maxr, seed):
-    """Drive the quorum rule with sequential random results, as a server would."""
-    rng = random.Random(seed)
-    total = n_validated = 0
-    for _ in range(n_trials):
-        results = []
-        issued = outstanding = q
-        while True:
-            out = E if rng.random() < p else C
-            results.append(result(out, f"u{len(results)}"))
-            outstanding -= 1
-            d = validate_quorum(results, q, maxr)
-            if d.outcome is QuorumOutcome.VALIDATED:
-                total += issued
-                n_validated += 1
-                break
-            if d.outcome is QuorumOutcome.INVALID:
-                break
-            grow = d.additional_replicas - outstanding
-            if grow > 0:
-                issued += grow
-                outstanding += grow
-    return total / n_validated, n_validated
-
-
-def expected_replicas(p, q=2, maxr=4):
-    """E[replicas | validated] for quorum 2 of max 4, independent errors."""
-    assert q == 2 and maxr == 4
+def enumerated_replica_cost(p):
+    """P(validated), E[replicas | validated] and its sigma at quorum 2 of at
+    most 4 replicas: a unit validates on replica 2, 3 or 4 when that many
+    results hold 0, 1 or 2 errors, none of them on the last result."""
     s = 1.0 - p
     probs = {2: s * s, 3: 2 * s * s * p, 4: 3 * s * s * p * p}
     mass = sum(probs.values())
-    return sum(n * pr for n, pr in probs.items()) / mass
+    mean = sum(n * pr for n, pr in probs.items()) / mass
+    second = sum(n * n * pr for n, pr in probs.items()) / mass
+    return mass, mean, math.sqrt(second - mean * mean)
 
 
-def test_mc_oracle_matches_enumeration():
-    p = 0.05
-    mean, n_ok = mc_replicas_per_validated(20000, p, 2, 4, seed=42)
-    sigma = 0.33 / math.sqrt(n_ok)
-    assert mean == pytest.approx(expected_replicas(p), abs=3 * sigma)
+def test_exact_oracle_matches_enumeration():
+    for p in (0.0, 0.01, 0.05, 0.3, 0.9):
+        got = replica_cost(p, 2, 4)
+        assert got == pytest.approx(enumerated_replica_cost(p), rel=0, abs=1e-12)
 
 
 def test_engine_replication_cost_error_free():
@@ -163,7 +90,7 @@ def test_engine_replication_cost_with_errors():
     r = run_simulation(cfg)
     assert r.n_validated > 5000
     assert r.replicas_per_validated_task == pytest.approx(
-        expected_replicas(0.05), abs=0.02
+        replica_cost(0.05, 2, 4)[1], abs=0.02
     )
     assert 2.0 < r.replicas_per_validated_task < 2.35
 
@@ -610,6 +537,8 @@ def test_sim_config_validation():
     )
     with pytest.raises(ValueError, match="duration_days must be positive"):
         SimConfig(**{**ok, "duration_days": 0.0})
+    with pytest.raises(ValueError, match="min_quorum must be at least 1"):
+        SimConfig(**ok, min_quorum=0)
     with pytest.raises(ValueError, match="max_replicas below min_quorum"):
         SimConfig(**ok, min_quorum=3, max_replicas=2)
     with pytest.raises(ValueError, match="error_rate outside"):
@@ -778,13 +707,13 @@ class _LoggingEngine(simmod._Engine):
     """Logs every host, work unit, result and fetch, which the engine does not keep.
 
     After every delivery it also holds the engine's count-based decision to
-    ``validate_quorum`` over the unit's results so far.
+    ``quorum_state`` over the unit's results so far.
     """
 
     def __init__(self, cfg):
         super().__init__(cfg)
         self.units = {}  # unit id -> WorkUnit, in creation order
-        self.results = {}  # unit id -> its results, in the order the server got them
+        self.results = {}  # unit id -> (host id, outcome) of each result, as the server got them
         self.returns = []  # (host id, outcome, day the server got it) of each result
         self.fetches = []  # (host id, day) of each fetch
         self.hosts = []  # every host, in arrival order
@@ -809,24 +738,24 @@ class _LoggingEngine(simmod._Engine):
 
     def _deliver(self, r, outcome):
         wu = r.wu
-        deciding = wu.state is WorkUnitState.IN_PROGRESS
+        deciding = wu.state is IN_PROGRESS
         results = self.results[wu.id]
         h = self.host_of[r]
-        results.append(ResultRecord(h.idx, outcome))
+        results.append((h.idx, outcome))
         self.returns.append((h.idx, outcome, self.now / DAY_S))
         if outcome is ResultOutcome.TIMED_OUT:
             self.timeouts.append((r.deadline_s, self.now))
         super()._deliver(r, outcome)
         if not deciding:
             return  # a late result for a unit already decided
-        d = validate_quorum(results, self.cfg.min_quorum, self.cfg.max_replicas)
-        if wu.state is WorkUnitState.IN_PROGRESS:
-            assert d.outcome is QuorumOutcome.NEED_MORE
+        cfg = self.cfg
+        correct = [user for user, out in results if out is ResultOutcome.CORRECT]
+        state, lacking = quorum_state(correct, len(results), cfg.min_quorum, cfg.max_replicas)
+        assert wu.state is state
+        if state is IN_PROGRESS:
             # the replicas outstanding or owed cover what is still needed
-            assert wu.replicas_issued - len(results) + wu.deficit >= d.additional_replicas
-            assert wu.replicas_issued + wu.deficit <= self.cfg.max_replicas
-        else:
-            assert d.outcome.value == wu.state.value
+            assert wu.replicas_issued - len(results) + wu.deficit >= lacking
+            assert wu.replicas_issued + wu.deficit <= cfg.max_replicas
 
 
 @pytest.fixture(scope="module")
@@ -880,11 +809,10 @@ def test_workhorse_unit_invariants(workhorse):
         results = engine.results[wu.id]
         assert 0 <= wu.replicas_issued <= cfg.max_replicas
         assert len(results) <= wu.replicas_issued
-        users = [res.user_id for res in results]
+        users = [user for user, _ in results]
         assert len(set(users)) == len(users)  # never two replicas per user
         n_results += len(results)
-        correct = {res.user_id for res in results
-                   if res.outcome is ResultOutcome.CORRECT}
+        correct = {user for user, outcome in results if outcome is ResultOutcome.CORRECT}
         name = wu.state.value
         if name == "Validated":
             assert len(correct) >= cfg.min_quorum
@@ -929,7 +857,7 @@ def test_workhorse_fetch_spacing_respects_connection_interval(workhorse):
     n_hosts=st.integers(1, 12),
     deadline=st.floats(0.05, 1.0),
 )
-def test_engine_quorum_decisions_match_validate_quorum(
+def test_engine_quorum_decisions_follow_the_rule(
     seed, quorum, extra, error_rate, n_hosts, deadline,
 ):
     """Every quorum size and budget, with losses, timeouts and errors."""
@@ -945,8 +873,8 @@ def test_engine_quorum_decisions_match_validate_quorum(
     assert sum(len(results) for results in engine.results.values()) == r.n_results
     assert all(now == deadline for deadline, now in engine.timeouts)  # never late
     states = [wu.state for wu in engine.units.values()]
-    assert states.count(WorkUnitState.VALIDATED) == r.n_validated
-    assert states.count(WorkUnitState.INVALID) == r.n_invalid
+    assert states.count(VALIDATED) == r.n_validated
+    assert states.count(INVALID) == r.n_invalid
 
 
 def test_workhorse_observed_fractions(workhorse):

@@ -1,15 +1,18 @@
 """No public name without a caller: every public function or class of the
-package is used by the package itself or by a script, not only by tests."""
+package is used by the package itself or by a script, not only by tests. The
+package exports exactly what it imports, and the README's examples run."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
+
+import volpool
 
 ROOT = Path(__file__).resolve().parents[1]
 
 # Public on purpose, though no code outside the tests calls them.
 ALLOWED = {
-    "validate_quorum": "the reference quorum rule that criterion 6 checks the engine against",
     "conditional_aggregate": "compute over hosts meeting a RAM or disk threshold, "
                              "the paper's memory and storage claim",
 }
@@ -46,3 +49,19 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                 unused.append(f"{path.stem}.{node.name}")
     assert unused == []
     assert set(ALLOWED) <= defined  # no stale entry
+
+
+def test_all_is_what_the_package_imports():
+    init = ast.parse((ROOT / "src" / "volpool" / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(volpool.__all__) == sorted(imported)
+    assert [name for name in volpool.__all__ if not hasattr(volpool, name)] == []
+
+
+def test_readme_python_examples_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
