@@ -4,7 +4,10 @@ The simulated world: hosts arrive by a Poisson process, live for sampled
 lifetimes, and flip between on/off, connected/disconnected and
 allowed/blocked states through independent alternating renewal processes
 with exponential sojourns calibrated so the long-run fractions match each
-host's recorded availability. A central server hands out replicas of
+host's recorded availability. Each host's flips are data: a trace of flip
+instants over its membership, drawn from a stream that the event order does
+not touch, so configs that differ only in task, quorum or egress cap see
+the same hosts come, go and flip. A central server hands out replicas of
 identical work units, at most one per host per unit (each host is its own
 user), requiring ``min_quorum`` matching results to validate and topping up
 replicas after mismatches, timeouts and host departures until
@@ -23,11 +26,14 @@ offset and passes through its host first in, first out, so the oldest
 replica on a host is always the next one due: each host keeps a single
 deadline event, armed on its oldest replica.
 
-Only a state change is an event. A download whose completion would start
-nothing (uncapped, while its host computes and no other input waits)
-completes without one, at the host's next event, the next sample or the end
-of the run; a fetch retry that could not fetch is not pushed. Each keeps the
-seq its event would have taken, so same-time events run in the same order.
+Only a state change is an event. Each flip is one, and settles and syncs
+only the side whose eligibility it changes. A download whose completion
+would start nothing (uncapped, while its host computes and no other input
+waits) completes without one, at the host's next event, the next sample or
+the end of the run; a fetch retry that could not fetch is not pushed. Each
+keeps the seq its event would have taken, so same-time events run in the
+same order. The on, connected and allowed times are integrals over the
+traces, clipped to each host's membership.
 
 Everything random flows from one 64-bit seed: identical configs give
 identical reports, byte for byte. Time is seconds internally, days at the
@@ -39,9 +45,11 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
+from itertools import repeat
 from operator import attrgetter
 from enum import Enum
 from typing import Iterable, Mapping
@@ -216,7 +224,69 @@ def _water_level(caps: Iterable[float], n: int, total: float) -> float:
     return math.inf
 
 
-_PROC_ON, _PROC_CONN, _PROC_ALLOW = range(3)
+# A host's availability is a mask of three bits, one per renewal process. It
+# may compute while on and allowed, and communicate while all three are up.
+_ON, _CONN, _ALLOW = 1, 2, 4
+_COMPUTE = _ON | _ALLOW
+_COMM = _ON | _CONN | _ALLOW
+
+# Sojourns per process per draw after the first, which is sized to the
+# host's expected flips; the first chunk is capped at this size too.
+_TRACE_CHUNK = 256
+_TRACE_BLOCK = 64  # hosts whose first chunks are drawn at once
+_TRACE_KEPT = 64  # flips applied that a trace holds before dropping them
+
+
+def _renewals(start, up, sizes, sojourns, up_mean, down_mean, end):
+    """Flip instants of alternating renewal processes, one segment each.
+
+    Segment k starts at ``start[k]``, up if ``up[k]``, and times its flips
+    with the next ``sizes[k]`` of ``sojourns``, in units of the mean: up
+    sojourns average ``up_mean``, down ones ``down_mean[k]``. Returns the
+    instants, whether the sojourn ending at each was up, each segment's up
+    time before ``end[k]``, and each segment's first index.
+    """
+    first = np.cumsum(sizes) - sizes
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    was_up = ((np.arange(len(seg)) - first[seg]) % 2 == 0) == up[seg]
+    steps = sojourns * np.where(was_up, up_mean, down_mean[seg])
+    csum = np.cumsum(steps)
+    times = start[seg] + (csum - (csum[first] - steps[first])[seg])
+    prev = np.roll(times, 1)
+    prev[first] = start
+    seg_end = end[seg]
+    up_time = np.where(was_up, np.minimum(times, seg_end) - np.minimum(prev, seg_end), 0.0)
+    up_s = np.add.reduceat(up_time, first) if len(first) else up_time
+    return times, was_up, up_s, first
+
+
+class _Process:
+    """One renewal process of a host whose trace is not yet all merged.
+
+    ``times`` holds its flips drawn but not merged, up to ``last``.
+    """
+
+    __slots__ = ("bit", "up_mean", "down_mean", "times", "last", "up", "up_s", "n_chunks")
+
+    def __init__(self, bit, up_mean, down_mean, times, last, up, up_s):
+        self.bit = bit
+        self.up_mean = up_mean
+        self.down_mean = down_mean
+        self.times: list[float] = times
+        self.last = last  # the latest instant drawn
+        self.up = up  # the state from ``last`` on
+        self.up_s = up_s  # up time drawn, clipped to the membership
+        self.n_chunks = 1  # chunks drawn, the first included
+
+    def draw(self, sojourns: np.ndarray, end: float):
+        """Append the flips that ``sojourns``, in units of the mean, time."""
+        times, was_up, up_s, _ = _renewals(
+            np.array([self.last]), np.array([self.up]), [len(sojourns)], sojourns,
+            self.up_mean, np.array([self.down_mean]), np.array([end]))
+        self.times += times.tolist()
+        self.last, self.up = self.times[-1], not was_up[-1]
+        self.up_s += float(up_s[0])
+        self.n_chunks += 1
 
 
 class _Replica:
@@ -234,25 +304,30 @@ class _Replica:
 class _Host:
     __slots__ = (
         "idx", "arrive_s", "depart_s",
-        "fracs", "on", "conn", "allow",
+        "mask", "tr_t", "tr_m", "tr_i", "tr_next", "tr_procs",
         "flops_rate", "dl_cap", "mem_ok", "buffer_flop",
         "work", "n_done", "n_ready", "deadline_armed",
         "cp_running", "cp_mark", "cp_epoch",
         "dl_running", "dl_mark", "dl_epoch", "dl_tag", "dl_listed",
         "dl_due", "dl_seq",
         "on_hand_flop", "next_fetch_s", "fetch_due", "fetch_seq", "fetch_armed",
-        "occ_mark",
+        "up_s",
     )
 
-    def __init__(self, idx, arrive_s, depart_s, fracs, flops_rate, dl_cap, mem_ok,
-                 buffer_flop):
+    def __init__(self, idx, arrive_s, depart_s, flops_rate, dl_cap, mem_ok, buffer_flop):
         self.idx = idx  # also the host's user: one replica per host per unit
         self.arrive_s = arrive_s
         self.depart_s = depart_s
-        self.fracs = fracs  # long-run on, connected, allowed fractions, by _PROC_*
-        self.on = True
-        self.conn = True
-        self.allow = True
+        self.mask = _COMM  # availability bits, as of the last flip applied
+        # The trace, once drawn: flip instants ``tr_t`` and the mask after
+        # each, ``tr_m``, in time order; ``tr_i`` is the first flip not yet
+        # applied, due at ``tr_next`` (inf once none is left). Flips still to
+        # be merged in wait in ``tr_procs``, empty once all are.
+        self.tr_t: array | None = None
+        self.tr_m: bytearray | None = None
+        self.tr_i = 0
+        self.tr_next = -math.inf
+        self.tr_procs: list[_Process] | tuple = ()
         self.flops_rate = flops_rate
         self.dl_cap = dl_cap  # MB/s
         self.mem_ok = mem_ok
@@ -285,13 +360,15 @@ class _Host:
         self.fetch_due = -1.0
         self.fetch_seq = 0
         self.fetch_armed = False
-        self.occ_mark = arrive_s
+        # seconds on, connected and allowed over the membership, by bit
+        # position, once the processes' traces are complete
+        self.up_s: list[float] | None = None
 
     def comm_ok(self) -> bool:
-        return self.on and self.conn and self.allow
+        return self.mask == _COMM
 
     def compute_ok(self) -> bool:
-        return self.on and self.allow
+        return self.mask & _COMPUTE == _COMPUTE
 
 
 class _Engine:
@@ -305,10 +382,16 @@ class _Engine:
         self.now_seq = 0  # the seq of the event running at ``now``
 
         ss = np.random.SeedSequence(cfg.seed)
-        kids = ss.spawn(3)
+        kids = ss.spawn(4)
         self.arrival_rng = np.random.default_rng(kids[0])
         self.life_rng = np.random.default_rng(kids[1])
-        self.rng = random.Random(int(kids[2].generate_state(2, np.uint64)[0]))
+        self.rng = random.Random(int(kids[2].generate_state(2, np.uint64)[0]))  # errors
+        # Availability traces: the hosts' first chunks come from ``trace_rng``
+        # in blocks, in host order, whatever the events do; later chunks come
+        # from streams keyed by (``trace_key``, host, process, chunk).
+        self.trace_rng = np.random.default_rng(kids[3])
+        self.trace_key = int(kids[3].generate_state(1, np.uint64)[0])
+        self.n_traced = 0  # hosts whose first chunks are drawn
 
         self.dwell_s = cfg.mean_dwell_hours * SECONDS_PER_HOUR
         # ``_dl_changed(h, now)``: a host's download queue or communication
@@ -369,19 +452,155 @@ class _Engine:
         """Whether an event at (``t``, ``seq``) has run by the one running at ``now``."""
         return t < now or (t == now and seq <= self.now_seq)
 
-    # -- occupancy ---------------------------------------------------------
+    # -- availability traces -------------------------------------------------
 
-    def _settle_occupancy(self, h: _Host, now: float):
-        dt = now - h.occ_mark
-        if dt > 0.0:
-            self.member_time += dt
-            if h.on:
-                self.on_time += dt
-            if h.conn:
-                self.conn_time += dt
-            if h.allow:
-                self.allow_time += dt
-        h.occ_mark = now
+    def _draw_traces(self, upto: int):
+        """Draw the initial states and first chunk of flips of the hosts up to ``upto``.
+
+        Hosts are drawn from ``trace_rng`` in blocks, in host order. Up
+        sojourns average ``dwell_s``, down ones whatever makes the long-run
+        up fraction the host's fraction for the process. A trace covers the
+        membership, from arrival to the departure or the end of the run; the
+        first chunk is sized to cover it with room to spare, so most hosts
+        never draw a second. Each host gets its merged flips, its up times
+        as far as they are drawn and, if some process falls short of the
+        end, the flips of each process past the instant all were drawn to.
+        """
+        while self.n_traced <= upto:
+            lo = self.n_traced
+            hi = self.n_traced = min(lo + _TRACE_BLOCK, len(self.by_idx))
+            self._draw_block(self.by_idx[lo:hi], self.arrive_s[lo:hi],
+                             self.end_s[lo:hi], self.fracs[lo:hi])
+            self.by_idx[lo:hi] = repeat(None, hi - lo)  # the heap holds them till arrival
+
+    def _draw_block(self, hosts, arrive, end, fracs):
+        """``_draw_traces`` for one block: columns in, each host's trace out."""
+        rng = self.trace_rng
+        n = len(hosts)
+        mask0 = (fracs >= 1.0) @ np.array([_ON, _CONN, _ALLOW])
+        full_s = np.where(fracs >= 1.0, (end - arrive)[:, None], 0.0)
+        # one segment of sojourns per process that flips, host by host
+        host, pos = np.nonzero((fracs > 0.0) & (fracs < 1.0))
+        frac = fracs[host, pos]
+        ups = rng.random(len(frac)) < frac
+        span = (end - arrive)[host] / self.dwell_s
+        sizes = np.minimum(_TRACE_CHUNK, np.ceil(2.6 * frac * span) + 6).astype(np.int64)
+        sojourns = rng.standard_exponential(int(sizes.sum()))
+        np.bitwise_or.at(mask0, host, np.where(ups, 1 << pos, 0))
+
+        down_mean = self.dwell_s * (1.0 - frac) / frac
+        times, was_up, up_s, starts = _renewals(
+            arrive[host], ups, sizes, sojourns, self.dwell_s, down_mean, end[host])
+        seg = np.repeat(np.arange(len(sizes)), sizes)
+        last_at = starts + sizes - 1
+        last = times[last_at]
+        # merge each host's flips up to the instant all its processes reach
+        horizon = np.full(n, math.inf)
+        np.minimum.at(horizon, host, last)
+        owner = host[seg]
+        keep = (times <= horizon[owner]) & (times < end[owner])
+        order = np.lexsort((times[keep], owner[keep]))
+        kept_t = times[keep][order]
+        kept_owner = owner[keep][order]
+        acc = np.bitwise_xor.accumulate(np.left_shift(1, pos[seg][keep][order]))
+        offsets = np.searchsorted(kept_owner, np.arange(n + 1))
+        before = np.concatenate(([0], acc))[offsets[:-1]]  # the xor of earlier hosts' flips
+        masks = (acc ^ (before ^ mask0)[kept_owner]).astype(np.uint8)
+        for h, a, b, m, s_row in zip(hosts, offsets[:-1].tolist(), offsets[1:].tolist(),
+                                     mask0.tolist(), full_s.tolist()):
+            h.mask = m
+            h.tr_t = array("d", kept_t[a:b].tobytes())
+            h.tr_m = bytearray(masks[a:b].tobytes())
+            h.up_s = s_row
+        short = horizon < end  # hosts with some process not drawn to the end
+        for k in np.flatnonzero(short[host]).tolist():
+            h = hosts[host[k]]
+            drawn = times[starts[k]:starts[k] + sizes[k]]
+            p = _Process(1 << int(pos[k]), self.dwell_s, float(down_mean[k]),
+                         drawn[drawn > horizon[host[k]]].tolist(), float(last[k]),
+                         not was_up[last_at[k]], float(up_s[k]))
+            if not h.tr_procs:
+                h.tr_procs = []
+            h.tr_procs.append(p)
+        for k in np.flatnonzero(~short[host]).tolist():
+            hosts[host[k]].up_s[int(pos[k])] = float(up_s[k])
+
+    def _extend(self, h: _Host) -> bool:
+        """Append the next flips of ``h``'s trace; False once it holds them all.
+
+        Flips are merged up to the earliest instant that some process has
+        not been drawn past, and a process is drawn further when it holds
+        that instant. A process drawn past the end of the membership is
+        complete, and its up time joins the host's.
+        """
+        procs = h.tr_procs
+        if not procs:
+            return False
+        end = min(h.depart_s, self.duration_s)
+        merged: list[tuple[float, int]] = []
+        while not merged and procs:
+            horizon = min(p.last for p in procs)
+            for p in procs:
+                times = p.times
+                n = bisect_right(times, horizon)
+                merged += zip(times[:bisect_left(times, end, 0, n)], repeat(p.bit))
+                del times[:n]
+            for p in procs:
+                if not p.times:
+                    if p.last < end:  # drawn up to the horizon: draw the next chunk
+                        key = (self.trace_key, h.idx, p.bit, p.n_chunks)
+                        p.draw(np.random.default_rng(key).standard_exponential(_TRACE_CHUNK), end)
+                    else:
+                        h.up_s[p.bit.bit_length() - 1] = p.up_s
+            procs[:] = [p for p in procs if p.times]
+        merged.sort()
+        mask = h.tr_m[-1] if h.tr_m else h.mask
+        times, masks = h.tr_t, h.tr_m
+        for t, bit in merged:
+            mask ^= bit
+            times.append(t)
+            masks.append(mask)
+        return bool(merged)
+
+    def _advance(self, h: _Host, now: float):
+        """Apply ``h``'s flips up to ``now``, in time order.
+
+        Callers test ``h.tr_next <= now`` first, which is all a host with
+        no flip due costs.
+        """
+        times, masks = h.tr_t, h.tr_m
+        i = h.tr_i
+        if i >= _TRACE_KEPT:  # drop the flips applied, which no walk reads again
+            del times[:i], masks[:i]
+            i = 0
+        flip = self._flip
+        while True:
+            if i == len(times):
+                del times[:], masks[:]
+                i = 0
+                if not self._extend(h):
+                    h.tr_i = 0
+                    h.tr_next = math.inf
+                    return
+            t = times[i]
+            if t > now:
+                h.tr_i = i
+                h.tr_next = t
+                return
+            i += 1
+            h.tr_i = i
+            flip(h, t, masks[i - 1])
+
+    def _retire(self, h: _Host, now: float):
+        """Close ``h``'s membership at ``now`` and add its times to the run's.
+
+        Its trace is complete by then: every flip before ``now`` is applied.
+        """
+        self.member_time += now - h.arrive_s
+        on_s, conn_s, allow_s = h.up_s
+        self.on_time += on_s
+        self.conn_time += conn_s
+        self.allow_time += allow_s
 
     # -- compute side ------------------------------------------------------
 
@@ -684,7 +903,8 @@ class _Engine:
                 return  # its retry is in the heap
             # one retry at next_fetch_s, pending until its event would have
             # run; it is pushed once a fetch could then succeed
-            if self._ran_by(h.fetch_due, h.fetch_seq, now):
+            if h.fetch_due < now or (h.fetch_due == now and h.fetch_seq <= self.now_seq):
+                # the last retry has run (``_ran_by``, inline)
                 if h.next_fetch_s > self.duration_s:
                     return
                 self.seq += 1
@@ -693,18 +913,14 @@ class _Engine:
             if self._may_fetch_at(h, h.fetch_due):
                 self._arm_retry(h)
             return
-        # the buffer gap counts the in-flight replica's progress; a host
-        # with a full buffer writes nothing
-        done = self._progress(h, now)
-        if h.buffer_flop - (h.on_hand_flop - done) <= 0.0:
+        # the buffer gap counts the in-flight replica's progress, which is
+        # not settled: only an edge of its trace or its end splits a run of
+        # compute. A host with a full buffer writes nothing.
+        need = h.buffer_flop - (h.on_hand_flop - self._progress(h, now))
+        if need <= 0.0:
             return
         if not h.fetch_armed and not self._ran_by(h.fetch_due, h.fetch_seq, now):
             self._arm_retry(h)  # this fetch moves next_fetch_s: that retry will act
-        if done > 0.0:  # settle, as _settle_compute would
-            h.work[h.n_done].flops_left -= done
-            h.on_hand_flop -= done
-        h.cp_mark = now
-        need = h.buffer_flop - h.on_hand_flop
         n = math.ceil(need / self.task.flops_per_task)
         replicas = self._assign(h, n, now)
         for r in replicas:
@@ -731,31 +947,14 @@ class _Engine:
         left_at_t = h.on_hand_flop - h.flops_rate * (t - h.cp_mark)
         return left_at_t <= h.buffer_flop * (1.0 + 1e-9)
 
-    # -- state changes -------------------------------------------------------
-
-    def _apply_transition(self, h: _Host, now: float):
-        self._sync_compute(h, now)
-        self._dl_changed(h, now)
-        if h.comm_ok():
-            self._flush_returns(h, now)
-            self._try_fetch(h, now)
-
     # -- event handlers --------------------------------------------------------
 
     def _on_arrive(self, h: _Host, _, now: float):
         if h.depart_s <= self.duration_s:
             self._push(h.depart_s, self._on_depart, h)
-        states = []
-        for proc, frac in enumerate(h.fracs):
-            if frac >= 1.0:
-                state = True
-            elif frac <= 0.0:
-                state = False
-            else:
-                state = self.rng.random() < frac
-                self._push_toggle(h, proc, state, now)
-            states.append(state)
-        h.on, h.conn, h.allow = states
+        if h.idx >= self.n_traced:
+            self._draw_traces(h.idx)
+        self._push_flip(h)
         self.live_hosts[h.idx] = h
         if self.parked:
             self._unpark()
@@ -763,11 +962,12 @@ class _Engine:
             self._try_fetch(h, now)
 
     def _on_depart(self, h: _Host, _, now: float):
+        if h.tr_next <= now:
+            self._advance(h, now)
         if h.dl_due <= now:
             self._land_download(h, now)
-        self._settle_occupancy(h, now)
+        self._retire(h, now)
         self._settle_compute(h, now)
-        self._settle_download(h, now)
         del self.live_hosts[h.idx]
         work = list(h.work)
         done, fetched = work[:h.n_done], work[h.n_done:h.n_done + h.n_ready]
@@ -786,41 +986,42 @@ class _Engine:
             self._deliver(r, _LOST)
         self._dl_changed(h, now)  # under a cap, this takes the host off the flow list
 
-    def _on_toggle(self, h: _Host, proc: int, now: float):
-        self._settle_occupancy(h, now)
-        # ``idle``: neither compute_ok() nor comm_ok() changes, so nothing
-        # runs before or after the flip and nothing else is written
-        if proc == _PROC_ON:
-            h.on = state = not h.on
-            idle = not h.allow
-        elif proc == _PROC_CONN:
-            h.conn = state = not h.conn
-            idle = not (h.on and h.allow)
-        else:
-            h.allow = state = not h.allow
-            idle = not h.on
-        self._push_toggle(h, proc, state, now)
-        if idle:
-            return
-        if h.dl_due <= now:
-            self._land_download(h, now)
-        self._settle_compute(h, now)
-        self._settle_download(h, now)
-        self._apply_transition(h, now)
+    def _flip(self, h: _Host, t: float, mask: int):
+        """Apply one flip of ``h``'s trace at ``t``: its mask becomes ``mask``.
 
-    def _push_toggle(self, h: _Host, proc: int, up: bool, now: float):
-        """Draw how long ``proc`` stays ``up`` (or down) from ``now``; push its flip.
-
-        Up sojourns average ``dwell_s``, down ones whatever makes the long-run
-        up fraction the host's fraction for ``proc``.
+        Only the side whose eligibility changes is settled and synced: a
+        flip that changes neither may compute nor may communicate writes
+        nothing but the mask.
         """
-        frac = h.fracs[proc]
-        mean = self.dwell_s if up else self.dwell_s * (1.0 - frac) / frac
-        t = now + self.rng.expovariate(1.0 / mean)
-        # Only a live host toggles: a toggle at or after the departure is
-        # dropped, though the draw that timed it is made all the same.
-        if t < h.depart_s and t <= self.duration_s:
-            self._push(t, self._on_toggle, h, proc)
+        old = h.mask
+        h.mask = mask
+        compute = (old & _COMPUTE == _COMPUTE) != (mask & _COMPUTE == _COMPUTE)
+        comm = (old == _COMM) != (mask == _COMM)
+        if not (compute or comm):
+            return
+        if h.dl_due <= t:
+            self._land_download(h, t)
+        if compute:
+            self._settle_compute(h, t)
+        if comm:
+            self._settle_download(h, t)
+        if compute:
+            self._sync_compute(h, t)
+        if comm:
+            self._dl_changed(h, t)
+            if mask == _COMM:
+                self._flush_returns(h, t)
+                self._try_fetch(h, t)
+
+    def _push_flip(self, h: _Host):
+        """Push the event of ``h``'s next flip, if its trace holds one."""
+        if h.tr_i < len(h.tr_t) or self._extend(h):
+            self._push(h.tr_t[h.tr_i], self._on_flip, h)
+
+    def _on_flip(self, h: _Host, _, now: float):
+        if h.tr_next <= now:
+            self._advance(h, now)
+        self._push_flip(h)
 
     def _on_cp_done(self, h: _Host, epoch: int, now: float):
         if epoch != h.cp_epoch:  # paused, finished or departed since
@@ -878,12 +1079,12 @@ class _Engine:
             self._land_download(h, now)
         work = h.work
         while work and work[0].deadline_s <= now:
-            self._settle_compute(h, now)
-            self._settle_download(h, now)
-            r = work.popleft()
             if h.n_done:  # computed, awaiting return
+                r = work.popleft()
                 h.n_done -= 1
             elif h.n_ready:  # computing
+                self._settle_compute(h, now)
+                r = work.popleft()
                 h.n_ready -= 1
                 h.cp_running = False
                 h.cp_epoch += 1
@@ -891,6 +1092,7 @@ class _Engine:
                 self.lost_flop += self.task.flops_per_task - r.flops_left
                 self._sync_compute(h, now)
             else:  # downloading
+                r = work.popleft()
                 h.dl_running = False
                 h.dl_epoch += 1
                 h.on_hand_flop -= r.flops_left
@@ -903,9 +1105,11 @@ class _Engine:
 
     def _on_fetch(self, h: _Host, _, now: float):
         h.fetch_armed = False
+        if h.idx not in self.live_hosts:
+            return
         if h.dl_due <= now:
             self._land_download(h, now)
-        if h.idx in self.live_hosts and h.comm_ok():
+        if h.comm_ok():
             self._try_fetch(h, now)
 
     def _sweep(self, now: float) -> float:
@@ -965,22 +1169,28 @@ class _Engine:
         # Each host's static values, a column at a time; host ``idx`` is row
         # ``idx`` of the initial pool followed by the arrival pool.
         arrive_d = np.concatenate([np.zeros(len(initial)), arrivals_d])
+        arrive_s = arrive_d * SECONDS_PER_DAY
+        depart_s = (arrive_d + lifetimes_d) * SECONDS_PER_DAY
         flops_rate = column("flops") * GIGA * column("cpu_efficiency")
         if cfg.competing_share:
             flops_rate = flops_rate * column("resource_share")
+        # what ``_draw_traces`` reads: the membership and the three fractions
+        self.arrive_s = arrive_s
+        self.end_s = np.minimum(depart_s, self.duration_s)
+        self.fracs = np.stack([column(name) for name in
+                               ("on_fraction", "connected_fraction", "active_fraction")],
+                              axis=1)
         hosts = zip(
-            (arrive_d * SECONDS_PER_DAY).tolist(),
-            ((arrive_d + lifetimes_d) * SECONDS_PER_DAY).tolist(),
-            zip(*(column(name).tolist() for name in
-                  ("on_fraction", "connected_fraction", "active_fraction"))),
+            arrive_s.tolist(),
+            depart_s.tolist(),
             flops_rate.tolist(),
             kbps_to_mb_per_s(column("throughput_down")).tolist(),
             (column("ram") >= self.task.memory_footprint).tolist(),
             (_buffer_s(cfg) * flops_rate).tolist(),
         )
         del initial, arrival_pool  # the hosts hold their values; free the columns
-        for idx, values in enumerate(hosts):
-            h = _Host(idx, *values)
+        self.by_idx = [_Host(idx, *values) for idx, values in enumerate(hosts)]
+        for h in self.by_idx:
             self._push(h.arrive_s, self._on_arrive, h)
 
         step = cfg.timeline_step_hours * SECONDS_PER_HOUR
@@ -1002,7 +1212,9 @@ class _Engine:
 
         dur_s = self.duration_s
         for h in self.live_hosts.values():
-            self._settle_occupancy(h, dur_s)
+            if h.tr_next <= dur_s:
+                self._advance(h, dur_s)
+            self._retire(h, dur_s)
         self.now_seq = self.seq + 1  # every event due by the end has run
         raw_flop = self._sweep(dur_s)
 
