@@ -26,14 +26,19 @@ offset and passes through its host first in, first out, so the oldest
 replica on a host is always the next one due: each host keeps a single
 deadline event, armed on its oldest replica.
 
-Only a state change is an event. Each flip is one, and settles and syncs
-only the side whose eligibility it changes. A download whose completion
-would start nothing (uncapped, while its host computes and no other input
-waits) completes without one, at the host's next event, the next sample or
-the end of the run; a fetch retry that could not fetch is not pushed. Each
-keeps the seq its event would have taken, so same-time events run in the
-same order. The on, connected and allowed times are integrals over the
-traces, clipped to each host's membership.
+Only a state change is an event. Uncapped, a flip is not one: a compute
+completion is pushed once, at the instant where the host's compute-up time
+times its speed covers the replica's FLOP, and a download completion once,
+through its communication-up time; a host's flips are applied when its next
+event or the next sample walks past them, and only an up-edge of its
+communication wakes it. Under an egress cap every flip is an event, as a
+flip of a listed host moves the flow list. A download whose completion would
+start nothing (uncapped, while its host has a replica to compute and no
+other input waits) completes without an event, at the host's next event,
+the next sample or the end of the run; a fetch retry that could not fetch is
+not pushed. Each keeps the seq its event would have taken, so same-time
+events run in the same order. The on, connected and allowed times are
+integrals over the traces, clipped to each host's membership.
 
 Everything random flows from one 64-bit seed: identical configs give
 identical reports, byte for byte. Time is seconds internally, days at the
@@ -307,8 +312,8 @@ class _Host:
         "mask", "tr_t", "tr_m", "tr_i", "tr_next", "tr_procs",
         "flops_rate", "dl_cap", "mem_ok", "buffer_flop",
         "work", "n_done", "n_ready", "deadline_armed",
-        "cp_running", "cp_mark", "cp_epoch",
-        "dl_running", "dl_mark", "dl_epoch", "dl_tag", "dl_listed",
+        "cp_busy", "cp_running", "cp_mark", "cp_epoch",
+        "dl_busy", "dl_running", "dl_mark", "dl_epoch", "dl_tag", "dl_listed",
         "dl_due", "dl_seq",
         "on_hand_flop", "next_fetch_s", "fetch_due", "fetch_seq", "fetch_armed",
         "up_s",
@@ -339,9 +344,14 @@ class _Host:
         self.n_done = 0
         self.n_ready = 0
         self.deadline_armed = False  # a deadline event is pending
+        # ``cp_running`` while the computing replica progresses; on the
+        # uncapped path ``cp_busy`` while it has one, paused or not, whose
+        # completion is scheduled. ``dl_busy`` and ``dl_running`` likewise.
+        self.cp_busy = False
         self.cp_running = False
         self.cp_mark = arrive_s
         self.cp_epoch = 0
+        self.dl_busy = False
         self.dl_running = False
         self.dl_mark = arrive_s
         self.dl_epoch = 0
@@ -372,6 +382,8 @@ class _Host:
 
 
 class _Engine:
+    _flip_events = False  # push every flip even uncapped, as under a cap
+
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.duration_s = cfg.duration_days * SECONDS_PER_DAY
@@ -402,6 +414,15 @@ class _Engine:
         else:
             self.cap_mb = mbps_to_mb_per_s(cfg.server_egress_cap)
             self._dl_changed = self._sync_download_capped
+        # Under a cap every flip is an event: a flip of a listed host moves
+        # the flow list. Uncapped, the engine is ``lazy``: a completion is
+        # pushed once, at the instant its trace gives, and a flip is applied
+        # when the host's next event or the next sample walks past it.
+        self.lazy = cfg.server_egress_cap is None and not self._flip_events
+        if self.lazy:
+            self._dl_changed = self._sync_download_lazy
+            self._sync_compute = self._sync_compute_lazy
+            self._advance = self._advance_lazy
 
         # server: the units owed replicas, in stamp order; ``parked`` holds
         # those that every live host already holds, until a host arrives
@@ -641,6 +662,30 @@ class _Engine:
         if not desired and h.dl_due < math.inf:
             self._push_download(h)  # the download's completion now starts compute
 
+    def _sync_compute_lazy(self, h: _Host, now: float):
+        """Push the completion of a replica that starts computing, once.
+
+        It lands where the host's compute-up time, times its speed, covers
+        the replica's FLOP, and is left out when the replica's deadline or
+        its host's departure, or the end of the run, comes first.
+        """
+        busy = h.n_ready > 0 and h.flops_rate > 0.0
+        if busy != h.cp_busy:
+            h.cp_epoch += 1
+            h.cp_busy = busy
+            h.cp_running = busy and h.mask & _COMPUTE == _COMPUTE
+            if busy:
+                if h.cp_running:
+                    h.cp_mark = now
+                r = h.work[h.n_done]
+                eta = now + r.flops_left / h.flops_rate
+                if not (h.cp_running and eta < h.tr_next):  # else no flip comes first
+                    eta = self._walk(h, now, r.flops_left, h.flops_rate, _COMPUTE)
+                if eta < r.deadline_s and eta < h.depart_s and eta <= self.duration_s:
+                    self._push(eta, self._on_cp_done, h, h.cp_epoch)
+        if not busy and h.dl_due < math.inf:
+            self._push_download(h)  # the download's completion now starts compute
+
     # -- download side -----------------------------------------------------
 
     def _settle_download(self, h: _Host, now: float):
@@ -677,6 +722,33 @@ class _Engine:
             else:
                 self._push(eta, self._on_dl_done, h, h.dl_epoch)
 
+    def _sync_download_lazy(self, h: _Host, now: float):
+        """``_sync_download_uncapped`` with one completion per input, through comm-up time."""
+        i = h.n_done + h.n_ready
+        busy = len(h.work) > i and h.dl_cap > 0.0
+        if busy and h.dl_busy:
+            if len(h.work) > i + 1 and h.dl_due < math.inf:
+                self._push_download(h)  # its completion now starts the next input
+            return
+        h.dl_epoch += 1
+        h.dl_busy = busy
+        h.dl_due = math.inf
+        h.dl_running = busy and h.mask == _COMM
+        if busy:
+            if h.dl_running:
+                h.dl_mark = now
+            r = h.work[i]
+            eta = now + r.input_left / h.dl_cap
+            if not (h.dl_running and eta < h.tr_next):  # else no flip comes first
+                eta = self._walk(h, now, r.input_left, h.dl_cap, _COMM)
+            if eta < r.deadline_s and eta < h.depart_s and eta <= self.duration_s:
+                if h.cp_busy and len(h.work) == i + 1:
+                    self.seq += 1
+                    h.dl_due = eta
+                    h.dl_seq = self.seq
+                else:
+                    self._push(eta, self._on_dl_done, h, h.dl_epoch)
+
     def _push_download(self, h: _Host):
         """Give a lazy download its completion event, under its reserved seq."""
         heapq.heappush(self.heap, (h.dl_due, h.dl_seq, self._on_dl_done, h, h.dl_epoch))
@@ -689,7 +761,7 @@ class _Engine:
         h.dl_due = math.inf
         h.work[h.n_done + h.n_ready].input_left = 0.0
         h.n_ready += 1
-        h.dl_running = False
+        h.dl_running = h.dl_busy = False
         self.mb_downloaded += self.task.input_size
         self.downloads_completed += 1
 
@@ -947,6 +1019,139 @@ class _Engine:
         left_at_t = h.on_hand_flop - h.flops_rate * (t - h.cp_mark)
         return left_at_t <= h.buffer_flop * (1.0 + 1e-9)
 
+    # -- availability on the uncapped path ------------------------------------
+
+    def _advance_lazy(self, h: _Host, now: float):
+        """``_advance`` on the uncapped path, where no flip pushes anything.
+
+        Each flip does what ``_flip`` would, short of its events: the
+        completions ``_flip`` would re-push stand already, at the instants
+        their walks gave, and each communication up-edge has its wake. What
+        is left is to settle the side whose eligibility changes, as
+        ``_settle_compute`` and ``_settle_download`` would. That is done
+        inline: every flip of a run passes through here, and calling a flip
+        method per flip cost about 8% of a 20-day ``sim_steady`` run (best of
+        four, 2-core VM, Python 3.11).
+        """
+        times, masks = h.tr_t, h.tr_m
+        i = h.tr_i
+        if i >= _TRACE_KEPT:  # drop the flips applied, which no walk reads again
+            del times[:i], masks[:i]
+            i = 0
+        mask = h.mask
+        while True:
+            if i == len(times):
+                del times[:], masks[:]
+                i = 0
+                h.mask = mask
+                if not self._extend(h):
+                    t = math.inf
+                    break
+            t = times[i]
+            if t > now:
+                break
+            new = masks[i]
+            i += 1
+            if (mask & _COMPUTE == _COMPUTE) != (new & _COMPUTE == _COMPUTE):
+                if h.cp_running:  # a down-edge
+                    r = h.work[h.n_done]
+                    done = (t - h.cp_mark) * h.flops_rate
+                    if done > r.flops_left:
+                        done = r.flops_left
+                    if done > 0.0:
+                        r.flops_left -= done
+                        h.on_hand_flop -= done
+                    h.cp_running = False
+                else:
+                    h.cp_running = h.cp_busy and new & _COMPUTE == _COMPUTE
+                h.cp_mark = t
+            if (mask == _COMM) != (new == _COMM):
+                if h.dl_due <= t:
+                    self._land_download(h, t)
+                if h.dl_running:  # a down-edge; uncapped, so no shared clock
+                    r = h.work[h.n_done + h.n_ready]
+                    moved = (t - h.dl_mark) * h.dl_cap
+                    if moved > r.input_left:
+                        moved = r.input_left
+                    if moved > 0.0:
+                        r.input_left -= moved
+                    h.dl_running = False
+                else:
+                    h.dl_running = h.dl_busy and new == _COMM
+                h.dl_mark = t
+            mask = new
+        h.mask = mask
+        h.tr_i = i
+        h.tr_next = t
+
+    def _walk(self, h: _Host, now: float, left: float, rate: float, bits: int) -> float:
+        """The instant at which ``left`` is done at ``rate`` while ``bits`` are up.
+
+        ``h`` must have been advanced to ``now``. The walk does the float
+        operations that settling at each edge of its trace would, in the same
+        order, so the instant is the one the eager engine would reach.
+        """
+        up = h.mask & bits == bits
+        mark = now
+        times, masks = h.tr_t, h.tr_m
+        i = h.tr_i
+        while True:
+            if i == len(times):
+                if not self._extend(h):
+                    break
+                continue
+            if (masks[i] & bits == bits) != up:
+                edge = times[i]
+                if up:
+                    eta = mark + left / rate
+                    if eta < edge:
+                        return eta
+                    done = (edge - mark) * rate
+                    if done > left:
+                        done = left
+                    if done > 0.0:
+                        left -= done
+                mark = edge
+                up = not up
+            i += 1
+        return mark + left / rate if up else math.inf
+
+    def _next_comm_up(self, h: _Host) -> float:
+        """The first flip not yet applied that lets ``h`` communicate.
+
+        A flip changes one bit, so every flip to ``_COMM`` is an up-edge.
+        """
+        times, masks = h.tr_t, h.tr_m
+        i = h.tr_i
+        while True:
+            if i == len(times):
+                if not self._extend(h):
+                    return math.inf
+                continue
+            if masks[i] == _COMM:
+                return times[i]
+            i += 1
+
+    def _arm_wake(self, h: _Host):
+        """Push a wake at ``h``'s next communication up-edge.
+
+        There the eager engine returns results and calls ``_try_fetch``, which
+        nearly always writes something: a fetch, or the reservation or arming
+        of a retry. A host whose memory the task does not fit never holds
+        work, so its up-edges push nothing.
+        """
+        if h.mem_ok:
+            u = self._next_comm_up(h)
+            if u < math.inf:
+                self._push(u, self._on_wake, h)
+
+    def _on_wake(self, h: _Host, _, now: float):
+        self._advance(h, now)  # applies the up-edge at ``now``
+        if h.n_done:
+            self._flush_returns(h, now)
+        self._try_fetch(h, now)
+        self._arm_wake(h)
+
     # -- event handlers --------------------------------------------------------
 
     def _on_arrive(self, h: _Host, _, now: float):
@@ -954,7 +1159,10 @@ class _Engine:
             self._push(h.depart_s, self._on_depart, h)
         if h.idx >= self.n_traced:
             self._draw_traces(h.idx)
-        self._push_flip(h)
+        if self.lazy:
+            self._arm_wake(h)
+        else:
+            self._push_flip(h)
         self.live_hosts[h.idx] = h
         if self.parked:
             self._unpark()
@@ -977,8 +1185,8 @@ class _Engine:
         doomed = fetched[:1] + work[h.n_done + h.n_ready:] + fetched[1:] + done
         h.work.clear()
         h.n_done = h.n_ready = 0
-        h.cp_running = False
-        h.dl_running = False
+        h.cp_running = h.cp_busy = False
+        h.dl_running = h.dl_busy = False
         h.dl_due = math.inf
         h.cp_epoch += 1
         h.dl_epoch += 1
@@ -1026,6 +1234,8 @@ class _Engine:
     def _on_cp_done(self, h: _Host, epoch: int, now: float):
         if epoch != h.cp_epoch:  # paused, finished or departed since
             return
+        if h.tr_next <= now:
+            self._advance(h, now)
         if h.dl_due <= now:
             self._land_download(h, now)
         self._settle_compute(h, now)
@@ -1040,7 +1250,7 @@ class _Engine:
         )
         h.n_done += 1
         h.n_ready -= 1
-        h.cp_running = False
+        h.cp_running = h.cp_busy = False
         h.cp_epoch += 1
         comm = h.comm_ok()
         if comm:
@@ -1052,10 +1262,12 @@ class _Engine:
     def _on_dl_done(self, h: _Host, epoch: int, now: float):
         if epoch != h.dl_epoch:  # paused, finished or departed since
             return
+        if h.tr_next <= now:
+            self._advance(h, now)
         self._settle_download(h, now)
         h.work[h.n_done + h.n_ready].input_left = 0.0
         h.n_ready += 1
-        h.dl_running = False
+        h.dl_running = h.dl_busy = False
         h.dl_epoch += 1
         self.mb_downloaded += self.task.input_size
         self.downloads_completed += 1
@@ -1075,6 +1287,8 @@ class _Engine:
         Replicas share one deadline offset and pass through the host in
         fetch order, so only the oldest can be due.
         """
+        if h.tr_next <= now:
+            self._advance(h, now)
         if h.dl_due <= now:
             self._land_download(h, now)
         work = h.work
@@ -1086,14 +1300,14 @@ class _Engine:
                 self._settle_compute(h, now)
                 r = work.popleft()
                 h.n_ready -= 1
-                h.cp_running = False
+                h.cp_running = h.cp_busy = False
                 h.cp_epoch += 1
                 h.on_hand_flop -= r.flops_left
                 self.lost_flop += self.task.flops_per_task - r.flops_left
                 self._sync_compute(h, now)
             else:  # downloading
                 r = work.popleft()
-                h.dl_running = False
+                h.dl_running = h.dl_busy = False
                 h.dl_epoch += 1
                 h.on_hand_flop -= r.flops_left
                 self._dl_changed(h, now)
@@ -1107,6 +1321,8 @@ class _Engine:
         h.fetch_armed = False
         if h.idx not in self.live_hosts:
             return
+        if h.tr_next <= now:
+            self._advance(h, now)
         if h.dl_due <= now:
             self._land_download(h, now)
         if h.comm_ok():
@@ -1126,6 +1342,8 @@ class _Engine:
         computing = 0.0
         for h in self.live_hosts.values():
             if h.n_ready:
+                if h.tr_next <= now:
+                    self._advance(h, now)
                 if h.dl_due <= now:
                     self._land_download(h, now)
                 computing += f - (h.work[h.n_done].flops_left - self._progress(h, now))

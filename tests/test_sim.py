@@ -7,7 +7,7 @@ expected values come from closed forms computed in the test body.
 
 import json
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
@@ -260,9 +260,9 @@ def test_binding_egress_cap_costs_few_events():
 class _LivenessCheckedEngine(simmod._Engine):
     """Checks that the handlers need no liveness test of their own.
 
-    Every flip, and every compute or download completion whose epoch is
-    still current, is for a live host. Completions that reach a departed
-    host are counted: its epochs alone must turn them away.
+    Every flip or wake, and every compute or download completion whose
+    epoch is still current, is for a live host. Completions that reach a
+    departed host are counted: its epochs alone must turn them away.
     """
 
     def __init__(self, cfg):
@@ -284,6 +284,11 @@ class _LivenessCheckedEngine(simmod._Engine):
         self.n_flips += 1
         super()._on_flip(h, _, now)
 
+    def _on_wake(self, h, _, now):
+        assert h.idx in self.live_hosts
+        self.n_flips += 1
+        super()._on_wake(h, _, now)
+
     def _on_cp_done(self, h, epoch, now):
         self._check(h, epoch == h.cp_epoch)
         super()._on_cp_done(h, epoch, now)
@@ -296,7 +301,10 @@ class _LivenessCheckedEngine(simmod._Engine):
 @pytest.mark.parametrize("cap_mbps", [None, 2.0], ids=["uncapped", "capped"])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_handlers_only_act_on_live_hosts(seed, cap_mbps):
-    """Half-day lifetimes: hosts depart mid-download and mid-compute."""
+    """Half-day lifetimes: hosts depart mid-download and mid-compute.
+
+    Uncapped, no completion is pushed past its host's departure at all.
+    """
     cfg = SimConfig(
         duration_days=3.0, seed=seed,
         churn=ChurnModel(arrival_rate=40.0, lifetime_mean_days=0.5),
@@ -308,7 +316,7 @@ def test_handlers_only_act_on_live_hosts(seed, cap_mbps):
     engine = _LivenessCheckedEngine(cfg)
     engine.run()
     assert engine.n_flips > 0 and engine.n_current > 0
-    assert engine.n_after_departure > 0
+    assert (engine.n_after_departure > 0) == (cap_mbps is not None)
 
 
 class _DeadlineCountingEngine(simmod._Engine):
@@ -460,9 +468,13 @@ def test_parked_units_return_in_queue_order(
 class _EagerEngine(simmod._Engine):
     """Does all the work the engine may leave out.
 
-    It pushes each download completion and each fetch retry, under the seq
-    the engine reserved for it.
+    Every flip is an event, as under a cap: it settles the side whose
+    eligibility changes and re-pushes the completions it resumes. Each
+    download completion and each fetch retry is pushed, under the seq the
+    engine reserved for it.
     """
+
+    _flip_events = True
 
     def _sync_download_uncapped(self, h, now):
         super()._sync_download_uncapped(h, now)
@@ -477,7 +489,7 @@ class _EagerEngine(simmod._Engine):
 @given(
     seed=st.integers(0, 2**32 - 1),
     n_hosts=st.integers(1, 12),
-    availability=st.sampled_from([1.0, 0.95, 0.7]),
+    availability=st.sampled_from([1.0, 0.95, 0.7, 0.4]),
     arrival_rate=st.floats(0.0, 20.0),
     lifetime=st.floats(0.2, 5.0),
     quorum=st.integers(1, 2),
@@ -495,8 +507,10 @@ def test_events_left_out_change_no_output(
 ):
     """Skipping idle events changes no output.
 
-    Identical hosts that are always on fetch, download and retry at tied
-    instants; the reserved seqs keep those ties in order.
+    Uncapped, the engine walks the hosts' traces instead of popping their
+    flips; capped, it pushes every flip, as the eager engine does. Identical
+    hosts that are always on fetch, download and retry at tied instants; the
+    reserved seqs keep those ties in order.
     """
     cfg = SimConfig(
         duration_days=1.5, seed=seed,
@@ -510,7 +524,66 @@ def test_events_left_out_change_no_output(
     )
     lazy, eager = simmod._Engine(cfg), _EagerEngine(cfg)
     assert lazy.run() == eager.run()
-    assert lazy.seq == eager.seq
+    if cap_mbps is not None:  # uncapped, the flips the engine walks take no seq
+        assert lazy.seq == eager.seq
+
+
+class _PopCountingEngine(simmod._Engine):
+    """Counts heap pops by handler, and the pops that find nothing to do.
+
+    A stale completion is one whose epoch is no longer current. A wake off
+    the mark is one at a flip that is not a communication up-edge.
+    """
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.pops = Counter()
+        self.stale_completions = 0
+        self.wakes_off_the_mark = 0
+
+    def _on_cp_done(self, h, epoch, now):
+        self.stale_completions += epoch != h.cp_epoch
+        super()._on_cp_done(h, epoch, now)
+
+    def _on_wake(self, h, _, now):
+        self._advance(h, math.nextafter(now, -math.inf))  # every flip before this one
+        before = h.mask
+        super()._on_wake(h, _, now)
+        self.wakes_off_the_mark += not (before != simmod._COMM == h.mask)
+
+
+def _counted(name, handler):
+    def counted(self, a, b, now):
+        self.pops[name] += 1
+        handler(self, a, b, now)
+    return counted
+
+
+for _name in ("_on_arrive", "_on_depart", "_on_flip", "_on_wake", "_on_cp_done",
+              "_on_dl_done", "_on_deadline", "_on_fetch", "_on_sample"):
+    setattr(_PopCountingEngine, _name, _counted(_name, getattr(_PopCountingEngine, _name)))
+
+
+class _EagerPopCountingEngine(_PopCountingEngine, _EagerEngine):
+    pass
+
+
+def test_uncapped_engine_pops_no_idle_flip_or_stale_completion():
+    """Down-edges and idle flips are walked, not popped, and a completion is pushed once."""
+    cfg = SimConfig(
+        duration_days=4.0, seed=3,
+        churn=ChurnModel(arrival_rate=10.0, lifetime_mean_days=2.0),
+        pool_spec=flat_spec(20, seed=3, on=0.7, conn=0.9, act=0.8),
+        task=TaskSpec(flops_per_task=5e12, input_size=5.0, deadline=1.0),
+        min_quorum=2, max_replicas=3, error_rate=0.1, mean_dwell_hours=3.0,
+    )
+    lazy, eager = _PopCountingEngine(cfg), _EagerPopCountingEngine(cfg)
+    assert lazy.run() == eager.run()
+    assert lazy.pops["_on_flip"] == 0 and lazy.pops["_on_wake"] > 0
+    assert lazy.wakes_off_the_mark == 0
+    assert lazy.stale_completions == 0 and eager.stale_completions > 0
+    assert eager.pops["_on_flip"] > 2 * lazy.pops["_on_wake"]
+    assert sum(lazy.pops.values()) <= 0.75 * sum(eager.pops.values())
 
 
 def test_availability_is_common_to_task_quorum_and_cap():
