@@ -22,10 +22,10 @@ class ConfigError(ValueError):
     """A config value has the wrong shape or type, or is unknown."""
 
 
-def within_limit(n: float, what: str) -> None:
-    """Reject a count above MAX_COUNT before anything is allocated for it."""
-    if n > MAX_COUNT:
-        raise ConfigError(f"{what} of {n:.6g} exceeds the limit of {MAX_COUNT}")
+def within_limit(n: float, what: str, limit: int = MAX_COUNT) -> None:
+    """Reject a count above ``limit`` before anything is allocated for it."""
+    if n > limit:
+        raise ConfigError(f"{what} of {n:.6g} exceeds the limit of {limit}")
 
 
 def section(value, where: str, allowed) -> dict:

@@ -76,6 +76,10 @@ from .units import (
 # this much work.
 MIN_CONNECTION_INTERVAL_DAYS = 0.1
 
+# The most availability flips a simulate config may expect. The criterion-7
+# steady-state config expects about 1.4 million.
+MAX_FLIPS = 10_000_000
+
 
 class WorkUnitState(Enum):
     IN_PROGRESS = "InProgress"
@@ -1584,4 +1588,13 @@ def sim_config_from_config(cfg: Mapping, seed_override: int | None = None) -> Si
     )
     per_host = max(1.0, _buffer_s(sim_cfg) * mean_flops / task.flops_per_task)
     config.within_limit((pool.n_hosts + arrivals) * per_host, "expected buffered replicas")
+    # a process with up fraction f flips 2 f / dwell times an hour; one whose
+    # mean fraction is 0 or 1 never flips on any host
+    flips_per_day = sum(
+        2.0 * 24.0 * frac / sim_cfg.mean_dwell_hours
+        for frac in (f.on_fraction, f.connected_fraction, f.active_fraction)
+        if 0.0 < frac < 1.0
+    )
+    host_days = (pool.n_hosts + arrivals) * min(f.mean_lifetime, days)
+    config.within_limit(host_days * flips_per_day, "expected availability flips", MAX_FLIPS)
     return sim_cfg

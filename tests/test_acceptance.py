@@ -136,13 +136,17 @@ def test_criterion_06_redundancy_overhead():
     sim_val = noisy.replicas_per_validated_task
     ok = (
         exact.replicas_per_validated_task == 2.0
+        and exact.n_validated > 1000
+        and exact.n_invalid == 0
+        and noisy.n_validated > 5000
         and 2.0 < sim_val < 2.35
         and abs(sim_val - oracle) <= spread
     )
     check(
         6,
         ok,
-        f"replicas/validated: {exact.replicas_per_validated_task} at no errors; "
+        f"replicas/validated: {exact.replicas_per_validated_task} at no errors "
+        f"({exact.n_validated} validated, {exact.n_invalid} invalid); "
         f"{sim_val:.4f} at 5% errors in (2, 2.35), exact {oracle:.5f} "
         f"+/- {spread:.4f} (3 sigma / sqrt {noisy.n_validated})",
     )

@@ -628,6 +628,10 @@ MALFORMED = [
                               "churn": {"arrival_rate": 0}},
                  "expected buffered replicas of 9.6375e+06 exceeds the limit",
                  id="simulate-huge-buffer"),
+    # every flip is drawn and walked: a short dwell costs memory and time
+    pytest.param("simulate", {"duration_days": 10, "pool": {"n_hosts": 10},
+                              "mean_dwell_hours": 0.001},
+                 "expected availability flips of", id="simulate-short-dwell"),
     # a draw between stored values would leave field_mean inexact
     pytest.param("simulate",
                  {"duration_days": 1, "pool": {"n_hosts": 5, "fields": {

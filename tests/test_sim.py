@@ -67,34 +67,6 @@ def test_exact_oracle_matches_enumeration():
         assert got == pytest.approx(enumerated_replica_cost(p), rel=0, abs=1e-12)
 
 
-def test_engine_replication_cost_error_free():
-    cfg = SimConfig(
-        duration_days=20.0, seed=11, churn=NO_CHURN,
-        pool_spec=flat_spec(40, seed=2),
-        task=TaskSpec(flops_per_task=2.5e13, input_size=5.0),
-        min_quorum=2, max_replicas=4, error_rate=0.0,
-    )
-    r = run_simulation(cfg)
-    assert r.n_validated > 1000
-    assert r.n_invalid == 0
-    assert r.replicas_per_validated_task == 2.0
-
-
-def test_engine_replication_cost_with_errors():
-    cfg = SimConfig(
-        duration_days=40.0, seed=11, churn=NO_CHURN,
-        pool_spec=flat_spec(100, seed=9),
-        task=TaskSpec(flops_per_task=2.5e13, input_size=5.0),
-        min_quorum=2, max_replicas=4, error_rate=0.05,
-    )
-    r = run_simulation(cfg)
-    assert r.n_validated > 5000
-    assert r.replicas_per_validated_task == pytest.approx(
-        replica_cost(0.05, 2, 4)[1], abs=0.02
-    )
-    assert 2.0 < r.replicas_per_validated_task < 2.35
-
-
 # -- fair shares -----------------------------------------------------------------
 
 
