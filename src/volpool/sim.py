@@ -253,7 +253,8 @@ def _renewals(start, up, sizes, sojourns, up_mean, down_mean, end):
     with the next ``sizes[k]`` of ``sojourns``, in units of the mean: up
     sojourns average ``up_mean``, down ones ``down_mean[k]``. Returns the
     instants, whether the sojourn ending at each was up, each segment's up
-    time before ``end[k]``, and each segment's first index.
+    time before ``end[k]``, each instant's segment and each segment's first
+    index.
     """
     first = np.cumsum(sizes) - sizes
     seg = np.repeat(np.arange(len(sizes)), sizes)
@@ -261,12 +262,13 @@ def _renewals(start, up, sizes, sojourns, up_mean, down_mean, end):
     steps = sojourns * np.where(was_up, up_mean, down_mean[seg])
     csum = np.cumsum(steps)
     times = start[seg] + (csum - (csum[first] - steps[first])[seg])
-    prev = np.roll(times, 1)
+    prev = np.empty_like(times)
+    prev[1:] = times[:-1]
     prev[first] = start
     seg_end = end[seg]
     up_time = np.where(was_up, np.minimum(times, seg_end) - np.minimum(prev, seg_end), 0.0)
     up_s = np.add.reduceat(up_time, first) if len(first) else up_time
-    return times, was_up, up_s, first
+    return times, was_up, up_s, seg, first
 
 
 class _Process:
@@ -289,7 +291,7 @@ class _Process:
 
     def draw(self, sojourns: np.ndarray, end: float):
         """Append the flips that ``sojourns``, in units of the mean, time."""
-        times, was_up, up_s, _ = _renewals(
+        times, was_up, up_s, _, _ = _renewals(
             np.array([self.last]), np.array([self.up]), [len(sojourns)], sojourns,
             self.up_mean, np.array([self.down_mean]), np.array([end]))
         self.times += times.tolist()
@@ -503,7 +505,7 @@ class _Engine:
         rng = self.trace_rng
         n = len(hosts)
         mask0 = (fracs >= 1.0) @ np.array([_ON, _CONN, _ALLOW])
-        full_s = np.where(fracs >= 1.0, (end - arrive)[:, None], 0.0)
+        host_up_s = np.where(fracs >= 1.0, (end - arrive)[:, None], 0.0)
         # one segment of sojourns per process that flips, host by host
         host, pos = np.nonzero((fracs > 0.0) & (fracs < 1.0))
         frac = fracs[host, pos]
@@ -514,25 +516,25 @@ class _Engine:
         np.bitwise_or.at(mask0, host, np.where(ups, 1 << pos, 0))
 
         down_mean = self.dwell_s * (1.0 - frac) / frac
-        times, was_up, up_s, starts = _renewals(
+        times, was_up, up_s, seg, starts = _renewals(
             arrive[host], ups, sizes, sojourns, self.dwell_s, down_mean, end[host])
-        seg = np.repeat(np.arange(len(sizes)), sizes)
+        host_up_s[host, pos] = up_s  # final unless a process falls short of the end
         last_at = starts + sizes - 1
         last = times[last_at]
         # merge each host's flips up to the instant all its processes reach
         horizon = np.full(n, math.inf)
         np.minimum.at(horizon, host, last)
         owner = host[seg]
-        keep = (times <= horizon[owner]) & (times < end[owner])
-        order = np.lexsort((times[keep], owner[keep]))
-        kept_t = times[keep][order]
-        kept_owner = owner[keep][order]
-        acc = np.bitwise_xor.accumulate(np.left_shift(1, pos[seg][keep][order]))
+        kept = np.flatnonzero((times <= horizon[owner]) & (times < end[owner]))
+        kept = kept[np.lexsort((times[kept], owner[kept]))]
+        kept_t = times[kept]
+        kept_owner = owner[kept]
+        acc = np.bitwise_xor.accumulate(np.left_shift(1, pos[seg[kept]]))
         offsets = np.searchsorted(kept_owner, np.arange(n + 1))
         before = np.concatenate(([0], acc))[offsets[:-1]]  # the xor of earlier hosts' flips
         masks = (acc ^ (before ^ mask0)[kept_owner]).astype(np.uint8)
         for h, a, b, m, s_row in zip(hosts, offsets[:-1].tolist(), offsets[1:].tolist(),
-                                     mask0.tolist(), full_s.tolist()):
+                                     mask0.tolist(), host_up_s.tolist()):
             h.mask = m
             h.tr_t = array("d", kept_t[a:b].tobytes())
             h.tr_m = bytearray(masks[a:b].tobytes())
@@ -547,8 +549,6 @@ class _Engine:
             if not h.tr_procs:
                 h.tr_procs = []
             h.tr_procs.append(p)
-        for k in np.flatnonzero(~short[host]).tolist():
-            hosts[host[k]].up_s[int(pos[k])] = float(up_s[k])
 
     def _extend(self, h: _Host) -> bool:
         """Append the next flips of ``h``'s trace; False once it holds them all.
