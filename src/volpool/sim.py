@@ -26,13 +26,13 @@ offset and passes through its host first in, first out, so the oldest
 replica on a host is always the next one due: each host keeps a single
 deadline event, armed on its oldest replica.
 
-Only a state change is an event. Uncapped, a flip is not one: a compute
-completion is pushed once, at the instant where the host's compute-up time
-times its speed covers the replica's FLOP, and a download completion once,
-through its communication-up time; a host's flips are applied when its next
-event or the next sample walks past them, and only an up-edge of its
-communication wakes it. Under an egress cap every flip is an event, as a
-flip of a listed host moves the flow list. A download whose completion would
+Only a state change is an event. A flip is not one: a compute completion is
+pushed once, at the instant where the host's compute-up time times its speed
+covers the replica's FLOP, and uncapped a download completion once, through
+its communication-up time; a host's flips are applied when its next event or
+the next sample walks past them. Only an edge of its communication wakes a
+host: uncapped an up-edge, and under an egress cap either edge, as an edge
+of a listed host moves the flow list. A download whose completion would
 start nothing (uncapped, while its host has a replica to compute and no
 other input waits) completes without an event, at the host's next event,
 the next sample or the end of the run; a fetch retry that could not fetch is
@@ -345,14 +345,15 @@ class _Host:
         self.buffer_flop = buffer_flop
         # Replicas in fetch order: ``n_done`` computed ones awaiting return,
         # then ``n_ready`` downloaded ones, the first of which is computing,
-        # then the one downloading and those waiting for input.
-        self.work: deque[_Replica] = deque()
+        # then the one downloading and those waiting for input. A deque
+        # while the host is a member, ``()`` before and after.
+        self.work: deque[_Replica] | tuple = ()
         self.n_done = 0
         self.n_ready = 0
         self.deadline_armed = False  # a deadline event is pending
-        # ``cp_running`` while the computing replica progresses; on the
-        # uncapped path ``cp_busy`` while it has one, paused or not, whose
-        # completion is scheduled. ``dl_busy`` and ``dl_running`` likewise.
+        # ``cp_running`` while the computing replica progresses; ``cp_busy``
+        # while it has one, paused or not, whose completion is scheduled.
+        # ``dl_running`` and, uncapped, ``dl_busy`` likewise.
         self.cp_busy = False
         self.cp_running = False
         self.cp_mark = arrive_s
@@ -383,13 +384,8 @@ class _Host:
     def comm_ok(self) -> bool:
         return self.mask == _COMM
 
-    def compute_ok(self) -> bool:
-        return self.mask & _COMPUTE == _COMPUTE
-
 
 class _Engine:
-    _flip_events = False  # push every flip even uncapped, as under a cap
-
     def __init__(self, cfg: SimConfig):
         self.cfg = cfg
         self.duration_s = cfg.duration_days * SECONDS_PER_DAY
@@ -416,19 +412,10 @@ class _Engine:
         # eligibility changed
         if cfg.server_egress_cap is None:
             self.cap_mb = None
-            self._dl_changed = self._sync_download_uncapped
+            self._dl_changed = self._sync_download_lazy
         else:
             self.cap_mb = mbps_to_mb_per_s(cfg.server_egress_cap)
             self._dl_changed = self._sync_download_capped
-        # Under a cap every flip is an event: a flip of a listed host moves
-        # the flow list. Uncapped, the engine is ``lazy``: a completion is
-        # pushed once, at the instant its trace gives, and a flip is applied
-        # when the host's next event or the next sample walks past it.
-        self.lazy = cfg.server_egress_cap is None and not self._flip_events
-        if self.lazy:
-            self._dl_changed = self._sync_download_lazy
-            self._sync_compute = self._sync_compute_lazy
-            self._advance = self._advance_lazy
 
         # server: the units owed replicas, in stamp order; ``parked`` holds
         # those that every live host already holds, until a host arrives
@@ -587,35 +574,6 @@ class _Engine:
             masks.append(mask)
         return bool(merged)
 
-    def _advance(self, h: _Host, now: float):
-        """Apply ``h``'s flips up to ``now``, in time order.
-
-        Callers test ``h.tr_next <= now`` first, which is all a host with
-        no flip due costs.
-        """
-        times, masks = h.tr_t, h.tr_m
-        i = h.tr_i
-        if i >= _TRACE_KEPT:  # drop the flips applied, which no walk reads again
-            del times[:i], masks[:i]
-            i = 0
-        flip = self._flip
-        while True:
-            if i == len(times):
-                del times[:], masks[:]
-                i = 0
-                if not self._extend(h):
-                    h.tr_i = 0
-                    h.tr_next = math.inf
-                    return
-            t = times[i]
-            if t > now:
-                h.tr_i = i
-                h.tr_next = t
-                return
-            i += 1
-            h.tr_i = i
-            flip(h, t, masks[i - 1])
-
     def _retire(self, h: _Host, now: float):
         """Close ``h``'s membership at ``now`` and add its times to the run's.
 
@@ -649,24 +607,6 @@ class _Engine:
         return done if done < left else left
 
     def _sync_compute(self, h: _Host, now: float):
-        """Run the oldest downloaded replica exactly while the host may compute.
-
-        Settle must have run first. A running replica whose state did not
-        change keeps its scheduled completion: constant rate means the
-        completion instant is unchanged.
-        """
-        desired = h.n_ready > 0 and h.compute_ok() and h.flops_rate > 0.0
-        if desired != h.cp_running:  # else a running replica keeps its completion
-            h.cp_epoch += 1
-            h.cp_running = desired
-            if desired:
-                h.cp_mark = now
-                eta = now + h.work[h.n_done].flops_left / h.flops_rate
-                self._push(eta, self._on_cp_done, h, h.cp_epoch)
-        if not desired and h.dl_due < math.inf:
-            self._push_download(h)  # the download's completion now starts compute
-
-    def _sync_compute_lazy(self, h: _Host, now: float):
         """Push the completion of a replica that starts computing, once.
 
         It lands where the host's compute-up time, times its speed, covers
@@ -706,29 +646,13 @@ class _Engine:
                     r.input_left -= moved
         h.dl_mark = now
 
-    def _sync_download_uncapped(self, h: _Host, now: float):
-        i = h.n_done + h.n_ready  # the input downloading or next to download
-        desired = len(h.work) > i and h.comm_ok() and h.dl_cap > 0.0
-        if desired and h.dl_running:
-            if len(h.work) > i + 1 and h.dl_due < math.inf:
-                self._push_download(h)  # its completion now starts the next input
-            return  # unchanged; completion stands
-        h.dl_epoch += 1
-        h.dl_running = desired
-        h.dl_due = math.inf
-        if desired:
-            h.dl_mark = now
-            eta = now + h.work[i].input_left / h.dl_cap
-            if h.cp_running and len(h.work) == i + 1:
-                self.seq += 1
-                h.dl_due = eta
-                h.dl_seq = self.seq
-            else:
-                self._push(eta, self._on_dl_done, h, h.dl_epoch)
-
     def _sync_download_lazy(self, h: _Host, now: float):
-        """``_sync_download_uncapped`` with one completion per input, through comm-up time."""
-        i = h.n_done + h.n_ready
+        """``_sync_compute`` for an input, through its host's communication-up time; uncapped.
+
+        A completion that would start nothing, while the host computes and no
+        other input waits, is kept lazy at ``dl_due`` instead of pushed.
+        """
+        i = h.n_done + h.n_ready  # the input downloading or next to download
         busy = len(h.work) > i and h.dl_cap > 0.0
         if busy and h.dl_busy:
             if len(h.work) > i + 1 and h.dl_due < math.inf:
@@ -1023,19 +947,20 @@ class _Engine:
         left_at_t = h.on_hand_flop - h.flops_rate * (t - h.cp_mark)
         return left_at_t <= h.buffer_flop * (1.0 + 1e-9)
 
-    # -- availability on the uncapped path ------------------------------------
+    # -- walking the traces ----------------------------------------------------
 
-    def _advance_lazy(self, h: _Host, now: float):
-        """``_advance`` on the uncapped path, where no flip pushes anything.
+    def _advance(self, h: _Host, now: float):
+        """Apply ``h``'s flips up to ``now``, in time order.
 
-        Each flip does what ``_flip`` would, short of its events: the
-        completions ``_flip`` would re-push stand already, at the instants
-        their walks gave, and each communication up-edge has its wake. What
-        is left is to settle the side whose eligibility changes, as
-        ``_settle_compute`` and ``_settle_download`` would. That is done
-        inline: every flip of a run passes through here, and calling a flip
-        method per flip cost about 8% of a 20-day ``sim_steady`` run (best of
-        four, 2-core VM, Python 3.11).
+        Callers test ``h.tr_next <= now`` first, which is all a host with no
+        flip due costs. A flip pushes no completion: those stand already, at
+        the instants their walks gave. What is left is to settle the side
+        whose eligibility changes, as ``_settle_compute`` and
+        ``_settle_download`` would. That is done inline: every flip of a run
+        passes through here, and calling a flip method per flip cost about 8%
+        of a 20-day ``sim_steady`` run (best of four, 2-core VM, Python 3.11).
+        Under a cap a communication edge moves the flow list too; each is a
+        wake, so it comes here at its own instant.
         """
         times, masks = h.tr_t, h.tr_m
         i = h.tr_i
@@ -1070,19 +995,24 @@ class _Engine:
                     h.cp_running = h.cp_busy and new & _COMPUTE == _COMPUTE
                 h.cp_mark = t
             if (mask == _COMM) != (new == _COMM):
-                if h.dl_due <= t:
-                    self._land_download(h, t)
-                if h.dl_running:  # a down-edge; uncapped, so no shared clock
-                    r = h.work[h.n_done + h.n_ready]
-                    moved = (t - h.dl_mark) * h.dl_cap
-                    if moved > r.input_left:
-                        moved = r.input_left
-                    if moved > 0.0:
-                        r.input_left -= moved
-                    h.dl_running = False
+                if self.cap_mb is not None:
+                    h.mask = new  # what ``_sync_download_capped`` reads
+                    self._settle_download(h, t)
+                    self._sync_download_capped(h, t)
                 else:
-                    h.dl_running = h.dl_busy and new == _COMM
-                h.dl_mark = t
+                    if h.dl_due <= t:
+                        self._land_download(h, t)
+                    if h.dl_running:  # a down-edge; uncapped, so no shared clock
+                        r = h.work[h.n_done + h.n_ready]
+                        moved = (t - h.dl_mark) * h.dl_cap
+                        if moved > r.input_left:
+                            moved = r.input_left
+                        if moved > 0.0:
+                            r.input_left -= moved
+                        h.dl_running = False
+                    else:
+                        h.dl_running = h.dl_busy and new == _COMM
+                    h.dl_mark = t
             mask = new
         h.mask = mask
         h.tr_i = i
@@ -1093,7 +1023,8 @@ class _Engine:
 
         ``h`` must have been advanced to ``now``. The walk does the float
         operations that settling at each edge of its trace would, in the same
-        order, so the instant is the one the eager engine would reach.
+        order, so the instant is the one an engine that made every flip an
+        event would reach (the tests' ``_EagerEngine``).
         """
         up = h.mask & bits == bits
         mark = now
@@ -1120,10 +1051,11 @@ class _Engine:
             i += 1
         return mark + left / rate if up else math.inf
 
-    def _next_comm_up(self, h: _Host) -> float:
-        """The first flip not yet applied that lets ``h`` communicate.
+    def _next_comm_edge(self, h: _Host, up: bool) -> float:
+        """The instant of ``h``'s next flip into communication if ``up``, out of it if not.
 
-        A flip changes one bit, so every flip to ``_COMM`` is an up-edge.
+        A flip changes one bit, so every flip to ``_COMM`` is an up-edge and,
+        from an up state, every flip is a down-edge.
         """
         times, masks = h.tr_t, h.tr_m
         i = h.tr_i
@@ -1132,28 +1064,30 @@ class _Engine:
                 if not self._extend(h):
                     return math.inf
                 continue
-            if masks[i] == _COMM:
+            if (masks[i] == _COMM) is up:
                 return times[i]
             i += 1
 
     def _arm_wake(self, h: _Host):
-        """Push a wake at ``h``'s next communication up-edge.
+        """Push a wake at ``h``'s next communication edge: uncapped, its next up-edge.
 
-        There the eager engine returns results and calls ``_try_fetch``, which
-        nearly always writes something: a fetch, or the reservation or arming
-        of a retry. A host whose memory the task does not fit never holds
-        work, so its up-edges push nothing.
+        At an up-edge the host returns results and calls ``_try_fetch``,
+        which nearly always writes something: a fetch, or the reservation or
+        arming of a retry. Under a cap either edge of a host with input to
+        download moves the flow list. A host whose memory the task does not
+        fit never holds work, so its edges push nothing.
         """
         if h.mem_ok:
-            u = self._next_comm_up(h)
+            u = self._next_comm_edge(h, self.cap_mb is None or h.mask != _COMM)
             if u < math.inf:
                 self._push(u, self._on_wake, h)
 
     def _on_wake(self, h: _Host, _, now: float):
-        self._advance(h, now)  # applies the up-edge at ``now``
-        if h.n_done:
-            self._flush_returns(h, now)
-        self._try_fetch(h, now)
+        self._advance(h, now)  # applies the edge at ``now``
+        if h.comm_ok():
+            if h.n_done:
+                self._flush_returns(h, now)
+            self._try_fetch(h, now)
         self._arm_wake(h)
 
     # -- event handlers --------------------------------------------------------
@@ -1163,10 +1097,8 @@ class _Engine:
             self._push(h.depart_s, self._on_depart, h)
         if h.idx >= self.n_traced:
             self._draw_traces(h.idx)
-        if self.lazy:
-            self._arm_wake(h)
-        else:
-            self._push_flip(h)
+        self._arm_wake(h)
+        h.work = deque()
         self.live_hosts[h.idx] = h
         if self.parked:
             self._unpark()
@@ -1187,7 +1119,7 @@ class _Engine:
             self.lost_flop += self.task.flops_per_task - fetched[0].flops_left
         # computing, then the input still to come, downloaded, computed
         doomed = fetched[:1] + work[h.n_done + h.n_ready:] + fetched[1:] + done
-        h.work.clear()
+        h.work = ()
         h.n_done = h.n_ready = 0
         h.cp_running = h.cp_busy = False
         h.dl_running = h.dl_busy = False
@@ -1197,43 +1129,6 @@ class _Engine:
         for r in doomed:
             self._deliver(r, _LOST)
         self._dl_changed(h, now)  # under a cap, this takes the host off the flow list
-
-    def _flip(self, h: _Host, t: float, mask: int):
-        """Apply one flip of ``h``'s trace at ``t``: its mask becomes ``mask``.
-
-        Only the side whose eligibility changes is settled and synced: a
-        flip that changes neither may compute nor may communicate writes
-        nothing but the mask.
-        """
-        old = h.mask
-        h.mask = mask
-        compute = (old & _COMPUTE == _COMPUTE) != (mask & _COMPUTE == _COMPUTE)
-        comm = (old == _COMM) != (mask == _COMM)
-        if not (compute or comm):
-            return
-        if h.dl_due <= t:
-            self._land_download(h, t)
-        if compute:
-            self._settle_compute(h, t)
-        if comm:
-            self._settle_download(h, t)
-        if compute:
-            self._sync_compute(h, t)
-        if comm:
-            self._dl_changed(h, t)
-            if mask == _COMM:
-                self._flush_returns(h, t)
-                self._try_fetch(h, t)
-
-    def _push_flip(self, h: _Host):
-        """Push the event of ``h``'s next flip, if its trace holds one."""
-        if h.tr_i < len(h.tr_t) or self._extend(h):
-            self._push(h.tr_t[h.tr_i], self._on_flip, h)
-
-    def _on_flip(self, h: _Host, _, now: float):
-        if h.tr_next <= now:
-            self._advance(h, now)
-        self._push_flip(h)
 
     def _on_cp_done(self, h: _Host, epoch: int, now: float):
         if epoch != h.cp_epoch:  # paused, finished or departed since

@@ -232,41 +232,37 @@ def test_binding_egress_cap_costs_few_events():
 class _LivenessCheckedEngine(simmod._Engine):
     """Checks that the handlers need no liveness test of their own.
 
-    Every flip or wake, and every compute or download completion whose
-    epoch is still current, is for a live host. Completions that reach a
-    departed host are counted: its epochs alone must turn them away.
+    Every wake, and every compute or download completion whose epoch is
+    still current, is for a live host. Completions that reach a departed
+    host are counted, compute and download apart: its epochs alone must turn
+    them away.
     """
 
     def __init__(self, cfg):
         super().__init__(cfg)
-        self.n_flips = 0
+        self.n_wakes = 0
         self.n_current = 0
-        self.n_after_departure = 0
+        self.after_departure = Counter()
 
-    def _check(self, h, current):
+    def _check(self, h, current, kind):
         live = h.idx in self.live_hosts
         if current:
             assert live
             self.n_current += 1
         elif not live:
-            self.n_after_departure += 1
-
-    def _on_flip(self, h, _, now):
-        assert h.idx in self.live_hosts
-        self.n_flips += 1
-        super()._on_flip(h, _, now)
+            self.after_departure[kind] += 1
 
     def _on_wake(self, h, _, now):
         assert h.idx in self.live_hosts
-        self.n_flips += 1
+        self.n_wakes += 1
         super()._on_wake(h, _, now)
 
     def _on_cp_done(self, h, epoch, now):
-        self._check(h, epoch == h.cp_epoch)
+        self._check(h, epoch == h.cp_epoch, "compute")
         super()._on_cp_done(h, epoch, now)
 
     def _on_dl_done(self, h, epoch, now):
-        self._check(h, epoch == h.dl_epoch)
+        self._check(h, epoch == h.dl_epoch, "download")
         super()._on_dl_done(h, epoch, now)
 
 
@@ -275,7 +271,9 @@ class _LivenessCheckedEngine(simmod._Engine):
 def test_handlers_only_act_on_live_hosts(seed, cap_mbps):
     """Half-day lifetimes: hosts depart mid-download and mid-compute.
 
-    Uncapped, no completion is pushed past its host's departure at all.
+    No compute completion is pushed past its host's departure, nor,
+    uncapped, any download completion. Under a cap a download that starts
+    or changes rate pushes its completion without a departure test.
     """
     cfg = SimConfig(
         duration_days=3.0, seed=seed,
@@ -287,8 +285,9 @@ def test_handlers_only_act_on_live_hosts(seed, cap_mbps):
     )
     engine = _LivenessCheckedEngine(cfg)
     engine.run()
-    assert engine.n_flips > 0 and engine.n_current > 0
-    assert (engine.n_after_departure > 0) == (cap_mbps is not None)
+    assert engine.n_wakes > 0 and engine.n_current > 0
+    assert engine.after_departure["compute"] == 0
+    assert (engine.after_departure["download"] > 0) == (cap_mbps is not None)
 
 
 class _DeadlineCountingEngine(simmod._Engine):
@@ -438,20 +437,86 @@ def test_parked_units_return_in_queue_order(
 
 
 class _EagerEngine(simmod._Engine):
-    """Does all the work the engine may leave out.
+    """The reference the engine's walks are checked against: it leaves nothing out.
 
-    Every flip is an event, as under a cap: it settles the side whose
-    eligibility changes and re-pushes the completions it resumes. Each
-    download completion and each fetch retry is pushed, under the seq the
-    engine reserved for it.
+    Every flip is an event. It settles the side whose eligibility changes
+    and pushes a completion afresh whenever a replica or an input resumes;
+    at a communication up-edge it returns results and fetches. Each download
+    completion and each fetch retry is pushed.
     """
 
-    _flip_events = True
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        if self.cap_mb is None:
+            self._dl_changed = self._sync_download
 
-    def _sync_download_uncapped(self, h, now):
-        super()._sync_download_uncapped(h, now)
-        if h.dl_due < math.inf:
-            self._push_download(h)
+    def _arm_wake(self, h):
+        """Push the event of ``h``'s next flip, if its trace holds one."""
+        if h.tr_i < len(h.tr_t) or self._extend(h):
+            self._push(h.tr_t[h.tr_i], self._on_flip, h)
+
+    def _on_flip(self, h, _, now):
+        if h.tr_next <= now:
+            self._advance(h, now)
+        self._arm_wake(h)
+
+    def _advance(self, h, now):
+        times, masks = h.tr_t, h.tr_m
+        while True:
+            if h.tr_i == len(times):
+                del times[:], masks[:]
+                h.tr_i = 0
+                if not self._extend(h):
+                    h.tr_next = math.inf
+                    return
+            t = times[h.tr_i]
+            if t > now:
+                h.tr_next = t
+                return
+            h.tr_i += 1
+            self._flip(h, t, masks[h.tr_i - 1])
+
+    def _flip(self, h, t, mask):
+        """Apply one flip at ``t``: only the side whose eligibility changes is touched."""
+        old, h.mask = h.mask, mask
+        cp_bits, comm_bits = simmod._COMPUTE, simmod._COMM
+        compute = (old & cp_bits == cp_bits) != (mask & cp_bits == cp_bits)
+        comm = (old == comm_bits) != (mask == comm_bits)
+        if compute:
+            self._settle_compute(h, t)
+        if comm:
+            self._settle_download(h, t)
+        if compute:
+            self._sync_compute(h, t)
+        if comm:
+            self._dl_changed(h, t)
+            if mask == comm_bits:
+                self._flush_returns(h, t)
+                self._try_fetch(h, t)
+
+    def _sync_compute(self, h, now):
+        """Run the oldest downloaded replica exactly while the host may compute."""
+        may_compute = h.mask & simmod._COMPUTE == simmod._COMPUTE
+        running = h.n_ready > 0 and may_compute and h.flops_rate > 0.0
+        if running != h.cp_running:
+            h.cp_epoch += 1
+            h.cp_running = running
+            if running:
+                h.cp_mark = now
+                eta = now + h.work[h.n_done].flops_left / h.flops_rate
+                self._push(eta, self._on_cp_done, h, h.cp_epoch)
+
+    def _sync_download(self, h, now):
+        """Run the next input exactly while the host may communicate, uncapped."""
+        i = h.n_done + h.n_ready
+        running = len(h.work) > i and h.comm_ok() and h.dl_cap > 0.0
+        if running != h.dl_running:
+            h.dl_epoch += 1
+            h.dl_running = running
+            if running:
+                h.dl_mark = now
+                eta = now + h.work[i].input_left / h.dl_cap
+                self._push(eta, self._on_dl_done, h, h.dl_epoch)
 
     def _may_fetch_at(self, h, t):
         return True
@@ -479,10 +544,10 @@ def test_events_left_out_change_no_output(
 ):
     """Skipping idle events changes no output.
 
-    Uncapped, the engine walks the hosts' traces instead of popping their
-    flips; capped, it pushes every flip, as the eager engine does. Identical
-    hosts that are always on fetch, download and retry at tied instants; the
-    reserved seqs keep those ties in order.
+    The engine walks the hosts' traces instead of popping their flips, and
+    wakes a host only at an edge of its communication. Identical hosts that
+    are always on fetch, download and retry at tied instants; the reserved
+    seqs keep those ties in order.
     """
     cfg = SimConfig(
         duration_days=1.5, seed=seed,
@@ -496,15 +561,18 @@ def test_events_left_out_change_no_output(
     )
     lazy, eager = simmod._Engine(cfg), _EagerEngine(cfg)
     assert lazy.run() == eager.run()
-    if cap_mbps is not None:  # uncapped, the flips the engine walks take no seq
-        assert lazy.seq == eager.seq
+    assert lazy.seq <= eager.seq
 
 
 class _PopCountingEngine(simmod._Engine):
-    """Counts heap pops by handler, and the pops that find nothing to do.
+    """Counts handler calls by name, and the pops that find nothing to do.
 
-    A stale completion is one whose epoch is no longer current. A wake off
-    the mark is one at a flip that is not a communication up-edge.
+    Each call is a heap pop, except a download completion that a shared
+    completion event runs under a cap.
+
+    A stale completion is a compute completion whose epoch is no longer
+    current. A wake off the mark is one at a flip the engine need not wake
+    for (``_wakes_for``).
     """
 
     def __init__(self, cfg):
@@ -513,15 +581,25 @@ class _PopCountingEngine(simmod._Engine):
         self.stale_completions = 0
         self.wakes_off_the_mark = 0
 
+    def _wakes_for(self, h, now):
+        """Whether ``h``'s flip at ``now`` is one the engine must wake for.
+
+        That is a communication edge of a host that may hold work: uncapped
+        an up-edge, under a cap either edge.
+        """
+        self._advance(h, math.nextafter(now, -math.inf))  # every flip before this one
+        if not (h.mem_ok and h.tr_next == now):
+            return False
+        was_up, up = h.mask == simmod._COMM, h.tr_m[h.tr_i] == simmod._COMM
+        return was_up != up and (up or self.cap_mb is not None)
+
     def _on_cp_done(self, h, epoch, now):
         self.stale_completions += epoch != h.cp_epoch
         super()._on_cp_done(h, epoch, now)
 
     def _on_wake(self, h, _, now):
-        self._advance(h, math.nextafter(now, -math.inf))  # every flip before this one
-        before = h.mask
+        self.wakes_off_the_mark += not self._wakes_for(h, now)
         super()._on_wake(h, _, now)
-        self.wakes_off_the_mark += not (before != simmod._COMM == h.mask)
 
 
 def _counted(name, handler):
@@ -531,30 +609,44 @@ def _counted(name, handler):
     return counted
 
 
-for _name in ("_on_arrive", "_on_depart", "_on_flip", "_on_wake", "_on_cp_done",
-              "_on_dl_done", "_on_deadline", "_on_fetch", "_on_sample"):
+for _name in [name for name in vars(simmod._Engine) if name.startswith("_on_")]:
     setattr(_PopCountingEngine, _name, _counted(_name, getattr(_PopCountingEngine, _name)))
 
 
 class _EagerPopCountingEngine(_PopCountingEngine, _EagerEngine):
-    pass
+    """Also counts, among the flips it pops, those the engine must wake for."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.flips_to_wake_for = 0
+
+    def _on_flip(self, h, _, now):
+        self.pops["_on_flip"] += 1
+        self.flips_to_wake_for += self._wakes_for(h, now)
+        super()._on_flip(h, _, now)
 
 
-def test_uncapped_engine_pops_no_idle_flip_or_stale_completion():
-    """Down-edges and idle flips are walked, not popped, and a completion is pushed once."""
+@pytest.mark.parametrize("cap_mbps", [None, 2.0], ids=["uncapped", "capped"])
+def test_engine_pops_no_idle_flip_or_stale_completion(cap_mbps):
+    """Compute flips and idle flips are walked, not popped, and a compute
+    completion is pushed once: the engine pops a wake for exactly the
+    communication edges it needs, uncapped the up-edges alone."""
     cfg = SimConfig(
         duration_days=4.0, seed=3,
         churn=ChurnModel(arrival_rate=10.0, lifetime_mean_days=2.0),
         pool_spec=flat_spec(20, seed=3, on=0.7, conn=0.9, act=0.8),
         task=TaskSpec(flops_per_task=5e12, input_size=5.0, deadline=1.0),
         min_quorum=2, max_replicas=3, error_rate=0.1, mean_dwell_hours=3.0,
+        server_egress_cap=cap_mbps,
     )
     lazy, eager = _PopCountingEngine(cfg), _EagerPopCountingEngine(cfg)
     assert lazy.run() == eager.run()
-    assert lazy.pops["_on_flip"] == 0 and lazy.pops["_on_wake"] > 0
+    assert "_on_flip" not in lazy.pops and lazy.pops["_on_wake"] > 0
     assert lazy.wakes_off_the_mark == 0
+    assert lazy.pops["_on_wake"] == eager.flips_to_wake_for
     assert lazy.stale_completions == 0 and eager.stale_completions > 0
-    assert eager.pops["_on_flip"] > 2 * lazy.pops["_on_wake"]
+    if cap_mbps is None:
+        assert eager.pops["_on_flip"] > 2 * lazy.pops["_on_wake"]
     assert sum(lazy.pops.values()) <= 0.75 * sum(eager.pops.values())
 
 
