@@ -37,7 +37,6 @@ from . import ingest as ing
 from . import population as pop
 from . import sim as simmod
 from .hosts import HostTable
-from .units import SECONDS_PER_DAY
 
 # (file stem, HostTable.column selector) pairs behind the hist_<stem>.csv
 # outputs; flops and iops are whole-host aggregates, the rest raw fields.
@@ -313,7 +312,9 @@ def cmd_stats(args, meta: Mapping, source) -> int:
         hist = ing.histogram_of_values(values, ing.auto_edges(values), stem)
         _write_histogram(_outpath(args, f"hist_{stem}.csv"), meta, hist)
 
-    now = int(records.last_contact.max()) + 30.0 * SECONDS_PER_DAY
+    # the latest instant the snapshot saw: hosts heard from within the
+    # censoring window before it may still be alive
+    now = int(records.last_contact.max())
     try:
         life = pop.lifetime_stats(records, now=now)
     except ValueError:

@@ -43,7 +43,7 @@ USER_BUCKETS = (
     ("2-10", 2, 10),
     ("11-100", 11, 100),
     ("101-1000", 101, 1000),
-    ("1000+", 1000, 3000),
+    ("1000+", 1001, 3000),
 )
 
 

@@ -35,10 +35,12 @@ host: uncapped an up-edge, and under an egress cap either edge, as an edge
 of a listed host moves the flow list. A download whose completion would
 start nothing (uncapped, while its host has a replica to compute and no
 other input waits) completes without an event, at the host's next event,
-the next sample or the end of the run; a fetch retry that could not fetch is
-not pushed. Each keeps the seq its event would have taken, so same-time
-events run in the same order. The on, connected and allowed times are
-integrals over the traces, clipped to each host's membership.
+the next sample or the end of the run; each keeps the seq its event would
+have taken, so same-time events run in the same order. A fetch retry that
+could not fetch is not pushed; its seq is taken at the fetch that set it,
+so retries due at the same instant run in the order of their fetches. The
+on, connected and allowed times are integrals over the traces, clipped to
+each host's membership.
 
 Everything random flows from one 64-bit seed: identical configs give
 identical reports, byte for byte. Time is seconds internally, days at the
@@ -321,7 +323,7 @@ class _Host:
         "cp_busy", "cp_running", "cp_mark", "cp_epoch",
         "dl_busy", "dl_running", "dl_mark", "dl_epoch", "dl_tag", "dl_listed",
         "dl_due", "dl_seq",
-        "on_hand_flop", "next_fetch_s", "fetch_due", "fetch_seq", "fetch_armed",
+        "on_hand_flop", "next_fetch_s", "fetch_seq", "fetch_armed",
         "up_s",
     )
 
@@ -371,10 +373,10 @@ class _Host:
         self.dl_due = math.inf
         self.dl_seq = 0
         self.on_hand_flop = 0.0
+        # The fetch retry due at (next_fetch_s, fetch_seq), both set by the
+        # fetch before it; ``fetch_armed`` while its event is in the heap. A
+        # retry that cannot fetch is not pushed.
         self.next_fetch_s = -1.0
-        # The fetch retry due at (fetch_due, fetch_seq); ``fetch_armed`` while
-        # its event is in the heap. A retry that cannot fetch is not pushed.
-        self.fetch_due = -1.0
         self.fetch_seq = 0
         self.fetch_armed = False
         # seconds on, connected and allowed over the membership, by bit
@@ -461,10 +463,6 @@ class _Engine:
         """Call ``handler(a, b, t)`` at ``t``; same-time events run in push order."""
         self.seq += 1
         heapq.heappush(self.heap, (t, self.seq, handler, a, b))
-
-    def _ran_by(self, t: float, seq: int, now: float) -> bool:
-        """Whether an event at (``t``, ``seq``) has run by the one running at ``now``."""
-        return t < now or (t == now and seq <= self.now_seq)
 
     # -- availability traces -------------------------------------------------
 
@@ -684,7 +682,7 @@ class _Engine:
 
     def _land_download(self, h: _Host, now: float):
         """Complete a lazy download due by ``now``, as its event would have."""
-        if h.dl_due == now and h.dl_seq > self.now_seq:  # ``_ran_by``, inline
+        if h.dl_due == now and h.dl_seq > self.now_seq:
             return  # its event would run after the current one
         h.dl_due = math.inf
         h.work[h.n_done + h.n_ready].input_left = 0.0
@@ -892,26 +890,21 @@ class _Engine:
     # -- work fetch ----------------------------------------------------------
 
     def _try_fetch(self, h: _Host, now: float):
-        """Fetch what the buffer lacks, or keep one retry due when allowed.
+        """Fetch what the buffer lacks, or push the retry due when allowed.
 
-        The caller has checked that ``h`` is live and can communicate.
+        The caller has checked that ``h`` is live and can communicate. A
+        fetch sets the next retry: its instant and the seq its event takes,
+        so retries due at the same instant run in the order of the fetches
+        that set them. A call before that instant pushes the retry, once,
+        if a fetch could then succeed.
         """
         if not h.mem_ok:
             return
         if now + 1e-9 < h.next_fetch_s:
-            if h.fetch_armed:
-                return  # its retry is in the heap
-            # one retry at next_fetch_s, pending until its event would have
-            # run; it is pushed once a fetch could then succeed
-            if h.fetch_due < now or (h.fetch_due == now and h.fetch_seq <= self.now_seq):
-                # the last retry has run (``_ran_by``, inline)
-                if h.next_fetch_s > self.duration_s:
-                    return
-                self.seq += 1
-                h.fetch_due = h.next_fetch_s
-                h.fetch_seq = self.seq
-            if self._may_fetch_at(h, h.fetch_due):
-                self._arm_retry(h)
+            t = h.next_fetch_s
+            if not h.fetch_armed and self._may_fetch_at(h, t):
+                h.fetch_armed = True
+                heapq.heappush(self.heap, (t, h.fetch_seq, self._on_fetch, h, h.fetch_seq))
             return
         # the buffer gap counts the in-flight replica's progress, which is
         # not settled: only an edge of its trace or its end splits a run of
@@ -919,8 +912,6 @@ class _Engine:
         need = h.buffer_flop - (h.on_hand_flop - self._progress(h, now))
         if need <= 0.0:
             return
-        if not h.fetch_armed and not self._ran_by(h.fetch_due, h.fetch_seq, now):
-            self._arm_retry(h)  # this fetch moves next_fetch_s: that retry will act
         n = math.ceil(need / self.task.flops_per_task)
         replicas = self._assign(h, n, now)
         for r in replicas:
@@ -928,19 +919,19 @@ class _Engine:
             h.on_hand_flop += self.task.flops_per_task
         self._arm_deadline(h)
         h.next_fetch_s = now + MIN_CONNECTION_INTERVAL_DAYS * SECONDS_PER_DAY
+        self.seq += 1
+        h.fetch_seq = self.seq  # a retry still in the heap goes stale
+        h.fetch_armed = False
         self._dl_changed(h, now)  # new replicas await input: compute is unchanged
-
-    def _arm_retry(self, h: _Host):
-        h.fetch_armed = True
-        heapq.heappush(self.heap, (h.fetch_due, h.fetch_seq, self._on_fetch, h, 0))
 
     def _may_fetch_at(self, h: _Host, t: float) -> bool:
         """Whether a retry at ``t`` could fetch, as far as is known now.
 
-        The host must still be there, and its buffer must have room even if
-        it computes without pause until ``t``. Only handlers that call
-        ``_try_fetch`` lower the buffer otherwise, and they ask again. The
-        margin absorbs the float residue a completion drops from the buffer.
+        The host must still be there, so ``_on_fetch`` needs no liveness
+        test, and its buffer must have room even if it computes without
+        pause until ``t``. Only handlers that call ``_try_fetch`` lower the
+        buffer otherwise, and they ask again. The margin absorbs the float
+        residue a completion drops from the buffer.
         """
         if h.depart_s <= t:
             return False
@@ -1072,15 +1063,22 @@ class _Engine:
         """Push a wake at ``h``'s next communication edge: uncapped, its next up-edge.
 
         At an up-edge the host returns results and calls ``_try_fetch``,
-        which nearly always writes something: a fetch, or the reservation or
-        arming of a retry. Under a cap either edge of a host with input to
-        download moves the flow list. A host whose memory the task does not
-        fit never holds work, so its edges push nothing.
+        which may fetch or push a retry; many such wakes do neither. Under
+        a cap either edge of a host with input to download moves the flow
+        list. A host whose memory the task does not fit never holds work, so
+        its edges push nothing.
         """
         if h.mem_ok:
             u = self._next_comm_edge(h, self.cap_mb is None or h.mask != _COMM)
             if u < math.inf:
                 self._push(u, self._on_wake, h)
+
+    def _catch_up(self, h: _Host, now: float):
+        """Apply ``h``'s flips and land its lazy download, each if due by ``now``."""
+        if h.tr_next <= now:
+            self._advance(h, now)
+        if h.dl_due <= now:
+            self._land_download(h, now)
 
     def _on_wake(self, h: _Host, _, now: float):
         self._advance(h, now)  # applies the edge at ``now``
@@ -1106,10 +1104,7 @@ class _Engine:
             self._try_fetch(h, now)
 
     def _on_depart(self, h: _Host, _, now: float):
-        if h.tr_next <= now:
-            self._advance(h, now)
-        if h.dl_due <= now:
-            self._land_download(h, now)
+        self._catch_up(h, now)
         self._retire(h, now)
         self._settle_compute(h, now)
         del self.live_hosts[h.idx]
@@ -1133,10 +1128,7 @@ class _Engine:
     def _on_cp_done(self, h: _Host, epoch: int, now: float):
         if epoch != h.cp_epoch:  # paused, finished or departed since
             return
-        if h.tr_next <= now:
-            self._advance(h, now)
-        if h.dl_due <= now:
-            self._land_download(h, now)
+        self._catch_up(h, now)
         self._settle_compute(h, now)
         r = h.work[h.n_done]
         # a float residue may be left; the replica still did one whole task
@@ -1161,8 +1153,7 @@ class _Engine:
     def _on_dl_done(self, h: _Host, epoch: int, now: float):
         if epoch != h.dl_epoch:  # paused, finished or departed since
             return
-        if h.tr_next <= now:
-            self._advance(h, now)
+        self._catch_up(h, now)  # this download was pushed: none is lazy
         self._settle_download(h, now)
         h.work[h.n_done + h.n_ready].input_left = 0.0
         h.n_ready += 1
@@ -1186,10 +1177,7 @@ class _Engine:
         Replicas share one deadline offset and pass through the host in
         fetch order, so only the oldest can be due.
         """
-        if h.tr_next <= now:
-            self._advance(h, now)
-        if h.dl_due <= now:
-            self._land_download(h, now)
+        self._catch_up(h, now)
         work = h.work
         while work and work[0].deadline_s <= now:
             if h.n_done:  # computed, awaiting return
@@ -1216,14 +1204,11 @@ class _Engine:
         h.deadline_armed = False
         self._arm_deadline(h)
 
-    def _on_fetch(self, h: _Host, _, now: float):
-        h.fetch_armed = False
-        if h.idx not in self.live_hosts:
+    def _on_fetch(self, h: _Host, seq: int, now: float):
+        if seq != h.fetch_seq:  # a later fetch set another retry
             return
-        if h.tr_next <= now:
-            self._advance(h, now)
-        if h.dl_due <= now:
-            self._land_download(h, now)
+        h.fetch_armed = False
+        self._catch_up(h, now)
         if h.comm_ok():
             self._try_fetch(h, now)
 
@@ -1241,10 +1226,7 @@ class _Engine:
         computing = 0.0
         for h in self.live_hosts.values():
             if h.n_ready:
-                if h.tr_next <= now:
-                    self._advance(h, now)
-                if h.dl_due <= now:
-                    self._land_download(h, now)
+                self._catch_up(h, now)
                 computing += f - (h.work[h.n_done].flops_left - self._progress(h, now))
         return self.done_flop + self.lost_flop + computing
 

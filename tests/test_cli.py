@@ -210,6 +210,34 @@ def test_stats_reads_host_csv(tmp_path, capsys, hosts_csv):
     assert doc["hardware_gflops"] == pytest.approx(cap.hardware_flops(pool))
 
 
+def test_stats_leaves_recent_hosts_out_of_lifetimes(tmp_path):
+    """Lifetimes count only hosts silent for 30 days before the latest contact."""
+    day = 86400
+    last = [100 * day] * 10 + [170 * day, 171 * day] + [200 * day] * 8
+    pool = pop.generate_pool(presets.reference_pool_spec(n_hosts=20, seed=4))
+    pool = dataclasses.replace(pool, created=[0] * 20, last_contact=last)
+    path = tmp_path / "hosts.csv"
+    path.write_text(ing.serialize_hosts(pool))
+    cfg = write_config(tmp_path, "s.json", {"input": str(path)})
+    out = tmp_path / "out"
+    assert main(["stats", "--config", cfg, "--out", str(out)]) == 0
+    doc = read_json(out / "stats.json")
+    assert doc["lifetime_n_hosts"] == 11  # the day-170 host is silent for exactly 30 days
+    assert doc["lifetime_mean_days"] == pytest.approx((10 * 100 + 170) / 11)
+
+
+def test_stats_on_an_all_recent_pool_has_no_lifetimes(tmp_path, capsys):
+    """Every flat host was last seen at the latest contact: none has ended."""
+    cfg = write_config(tmp_path, "s.json", {"pool": {"n_hosts": 5, "fields": dict(FLAT_FIELDS)}})
+    out = tmp_path / "out"
+    assert main(["stats", "--config", cfg, "--out", str(out)]) == 0
+    doc = read_json(out / "stats.json")
+    assert doc["lifetime_mean_days"] is None and doc["lifetime_n_hosts"] == 0
+    _, header, rows = read_csv(out / "hist_lifetime.csv")
+    assert header == ["bin_start", "bin_end", "count"]
+    assert rows == [["0.0", "30.0", "0"], ["overflow", "", "0"]]
+
+
 def test_output_cells_keep_a_bare_carriage_return(tmp_path):
     """A label holding a bare \\r is quoted in every CLI CSV, on every Python."""
     pool = pop.generate_pool(presets.reference_pool_spec(n_hosts=3, seed=4))

@@ -416,17 +416,18 @@ def test_hosts_per_user_buckets():
     records = (
         owned("s1", 1) + owned("s2", 1) + owned("s3", 1)
         + owned("m", 5)
-        + owned("farm", 2987)
+        + owned("big", 1000)  # on the edge of the two largest buckets, in one of them
+        + owned("farm", 2987) + owned("farm2", 1001)
     )
     rows = {r.bucket: r for r in hosts_per_user(HostTable.from_records(records))}
     assert rows["1"].n_users == 3 and rows["1"].n_hosts == 3
     assert rows["2-10"].n_users == 1 and rows["2-10"].n_hosts == 5
     assert rows["11-100"].n_users == 0
-    assert rows["101-1000"].n_hosts == 0
-    assert rows["1000+"].n_users == 1 and rows["1000+"].n_hosts == 2987
+    assert rows["101-1000"].n_users == 1 and rows["101-1000"].n_hosts == 1000
+    assert rows["1000+"].n_users == 2 and rows["1000+"].n_hosts == 2987 + 1001
     assert sum(r.n_hosts for r in rows.values()) == len(records)
     assert sum(r.pct_hosts for r in rows.values()) == pytest.approx(100.0)
-    assert rows["1000+"].pct_hosts == pytest.approx(100.0 * 2987 / len(records))
+    assert rows["1000+"].pct_hosts == pytest.approx(100.0 * 3988 / len(records))
 
 
 def test_hosts_per_user_empty():

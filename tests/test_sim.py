@@ -232,23 +232,23 @@ def test_binding_egress_cap_costs_few_events():
 class _LivenessCheckedEngine(simmod._Engine):
     """Checks that the handlers need no liveness test of their own.
 
-    Every wake, and every compute or download completion whose epoch is
-    still current, is for a live host. Completions that reach a departed
-    host are counted, compute and download apart: its epochs alone must turn
-    them away.
+    Every wake, every compute or download completion whose epoch is still
+    current and every fetch retry whose seq is still current is for a live
+    host. Events that reach a departed host are counted by kind: their
+    epochs alone must turn them away.
     """
 
     def __init__(self, cfg):
         super().__init__(cfg)
         self.n_wakes = 0
-        self.n_current = 0
+        self.current = Counter()
         self.after_departure = Counter()
 
     def _check(self, h, current, kind):
         live = h.idx in self.live_hosts
         if current:
             assert live
-            self.n_current += 1
+            self.current[kind] += 1
         elif not live:
             self.after_departure[kind] += 1
 
@@ -265,15 +265,20 @@ class _LivenessCheckedEngine(simmod._Engine):
         self._check(h, epoch == h.dl_epoch, "download")
         super()._on_dl_done(h, epoch, now)
 
+    def _on_fetch(self, h, seq, now):
+        self._check(h, seq == h.fetch_seq, "fetch")
+        super()._on_fetch(h, seq, now)
+
 
 @pytest.mark.parametrize("cap_mbps", [None, 2.0], ids=["uncapped", "capped"])
 @pytest.mark.parametrize("seed", [1, 2])
 def test_handlers_only_act_on_live_hosts(seed, cap_mbps):
     """Half-day lifetimes: hosts depart mid-download and mid-compute.
 
-    No compute completion is pushed past its host's departure, nor,
-    uncapped, any download completion. Under a cap a download that starts
-    or changes rate pushes its completion without a departure test.
+    No compute completion or fetch retry is pushed past its host's
+    departure, nor, uncapped, any download completion. Under a cap a
+    download that starts or changes rate pushes its completion without a
+    departure test.
     """
     cfg = SimConfig(
         duration_days=3.0, seed=seed,
@@ -285,8 +290,9 @@ def test_handlers_only_act_on_live_hosts(seed, cap_mbps):
     )
     engine = _LivenessCheckedEngine(cfg)
     engine.run()
-    assert engine.n_wakes > 0 and engine.n_current > 0
-    assert engine.after_departure["compute"] == 0
+    assert engine.n_wakes > 0 and min(engine.current.values()) > 0
+    assert len(engine.current) == 3
+    assert engine.after_departure["compute"] == engine.after_departure["fetch"] == 0
     assert (engine.after_departure["download"] > 0) == (cap_mbps is not None)
 
 
@@ -369,6 +375,53 @@ def test_idle_downloads_and_retries_cost_few_events():
     # a retry waits for a buffer with room; most of those that still fetch
     # nothing find the host unable to communicate
     assert engine.idle_fetch_events <= 0.25 * engine.fetch_events
+
+
+class _RetryOrderEngine(simmod._Engine):
+    """Records, per fetch retry, the fetch that set it, the first call that
+    came too early for it and the order in which the retries run."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.set_by = {}  # (retry instant, host) -> order of the fetch that set it
+        self.early = {}  # (retry instant, host) -> order of its first too-early call
+        self.retried = []  # (instant, host) of each current retry, in the order run
+
+    def _try_fetch(self, h, now):
+        due = h.next_fetch_s
+        if now + 1e-9 < due:
+            self.early.setdefault((due, h.idx), len(self.early))
+        super()._try_fetch(h, now)
+        if h.next_fetch_s != due:
+            self.set_by[(h.next_fetch_s, h.idx)] = len(self.set_by)
+
+    def _on_fetch(self, h, seq, now):
+        if self.now_seq == h.fetch_seq:
+            self.retried.append((now, h.idx))
+        super()._on_fetch(h, seq, now)
+
+
+def test_tied_retries_run_in_fetch_order():
+    """Always-on hosts that all fetch at the start retry at one instant.
+
+    They differ in speed, so their first replicas complete, and their first
+    too-early calls come, in another order than their fetches. The retries
+    run in the order of the fetches that set them.
+    """
+    speeds = EmpiricalDistribution((1.0, 2.0, 3.0, 4.0, 5.0, 6.0))  # GFLOPS
+    spec = flat_spec(6, seed=5)
+    spec = replace(spec, field_generators={**spec.field_generators, "flops_per_cpu": speeds})
+    cfg = SimConfig(
+        duration_days=1.0, seed=5, churn=NO_CHURN, pool_spec=spec,
+        task=TaskSpec(flops_per_task=2e12, input_size=1.0, deadline=2.0), min_quorum=1,
+    )
+    engine = _RetryOrderEngine(cfg)
+    engine.run()
+    retried = engine.retried
+    assert len({t for t, _ in retried}) < len(retried)  # some retries are tied
+    in_fetch_order = sorted(retried, key=engine.set_by.get)
+    assert in_fetch_order != sorted(retried, key=engine.early.get)
+    assert retried == in_fetch_order
 
 
 class _CountingQueue(deque):
@@ -519,7 +572,7 @@ class _EagerEngine(simmod._Engine):
                 self._push(eta, self._on_dl_done, h, h.dl_epoch)
 
     def _may_fetch_at(self, h, t):
-        return True
+        return h.depart_s > t
 
 
 @settings(max_examples=40, deadline=None)
