@@ -13,7 +13,7 @@ from volpool.ingest import write_hosts_csv
 from volpool.population import assign_users, generate_pool
 
 
-def main() -> None:
+def main(argv=None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--n-hosts", type=int, default=10_000)
     ap.add_argument("--seed", type=int, default=1)
@@ -22,7 +22,7 @@ def main() -> None:
     ap.add_argument("--assign-users", action="store_true",
                     help="group hosts under users with the ownership buckets")
     ap.add_argument("--out", default="hosts.csv")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     if args.vendor_conditional:
         pool = presets.vendor_conditional_pool(args.n_hosts, seed=args.seed)
@@ -34,7 +34,7 @@ def main() -> None:
         pool = assign_users(pool, presets.HOSTS_PER_USER_PCT, seed=args.seed)
 
     write_hosts_csv(pool, args.out, header_comment=f"synthetic fixture seed={args.seed}")
-    users = len(set(pool.user_id))
+    users = len(set(pool.user_id.tolist()))
     print(f"{len(pool)} hosts across {users} users -> {args.out}")
 
 

@@ -6,17 +6,22 @@ availability fractions, and ownership and locale attributes. The table is
 the one declaration of those fields and the one place they are checked,
 once per column, against ``host_rules``. Generators and parsers build
 tables and everything downstream, per-host figures such as the crossover
-data rate included, reads their columns. A ``HostRecord`` is only what
-indexing or iterating a table gives: one row of Python scalars, its class
-derived from the table's fields and unchecked on its own, since its table
-checked the columns it came from. Both are immutable.
+data rate included, reads their columns. Label columns, the user id
+included, are ``Categorical`` codes into distinct levels; the ids a
+generator draws are ``Numbered``, spelled only when a row or a CSV cell
+needs one. A ``HostRecord`` is only what indexing or iterating a table
+gives: one row of Python scalars, its class derived from the table's fields
+and unchecked on its own, since its table checked the columns it came from.
+Both are immutable.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, make_dataclass
 from enum import Enum
 from itertools import chain
+from operator import eq
 from typing import Mapping
 
 import numpy as np
@@ -81,18 +86,54 @@ def row_sum(column) -> float:
     return float(np.bincount(zeros, weights=column, minlength=1)[0])
 
 
+class Numbered(Sequence):
+    """The labels ``prefix`` + ``str(i)`` for ``i`` in ``range(n)``, each
+    spelled only when it is read; ``n`` may also be a ``range`` itself.
+
+    ``len``, indexing and slicing follow ``range``: a negative index counts
+    from the end, one out of range raises IndexError, and a slice is another
+    ``Numbered``. It equals any tuple, list or ``Numbered`` holding the same
+    strings in the same order. Generated ids are numbered this way, so a
+    pool of n hosts holds no n id strings.
+    """
+
+    __slots__ = ("prefix", "numbers")
+
+    def __init__(self, prefix: str, n):
+        self.prefix = prefix
+        self.numbers = n if isinstance(n, range) else range(n)
+
+    def __len__(self) -> int:
+        return len(self.numbers)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Numbered(self.prefix, self.numbers[index])
+        return f"{self.prefix}{self.numbers[index]}"
+
+    def __iter__(self):
+        return map(self.prefix.__add__, map(str, self.numbers))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Numbered) and other.prefix == self.prefix:
+            return self.numbers == other.numbers
+        if not isinstance(other, (Numbered, tuple, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+
 class Categorical:
     """A column of repeated labels: one code per row into ``levels``.
 
-    Levels are distinct; a level no row uses is allowed. Two categoricals
-    are equal when they hold the same label in every row, whatever their
-    codes.
+    Levels are distinct; a level no row uses is allowed. ``levels`` is a
+    tuple, or a ``Numbered`` kept as it is. Two categoricals are equal when
+    they hold the same label in every row, whatever their codes.
     """
 
     __slots__ = ("codes", "levels")
 
     def __init__(self, codes, levels):
-        self.levels = tuple(levels)
+        self.levels = levels if isinstance(levels, Numbered) else tuple(levels)
         self.codes = _read_only(codes, np.intp)
         if self.codes.ndim != 1:
             raise ValueError("codes must be one-dimensional")
@@ -105,7 +146,8 @@ class Categorical:
     def of(cls, labels) -> "Categorical":
         """Encode a sequence of labels, levels in order of first appearance."""
         labels = list(labels)
-        index = {label: code for code, label in enumerate(dict.fromkeys(labels))}
+        index = dict.fromkeys(labels)
+        index.update(zip(index, range(len(index))))
         return cls(np.fromiter(map(index.__getitem__, labels), np.intp, len(labels)), index)
 
     def __len__(self) -> int:
@@ -133,18 +175,19 @@ class HostTable:
     ``resource_share`` is the fraction of the host granted to this project
     when it competes with others. Timestamps are UTC epoch seconds.
 
-    Each field is one column: a tuple of strings for the two ids, a
-    ``Categorical`` for vendor, os, country and venue, and a read-only numpy
-    array for the rest, int64 for ``n_cpus`` and the three timestamps,
-    float64 otherwise. Construction converts the columns and raises
+    Each field is one column: a tuple or a ``Numbered`` of strings for
+    ``host_id``, a ``Categorical`` for ``user_id``, vendor, os, country and
+    venue, and a read-only numpy array for the rest, int64 for ``n_cpus``
+    and the three timestamps, float64 otherwise. Construction converts the
+    columns, encoding a label column given as a sequence, and raises
     ValueError with the message of the first of ``host_rules`` that any row
     breaks. ``len``, indexing and iteration give ``HostRecord`` rows of
     Python scalars; a slice gives a table. Equality is column by column and
     exact.
     """
 
-    host_id: tuple
-    user_id: tuple
+    host_id: tuple | Numbered
+    user_id: Categorical
     n_cpus: np.ndarray
     flops_per_cpu: np.ndarray
     iops_per_cpu: np.ndarray
@@ -170,7 +213,8 @@ class HostTable:
         for name in HOST_FIELDS:
             value = getattr(self, name)
             if name in ID_FIELDS:
-                value = tuple(value)
+                if not isinstance(value, Numbered):
+                    value = tuple(value)
             elif name in CATEGORICAL_FIELDS:
                 if not isinstance(value, Categorical):
                     value = Categorical.of(value)
@@ -255,8 +299,8 @@ class HostTable:
 
 
 HOST_FIELDS = tuple(f.name for f in fields(HostTable))
-ID_FIELDS = ("host_id", "user_id")
-CATEGORICAL_FIELDS = ("cpu_vendor", "os", "country", "venue")
+ID_FIELDS = ("host_id",)
+CATEGORICAL_FIELDS = ("user_id", "cpu_vendor", "os", "country", "venue")
 # Numeric fields a pool generator or fitter may target, in the canonical
 # order generators consume random draws.
 NUMERIC_FIELDS = tuple(

@@ -13,7 +13,8 @@ numeric column is converted in one pass, and ``hosts.host_rules`` are
 evaluated over the block's columns as masks. A rejected row is given the
 first rule it breaks, in this order: the column count; ``cpu_vendor``,
 ``os``, ``venue``; the numbers in column order; the host rules. Writing
-joins a block's cells by hand and quotes an id or country cell that holds a
+turns each label column's levels into cells once per call, joins a block's
+cells by hand, and quotes a host id, user id or country cell that holds a
 delimiter, quote or line break; ``csv_cells`` is that quoting rule, and the
 CLI writes its own CSVs through it too.
 
@@ -27,7 +28,6 @@ import csv
 import io
 import math
 from array import array
-from collections import Counter
 from dataclasses import dataclass
 from itertools import compress, repeat
 from pathlib import Path
@@ -78,9 +78,10 @@ HOST_CSV_COLUMNS = (
 
 BREAKDOWN_KEYS = ("cpu_vendor", "os", "country", "venue")
 
-# A block parse keeps the ids and countries as strings, and maps each enum
-# column's labels to codes over all of the enum's members.
-_TEXT_FIELDS = (*ID_FIELDS, "country")
+# A block parse keeps the host ids, user ids and countries as strings, which
+# the table encodes once it is built, and maps each enum column's labels to
+# codes over all of the enum's members.
+_TEXT_FIELDS = ("host_id", "user_id", "country")
 _ENUM_LEVELS = {
     "cpu_vendor": tuple(CpuVendor),
     "os": tuple(OperatingSystem),
@@ -248,16 +249,17 @@ def _number_column(texts, is_int: bool) -> tuple[np.ndarray, np.ndarray]:
     return col, broken
 
 
-def _text_columns(records: HostTable, rows: slice) -> list:
-    """Each column's ``rows`` as CSV cells: shortest round-trip floats, labels."""
+def _text_columns(records: HostTable, rows: slice, level_cells: dict) -> list:
+    """Each column's ``rows`` as CSV cells: shortest round-trip floats, and
+    labels looked up in ``level_cells``, each categorical column's levels
+    written as cells."""
     out = []
     for name in HOST_FIELDS:
         col = getattr(records, name)
         if name in ID_FIELDS:
             out.append(csv_cells(col[rows]))
         elif name in CATEGORICAL_FIELDS:
-            labels = csv_cells([getattr(v, "value", v) for v in col.levels])
-            out.append([labels[c] for c in col.codes[rows].tolist()])
+            out.append(list(map(level_cells[name].__getitem__, col.codes[rows].tolist())))
         else:
             out.append(list(map(repr if col.dtype.kind == "f" else str, col[rows].tolist())))
     return out
@@ -285,8 +287,13 @@ def serialize_hosts(records: HostTable, header_comment: str | None = None) -> st
     if header_comment is not None:
         buf.write(f"# {header_comment}\n")
     buf.write(",".join(HOST_CSV_COLUMNS) + "\n")
+    # once per call: a user id column may hold as many levels as rows
+    level_cells = {
+        name: csv_cells([getattr(v, "value", v) for v in getattr(records, name).levels])
+        for name in CATEGORICAL_FIELDS
+    }
     for start in range(0, len(records), ROW_BLOCK):
-        cells = _text_columns(records, slice(start, start + ROW_BLOCK))
+        cells = _text_columns(records, slice(start, start + ROW_BLOCK), level_cells)
         buf.write("\n".join(map(",".join, zip(*cells))))
         buf.write("\n")
     return buf.getvalue()
@@ -339,7 +346,8 @@ def hosts_per_user(records: HostTable) -> list[UserBucketRow]:
     """Ownership distribution: users and hosts per hosts-owned bucket."""
     from .population import USER_BUCKETS  # bucket boundaries shared with generation
 
-    per_user = np.fromiter(Counter(records.user_id).values(), dtype=np.int64)
+    per_user = np.bincount(records.user_id.codes)
+    per_user = per_user[per_user > 0]  # a level no row uses is no user
     total_hosts = len(records)
     rows = []
     for bucket, lo, _hi in USER_BUCKETS:

@@ -29,6 +29,7 @@ from .hosts import (
     Categorical,
     CpuVendor,
     HostTable,
+    Numbered,
     OperatingSystem,
     Venue,
 )
@@ -313,8 +314,8 @@ def generate_pool(spec: PoolSpec) -> HostTable:
     columns["last_contact"] = np.maximum(columns["last_contact"], columns["created"])
 
     return HostTable(
-        host_id=[f"h{i}" for i in range(n)],
-        user_id=[f"u{i}" for i in range(n)],
+        host_id=Numbered("h", n),
+        user_id=Categorical(np.arange(n), Numbered("u", n)),
         cpu_vendor=_categorical(rng, spec.vendor_weights, n),
         os=_categorical(rng, spec.os_weights, n),
         country=_categorical(rng, spec.country_weights, n),
@@ -366,8 +367,7 @@ def assign_users(
     counts = _apportion(w, len(pool))
 
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    user_ids: list[str] = []
-    user_seq = 0
+    sizes: list[int] = []
     for label, chunk in zip(labels, counts):
         lo, hi = by_bucket[label]
         remaining = chunk
@@ -379,10 +379,10 @@ def assign_users(
                     size = remaining
                 else:
                     size = remaining - lo
-            user_ids += [f"u{user_seq}"] * size
-            user_seq += 1
+            sizes.append(size)
             remaining -= size
-    return replace(pool, user_id=user_ids)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return replace(pool, user_id=Categorical(owner, Numbered("u", len(sizes))))
 
 
 @dataclass(frozen=True)

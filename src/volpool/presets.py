@@ -221,6 +221,6 @@ def vendor_conditional_pool(n_hosts: int, seed: int) -> HostTable:
         parts.append(replace(
             sub,
             host_id=[f"v{i}.{h}" for h in sub.host_id],
-            user_id=[f"v{i}.{u}" for u in sub.user_id],
+            user_id=[f"v{i}.{u}" for u in sub.user_id.tolist()],
         ))
     return HostTable.concat(parts)

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -677,6 +678,12 @@ MALFORMED = [
                  "tz_offset values outside the int64 range", id="stats-huge-tz-offset"),
     pytest.param("sweep", {"pool": {"n_hosts": 5}, "rates": {"n": 10**9}},
                  "rates option 'n' of 1e+09 exceeds the limit", id="sweep-huge-grid"),
+    # each count within its limit, their product not
+    pytest.param("sweep", {"pool": {"n_hosts": 20_000}, "rates": {"n": 10**6}},
+                 "sweep host-points of 2e+10 exceeds the limit", id="sweep-huge-pool-grid"),
+    # a CSV is counted once it is parsed: 20 hosts x 101 rates, the limit lowered
+    pytest.param("sweep", {"input": "hosts_csv", "rates": {"n": 101}},
+                 "sweep host-points of 2020 exceeds the limit of 2000", id="sweep-huge-csv-grid"),
     pytest.param("stats", {"pool": {"n_hosts": 5, "fields": {
                      "ram": {"lognormal": {"mean": 1.0, "cv": 1.0, "n": 10**9}}}}},
                  "lognormal option 'n' of 1e+09 exceeds the limit", id="stats-huge-lognormal"),
@@ -698,7 +705,12 @@ def time_limit(seconds: int):
 
 
 @pytest.mark.parametrize("command, payload, fragment", MALFORMED)
-def test_malformed_config_exits_2(tmp_path, capsys, command, payload, fragment):
+def test_malformed_config_exits_2(request, monkeypatch, tmp_path, capsys,
+                                  command, payload, fragment):
+    if payload.get("input") == "hosts_csv":
+        path, _ = request.getfixturevalue("hosts_csv")
+        payload = dict(payload, input=str(path))
+        monkeypatch.setattr(cli, "MAX_SWEEP_HOST_POINTS", 2000)
     cfg = write_config(tmp_path, "bad.json", payload)
     out = tmp_path / "out"
     with time_limit(10):
@@ -724,6 +736,24 @@ def test_sample_configs_pass_their_reader(path):
 
 def test_sample_configs_cover_every_command():
     assert {p.stem.split("_", 1)[0] for p in SAMPLE_CONFIGS} == set(cli._COMMANDS)
+
+
+def test_make_fixture_writes_a_parseable_pool(tmp_path, capsys):
+    """The fixture script, run in-process as CI's smoke step runs it."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_fixture.py"
+    spec = importlib.util.spec_from_file_location("make_fixture", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    out = tmp_path / "hosts.csv"
+    module.main(["--n-hosts", "500", "--assign-users", "--vendor-conditional",
+                 "--out", str(out)])
+    parsed = ing.parse_hosts(out)
+    assert len(parsed.records) == 500 and parsed.rejects == ()
+    users = len(set(parsed.records.user_id.tolist()))
+    assert 1 < users < 500
+    assert capsys.readouterr().out == f"500 hosts across {users} users -> {out}\n"
+    text = out.read_text(encoding="utf-8")
+    assert ing.serialize_hosts(parsed.records, "synthetic fixture seed=1") == text
 
 
 def test_readme_lists_every_simulate_option():

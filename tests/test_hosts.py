@@ -10,6 +10,7 @@ from volpool.hosts import (
     HostRecord,
     OperatingSystem,
     HostTable,
+    Numbered,
     Venue,
 )
 
@@ -86,3 +87,30 @@ def test_column_resolution():
     assert table.column("iops").tolist() == [2.0]
     with pytest.raises(ValueError, match="unknown host field selector"):
         table.column("speed")
+
+
+# -- numbered ids -------------------------------------------------------------------
+
+
+def test_numbered_indexes_like_a_range():
+    ids = Numbered("h", 5)
+    assert len(ids) == 5 and list(ids) == ["h0", "h1", "h2", "h3", "h4"]
+    assert ids[0] == "h0" and ids[4] == "h4"
+    assert ids[-1] == "h4" and ids[-5] == "h0"
+    assert isinstance(ids[1:4], Numbered)
+    assert ids[1:4] == ("h1", "h2", "h3") and ids[::-2] == ["h4", "h2", "h0"]
+    assert ids[3:1] == () and ids[7:] == []
+    for out in (5, -6):
+        with pytest.raises(IndexError):
+            ids[out]
+
+
+def test_numbered_equals_the_strings_it_spells():
+    ids = Numbered("u", 3)
+    assert ids == ("u0", "u1", "u2") and ("u0", "u1", "u2") == ids
+    assert ["u0", "u1", "u2"] == ids and ids == Numbered("u", range(3))
+    assert Numbered("u1", 1) == Numbered("u", range(10, 11))  # "u10" both ways
+    assert ids != ("u0", "u1") and ids != ("u0", "u1", "x2") and ids != Numbered("h", 3)
+    assert ids != "u0u1u2"
+    table = HostTable.from_records([make_host(), make_host(host_id="h1")])
+    assert dataclasses.replace(table, host_id=Numbered("h", 2)) == table

@@ -12,8 +12,8 @@ from hypothesis import given, settings, strategies as st
 from volpool import ingest, presets
 from volpool.hosts import (
     HOST_FIELDS,
-    ID_FIELDS,
     INT_FIELDS,
+    Categorical,
     CpuVendor,
     HostRecord,
     HostTable,
@@ -30,7 +30,7 @@ from volpool.ingest import (
     serialize_hosts,
     write_hosts_csv,
 )
-from volpool.population import generate_pool
+from volpool.population import assign_users, generate_pool
 
 from conftest import flat_spec
 
@@ -97,10 +97,17 @@ def test_round_trip_through_file_keeps_a_bare_carriage_return(tmp_path, canon_re
 
 
 def test_round_trip_generated_pool():
-    pool = generate_pool(presets.reference_pool_spec(n_hosts=50, seed=4))
-    result = parse_hosts(io.StringIO(serialize_hosts(pool)))
-    assert result.records == pool
-    assert result.rejects == ()
+    # numbered ids, grouped owners and relabelled ids, compared both ways
+    base = generate_pool(presets.reference_pool_spec(n_hosts=50, seed=4))
+    for pool in (
+        base,
+        assign_users(base, presets.HOSTS_PER_USER_PCT, seed=4),
+        presets.vendor_conditional_pool(60, seed=4),
+    ):
+        result = parse_hosts(io.StringIO(serialize_hosts(pool)))
+        assert result.records == pool
+        assert pool == result.records
+        assert result.rejects == ()
 
 
 def test_comment_lines_before_header_skipped():
@@ -230,7 +237,7 @@ def ref_host(row):
     for name, csv_name in zip(HOST_FIELDS, ingest.HOST_CSV_COLUMNS):
         if name in LABELS:
             values[name] = LABELS[name](cells[name])
-        elif name in ID_FIELDS or name == "country":
+        elif name in ("host_id", "user_id", "country"):
             values[name] = cells[name]
         else:
             values[name] = ref_number(csv_name, cells[name], int if name in INT_FIELDS else float)
@@ -428,6 +435,16 @@ def test_hosts_per_user_buckets():
     assert sum(r.n_hosts for r in rows.values()) == len(records)
     assert sum(r.pct_hosts for r in rows.values()) == pytest.approx(100.0)
     assert rows["1000+"].pct_hosts == pytest.approx(100.0 * 3988 / len(records))
+
+
+def test_hosts_per_user_skips_levels_no_row_uses():
+    # four levels, two of them owning no host: two users
+    owners = Categorical([1, 1, 1, 3], ["idle", "a", "idle2", "b"])
+    table = dataclasses.replace(HostTable.from_records(owned("a", 4)), user_id=owners)
+    rows = {r.bucket: r for r in hosts_per_user(table)}
+    assert rows["1"].n_users == 1 and rows["1"].n_hosts == 1
+    assert rows["2-10"].n_users == 1 and rows["2-10"].n_hosts == 3
+    assert sum(r.n_users for r in rows.values()) == 2
 
 
 def test_hosts_per_user_empty():
