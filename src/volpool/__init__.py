@@ -3,7 +3,7 @@
 The package splits into six small modules:
 
 - :mod:`volpool.hosts` - the columnar host table, which declares and checks
-  the host fields, and the row record derived from it
+  the host fields
 - :mod:`volpool.population` - synthetic pools, churn and lifetime statistics
 - :mod:`volpool.capacity` - closed-form capacity, storage and rate analysis
 - :mod:`volpool.sim` - an event-driven simulation of a redundant project
@@ -21,7 +21,7 @@ from .capacity import (
     storage_potential,
     utilization_product,
 )
-from .hosts import HostRecord, HostTable
+from .hosts import HostTable
 from .ingest import parse_hosts, serialize_hosts, write_hosts_csv
 from .population import (
     ChurnModel,
@@ -46,7 +46,6 @@ __all__ = [
     "CapacityFactors",
     "ChurnModel",
     "EmpiricalDistribution",
-    "HostRecord",
     "HostTable",
     "PoolSpec",
     "SimConfig",

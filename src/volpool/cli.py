@@ -160,10 +160,20 @@ def _outpath(args, name: str) -> str:
 # turns any ValueError one raises into exit status 2.
 
 
-def _options(args, cfg: Mapping, allowed) -> tuple[int, dict]:
+# The top-level keys each subcommand's config may hold, which the README lists
+# after "Keys:"; simulate's are ``sim.SIMULATE_OPTIONS``.
+CONFIG_KEYS = {
+    "ingest": ("input", "seed"),
+    "stats": ("input", "pool", "seed"),
+    "capacity": ("factors", "seed"),
+    "sweep": ("input", "pool", "seed", "rates", "factors", "per_host_factors"),
+}
+
+
+def _options(args, cfg: Mapping) -> tuple[int, dict]:
     """Check the top-level keys; return the seed (flag > config > 0) and meta."""
     where = f"{args.command} option"
-    config.section(cfg, where, allowed)
+    config.section(cfg, where, CONFIG_KEYS[args.command])
     seed = config.count(cfg, "seed", 0, where)
     if args.seed is not None:
         seed = args.seed
@@ -203,24 +213,22 @@ def _rate_grid(cfg: Mapping) -> list[float]:
 
 
 def read_ingest(args, cfg: Mapping):
-    _, meta = _options(args, cfg, ("input", "seed"))
+    _, meta = _options(args, cfg)
     return meta, _input_path(cfg)
 
 
 def read_stats(args, cfg: Mapping):
-    seed, meta = _options(args, cfg, ("input", "pool", "seed"))
+    seed, meta = _options(args, cfg)
     return meta, _host_source(cfg, seed)
 
 
 def read_capacity(args, cfg: Mapping):
-    _, meta = _options(args, cfg, ("factors", "seed"))
+    _, meta = _options(args, cfg)
     return meta, cap.factors_from_config(cfg.get("factors", {}))
 
 
 def read_sweep(args, cfg: Mapping):
-    seed, meta = _options(
-        args, cfg, ("input", "pool", "seed", "rates", "factors", "per_host_factors")
-    )
+    seed, meta = _options(args, cfg)
     source, grid = _host_source(cfg, seed), _rate_grid(cfg)
     if not isinstance(source, str):  # a CSV's hosts are counted once it is parsed
         _check_host_points(source.n_hosts, grid)

@@ -7,12 +7,10 @@ the one declaration of those fields and the one place they are checked,
 once per column, against ``host_rules``. Generators and parsers build
 tables and everything downstream, per-host figures such as the crossover
 data rate included, reads their columns. Label columns, the user id
-included, are ``Categorical`` codes into distinct levels; the ids a
-generator draws are ``Numbered``, spelled only when a row or a CSV cell
-needs one. A ``HostRecord`` is only what indexing or iterating a table
-gives: one row of Python scalars, its class derived from the table's fields
-and unchecked on its own, since its table checked the columns it came from.
-Both are immutable.
+included, are ``Categorical`` codes into distinct levels, and the levels of
+the vendor, os and venue columns are members of their enums; the ids a
+generator draws are ``Numbered``, spelled only when a CSV cell needs one. A
+table is read by column only and is immutable.
 """
 
 from __future__ import annotations
@@ -62,8 +60,8 @@ class Venue(Enum):
     NONE = "None"
 
 
-# Rows converted to Python values at a time when a table is read row by row
-# or written out, which bounds the memory that conversion takes.
+# Rows converted at a time when a table is parsed or written out, which
+# bounds the memory that conversion takes.
 ROW_BLOCK = 4096
 
 
@@ -153,9 +151,9 @@ class Categorical:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def tolist(self, rows=slice(None)) -> list:
-        """The labels of ``rows``, one per row."""
-        return list(map(self.levels.__getitem__, self.codes[rows].tolist()))
+    def tolist(self) -> list:
+        """The labels, one per row."""
+        return list(map(self.levels.__getitem__, self.codes.tolist()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Categorical):
@@ -179,11 +177,13 @@ class HostTable:
     ``host_id``, a ``Categorical`` for ``user_id``, vendor, os, country and
     venue, and a read-only numpy array for the rest, int64 for ``n_cpus``
     and the three timestamps, float64 otherwise. Construction converts the
-    columns, encoding a label column given as a sequence, and raises
-    ValueError with the message of the first of ``host_rules`` that any row
-    breaks. ``len``, indexing and iteration give ``HostRecord`` rows of
-    Python scalars; a slice gives a table. Equality is column by column and
-    exact.
+    columns, encoding a label column given as a sequence and converting each
+    level of an ``ENUM_FIELDS`` column through its enum, which takes a member
+    or its value. It raises ValueError naming the first level that is
+    neither; failing that, with the message of the first of ``host_rules``
+    that any row breaks. ``len`` counts the hosts. Equality is column by column and
+    exact, so labels given as enum values equal the same labels given as
+    members.
     """
 
     host_id: tuple | Numbered
@@ -218,6 +218,8 @@ class HostTable:
             elif name in CATEGORICAL_FIELDS:
                 if not isinstance(value, Categorical):
                     value = Categorical.of(value)
+                if name in ENUM_FIELDS:
+                    value = _enum_members(name, value)
             else:
                 value = _read_only(value, np.int64 if name in INT_FIELDS else np.float64)
                 if value.ndim != 1:
@@ -228,11 +230,6 @@ class HostTable:
         for test, message in host_rules(vars(self)):
             if np.any(test):
                 raise ValueError(message)
-
-    @classmethod
-    def from_records(cls, records) -> "HostTable":
-        records = list(records)
-        return cls(**{name: [getattr(r, name) for r in records] for name in HOST_FIELDS})
 
     @classmethod
     def concat(cls, tables) -> "HostTable":
@@ -251,30 +248,6 @@ class HostTable:
 
     def __len__(self) -> int:
         return len(self.host_id)
-
-    def _lists(self, rows=slice(None)) -> list[list]:
-        """Every column's Python values over ``rows``, in field order."""
-        out = []
-        for name in HOST_FIELDS:
-            col = getattr(self, name)
-            if name in ID_FIELDS:
-                out.append(list(col[rows]))
-            elif name in CATEGORICAL_FIELDS:
-                out.append(col.tolist(rows))
-            else:
-                out.append(col[rows].tolist())
-        return out
-
-    def __iter__(self):
-        for start in range(0, len(self), ROW_BLOCK):
-            for values in zip(*self._lists(slice(start, start + ROW_BLOCK))):
-                yield HostRecord(*values)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return HostTable(**dict(zip(HOST_FIELDS, self._lists(index))))
-        i = range(len(self))[index]  # bounds and negative indices
-        return HostRecord(*(values[0] for values in self._lists(slice(i, i + 1))))
 
     def column(self, selector: str) -> np.ndarray:
         """One numeric field, or "flops" / "iops" for the whole-host aggregate."""
@@ -301,6 +274,9 @@ class HostTable:
 HOST_FIELDS = tuple(f.name for f in fields(HostTable))
 ID_FIELDS = ("host_id",)
 CATEGORICAL_FIELDS = ("user_id", "cpu_vendor", "os", "country", "venue")
+# The label columns whose levels are enum members, in the order a parse checks
+# their labels.
+ENUM_FIELDS = {"cpu_vendor": CpuVendor, "os": OperatingSystem, "venue": Venue}
 # Numeric fields a pool generator or fitter may target, in the canonical
 # order generators consume random draws.
 NUMERIC_FIELDS = tuple(
@@ -326,8 +302,25 @@ FRACTION_FIELDS = (
     "resource_share",
 )
 
-_NONNEGATIVE_RULES = tuple((name, f"{name} is negative") for name in _NONNEGATIVE_FIELDS)
+_NONNEGATIVE_RULES = tuple(
+    (name, f"{name} is negative", f"{name} is not finite") for name in _NONNEGATIVE_FIELDS
+)
 _FRACTION_RULES = tuple((name, f"{name} outside [0, 1]") for name in FRACTION_FIELDS)
+
+
+def _enum_members(name: str, column: Categorical) -> Categorical:
+    """``column`` with each level replaced by its ``ENUM_FIELDS[name]``
+    member; levels that name one member become one level."""
+    members = []
+    for level in column.levels:
+        try:
+            members.append(ENUM_FIELDS[name](level))
+        except ValueError:
+            raise ValueError(f"unknown {name}: {level!r}") from None
+    if members == list(column.levels):
+        return column
+    merged = Categorical.of(members)
+    return Categorical(merged.codes[column.codes], merged.levels)
 
 
 def host_rules(values: Mapping):
@@ -336,14 +329,18 @@ def host_rules(values: Mapping):
     ``values`` maps field names to one host's values or to whole columns;
     ``test`` is true, or a mask true on the rows, where ``values`` break the
     rule. The fraction test is written without a chained comparison so that
-    it works on columns too; NaN fails it. A ``HostTable`` raises the
-    message of the first rule any of its rows breaks; the block parser of
+    it works on columns too, and NaN fails it; a size or speed that is NaN or
+    infinite fails its finite test. A ``HostTable`` raises the message of
+    the first rule any of its rows breaks; the block parser of
     ``volpool.ingest`` reads the rules as masks, to name the first rule each
-    row breaks.
+    row breaks, though its own number check rejects every NaN and infinity
+    first.
     """
     yield values["n_cpus"] < 1, "n_cpus must be at least 1"
-    for name, message in _NONNEGATIVE_RULES:
-        yield values[name] < 0, message
+    for name, negative, infinite in _NONNEGATIVE_RULES:
+        v = values[name]
+        yield v < 0, negative
+        yield ~np.isfinite(v), infinite
     for name, message in _FRACTION_RULES:
         v = values[name]
         yield (v < 0.0) | (v > 1.0) | (v != v), message
@@ -351,6 +348,8 @@ def host_rules(values: Mapping):
     yield values["last_contact"] < values["created"], "last_contact precedes created"
 
 
+# Nothing in the package builds a row; perfbench's tracer counts the instances
+# built during a run by wrapping this class's __init__, so it stays for that.
 HostRecord = make_dataclass(
     "HostRecord",
     HOST_FIELDS,

@@ -37,16 +37,14 @@ import numpy as np
 
 from .hosts import (
     CATEGORICAL_FIELDS,
+    ENUM_FIELDS,
     HOST_FIELDS,
     ID_FIELDS,
     INT_FIELDS,
     NUMERIC_FIELDS,
     ROW_BLOCK,
     Categorical,
-    CpuVendor,
     HostTable,
-    OperatingSystem,
-    Venue,
     host_rules,
     row_sum,
 )
@@ -82,11 +80,7 @@ BREAKDOWN_KEYS = ("cpu_vendor", "os", "country", "venue")
 # the table encodes once it is built, and maps each enum column's labels to
 # codes over all of the enum's members.
 _TEXT_FIELDS = ("host_id", "user_id", "country")
-_ENUM_LEVELS = {
-    "cpu_vendor": tuple(CpuVendor),
-    "os": tuple(OperatingSystem),
-    "venue": tuple(Venue),
-}
+_ENUM_LEVELS = {name: tuple(enum) for name, enum in ENUM_FIELDS.items()}
 _ENUM_CODES = {
     name: {level.value: code for code, level in enumerate(levels)}
     for name, levels in _ENUM_LEVELS.items()

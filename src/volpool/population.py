@@ -98,8 +98,11 @@ class EmpiricalDistribution:
         sigma = math.sqrt(math.log(1.0 + cv * cv))
         norm = NormalDist()
         z = [norm.inv_cdf((i + 0.5) / n) for i in range(n)]
-        raw = np.exp(sigma * np.asarray(z))
-        scaled = raw * (mean / float(np.mean(raw)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = np.exp(sigma * np.asarray(z))
+            scaled = raw * (mean / float(np.mean(raw)))
+        if not np.isfinite(scaled).all():  # a host table holds no infinite size
+            raise ValueError("lognormal samples overflow: lower the mean or cv")
         return cls(tuple(float(v) for v in scaled))
 
 

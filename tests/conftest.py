@@ -1,5 +1,6 @@
-"""Shared fixtures: cheap deterministic pools, a homogeneous-spec factory, and
-the quorum rule with the exact replica cost it implies."""
+"""Shared fixtures: cheap deterministic pools, a homogeneous-spec factory,
+host tables built from and read as dicts of field values, and the quorum
+rule with the exact replica cost it implies."""
 
 import math
 from functools import cache
@@ -8,6 +9,7 @@ import pytest
 
 from volpool import population as pop
 from volpool import presets
+from volpool.hosts import HOST_FIELDS, CpuVendor, HostTable, OperatingSystem, Venue
 from volpool.sim import WorkUnitState
 
 IN_PROGRESS, VALIDATED, INVALID = WorkUnitState
@@ -48,6 +50,49 @@ def flat_spec(
             "resource_share": share,
         },
     )
+
+
+# One valid host: the values a host given to ``host_table`` holds unless it
+# sets its own.
+HOST = dict(
+    host_id="h0",
+    user_id="u0",
+    n_cpus=1,
+    flops_per_cpu=1.0,
+    iops_per_cpu=2.0,
+    ram=512.0,
+    swap=1.0,
+    disk_total=40.0,
+    disk_free=10.0,
+    throughput_down=1000.0,
+    on_fraction=0.8,
+    connected_fraction=0.9,
+    active_fraction=0.7,
+    cpu_efficiency=0.9,
+    cpu_vendor=CpuVendor.INTEL,
+    os=OperatingSystem.LINUX,
+    country="USA",
+    venue=Venue.HOME,
+    tz_offset=0,
+    created=0,
+    last_contact=100,
+    resource_share=1.0,
+)
+
+
+def host_table(hosts) -> HostTable:
+    """A table of ``hosts``, each a dict of the field values that differ from
+    ``HOST``; the table checks them."""
+    hosts = [{**HOST, **host} for host in hosts]
+    return HostTable(**{name: [host[name] for host in hosts] for name in HOST_FIELDS})
+
+
+def host_rows(table: HostTable) -> list[dict]:
+    """Each host of ``table`` as a dict of its Python values, read off the
+    columns: ``host_table(host_rows(table)) == table``."""
+    columns = (getattr(table, name) for name in HOST_FIELDS)
+    values = [col.tolist() if hasattr(col, "tolist") else list(col) for col in columns]
+    return [dict(zip(HOST_FIELDS, row)) for row in zip(*values)]
 
 
 def quorum_state(correct_users, n_results, min_quorum, max_replicas):

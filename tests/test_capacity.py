@@ -30,7 +30,7 @@ from volpool.capacity import (
 from volpool.hosts import HostTable
 from volpool.population import generate_pool
 
-from conftest import flat_spec
+from conftest import flat_spec, host_rows, host_table
 
 # -- oracles ------------------------------------------------------------------
 
@@ -69,12 +69,9 @@ def unit_factors() -> CapacityFactors:
     )
 
 
-def one_host(speed_gflops=1.0, kbps=1000.0, disk_free=20.0, **overrides):
-    spec = flat_spec(1, seed=1, flops=speed_gflops, thr=kbps)
-    h = generate_pool(spec)[0]
-    if disk_free != 20.0 or overrides:
-        h = dataclasses.replace(h, disk_free=disk_free, **overrides)
-    return h
+def one_host(speed_gflops=1.0, kbps=1000.0):
+    """One host of ``speed_gflops`` GFLOPS on a ``kbps`` link, for ``host_table``."""
+    return {"flops_per_cpu": speed_gflops, "throughput_down": kbps}
 
 
 # -- utilization & potential ----------------------------------------------------
@@ -149,14 +146,14 @@ def test_multiplicative_separability(name, c):
 
 
 def test_hardware_flops_examples():
-    assert hardware_flops(HostTable.from_records([])) == 0.0
-    pool = HostTable.from_records([one_host(1.0), one_host(2.0)])
+    assert hardware_flops(host_table([])) == 0.0
+    pool = host_table([one_host(1.0), one_host(2.0)])
     assert hardware_flops(pool) == pytest.approx(3.0)
 
 
 def crossover(host) -> float:
     """The critical data rate of a one-host pool."""
-    return critical_data_rate(HostTable.from_records([host]))[0]
+    return critical_data_rate(host_table([host]))[0]
 
 
 def test_critical_rate_reference_host():
@@ -174,7 +171,7 @@ def test_critical_rate_scaling():
 
 def available_flops(host, data_rate):
     """What one host sustains at a data rate: its one-row curve at unit factors."""
-    pool = HostTable.from_records([host])
+    pool = host_table([host])
     return compute_vs_rate_curve(pool, [data_rate], unit_factors())[0].total_flops
 
 
@@ -218,7 +215,7 @@ def test_curve_at_zero_equals_potential(reference_pool_2k):
 
 def test_curve_at_a_tiny_rate_equals_the_zero_rate_point():
     # link / 1e-310 overflows to inf, which the host's speed caps
-    pool = HostTable.from_records([one_host(1.0, 1000.0), one_host(2.5, 1.0)])
+    pool = host_table([one_host(1.0, 1000.0), one_host(2.5, 1.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         zero, tiny = compute_vs_rate_curve(pool, [0.0, 1e-310], unit_factors())
@@ -238,7 +235,7 @@ def test_curve_monotone(reference_pool_2k):
 def test_curve_single_host_threshold():
     host = one_host(1.0, 1000.0)
     points = compute_vs_rate_curve(
-        HostTable.from_records([host]), [450.0, 451.0], measured_factors()
+        host_table([host]), [450.0, 451.0], measured_factors()
     )
     assert points[0].unsaturated_fraction == 1.0
     assert points[1].unsaturated_fraction == 0.0
@@ -246,7 +243,7 @@ def test_curve_single_host_threshold():
 
 def test_curve_unsaturated_fraction_counts_hosts(reference_pool_2k):
     # one host that is never link-bound and one that is at every positive rate
-    edge = HostTable.from_records([one_host(0.0, 1000.0), one_host(1.0, 0.0)])
+    edge = host_table([one_host(0.0, 1000.0), one_host(1.0, 0.0)])
     pool = HostTable.concat([reference_pool_2k, edge])
     crit = critical_data_rate(pool)
     assert crit[-2] == math.inf and crit[-1] == 0.0
@@ -262,9 +259,9 @@ def test_curve_unsaturated_fraction_counts_hosts(reference_pool_2k):
 
 def test_curve_grid_validation(reference_pool_2k):
     with pytest.raises(ValueError, match="ascend"):
-        compute_vs_rate_curve(reference_pool_2k[:5], [1.0, 1.0], measured_factors())
+        compute_vs_rate_curve(reference_pool_2k, [1.0, 1.0], measured_factors())
     with pytest.raises(ValueError, match="negative"):
-        compute_vs_rate_curve(reference_pool_2k[:5], [-1.0, 0.0], measured_factors())
+        compute_vs_rate_curve(reference_pool_2k, [-1.0, 0.0], measured_factors())
 
 
 def test_curve_per_host_factors_matches_direct_product():
@@ -275,16 +272,17 @@ def test_curve_per_host_factors_matches_direct_product():
     r = 300.0
     points = compute_vs_rate_curve(pool, [r], f, per_host_factors=True)
     expected = sum(
-        min(h.n_cpus * h.flops_per_cpu, MB_PER_HOUR_AT_1MBPS * h.throughput_down / 1000.0 / r)
-        * h.cpu_efficiency * h.on_fraction * h.active_fraction * h.resource_share
+        min(h["n_cpus"] * h["flops_per_cpu"],
+            MB_PER_HOUR_AT_1MBPS * h["throughput_down"] / 1000.0 / r)
+        * h["cpu_efficiency"] * h["on_fraction"] * h["active_fraction"] * h["resource_share"]
         / f.redundancy
-        for h in pool
+        for h in host_rows(pool)
     )
     assert points[0].total_flops == pytest.approx(expected, rel=1e-12)
 
 
 def test_curve_empty_pool():
-    points = compute_vs_rate_curve(HostTable.from_records([]), [0.0, 1.0], measured_factors())
+    points = compute_vs_rate_curve(host_table([]), [0.0, 1.0], measured_factors())
     assert [p.total_flops for p in points] == [0.0, 0.0]
 
 
@@ -292,14 +290,10 @@ def test_curve_empty_pool():
 
 
 def make_trio():
-    hosts = []
-    for i, (speed, disk) in enumerate(zip((1.0, 2.0, 3.0), (10.0, 20.0, 30.0))):
-        hosts.append(
-            dataclasses.replace(
-                one_host(speed), disk_free=disk, host_id=f"t{i}"
-            )
-        )
-    return HostTable.from_records(hosts)
+    return host_table(
+        {**one_host(speed), "disk_free": disk, "host_id": f"t{i}"}
+        for i, (speed, disk) in enumerate(zip((1.0, 2.0, 3.0), (10.0, 20.0, 30.0)))
+    )
 
 
 def test_conditional_aggregate_trio():
@@ -316,12 +310,12 @@ def test_conditional_aggregate_extremes():
 
 
 def test_conditional_aggregate_brute_force(reference_pool_2k):
-    pool = reference_pool_2k[:20]
+    hosts = host_rows(reference_pool_2k)[:20]
     thresholds = [0.0, 10.0, 30.0, 60.0, 200.0]
-    got = conditional_aggregate(pool, "flops", "disk_free", thresholds)
+    got = conditional_aggregate(host_table(hosts), "flops", "disk_free", thresholds)
     for t, total in got:
         direct = sum(
-            h.n_cpus * h.flops_per_cpu for h in pool if h.disk_free >= t
+            h["n_cpus"] * h["flops_per_cpu"] for h in hosts if h["disk_free"] >= t
         )
         assert total == pytest.approx(direct, rel=1e-12)
     totals = [v for _, v in got]
@@ -352,7 +346,7 @@ def test_access_rate_network_oracle():
 
 def test_access_rate_disk_mode():
     f = measured_factors(on_fraction=1.0, active_fraction=1.0)
-    pool = HostTable.from_records([one_host()])
+    pool = host_table([one_host()])
     assert access_rate(pool, f, mode="disk", per_host_disk_rate=1.0) == 1e6
     assert access_rate(pool, f, mode="disk", per_host_disk_rate=0.0) == 0.0
     with pytest.raises(ValueError, match="disk rate is negative"):

@@ -687,6 +687,10 @@ MALFORMED = [
     pytest.param("stats", {"pool": {"n_hosts": 5, "fields": {
                      "ram": {"lognormal": {"mean": 1.0, "cv": 1.0, "n": 10**9}}}}},
                  "lognormal option 'n' of 1e+09 exceeds the limit", id="stats-huge-lognormal"),
+    # finite options whose samples overflow: a table holds no infinite size
+    pytest.param("sweep", {"pool": {"n_hosts": 5, "fields": {
+                     "throughput_down": {"lognormal": {"mean": 1e308, "cv": 3.0}}}}},
+                 "lognormal samples overflow", id="sweep-overflowing-lognormal"),
 ]
 
 
@@ -762,6 +766,17 @@ def test_readme_lists_every_simulate_option():
     section = re.split(r"^#", section, maxsplit=1, flags=re.M)[0]
     listed = re.findall(r"^- `(\w+)`", section, flags=re.M)
     assert sorted(listed) == sorted(SIMULATE_OPTIONS)
+
+
+def test_readme_lists_every_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Subcommands", 1)[1].split("\n#", 1)[0]
+    # each subcommand's bullet, up to the next bullet or the section's end
+    bullets = dict(re.findall(r"^- `(\w+)` - (.*?)(?=^- `|\Z)", section, flags=re.M | re.S))
+    for command, keys in cli.CONFIG_KEYS.items():
+        listed = re.search(r"Keys: ((?:`\w+`,\s+)*`\w+`)\.", bullets[command])
+        assert listed, command
+        assert sorted(re.findall(r"`(\w+)`", listed.group(1))) == sorted(keys), command
 
 
 @st.composite

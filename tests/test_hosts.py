@@ -1,52 +1,12 @@
-"""Host model: the table's checks on one row, rows, and field selectors."""
+"""Host model: the table's checks on one row, the fields, and field selectors."""
 
 import dataclasses
 
 import pytest
 
-from volpool.hosts import (
-    HOST_FIELDS,
-    CpuVendor,
-    HostRecord,
-    OperatingSystem,
-    HostTable,
-    Numbered,
-    Venue,
-)
+from volpool.hosts import HOST_FIELDS, HostRecord, HostTable, Numbered
 
-
-def make_host(**overrides) -> HostRecord:
-    base = dict(
-        host_id="h0",
-        user_id="u0",
-        n_cpus=1,
-        flops_per_cpu=1.0,
-        iops_per_cpu=2.0,
-        ram=512.0,
-        swap=1.0,
-        disk_total=40.0,
-        disk_free=10.0,
-        throughput_down=1000.0,
-        on_fraction=0.8,
-        connected_fraction=0.9,
-        active_fraction=0.7,
-        cpu_efficiency=0.9,
-        cpu_vendor=CpuVendor.INTEL,
-        os=OperatingSystem.LINUX,
-        country="USA",
-        venue=Venue.HOME,
-        tz_offset=0,
-        created=0,
-        last_contact=100,
-        resource_share=1.0,
-    )
-    base.update(overrides)
-    return HostRecord(**base)
-
-
-def one_row_table(**overrides) -> HostTable:
-    """A table of the one host ``make_host`` builds: the table checks it."""
-    return HostTable.from_records([make_host(**overrides)])
+from conftest import host_table
 
 
 # -- record validation ------------------------------------------------------------
@@ -54,21 +14,15 @@ def one_row_table(**overrides) -> HostTable:
 
 def test_record_validation_messages():
     with pytest.raises(ValueError, match="n_cpus"):
-        one_row_table(n_cpus=0)
+        host_table([dict(n_cpus=0)])
     with pytest.raises(ValueError, match="ram is negative"):
-        one_row_table(ram=-1.0)
+        host_table([dict(ram=-1.0)])
     with pytest.raises(ValueError, match="on_fraction outside"):
-        one_row_table(on_fraction=1.5)
+        host_table([dict(on_fraction=1.5)])
     with pytest.raises(ValueError, match="disk_free exceeds disk_total"):
-        one_row_table(disk_free=50.0, disk_total=40.0)
+        host_table([dict(disk_free=50.0, disk_total=40.0)])
     with pytest.raises(ValueError, match="last_contact precedes created"):
-        one_row_table(created=10, last_contact=5)
-
-
-def test_record_is_immutable():
-    h = make_host()
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        h.ram = 1.0
+        host_table([dict(created=10, last_contact=5)])
 
 
 def test_record_fields_are_the_table_fields():
@@ -81,7 +35,7 @@ def test_record_fields_are_the_table_fields():
 
 
 def test_column_resolution():
-    table = one_row_table(n_cpus=2, flops_per_cpu=1.5, iops_per_cpu=1.0)
+    table = host_table([dict(n_cpus=2, flops_per_cpu=1.5, iops_per_cpu=1.0)])
     assert table.column("ram").tolist() == [512.0]
     assert table.column("flops").tolist() == [3.0]
     assert table.column("iops").tolist() == [2.0]
@@ -112,5 +66,5 @@ def test_numbered_equals_the_strings_it_spells():
     assert Numbered("u1", 1) == Numbered("u", range(10, 11))  # "u10" both ways
     assert ids != ("u0", "u1") and ids != ("u0", "u1", "x2") and ids != Numbered("h", 3)
     assert ids != "u0u1u2"
-    table = HostTable.from_records([make_host(), make_host(host_id="h1")])
+    table = host_table([{}, {"host_id": "h1"}])
     assert dataclasses.replace(table, host_id=Numbered("h", 2)) == table

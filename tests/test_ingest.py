@@ -15,8 +15,6 @@ from volpool.hosts import (
     INT_FIELDS,
     Categorical,
     CpuVendor,
-    HostRecord,
-    HostTable,
     OperatingSystem,
     Venue,
     host_rules,
@@ -32,7 +30,7 @@ from volpool.ingest import (
 )
 from volpool.population import assign_users, generate_pool
 
-from conftest import flat_spec
+from conftest import host_rows, host_table
 
 HEADER = ",".join(ingest.HOST_CSV_COLUMNS)
 
@@ -61,13 +59,13 @@ def canon_records():
 
 def test_parse_canonical_rows(canon_records):
     assert len(canon_records) == 3
-    a, b, c = canon_records
-    assert a.host_id == "a1" and a.user_id == "ua"
-    assert a.flops_per_cpu == 1.5 and a.throughput_down == 289.0
-    assert a.cpu_vendor.value == "Intel" and a.os.value == "Windows XP"
-    assert a.tz_offset == -18000 and a.created == 1104192000
-    assert b.n_cpus == 2 and b.venue.value == "None"
-    assert c.disk_free == 0.0 and c.resource_share == 0.05
+    a, b, c = host_rows(canon_records)
+    assert a["host_id"] == "a1" and a["user_id"] == "ua"
+    assert a["flops_per_cpu"] == 1.5 and a["throughput_down"] == 289.0
+    assert a["cpu_vendor"] is CpuVendor.INTEL and a["os"] is OperatingSystem.WINDOWS_XP
+    assert a["tz_offset"] == -18000 and a["created"] == 1104192000
+    assert b["n_cpus"] == 2 and b["venue"] is Venue.NONE
+    assert c["disk_free"] == 0.0 and c["resource_share"] == 0.05
 
 
 def test_round_trip_is_byte_identical(canon_records):
@@ -85,9 +83,9 @@ def test_round_trip_through_file(tmp_path, canon_records):
 
 
 def test_round_trip_through_file_keeps_a_bare_carriage_return(tmp_path, canon_records):
-    table = HostTable.from_records(
-        dataclasses.replace(host, host_id=f"a\rb{i}", country="J\rP")
-        for i, host in enumerate(canon_records)
+    table = host_table(
+        {**host, "host_id": f"a\rb{i}", "country": "J\rP"}
+        for i, host in enumerate(host_rows(canon_records))
     )
     path = tmp_path / "hosts.csv"
     write_hosts_csv(table, path)
@@ -187,12 +185,12 @@ def test_good_rows_survive_bad_neighbours():
         + CANON_ROWS[2] + "\n"
     )
     result = parse_hosts(io.StringIO(text))
-    assert [r.host_id for r in result.records] == ["a1", "c3"]
+    assert result.records.host_id == ("a1", "c3")
     assert result.rejects == ((3, "unknown cpu_vendor: 'VIA'"),)
 
 
 def test_serialized_row_uses_shortest_repr(canon_records):
-    row = serialize_hosts(canon_records[:1]).splitlines()[1].split(",")
+    row = serialize_hosts(canon_records).splitlines()[1].split(",")
     assert row[3] == "1.5"
     assert row[2] == "1"
     assert row[18] == "-18000"
@@ -224,7 +222,7 @@ def ref_number(csv_name, text, convert):
 
 
 def ref_host(row):
-    """One CSV row as a ``HostRecord``, its rules checked in reason order:
+    """One CSV row as a dict of field values, its rules checked in reason order:
     the column count, the labels, the numbers in column order, then
     ``host_rules`` on the row's values."""
     if len(row) != len(ingest.HOST_CSV_COLUMNS):
@@ -244,7 +242,7 @@ def ref_host(row):
     for broken, message in host_rules(values):
         if broken:
             raise ValueError(message)
-    return HostRecord(**values)
+    return values
 
 
 def ref_parse_stream(fh):
@@ -260,7 +258,7 @@ def ref_parse_stream(fh):
             records.append(ref_host(row))
         except ValueError as err:
             rejects.append((reader.line_num, str(err)))
-    return ingest.ParseResult(HostTable.from_records(records), tuple(rejects))
+    return ingest.ParseResult(host_table(records), tuple(rejects))
 
 
 COLUMN = {name: i for i, name in enumerate(ingest.HOST_CSV_COLUMNS)}
@@ -331,19 +329,19 @@ def ref_serialize(records):
             return value.value
         return repr(value) if isinstance(value, float) else str(value)
 
-    rows = ([cell(getattr(host, name)) for name in HOST_FIELDS] for host in records)
+    rows = ([cell(host[name]) for name in HOST_FIELDS] for host in host_rows(records))
     return "".join(map(csv_line, [ingest.HOST_CSV_COLUMNS, *rows]))
 
 
-CANON_HOSTS = list(parse_hosts(io.StringIO(CANON_TEXT)).records)
+CANON_HOSTS = host_rows(parse_hosts(io.StringIO(CANON_TEXT)).records)
 TEXTS = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "é"]), max_size=4)
 
 
 @settings(max_examples=200, deadline=None)
 @given(cells=st.lists(st.tuples(TEXTS, TEXTS, TEXTS), max_size=7), block=st.integers(1, 3))
 def test_serialize_matches_csv_writer(cells, block):
-    table = HostTable.from_records(
-        dataclasses.replace(CANON_HOSTS[i % 3], host_id=h, user_id=u, country=c)
+    table = host_table(
+        {**CANON_HOSTS[i % 3], "host_id": h, "user_id": u, "country": c}
         for i, (h, u, c) in enumerate(cells)
     )
     with pytest.MonkeyPatch.context() as mp:
@@ -370,8 +368,8 @@ def test_breakdown_trio(canon_records):
 
 
 def test_breakdown_sorted_by_count(canon_records):
-    extra = dataclasses.replace(canon_records[2], host_id="c4")
-    rows = breakdown(HostTable.from_records([*canon_records, extra]), "cpu_vendor")
+    hosts = host_rows(canon_records)
+    rows = breakdown(host_table([*hosts, {**hosts[2], "host_id": "c4"}]), "cpu_vendor")
     assert [r.key for r in rows] == ["SPARC", "AMD", "Intel", "Total"]
     assert rows[0].n_hosts == 2
 
@@ -411,12 +409,8 @@ def test_vendor_conditional_pool_breakdown():
 # -- ownership -----------------------------------------------------------------
 
 
-def owned(user_id, n, start=0):
-    base = generate_pool(flat_spec(1, seed=1))[0]
-    return [
-        dataclasses.replace(base, host_id=f"{user_id}.{i}", user_id=user_id)
-        for i in range(start, start + n)
-    ]
+def owned(user_id, n):
+    return [{"host_id": f"{user_id}.{i}", "user_id": user_id} for i in range(n)]
 
 
 def test_hosts_per_user_buckets():
@@ -426,7 +420,7 @@ def test_hosts_per_user_buckets():
         + owned("big", 1000)  # on the edge of the two largest buckets, in one of them
         + owned("farm", 2987) + owned("farm2", 1001)
     )
-    rows = {r.bucket: r for r in hosts_per_user(HostTable.from_records(records))}
+    rows = {r.bucket: r for r in hosts_per_user(host_table(records))}
     assert rows["1"].n_users == 3 and rows["1"].n_hosts == 3
     assert rows["2-10"].n_users == 1 and rows["2-10"].n_hosts == 5
     assert rows["11-100"].n_users == 0
@@ -440,7 +434,7 @@ def test_hosts_per_user_buckets():
 def test_hosts_per_user_skips_levels_no_row_uses():
     # four levels, two of them owning no host: two users
     owners = Categorical([1, 1, 1, 3], ["idle", "a", "idle2", "b"])
-    table = dataclasses.replace(HostTable.from_records(owned("a", 4)), user_id=owners)
+    table = dataclasses.replace(host_table(owned("a", 4)), user_id=owners)
     rows = {r.bucket: r for r in hosts_per_user(table)}
     assert rows["1"].n_users == 1 and rows["1"].n_hosts == 1
     assert rows["2-10"].n_users == 1 and rows["2-10"].n_hosts == 3
@@ -448,7 +442,7 @@ def test_hosts_per_user_skips_levels_no_row_uses():
 
 
 def test_hosts_per_user_empty():
-    rows = hosts_per_user(HostTable.from_records([]))
+    rows = hosts_per_user(host_table([]))
     assert all(r.n_users == 0 and r.pct_hosts == 0.0 for r in rows)
 
 
@@ -516,7 +510,9 @@ def test_histogram_permutation_invariant(values, seed):
 def test_histogram_over_records(canon_records):
     h = histogram_of_values(canon_records.column("flops"), [0.0, 1.0, 2.0, 4.0], "flops")
     direct = histogram_of_values(
-        [r.n_cpus * r.flops_per_cpu for r in canon_records], [0.0, 1.0, 2.0, 4.0], "flops"
+        [r["n_cpus"] * r["flops_per_cpu"] for r in host_rows(canon_records)],
+        [0.0, 1.0, 2.0, 4.0],
+        "flops",
     )
     assert h == direct
     assert h.counts == (1, 1, 1)  # 0.755, 1.5, 3.474

@@ -6,6 +6,7 @@ errors of its standard deviation make an honest tolerance.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,8 +17,6 @@ from volpool import presets
 from volpool.hosts import (
     FRACTION_FIELDS,
     CpuVendor,
-    HostRecord,
-    HostTable,
     OperatingSystem,
     Venue,
 )
@@ -32,7 +31,7 @@ from volpool.population import (
 )
 from volpool.units import SECONDS_PER_DAY
 
-from conftest import flat_spec
+from conftest import flat_spec, host_rows, host_table
 
 
 def three_sigma_of_mean(dist: EmpiricalDistribution, n: int) -> float:
@@ -159,11 +158,11 @@ def test_different_seeds_differ():
 
 
 def test_generated_records_satisfy_invariants(reference_pool_2k):
-    for h in reference_pool_2k:
-        assert h.disk_free <= h.disk_total
-        assert 0.0 <= h.on_fraction <= 1.0
-        assert h.n_cpus >= 1
-        assert h.last_contact >= h.created
+    for h in host_rows(reference_pool_2k):
+        assert h["disk_free"] <= h["disk_total"]
+        assert 0.0 <= h["on_fraction"] <= 1.0
+        assert h["n_cpus"] >= 1
+        assert h["last_contact"] >= h["created"]
 
 
 def test_spec_validation():
@@ -220,9 +219,7 @@ def test_vendor_shares_match_weights():
         vendor_weights=weights,
     )
     pool = generate_pool(spec)
-    counts = {v: 0 for v in weights}
-    for h in pool:
-        counts[h.cpu_vendor] += 1
+    counts = Counter(pool.cpu_vendor.tolist())
     for vendor, w in weights.items():
         share = counts[vendor] / len(pool)
         assert abs(share - w / total) < 0.01, vendor
@@ -240,8 +237,7 @@ def test_full_rank_coupling_is_comonotone():
         rank_correlations=(("disk_total", "disk_free", 1.0),),
     )
     pool = generate_pool(spec)
-    total = np.asarray([h.disk_total for h in pool])
-    free = np.asarray([h.disk_free for h in pool])
+    total, free = pool.disk_total, pool.disk_free
     # same uniform drives both quantiles: ranks agree and the clamp never fires
     assert np.all(free <= total)
     order = np.argsort(total, kind="stable")
@@ -251,7 +247,7 @@ def test_full_rank_coupling_is_comonotone():
 def test_reference_disk_free_mean_survives_clamp(reference_pool_20k):
     spec = presets.reference_pool_spec(n_hosts=20000, seed=7)
     gen = spec.field_generators["disk_free"]
-    mean = float(np.mean([h.disk_free for h in reference_pool_20k]))
+    mean = float(np.mean(reference_pool_20k.disk_free))
     assert abs(mean - 36.0) <= three_sigma_of_mean(gen, len(reference_pool_20k))
 
 
@@ -269,10 +265,8 @@ def test_generation_determinism_property(n, seed):
 def test_assign_users_single_host_bucket():
     pool = generate_pool(flat_spec(50, 1))
     out = assign_users(pool, {"1": 1.0}, seed=1)
-    owners = {}
-    for h in out:
-        owners.setdefault(h.user_id, []).append(h)
-    assert all(len(v) == 1 for v in owners.values())
+    owners = Counter(out.user_id.tolist())
+    assert all(n == 1 for n in owners.values())
     assert len(owners) == 50
 
 
@@ -280,13 +274,13 @@ def test_assign_users_two_hosts_share_one_user():
     pool = generate_pool(flat_spec(2, 1))
     for seed in range(10):
         out = assign_users(pool, {"2-10": 1.0}, seed=seed)
-        assert len({h.user_id for h in out}) == 1
+        assert len(set(out.user_id.tolist())) == 1
 
 
 def test_assign_users_preserves_hosts_and_order():
     pool = generate_pool(flat_spec(200, 3))
     out = assign_users(pool, {"1": 1.0, "2-10": 2.0, "11-100": 1.0}, seed=4)
-    assert [h.host_id for h in out] == [h.host_id for h in pool]
+    assert out.host_id == pool.host_id
     assert len(out) == len(pool)
 
 
@@ -307,15 +301,13 @@ def test_assign_users_tail_stays_in_bounds():
     """A chunk whose tail would undershoot the bucket minimum is reshaped."""
     pool = generate_pool(flat_spec(500, 2))
     out = assign_users(pool, {"11-100": 1.0}, seed=11)
-    sizes = {}
-    for h in out:
-        sizes[h.user_id] = sizes.get(h.user_id, 0) + 1
+    sizes = Counter(out.user_id.tolist())
     assert all(11 <= s <= 100 for s in sizes.values())
 
 
 def test_assign_users_errors():
     pool = generate_pool(flat_spec(3, 1))
-    empty = HostTable.from_records([])
+    empty = host_table([])
     assert len(assign_users(empty, {"1": 1.0}, seed=1)) == 0
     with pytest.raises(ValueError, match="unknown ownership bucket"):
         assign_users(pool, {"nope": 1.0}, seed=1)
@@ -373,21 +365,17 @@ def test_lifetime_sampling():
 # -- lifetime statistics -----------------------------------------------------------
 
 
-def _aged_host(created_day: float, last_day: float, hid: str) -> HostRecord:
-    base = generate_pool(flat_spec(1, 1))[0]
-    return HostRecord(
-        **{
-            **base.__dict__,
-            "host_id": hid,
-            "created": int(created_day * SECONDS_PER_DAY),
-            "last_contact": int(last_day * SECONDS_PER_DAY),
-        }
-    )
+def _aged_host(created_day: float, last_day: float, hid: str) -> dict:
+    return {
+        "host_id": hid,
+        "created": int(created_day * SECONDS_PER_DAY),
+        "last_contact": int(last_day * SECONDS_PER_DAY),
+    }
 
 
 def test_lifetime_mean_91_days():
     host = _aged_host(0.0, 91.0, "a")
-    stats = lifetime_stats(HostTable.from_records([host]), now=140.0 * SECONDS_PER_DAY)
+    stats = lifetime_stats(host_table([host]), now=140.0 * SECONDS_PER_DAY)
     assert stats.mean_days == pytest.approx(91.0)
     assert stats.n_hosts == 1
     # 30-day default bins: day 91 falls in [90, 120)
@@ -399,23 +387,23 @@ def test_lifetime_censoring():
     active = _aged_host(0.0, 135.0, "recent")  # heard from 5 days ago
     gone = _aged_host(0.0, 50.0, "gone")
     now = 140.0 * SECONDS_PER_DAY
-    stats = lifetime_stats(HostTable.from_records([active, gone]), now=now)
+    stats = lifetime_stats(host_table([active, gone]), now=now)
     assert stats.n_hosts == 1
     assert stats.mean_days == pytest.approx(50.0)
     with pytest.raises(ValueError, match="all hosts censored"):
-        lifetime_stats(HostTable.from_records([active]), now=now)
+        lifetime_stats(host_table([active]), now=now)
 
 
 def test_lifetime_zero_allowed():
     host = _aged_host(10.0, 10.0, "z")
-    stats = lifetime_stats(HostTable.from_records([host]), now=100.0 * SECONDS_PER_DAY)
+    stats = lifetime_stats(host_table([host]), now=100.0 * SECONDS_PER_DAY)
     assert stats.mean_days == 0.0
     assert stats.histogram.counts[0] == 1
 
 
 def test_lifetime_explicit_bins():
     host = _aged_host(0.0, 45.0, "b")
-    stats = lifetime_stats(HostTable.from_records([host]), now=300.0 * SECONDS_PER_DAY, bin_edges=[0, 50, 100])
+    stats = lifetime_stats(host_table([host]), now=300.0 * SECONDS_PER_DAY, bin_edges=[0, 50, 100])
     assert stats.histogram.counts == (1, 0)
 
 
@@ -443,9 +431,9 @@ def test_pool_spec_from_config_overrides():
     assert np.mean(spec.field_generators["swap"].sorted_samples) == pytest.approx(3.0)
     assert spec.field_generators["throughput_down"].sorted_samples == (100.0, 200.0)
     pool = generate_pool(spec)
-    assert all(h.cpu_vendor is CpuVendor.AMD for h in pool)
-    assert all(h.venue is Venue.HOME for h in pool)
-    assert all(h.country == "Japan" for h in pool)
+    assert set(pool.cpu_vendor.tolist()) == {CpuVendor.AMD}
+    assert set(pool.venue.tolist()) == {Venue.HOME}
+    assert set(pool.country.tolist()) == {"Japan"}
 
 
 def test_pool_spec_from_config_errors():

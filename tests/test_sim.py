@@ -192,7 +192,7 @@ def test_lazy_egress_sharing_matches_fair_shares(
     # heterogeneous links, so flows below the fair share keep their own rate
     links = EmpiricalDistribution.from_lognormal(mean=1000.0, cv=link_cv, n=64)
     spec = replace(spec, field_generators={**spec.field_generators, "throughput_down": links})
-    link_total_mbps = sum(h.throughput_down for h in generate_pool(spec)) / 1000.0
+    link_total_mbps = sum(generate_pool(spec).throughput_down.tolist()) / 1000.0
     cfg = SimConfig(
         duration_days=1.0, seed=seed,
         churn=ChurnModel(arrival_rate=arrival_rate, lifetime_mean_days=lifetime),

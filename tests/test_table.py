@@ -1,6 +1,6 @@
-"""The columnar host table: construction, validation, row views, and a
-reference oracle holding every columnar pool function to the per-record
-loop it replaced, bit for bit."""
+"""The columnar host table: construction, validation, enum labels, and a
+reference oracle holding every columnar pool function to the per-host loop
+it replaced, bit for bit."""
 
 import dataclasses
 import io
@@ -14,6 +14,7 @@ from volpool import capacity, ingest, population, presets
 from volpool.capacity import CapacityFactors
 from volpool.cli import HIST_FIELDS
 from volpool.hosts import (
+    ENUM_FIELDS,
     Categorical,
     CpuVendor,
     HostTable,
@@ -22,8 +23,7 @@ from volpool.hosts import (
 )
 from volpool.units import MB_PER_MBPS_HOUR, SECONDS_PER_DAY, kbps_to_bytes_per_s, kbps_to_mbps
 
-from conftest import flat_spec
-from test_hosts import make_host, one_row_table
+from conftest import flat_spec, host_rows, host_table
 
 
 def small_pool(n=6, seed=2):
@@ -36,9 +36,12 @@ def small_pool(n=6, seed=2):
 # rules run; each case is named by its field and bad value
 BROKEN = (
     [("n_cpus", 0, "n_cpus must be at least 1")]
-    + [(name, -1.0, f"{name} is negative")
+    + [(name, bad, message)
        for name in ("flops_per_cpu", "iops_per_cpu", "ram", "swap",
-                    "disk_total", "disk_free", "throughput_down")]
+                    "disk_total", "disk_free", "throughput_down")
+       for bad, message in ((-1.0, f"{name} is negative"),
+                            (math.inf, f"{name} is not finite"),
+                            (math.nan, f"{name} is not finite"))]
     + [(name, bad, f"{name} outside [0, 1]")
        for name in ("on_fraction", "connected_fraction", "active_fraction",
                     "cpu_efficiency", "resource_share")
@@ -51,33 +54,64 @@ BROKEN = (
 @pytest.mark.parametrize("name, bad, message", BROKEN,
                          ids=[f"{name}-{bad}" for name, bad, _ in BROKEN])
 def test_table_rejects_each_record_rule_with_its_message(name, bad, message):
-    good = HostTable.from_records([make_host(), make_host(host_id="h1")])
-    column = list(getattr(good, name).tolist())
+    good = host_table([{}, {"host_id": "h1"}])
+    column = getattr(good, name).tolist()
     column[1] = bad
     with pytest.raises(ValueError) as err:
         dataclasses.replace(good, **{name: column})
     assert str(err.value) == message
     with pytest.raises(ValueError) as err:
-        one_row_table(**{name: bad})
+        host_table([{name: bad}])
     assert str(err.value) == message
 
 
 def test_table_checks_rules_in_record_order():
     # one host breaks ram, another n_cpus: the n_cpus rule comes first, as
     # it does for a single host breaking both
-    good = HostTable.from_records([make_host(), make_host(host_id="h1")])
+    good = host_table([{}, {"host_id": "h1"}])
     with pytest.raises(ValueError, match="^n_cpus must be at least 1$"):
         dataclasses.replace(good, ram=[-1.0, 512.0], n_cpus=[1, 0])
     with pytest.raises(ValueError, match="^n_cpus must be at least 1$"):
-        one_row_table(ram=-1.0, n_cpus=0)
+        host_table([{"ram": -1.0, "n_cpus": 0}])
 
 
 def test_table_rejects_ragged_columns():
-    good = HostTable.from_records([make_host(), make_host(host_id="h1")])
+    good = host_table([{}, {"host_id": "h1"}])
     with pytest.raises(ValueError, match="differ in length"):
         dataclasses.replace(good, ram=[512.0])
     with pytest.raises(ValueError, match="code outside its levels"):
         dataclasses.replace(good, venue=Categorical([0, 1], [Venue.HOME]))
+
+
+def test_table_rejects_an_unknown_label_with_the_parsers_message():
+    good = host_table([{}, {"host_id": "h1"}])
+    with pytest.raises(ValueError) as err:
+        dataclasses.replace(good, cpu_vendor=["Intel", "Bogus"])
+    assert str(err.value) == "unknown cpu_vendor: 'Bogus'"
+    lines = ingest.serialize_hosts(good).splitlines()
+    parsed = ingest.parse_hosts(io.StringIO(lines[0] + "\n" + lines[1].replace("Intel", "Bogus")))
+    assert parsed.rejects == ((2, str(err.value)),)
+    for name, labels, message in (
+        ("venue", [1, 2], "unknown venue: 1"),
+        ("os", Categorical([0, 0], [CpuVendor.OTHER]), "unknown os: <CpuVendor.OTHER: 'Other'>"),
+    ):
+        with pytest.raises(ValueError) as err:
+            dataclasses.replace(good, **{name: labels})
+        assert str(err.value) == message
+
+
+def test_labels_given_as_values_equal_labels_given_as_members():
+    pool = small_pool(40, seed=3)
+    spelled = dataclasses.replace(pool, **{
+        name: [member.value for member in getattr(pool, name).tolist()]
+        for name in ENUM_FIELDS
+    })
+    assert spelled == pool and pool == spelled
+    assert ingest.parse_hosts(io.StringIO(ingest.serialize_hosts(spelled))).records == spelled
+    # a value and its member are one level
+    mixed = host_table([{"venue": "Home"}, {"venue": Venue.HOME}, {"venue": "Work"}])
+    assert mixed.venue.levels == (Venue.HOME, Venue.WORK)
+    assert mixed.venue.codes.tolist() == [0, 0, 1]
 
 
 def test_table_is_immutable():
@@ -90,30 +124,12 @@ def test_table_is_immutable():
         table.os.codes[0] = 0
 
 
-def test_rows_round_trip_through_from_records():
-    table = small_pool(40, seed=3)
-    rows = list(table)
-    assert HostTable.from_records(rows) == table
-    assert [table[i] for i in range(len(table))] == rows
-    assert table[-1] == rows[-1]
-    with pytest.raises(IndexError):
-        table[len(table)]
-
-
-def test_rows_hold_python_scalars():
-    row = small_pool()[0]
-    assert all(type(getattr(row, n)) is float for n in ("ram", "on_fraction"))
-    assert all(type(getattr(row, n)) is int for n in ("n_cpus", "created", "tz_offset"))
-    assert isinstance(row.cpu_vendor, CpuVendor) and type(row.country) is str
-    assert "np." not in repr(row)
-
-
-def test_slices_and_concat():
+def test_concat():
     table = small_pool(30, seed=5)
-    assert isinstance(table[5:9], HostTable)
-    assert list(table[5:9]) == list(table)[5:9]
-    assert HostTable.concat([table[:7], table[7:]]) == table
-    assert HostTable.concat([]) == HostTable.from_records([])
+    rows = host_rows(table)
+    assert host_table(rows) == table
+    assert HostTable.concat([host_table(rows[:7]), host_table(rows[7:])]) == table
+    assert HostTable.concat([]) == host_table([])
 
 
 def test_equality_is_exact_and_ignores_category_codes():
@@ -132,8 +148,8 @@ def test_equality_is_exact_and_ignores_category_codes():
 def test_empty_pool_is_an_empty_table():
     empty = population.generate_pool(flat_spec(0, seed=1))
     assert isinstance(empty, HostTable)
-    assert len(empty) == 0 and list(empty) == []
-    assert empty == HostTable.from_records([])
+    assert len(empty) == 0
+    assert empty == host_table([])
 
 
 def test_parse_then_serialize_is_a_byte_identity():
@@ -153,15 +169,16 @@ def test_parse_rejects_integers_outside_int64():
 
 
 # -- reference oracle ---------------------------------------------------------------
-# The per-record loops the columnar functions replaced, kept verbatim as the
-# reference. Every columnar result must equal its loop's result bit for bit,
-# so results are compared by repr, which also tells 0 from 0.0.
+# The per-host loops the columnar functions replaced, kept as the reference,
+# each reading hosts as the dicts of Python values ``host_rows`` gives. Every
+# columnar result must equal its loop's result bit for bit, so results are
+# compared by repr, which also tells 0 from 0.0.
 
 
 def _getter(selector):
-    derived = {"flops": lambda host: host.n_cpus * host.flops_per_cpu,
-               "iops": lambda host: host.n_cpus * host.iops_per_cpu}
-    return derived.get(selector, lambda host: getattr(host, selector))
+    derived = {"flops": lambda host: host["n_cpus"] * host["flops_per_cpu"],
+               "iops": lambda host: host["n_cpus"] * host["iops_per_cpu"]}
+    return derived.get(selector, lambda host: host[selector])
 
 
 def left_to_right(values) -> float:
@@ -202,20 +219,20 @@ def ref_auto_edges(values, n_bins=50):
 def ref_breakdown(records, key):
     groups = {}
     for r in records:
-        attr = getattr(r, key)
+        attr = r[key]
         label = attr.value if hasattr(attr, "value") else str(attr)
         groups.setdefault(label, []).append(r)
 
     def _row(label, members):
         n = len(members)
-        flops = left_to_right(r.n_cpus * r.flops_per_cpu for r in members)
+        flops = left_to_right(r["n_cpus"] * r["flops_per_cpu"] for r in members)
         return ingest.BreakdownRow(
             key=label,
             n_hosts=n,
             mean_flops=flops / n if n else 0.0,
             total_flops=flops,
-            mean_disk_free=left_to_right(r.disk_free for r in members) / n if n else 0.0,
-            mean_throughput=left_to_right(r.throughput_down for r in members) / n if n else 0.0,
+            mean_disk_free=left_to_right(r["disk_free"] for r in members) / n if n else 0.0,
+            mean_throughput=left_to_right(r["throughput_down"] for r in members) / n if n else 0.0,
         )
 
     rows = [_row(label, members) for label, members in groups.items()]
@@ -227,7 +244,7 @@ def ref_breakdown(records, key):
 def ref_hosts_per_user(records):
     per_user = {}
     for r in records:
-        per_user[r.user_id] = per_user.get(r.user_id, 0) + 1
+        per_user[r["user_id"]] = per_user.get(r["user_id"], 0) + 1
     rows = []
     for bucket, lo, _hi in population.USER_BUCKETS:
         hi = math.inf if bucket.endswith("+") else _hi
@@ -243,8 +260,8 @@ def ref_hosts_per_user(records):
 def ref_lifetime_stats(records, now):
     lifetimes = []
     for r in records:
-        if (now - r.last_contact) / SECONDS_PER_DAY >= population.CENSOR_DAYS:
-            lifetimes.append((r.last_contact - r.created) / SECONDS_PER_DAY)
+        if (now - r["last_contact"]) / SECONDS_PER_DAY >= population.CENSOR_DAYS:
+            lifetimes.append((r["last_contact"] - r["created"]) / SECONDS_PER_DAY)
     if not lifetimes:
         raise ValueError("all hosts censored")
     top = max(lifetimes)
@@ -258,16 +275,16 @@ def ref_lifetime_stats(records, now):
 
 def ref_rate_curve(pool, grid, factors, per_host_factors):
     n = len(pool)
-    speed = np.asarray([h.n_cpus * h.flops_per_cpu for h in pool], dtype=float)
+    speed = np.asarray([h["n_cpus"] * h["flops_per_cpu"] for h in pool], dtype=float)
     link_hourly = np.asarray(
-        [MB_PER_MBPS_HOUR * kbps_to_mbps(h.throughput_down) for h in pool], dtype=float
+        [MB_PER_MBPS_HOUR * kbps_to_mbps(h["throughput_down"]) for h in pool], dtype=float
     )
     # each host's crossover rate as documented; a host with no speed never saturates
     crossover = [link / s if s > 0 else math.inf
                  for link, s in zip(link_hourly.tolist(), speed.tolist())]
     if per_host_factors:
         util = np.asarray(
-            [h.cpu_efficiency * h.on_fraction * h.active_fraction * h.resource_share
+            [h["cpu_efficiency"] * h["on_fraction"] * h["active_fraction"] * h["resource_share"]
              for h in pool],
             dtype=float,
         ) / factors.redundancy
@@ -368,7 +385,7 @@ FACTORS = CapacityFactors(
     thresholds=st.lists(_SIZES, max_size=4),
 )
 def test_columnar_functions_match_the_record_loops(table, silence_days, grid, thresholds):
-    rows = list(table)
+    rows = host_rows(table)
     for key in ingest.BREAKDOWN_KEYS:
         assert repr(ingest.breakdown(table, key)) == repr(ref_breakdown(rows, key)), key
     assert repr(ingest.hosts_per_user(table)) == repr(ref_hosts_per_user(rows))
@@ -387,10 +404,10 @@ def test_columnar_functions_match_the_record_loops(table, silence_days, grid, th
     assert outcome(population.lifetime_stats, table, now) == outcome(ref_lifetime_stats, rows, now)
 
     assert repr(capacity.hardware_flops(table)) == repr(
-        left_to_right(h.n_cpus * h.flops_per_cpu for h in rows))
+        left_to_right(h["n_cpus"] * h["flops_per_cpu"] for h in rows))
     assert repr(capacity.storage_potential(table)) == repr(
-        left_to_right(h.disk_free for h in rows))
-    network = left_to_right(kbps_to_bytes_per_s(h.throughput_down) for h in rows)
+        left_to_right(h["disk_free"] for h in rows))
+    network = left_to_right(kbps_to_bytes_per_s(h["throughput_down"]) for h in rows)
     assert repr(capacity.access_rate(table, FACTORS)) == repr(
         network * FACTORS.on_fraction * FACTORS.connected_fraction)
     for a, b in (("flops", "disk_free"), ("iops", "n_cpus"), ("ram", "tz_offset")):
@@ -404,11 +421,11 @@ def test_columnar_functions_match_the_record_loops(table, silence_days, grid, th
 def test_oracle_covers_a_generated_pool_with_owners():
     """The same comparison on a reference pool grouped into multi-host users."""
     table = population.assign_users(small_pool(3000, seed=4), presets.HOSTS_PER_USER_PCT, seed=4)
-    rows = list(table)
+    rows = host_rows(table)
     for key in ingest.BREAKDOWN_KEYS:
         assert repr(ingest.breakdown(table, key)) == repr(ref_breakdown(rows, key))
     assert repr(ingest.hosts_per_user(table)) == repr(ref_hosts_per_user(rows))
-    now = max(r.last_contact for r in rows) + 30.0 * SECONDS_PER_DAY
+    now = max(r["last_contact"] for r in rows) + 30.0 * SECONDS_PER_DAY
     assert repr(population.lifetime_stats(table, now)) == repr(ref_lifetime_stats(rows, now))
     assert repr(capacity.compute_vs_rate_curve(table, [0.0, 50.0, 450.0], FACTORS, True)) == repr(
         ref_rate_curve(rows, [0.0, 50.0, 450.0], FACTORS, True))
