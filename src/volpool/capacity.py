@@ -19,6 +19,7 @@ Everything here is closed-form over a host table's columns; nothing samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
@@ -87,13 +88,18 @@ def utilization_product(factors: CapacityFactors) -> float:
     redundancy divides because every result is computed that many times;
     resource_share discounts for competing projects.
     """
-    return (
-        factors.cpu_efficiency
-        * factors.on_fraction
-        * factors.active_fraction
-        * (1.0 / factors.redundancy)
-        * factors.resource_share
+    return _utilization(
+        factors.cpu_efficiency,
+        factors.on_fraction,
+        factors.active_fraction,
+        factors.redundancy,
+        factors.resource_share,
     )
+
+
+def _utilization(efficiency, on, active, redundancy, share):
+    """The utilization product of scalars or per-host columns, in one order."""
+    return efficiency * on * active * (1.0 / redundancy) * share
 
 
 def hardware_product(factors: CapacityFactors) -> float:
@@ -136,11 +142,14 @@ def critical_data_rate(pool: HostTable) -> np.ndarray:
 
 
 def rate_grid(r_grid: Sequence[float]) -> list[float]:
-    """The data rates of a curve as floats; they must be non-negative and
-    strictly ascending."""
+    """The data rates of a curve as floats; they must be numbers, non-negative
+    and strictly ascending. An infinite rate is allowed."""
     grid = [float(r) for r in r_grid]
-    if any(r < 0 for r in grid):
-        raise ValueError("data rate is negative")
+    for r in grid:
+        if math.isnan(r):
+            raise ValueError(f"data rate {r} is not a number")
+        if r < 0:
+            raise ValueError("data rate is negative")
     if any(a >= b for a, b in zip(grid, grid[1:])):
         raise ValueError("data-rate grid must ascend")
     return grid
@@ -154,42 +163,41 @@ def compute_vs_rate_curve(
 ) -> list[RateCurvePoint]:
     """Total usable GFLOPS at each workload data rate in an ascending grid.
 
-    At data rate R a host on a b Mbps link delivers min(speed, 450*b/R)
-    GFLOPS: below its critical rate the CPU is the bottleneck, above it the
-    link is. Each point discounts this per-host deliverable speed by the
-    utilization product, either the pool-average one from ``factors`` or,
-    with ``per_host_factors``, each host's own fractions (redundancy still
-    comes from ``factors``). ``unsaturated_fraction`` is the share of hosts
-    whose ``critical_data_rate`` is at or above the grid point.
+    One rule decides whether a host is link-bound at data rate R: its
+    ``critical_data_rate`` lies below R. A link-bound host delivers what its
+    b Mbps link feeds, 450*b/R GFLOPS; every other host computes at its full
+    speed. ``unsaturated_fraction`` is the share of hosts that are not
+    link-bound. Each host's speed is discounted by the utilization product,
+    either the pool-average one from ``factors`` or, with
+    ``per_host_factors``, each host's own fractions (redundancy still comes
+    from ``factors``).
+
+    The hosts are sorted once by crossover, so a prefix sum of discounted
+    links and a suffix sum of discounted speeds give every point from one
+    search: the cost is one sort plus one binary search per rate.
     """
     grid = rate_grid(r_grid)
     n = len(pool)
-    speed = pool.column("flops")
-    link_hourly = _link_mb_per_hour(pool)
-    crossover = critical_data_rate(pool)
     if per_host_factors:
-        util = (
-            pool.cpu_efficiency * pool.on_fraction * pool.active_fraction
-            * pool.resource_share / factors.redundancy
+        util = _utilization(
+            pool.cpu_efficiency, pool.on_fraction, pool.active_fraction,
+            factors.redundancy, pool.resource_share,
         )
     else:
         util = utilization_product(factors)
-
-    points = []
-    for r in grid:
-        if r == 0:
-            avail = speed
-        else:
-            with np.errstate(over="ignore"):  # inf at a tiny rate; the speed caps it
-                avail = np.minimum(speed, link_hourly / r)
-        points.append(
-            RateCurvePoint(
-                data_rate=r,
-                total_flops=float(np.sum(avail * util)),
-                unsaturated_fraction=float(np.mean(crossover >= r)) if n else 1.0,
-            )
-        )
-    return points
+    crossover = critical_data_rate(pool)
+    order = np.argsort(crossover, kind="stable")
+    # links[k]: the first k hosts' discounted links; speeds[k]: the rest's speeds
+    links = np.concatenate(([0.0], np.cumsum((_link_mb_per_hour(pool) * util)[order])))
+    speeds = np.concatenate((np.cumsum((pool.column("flops") * util)[order][::-1])[::-1], [0.0]))
+    k = np.searchsorted(crossover[order], grid)  # hosts whose crossover lies below R
+    # at R = 0 no host is link-bound, so there is no 0/0 to take
+    total = speeds[k] + np.divide(links[k], grid, out=np.zeros(len(grid)), where=k > 0)
+    unsaturated = (n - k) / n if n else np.ones(len(grid))
+    return [
+        RateCurvePoint(data_rate=r, total_flops=t, unsaturated_fraction=u)
+        for r, t, u in zip(grid, total.tolist(), unsaturated.tolist())
+    ]
 
 
 def conditional_aggregate(

@@ -51,12 +51,6 @@ HIST_FIELDS = (
     ("tz", "tz_offset"),
 )
 
-# The most hosts x rate points one sweep may evaluate. The rate curve runs at
-# roughly 2-3e8 host-points/s, so this is under a minute; the 331,785-host
-# snapshot over 101 rates is 3.4e7.
-MAX_SWEEP_HOST_POINTS = 10_000_000_000
-
-
 class _UsageError(Exception):
     pass
 
@@ -229,20 +223,13 @@ def read_capacity(args, cfg: Mapping):
 
 def read_sweep(args, cfg: Mapping):
     seed, meta = _options(args, cfg)
-    source, grid = _host_source(cfg, seed), _rate_grid(cfg)
-    if not isinstance(source, str):  # a CSV's hosts are counted once it is parsed
-        _check_host_points(source.n_hosts, grid)
     return (
         meta,
-        source,
-        grid,
+        _host_source(cfg, seed),
+        _rate_grid(cfg),
         cap.factors_from_config(cfg.get("factors", {})),
         config.flag(cfg, "per_host_factors", "sweep option"),
     )
-
-
-def _check_host_points(n_hosts: int, grid) -> None:
-    config.within_limit(n_hosts * len(grid), "sweep host-points", MAX_SWEEP_HOST_POINTS)
 
 
 def read_simulate(args, cfg: Mapping):
@@ -381,10 +368,6 @@ def cmd_capacity(args, meta: Mapping, factors: cap.CapacityFactors) -> int:
 
 def cmd_sweep(args, meta: Mapping, source, grid, factors, per_host: bool) -> int:
     records = _records(source)
-    try:
-        _check_host_points(len(records), grid)
-    except config.ConfigError as err:
-        raise _DataError(str(err)) from err
     points = cap.compute_vs_rate_curve(records, grid, factors, per_host_factors=per_host)
     _write_csv(
         _outpath(args, "rate_curve.csv"),

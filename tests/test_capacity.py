@@ -214,7 +214,8 @@ def test_curve_at_zero_equals_potential(reference_pool_2k):
 
 
 def test_curve_at_a_tiny_rate_equals_the_zero_rate_point():
-    # link / 1e-310 overflows to inf, which the host's speed caps
+    # no crossover lies below 1e-310, so no host is link-bound and no link is
+    # divided by the rate, which would overflow
     pool = host_table([one_host(1.0, 1000.0), one_host(2.5, 1.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -249,12 +250,26 @@ def test_curve_unsaturated_fraction_counts_hosts(reference_pool_2k):
     assert crit[-2] == math.inf and crit[-1] == 0.0
     # rates at hosts' own crossovers, where link >= r * speed and link / speed
     # >= r can round differently
-    grid = list(np.unique(np.append(crit[:-2:20], [0.0, 450.0])))
+    grid = list(np.unique(np.append(crit[:-2:20], [0.0, 450.0, math.inf])))
     points = compute_vs_rate_curve(pool, grid, measured_factors())
     for r, p in zip(grid, points):
         assert p.unsaturated_fraction == np.mean(crit >= r)
     assert points[0].unsaturated_fraction == 1.0
     assert 0.0 < points[grid.index(450.0)].unsaturated_fraction < 1.0
+    # an infinite rate prices every host with a finite crossover at 0; only
+    # the host without speed stays unsaturated
+    assert points[-1].total_flops == 0.0
+    assert points[-1].unsaturated_fraction == 1 / len(pool)
+
+
+def test_curve_at_a_host_crossover_equals_the_zero_rate_point():
+    # at its own crossover a host is not link-bound, so it keeps its full
+    # speed, where min(speed, link / R) rounds just below it
+    pool = host_table([{"flops_per_cpu": 1.3, "throughput_down": 3064.1}])
+    grid = [0.0, critical_data_rate(pool)[0]]
+    zero, at = compute_vs_rate_curve(pool, grid, presets.reference_capacity_factors())
+    assert at.unsaturated_fraction == 1.0
+    assert at.total_flops == zero.total_flops
 
 
 def test_curve_grid_validation(reference_pool_2k):
@@ -262,6 +277,8 @@ def test_curve_grid_validation(reference_pool_2k):
         compute_vs_rate_curve(reference_pool_2k, [1.0, 1.0], measured_factors())
     with pytest.raises(ValueError, match="negative"):
         compute_vs_rate_curve(reference_pool_2k, [-1.0, 0.0], measured_factors())
+    with pytest.raises(ValueError, match="^data rate nan is not a number$"):
+        compute_vs_rate_curve(reference_pool_2k, [0.0, math.nan], measured_factors())
 
 
 def test_curve_per_host_factors_matches_direct_product():

@@ -678,12 +678,6 @@ MALFORMED = [
                  "tz_offset values outside the int64 range", id="stats-huge-tz-offset"),
     pytest.param("sweep", {"pool": {"n_hosts": 5}, "rates": {"n": 10**9}},
                  "rates option 'n' of 1e+09 exceeds the limit", id="sweep-huge-grid"),
-    # each count within its limit, their product not
-    pytest.param("sweep", {"pool": {"n_hosts": 20_000}, "rates": {"n": 10**6}},
-                 "sweep host-points of 2e+10 exceeds the limit", id="sweep-huge-pool-grid"),
-    # a CSV is counted once it is parsed: 20 hosts x 101 rates, the limit lowered
-    pytest.param("sweep", {"input": "hosts_csv", "rates": {"n": 101}},
-                 "sweep host-points of 2020 exceeds the limit of 2000", id="sweep-huge-csv-grid"),
     pytest.param("stats", {"pool": {"n_hosts": 5, "fields": {
                      "ram": {"lognormal": {"mean": 1.0, "cv": 1.0, "n": 10**9}}}}},
                  "lognormal option 'n' of 1e+09 exceeds the limit", id="stats-huge-lognormal"),
@@ -709,12 +703,7 @@ def time_limit(seconds: int):
 
 
 @pytest.mark.parametrize("command, payload, fragment", MALFORMED)
-def test_malformed_config_exits_2(request, monkeypatch, tmp_path, capsys,
-                                  command, payload, fragment):
-    if payload.get("input") == "hosts_csv":
-        path, _ = request.getfixturevalue("hosts_csv")
-        payload = dict(payload, input=str(path))
-        monkeypatch.setattr(cli, "MAX_SWEEP_HOST_POINTS", 2000)
+def test_malformed_config_exits_2(tmp_path, capsys, command, payload, fragment):
     cfg = write_config(tmp_path, "bad.json", payload)
     out = tmp_path / "out"
     with time_limit(10):

@@ -1,6 +1,7 @@
 """The columnar host table: construction, validation, enum labels, and a
 reference oracle holding every columnar pool function to the per-host loop
-it replaced, bit for bit."""
+it replaced, bit for bit; only the rate curve's totals, summed in another
+order, are held to a stated float bound."""
 
 import dataclasses
 import io
@@ -303,6 +304,21 @@ def ref_rate_curve(pool, grid, factors, per_host_factors):
     return points
 
 
+def assert_curve_matches(table, rows, grid, per_host_factors):
+    """The rate curve against ``ref_rate_curve``: data rates and unsaturated
+    fractions bit for bit, totals within (n + 9) eps S, S the hosts'
+    discounted speeds summed. The two sum the same terms in different orders
+    and roundings; CHANGES.md derives the bound."""
+    got = capacity.compute_vs_rate_curve(table, grid, FACTORS, per_host_factors)
+    want = ref_rate_curve(rows, grid, FACTORS, per_host_factors)
+    assert repr([(p.data_rate, p.unsaturated_fraction) for p in got]) == repr(
+        [(p.data_rate, p.unsaturated_fraction) for p in want])
+    scale = ref_rate_curve(rows, [0.0], FACTORS, per_host_factors)[0].total_flops
+    bound = (len(rows) + 9) * np.finfo(float).eps * scale
+    for g, w in zip(got, want):
+        assert abs(g.total_flops - w.total_flops) <= bound, (g, w, bound)
+
+
 def ref_conditional_aggregate(pool, resource_a, resource_b, thresholds):
     get_a, get_b = _getter(resource_a), _getter(resource_b)
     a_vals = np.asarray([get_a(h) for h in pool], dtype=float)
@@ -414,8 +430,7 @@ def test_columnar_functions_match_the_record_loops(table, silence_days, grid, th
         assert repr(capacity.conditional_aggregate(table, a, b, thresholds)) == repr(
             ref_conditional_aggregate(rows, a, b, thresholds))
     for per_host in (False, True):
-        assert repr(capacity.compute_vs_rate_curve(table, grid, FACTORS, per_host)) == repr(
-            ref_rate_curve(rows, grid, FACTORS, per_host))
+        assert_curve_matches(table, rows, grid, per_host)
 
 
 def test_oracle_covers_a_generated_pool_with_owners():
@@ -427,5 +442,4 @@ def test_oracle_covers_a_generated_pool_with_owners():
     assert repr(ingest.hosts_per_user(table)) == repr(ref_hosts_per_user(rows))
     now = max(r["last_contact"] for r in rows) + 30.0 * SECONDS_PER_DAY
     assert repr(population.lifetime_stats(table, now)) == repr(ref_lifetime_stats(rows, now))
-    assert repr(capacity.compute_vs_rate_curve(table, [0.0, 50.0, 450.0], FACTORS, True)) == repr(
-        ref_rate_curve(rows, [0.0, 50.0, 450.0], FACTORS, True))
+    assert_curve_matches(table, rows, [0.0, 50.0, 450.0], True)
