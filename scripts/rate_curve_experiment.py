@@ -7,12 +7,12 @@ where capacity falls to 75/50/25/10 percent of the data-free potential.
 """
 
 import argparse
-import csv
 
 import numpy as np
 
 from volpool import presets
 from volpool.capacity import compute_vs_rate_curve
+from volpool.ingest import csv_blocks
 from volpool.population import generate_pool
 
 
@@ -32,27 +32,28 @@ def main() -> None:
         presets.reference_pool_spec(n_hosts=args.n_hosts, seed=args.seed)
     )
     factors = presets.reference_capacity_factors()
-    grid = list(np.linspace(0.0, args.max_rate, args.points))
-    points = compute_vs_rate_curve(
+    grid = np.linspace(0.0, args.max_rate, args.points)
+    total, unsaturated = compute_vs_rate_curve(
         pool, grid, factors, per_host_factors=args.per_host_factors
     )
 
+    blocks = csv_blocks(
+        ("data_rate", "total_gflops", "unsaturated_fraction"), (grid, total, unsaturated)
+    )
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("data_rate", "total_gflops", "unsaturated_fraction"))
-        for p in points:
-            writer.writerow((p.data_rate, p.total_flops, p.unsaturated_fraction))
+        fh.writelines(blocks)
 
-    top = points[0].total_flops
+    top = total[0]
     print(f"{len(pool)} hosts, potential {top:.0f} GFLOPS at R=0 -> {args.out}")
     for frac in (0.75, 0.50, 0.25, 0.10):
-        knee = next((p for p in points if p.total_flops <= frac * top), None)
-        if knee is None:
+        knees = np.flatnonzero(total <= frac * top)
+        if not len(knees):
             print(f"  never falls to {frac:.0%} on this grid")
         else:
+            knee = knees[0]
             print(
-                f"  {frac:.0%} of potential at R ~ {knee.data_rate:.1f} "
-                f"({knee.unsaturated_fraction:.1%} of hosts still CPU-bound)"
+                f"  {frac:.0%} of potential at R ~ {grid[knee]:.1f} "
+                f"({unsaturated[knee]:.1%} of hosts still CPU-bound)"
             )
 
 

@@ -19,7 +19,6 @@ Everything here is closed-form over a host table's columns; nothing samples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
@@ -72,13 +71,6 @@ class CapacityFactors:
                 raise ValueError(f"{name} outside [0, 1]")
         if self.redundancy < 1.0:
             raise ValueError("redundancy must be at least 1")
-
-
-@dataclass(frozen=True)
-class RateCurvePoint:
-    data_rate: float  # MB per 3.6e12 FLOP
-    total_flops: float  # GFLOPS
-    unsaturated_fraction: float
 
 
 def utilization_product(factors: CapacityFactors) -> float:
@@ -141,16 +133,15 @@ def critical_data_rate(pool: HostTable) -> np.ndarray:
         return np.divide(_link_mb_per_hour(pool), speed, out=crossover, where=speed > 0)
 
 
-def rate_grid(r_grid: Sequence[float]) -> list[float]:
-    """The data rates of a curve as floats; they must be numbers, non-negative
-    and strictly ascending. An infinite rate is allowed."""
-    grid = [float(r) for r in r_grid]
-    for r in grid:
-        if math.isnan(r):
-            raise ValueError(f"data rate {r} is not a number")
-        if r < 0:
-            raise ValueError("data rate is negative")
-    if any(a >= b for a, b in zip(grid, grid[1:])):
+def rate_grid(r_grid: Sequence[float]) -> np.ndarray:
+    """The data rates of a curve as a new float64 array; they must be numbers,
+    non-negative and strictly ascending. An infinite rate is allowed."""
+    grid = np.array(r_grid, dtype=np.float64)
+    if np.isnan(grid).any():
+        raise ValueError("data rate nan is not a number")
+    if (grid < 0).any():
+        raise ValueError("data rate is negative")
+    if np.any(grid[:-1] >= grid[1:]):
         raise ValueError("data-rate grid must ascend")
     return grid
 
@@ -160,8 +151,9 @@ def compute_vs_rate_curve(
     r_grid: Sequence[float],
     factors: CapacityFactors,
     per_host_factors: bool = False,
-) -> list[RateCurvePoint]:
-    """Total usable GFLOPS at each workload data rate in an ascending grid.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Total usable GFLOPS and the unsaturated fraction at each workload
+    data rate of an ascending grid, as two float64 arrays aligned with it.
 
     One rule decides whether a host is link-bound at data rate R: its
     ``critical_data_rate`` lies below R. A link-bound host delivers what its
@@ -194,10 +186,7 @@ def compute_vs_rate_curve(
     # at R = 0 no host is link-bound, so there is no 0/0 to take
     total = speeds[k] + np.divide(links[k], grid, out=np.zeros(len(grid)), where=k > 0)
     unsaturated = (n - k) / n if n else np.ones(len(grid))
-    return [
-        RateCurvePoint(data_rate=r, total_flops=t, unsaturated_fraction=u)
-        for r, t, u in zip(grid, total.tolist(), unsaturated.tolist())
-    ]
+    return total, unsaturated
 
 
 def conditional_aggregate(

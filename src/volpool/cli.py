@@ -24,7 +24,6 @@ import csv
 import dataclasses
 import hashlib
 import json
-import math
 import os
 import sys
 from typing import Mapping, Sequence
@@ -36,7 +35,7 @@ from . import config
 from . import ingest as ing
 from . import population as pop
 from . import sim as simmod
-from .hosts import HostTable
+from .hosts import HOST_FIELDS, HostTable
 
 # (file stem, HostTable.column selector) pairs behind the hist_<stem>.csv
 # outputs; flops and iops are whole-host aggregates, the rest raw fields.
@@ -113,24 +112,15 @@ def _comment(meta: Mapping) -> str:
     return f"# seed={meta['seed']} config={meta['config_sha256']}"
 
 
-def _write_csv(path: str, meta: Mapping, header: Sequence[str], rows) -> None:
-    # every cell is checked before the file is opened, so a bad one leaves none;
-    # cells are quoted by the rule host CSVs are written with
+def _write_csv(path: str, meta: Mapping, header: Sequence[str], columns) -> None:
+    # every float is checked before the file is opened, so a bad one leaves none
     try:
-        lines = [",".join(ing.csv_cells([_cell(v) for v in row])) for row in (header, *rows)]
+        blocks = ing.csv_blocks(header, columns)
     except ValueError as err:
         raise _DataError(f"cannot write {path}: {err}") from err
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_comment(meta) + "\n")
-        fh.writelines(line + "\n" for line in lines)
-
-
-def _cell(v) -> str:
-    if isinstance(v, float):  # NumPy floats too, written as plain numbers
-        if not math.isfinite(v):  # as in JSON output, no NaN or infinity
-            raise ValueError(f"{float(v)!r} is not a finite number")
-        return repr(float(v))
-    return str(v)
+        fh.writelines(blocks)
 
 
 def _write_json(path: str, meta: Mapping, payload: dict) -> None:
@@ -188,7 +178,7 @@ def _host_source(cfg: Mapping, seed: int):
     return pop.pool_spec_from_config(cfg.get("pool", {}), default_seed=seed)
 
 
-def _rate_grid(cfg: Mapping) -> list[float]:
+def _rate_grid(cfg: Mapping) -> np.ndarray:
     spec = cfg.get("rates", {})
     if isinstance(spec, list):
         config.within_limit(len(spec), "rates entries")
@@ -199,9 +189,12 @@ def _rate_grid(cfg: Mapping) -> list[float]:
     config.within_limit(n, f"{where} 'n'")
     start = config.number(spec, "start", 0.0, where)
     stop = config.number(spec, "stop", 10.0, where)
+    # before numpy spaces them: a negative end can overflow, a zero one has no log
+    if start < 0 or stop < 0:
+        raise config.ConfigError("data rate is negative")
     if config.flag(spec, "log", where):
-        if start <= 0:
-            raise config.ConfigError("log-spaced rates need a positive start")
+        if min(start, stop) == 0:
+            raise config.ConfigError("log-spaced rates need a positive start and stop")
         return cap.rate_grid(np.geomspace(start, stop, n))
     return cap.rate_grid(np.linspace(start, stop, n))
 
@@ -263,11 +256,10 @@ def cmd_ingest(args, meta: Mapping, path: str) -> int:
     result = _parse_input(path)
 
     out_csv = _outpath(args, "hosts.parsed.csv")
-    with open(out_csv, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_comment(meta) + "\n")
-        fh.write(ing.serialize_hosts(result.records))
+    columns = [getattr(result.records, name) for name in HOST_FIELDS]
+    _write_csv(out_csv, meta, ing.HOST_CSV_COLUMNS, columns)
     _write_csv(
-        _outpath(args, "rejects.csv"), meta, ("line", "reason"), result.rejects
+        _outpath(args, "rejects.csv"), meta, ("line", "reason"), zip(*result.rejects)
     )
     print(
         f"ingest: {len(result.records)} accepted, "
@@ -279,12 +271,9 @@ def cmd_ingest(args, meta: Mapping, path: str) -> int:
 
 
 def _write_histogram(path: str, meta: Mapping, hist) -> None:
-    rows = [
-        (hist.bin_edges[i], hist.bin_edges[i + 1], hist.counts[i])
-        for i in range(len(hist.counts))
-    ]
-    rows.append(("overflow", "", hist.overflow))
-    _write_csv(path, meta, ("bin_start", "bin_end", "count"), rows)
+    edges = hist.bin_edges
+    columns = ((*edges[:-1], "overflow"), (*edges[1:], ""), (*hist.counts, hist.overflow))
+    _write_csv(path, meta, ("bin_start", "bin_end", "count"), columns)
 
 
 def cmd_stats(args, meta: Mapping, source) -> int:
@@ -302,8 +291,7 @@ def cmd_stats(args, meta: Mapping, source) -> int:
             meta,
             (key, "n_hosts", "mean_flops", "total_flops",
              "mean_disk_free", "mean_throughput"),
-            ((r.key, r.n_hosts, r.mean_flops, r.total_flops,
-              r.mean_disk_free, r.mean_throughput) for r in rows),
+            zip(*map(dataclasses.astuple, rows)),
         )
 
     buckets = ing.hosts_per_user(records)
@@ -311,7 +299,7 @@ def cmd_stats(args, meta: Mapping, source) -> int:
         _outpath(args, "hosts_per_user.csv"),
         meta,
         ("bucket", "n_users", "n_hosts", "pct_hosts"),
-        ((r.bucket, r.n_users, r.n_hosts, r.pct_hosts) for r in buckets),
+        zip(*map(dataclasses.astuple, buckets)),
     )
 
     for stem, selector in HIST_FIELDS:
@@ -356,7 +344,7 @@ def cmd_capacity(args, meta: Mapping, factors: cap.CapacityFactors) -> int:
         rows = [("hardware_gflops", hardware), ("utilization", util),
                 ("potential_gflops", potential)]
         rows += sorted(payload["factors"].items())
-        _write_csv(_outpath(args, "capacity.csv"), meta, ("name", "value"), rows)
+        _write_csv(_outpath(args, "capacity.csv"), meta, ("name", "value"), zip(*rows))
     else:
         _write_json(_outpath(args, "capacity.json"), meta, payload)
     print(
@@ -368,14 +356,14 @@ def cmd_capacity(args, meta: Mapping, factors: cap.CapacityFactors) -> int:
 
 def cmd_sweep(args, meta: Mapping, source, grid, factors, per_host: bool) -> int:
     records = _records(source)
-    points = cap.compute_vs_rate_curve(records, grid, factors, per_host_factors=per_host)
+    total, unsaturated = cap.compute_vs_rate_curve(records, grid, factors, per_host)
     _write_csv(
         _outpath(args, "rate_curve.csv"),
         meta,
         ("data_rate", "total_gflops", "unsaturated_fraction"),
-        ((p.data_rate, p.total_flops, p.unsaturated_fraction) for p in points),
+        (grid, total, unsaturated),
     )
-    print(f"sweep: {len(points)} grid points over {len(records)} hosts")
+    print(f"sweep: {len(grid)} grid points over {len(records)} hosts")
     return 0
 
 
@@ -386,7 +374,7 @@ def cmd_simulate(args, meta: Mapping, sim_cfg: simmod.SimConfig) -> int:
         _outpath(args, "timeline.csv"),
         meta,
         [f.name for f in dataclasses.fields(simmod.TimelineSample)],
-        map(dataclasses.astuple, report.timeline),
+        zip(*map(dataclasses.astuple, report.timeline)),
     )
     factors = simmod.factors_from_sim_config(sim_cfg)
     try:

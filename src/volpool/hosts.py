@@ -251,10 +251,9 @@ class HostTable:
 
     def column(self, selector: str) -> np.ndarray:
         """One numeric field, or "flops" / "iops" for the whole-host aggregate."""
-        if selector == "flops":
-            return self.n_cpus * self.flops_per_cpu
-        if selector == "iops":
-            return self.n_cpus * self.iops_per_cpu
+        if selector in ("flops", "iops"):
+            with np.errstate(over="ignore"):  # inf past the float range, for writers to report
+                return self.n_cpus * getattr(self, f"{selector}_per_cpu")
         if selector in NUMERIC_FIELDS:
             return getattr(self, selector)
         raise ValueError(f"unknown host field selector: {selector!r}")

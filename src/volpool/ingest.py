@@ -12,11 +12,13 @@ parse path: each label column of a block is mapped to enum codes, each
 numeric column is converted in one pass, and ``hosts.host_rules`` are
 evaluated over the block's columns as masks. A rejected row is given the
 first rule it breaks, in this order: the column count; ``cpu_vendor``,
-``os``, ``venue``; the numbers in column order; the host rules. Writing
-turns each label column's levels into cells once per call, joins a block's
-cells by hand, and quotes a host id, user id or country cell that holds a
-delimiter, quote or line break; ``csv_cells`` is that quoting rule, and the
-CLI writes its own CSVs through it too.
+``os``, ``venue``; the numbers in column order; the host rules.
+
+Host tables and the CLI's tables are all written by ``csv_blocks`` from
+columns. It checks every float before any text exists, turns each label
+column's levels into cells once, joins each block of ``ROW_BLOCK`` rows by
+hand, and quotes a cell holding a delimiter, quote or line break by the
+rule of ``csv_cells``.
 
 Breakdown tables, ownership buckets and half-open histograms live here too;
 they read the columns of a host table regardless of where it came from.
@@ -25,26 +27,23 @@ they read the columns of a host table regardless of where it came from.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import compress, repeat
-from pathlib import Path
-from typing import Sequence
+from itertools import chain, compress, repeat
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .hosts import (
-    CATEGORICAL_FIELDS,
     ENUM_FIELDS,
     HOST_FIELDS,
-    ID_FIELDS,
     INT_FIELDS,
     NUMERIC_FIELDS,
     ROW_BLOCK,
     Categorical,
     HostTable,
+    Numbered,
     host_rules,
     row_sum,
 )
@@ -243,22 +242,6 @@ def _number_column(texts, is_int: bool) -> tuple[np.ndarray, np.ndarray]:
     return col, broken
 
 
-def _text_columns(records: HostTable, rows: slice, level_cells: dict) -> list:
-    """Each column's ``rows`` as CSV cells: shortest round-trip floats, and
-    labels looked up in ``level_cells``, each categorical column's levels
-    written as cells."""
-    out = []
-    for name in HOST_FIELDS:
-        col = getattr(records, name)
-        if name in ID_FIELDS:
-            out.append(csv_cells(col[rows]))
-        elif name in CATEGORICAL_FIELDS:
-            out.append(list(map(level_cells[name].__getitem__, col.codes[rows].tolist())))
-        else:
-            out.append(list(map(repr if col.dtype.kind == "f" else str, col[rows].tolist())))
-    return out
-
-
 _CSV_SPECIAL = (",", '"', "\r", "\n")
 
 
@@ -275,26 +258,65 @@ def csv_cells(texts):
     ]
 
 
+def csv_blocks(header: Sequence[str], columns: Sequence) -> Iterator[str]:
+    """The CSV text of ``columns`` under ``header``: the header line, then
+    the rows ``ROW_BLOCK`` at a time, each block one string of whole lines.
+
+    A column is a numpy array, a ``Categorical`` or any other sequence, all
+    as long as the first. Every float in them is checked before any text is
+    made: a NaN or infinity raises ValueError naming it.
+    """
+    columns = list(columns)
+    writers = list(map(_cell_writer, columns))
+    return _csv_lines(header, writers, len(columns[0]) if columns else 0)
+
+
+def _csv_lines(header, writers, n_rows: int) -> Iterator[str]:
+    yield ",".join(csv_cells(list(header))) + "\n"
+    for start in range(0, n_rows, ROW_BLOCK):
+        rows = slice(start, start + ROW_BLOCK)
+        yield "\n".join(map(",".join, zip(*(write(rows) for write in writers)))) + "\n"
+
+
+def _cell_writer(col):
+    """The function from a slice of rows to ``col``'s cells there: floats
+    shortest round-trip, an enum label as its value, anything else through
+    ``str``, each quoted by ``csv_cells``. Raises ValueError on a float of
+    ``col`` that is NaN or infinite."""
+    if isinstance(col, Categorical):
+        # once per column: a user id column may hold as many levels as rows
+        levels = csv_cells([getattr(v, "value", v) for v in col.levels])
+        return lambda rows: list(map(levels.__getitem__, col.codes[rows].tolist()))
+    if isinstance(col, np.ndarray):  # numbers need no quotes
+        if col.dtype.kind != "f":
+            return lambda rows: list(map(str, col[rows].tolist()))
+        _check_finite(col[~np.isfinite(col)].tolist())
+        return lambda rows: list(map(repr, col[rows].tolist()))
+    if isinstance(col, Numbered) or set(map(type, col)) <= {str}:  # texts only
+        return lambda rows: csv_cells(col[rows])
+    _check_finite([v for v in col if isinstance(v, float) and not math.isfinite(v)])
+    return lambda rows: csv_cells([repr(float(v)) if isinstance(v, float) else str(v)
+                                   for v in col[rows]])
+
+
+def _check_finite(nonfinite: list) -> None:
+    if nonfinite:
+        raise ValueError(f"{float(nonfinite[0])!r} is not a finite number")
+
+
 def serialize_hosts(records: HostTable, header_comment: str | None = None) -> str:
     """Render a host table to canonical CSV text."""
-    buf = io.StringIO()
-    if header_comment is not None:
-        buf.write(f"# {header_comment}\n")
-    buf.write(",".join(HOST_CSV_COLUMNS) + "\n")
-    # once per call: a user id column may hold as many levels as rows
-    level_cells = {
-        name: csv_cells([getattr(v, "value", v) for v in getattr(records, name).levels])
-        for name in CATEGORICAL_FIELDS
-    }
-    for start in range(0, len(records), ROW_BLOCK):
-        cells = _text_columns(records, slice(start, start + ROW_BLOCK), level_cells)
-        buf.write("\n".join(map(",".join, zip(*cells))))
-        buf.write("\n")
-    return buf.getvalue()
+    return "".join(_host_lines(records, header_comment))
 
 
 def write_hosts_csv(records: HostTable, path, header_comment=None) -> None:
-    Path(path).write_text(serialize_hosts(records, header_comment), encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(_host_lines(records, header_comment))
+
+
+def _host_lines(records: HostTable, header_comment):
+    comment = [] if header_comment is None else [f"# {header_comment}\n"]
+    return chain(comment, csv_blocks(HOST_CSV_COLUMNS, [getattr(records, n) for n in HOST_FIELDS]))
 
 
 def breakdown(records: HostTable, key: str) -> list[BreakdownRow]:

@@ -79,8 +79,8 @@ def test_criterion_04_rate_curve_shape():
     pool = generate_pool(presets.reference_pool_spec(n_hosts=50_000, seed=12))
     factors = presets.reference_capacity_factors()
     grid = list(np.linspace(0.0, 100.0, 41))
-    points = compute_vs_rate_curve(pool, grid, factors)
-    totals = [p.total_flops for p in points]
+    totals, _ = compute_vs_rate_curve(pool, grid, factors)
+    totals = totals.tolist()
     potential = utilization_product(factors) * hardware_flops(pool)
     starts_right = totals[0] == pytest.approx(potential, rel=1e-9)
     monotone = all(a >= b - 1e-9 for a, b in zip(totals, totals[1:]))

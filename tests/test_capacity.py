@@ -172,7 +172,8 @@ def test_critical_rate_scaling():
 def available_flops(host, data_rate):
     """What one host sustains at a data rate: its one-row curve at unit factors."""
     pool = host_table([host])
-    return compute_vs_rate_curve(pool, [data_rate], unit_factors())[0].total_flops
+    total, _ = compute_vs_rate_curve(pool, [data_rate], unit_factors())
+    return total[0]
 
 
 def test_available_flops_examples():
@@ -207,10 +208,10 @@ def test_available_flops_monotone_and_capped(speed, kbps, r1, r2):
 
 def test_curve_at_zero_equals_potential(reference_pool_2k):
     f = measured_factors()
-    points = compute_vs_rate_curve(reference_pool_2k, [0.0, 10.0], f)
+    total, unsaturated = compute_vs_rate_curve(reference_pool_2k, [0.0, 10.0], f)
     expected = utilization_product(f) * hardware_flops(reference_pool_2k)
-    assert points[0].total_flops == pytest.approx(expected, rel=1e-12)
-    assert points[0].unsaturated_fraction == 1.0
+    assert total[0] == pytest.approx(expected, rel=1e-12)
+    assert unsaturated[0] == 1.0
 
 
 def test_curve_at_a_tiny_rate_equals_the_zero_rate_point():
@@ -219,15 +220,14 @@ def test_curve_at_a_tiny_rate_equals_the_zero_rate_point():
     pool = host_table([one_host(1.0, 1000.0), one_host(2.5, 1.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        zero, tiny = compute_vs_rate_curve(pool, [0.0, 1e-310], unit_factors())
-    assert tiny.total_flops == zero.total_flops
+        (zero, tiny), _ = compute_vs_rate_curve(pool, [0.0, 1e-310], unit_factors())
+    assert tiny == zero
 
 
 def test_curve_monotone(reference_pool_2k):
     grid = list(np.linspace(0.0, 2000.0, 21))
-    points = compute_vs_rate_curve(reference_pool_2k, grid, measured_factors())
-    totals = [p.total_flops for p in points]
-    unsat = [p.unsaturated_fraction for p in points]
+    totals, unsat = compute_vs_rate_curve(reference_pool_2k, grid, measured_factors())
+    totals, unsat = totals.tolist(), unsat.tolist()
     assert all(a >= b - 1e-9 for a, b in zip(totals, totals[1:]))
     assert all(a >= b - 1e-12 for a, b in zip(unsat, unsat[1:]))
     assert all(0.0 <= u <= 1.0 for u in unsat)
@@ -235,11 +235,10 @@ def test_curve_monotone(reference_pool_2k):
 
 def test_curve_single_host_threshold():
     host = one_host(1.0, 1000.0)
-    points = compute_vs_rate_curve(
+    _, unsaturated = compute_vs_rate_curve(
         host_table([host]), [450.0, 451.0], measured_factors()
     )
-    assert points[0].unsaturated_fraction == 1.0
-    assert points[1].unsaturated_fraction == 0.0
+    assert unsaturated.tolist() == [1.0, 0.0]
 
 
 def test_curve_unsaturated_fraction_counts_hosts(reference_pool_2k):
@@ -251,15 +250,15 @@ def test_curve_unsaturated_fraction_counts_hosts(reference_pool_2k):
     # rates at hosts' own crossovers, where link >= r * speed and link / speed
     # >= r can round differently
     grid = list(np.unique(np.append(crit[:-2:20], [0.0, 450.0, math.inf])))
-    points = compute_vs_rate_curve(pool, grid, measured_factors())
-    for r, p in zip(grid, points):
-        assert p.unsaturated_fraction == np.mean(crit >= r)
-    assert points[0].unsaturated_fraction == 1.0
-    assert 0.0 < points[grid.index(450.0)].unsaturated_fraction < 1.0
+    totals, unsaturated = compute_vs_rate_curve(pool, grid, measured_factors())
+    for r, u in zip(grid, unsaturated):
+        assert u == np.mean(crit >= r)
+    assert unsaturated[0] == 1.0
+    assert 0.0 < unsaturated[grid.index(450.0)] < 1.0
     # an infinite rate prices every host with a finite crossover at 0; only
     # the host without speed stays unsaturated
-    assert points[-1].total_flops == 0.0
-    assert points[-1].unsaturated_fraction == 1 / len(pool)
+    assert totals[-1] == 0.0
+    assert unsaturated[-1] == 1 / len(pool)
 
 
 def test_curve_at_a_host_crossover_equals_the_zero_rate_point():
@@ -267,9 +266,11 @@ def test_curve_at_a_host_crossover_equals_the_zero_rate_point():
     # speed, where min(speed, link / R) rounds just below it
     pool = host_table([{"flops_per_cpu": 1.3, "throughput_down": 3064.1}])
     grid = [0.0, critical_data_rate(pool)[0]]
-    zero, at = compute_vs_rate_curve(pool, grid, presets.reference_capacity_factors())
-    assert at.unsaturated_fraction == 1.0
-    assert at.total_flops == zero.total_flops
+    (zero, at), (_, at_unsaturated) = compute_vs_rate_curve(
+        pool, grid, presets.reference_capacity_factors()
+    )
+    assert at_unsaturated == 1.0
+    assert at == zero
 
 
 def test_curve_grid_validation(reference_pool_2k):
@@ -287,7 +288,7 @@ def test_curve_per_host_factors_matches_direct_product():
     )
     f = measured_factors(redundancy=2.0)
     r = 300.0
-    points = compute_vs_rate_curve(pool, [r], f, per_host_factors=True)
+    total, _ = compute_vs_rate_curve(pool, [r], f, per_host_factors=True)
     expected = sum(
         min(h["n_cpus"] * h["flops_per_cpu"],
             MB_PER_HOUR_AT_1MBPS * h["throughput_down"] / 1000.0 / r)
@@ -295,12 +296,13 @@ def test_curve_per_host_factors_matches_direct_product():
         / f.redundancy
         for h in host_rows(pool)
     )
-    assert points[0].total_flops == pytest.approx(expected, rel=1e-12)
+    assert total[0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_curve_empty_pool():
-    points = compute_vs_rate_curve(host_table([]), [0.0, 1.0], measured_factors())
-    assert [p.total_flops for p in points] == [0.0, 0.0]
+    total, unsaturated = compute_vs_rate_curve(host_table([]), [0.0, 1.0], measured_factors())
+    assert total.tolist() == [0.0, 0.0]
+    assert unsaturated.tolist() == [1.0, 1.0]
 
 
 # -- conditional aggregates ---------------------------------------------------------

@@ -367,6 +367,11 @@ def test_sweep_bad_grids(tmp_path, capsys):
     )
     assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "log-spaced rates need a positive start" in capsys.readouterr().err
+    cfg = write_config(
+        tmp_path, "c.json", {"rates": {"start": 1.0, "stop": 0.0, "log": True}}
+    )
+    assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "log-spaced rates need a positive start and stop" in capsys.readouterr().err
 
 
 # -- simulate --------------------------------------------------------------------
@@ -685,6 +690,21 @@ MALFORMED = [
     pytest.param("sweep", {"pool": {"n_hosts": 5, "fields": {
                      "throughput_down": {"lognormal": {"mean": 1e308, "cv": 3.0}}}}},
                  "lognormal samples overflow", id="sweep-overflowing-lognormal"),
+    # ends numpy cannot space: each warned, then exited on a NaN rate never written
+    pytest.param("sweep", {"pool": {"n_hosts": 5},
+                           "rates": {"start": 1, "stop": -5, "log": True}},
+                 "data rate is negative", id="sweep-log-negative-stop"),
+    pytest.param("sweep", {"pool": {"n_hosts": 5},
+                           "rates": {"start": 1e308, "stop": -1e308, "n": 3}},
+                 "data rate is negative", id="sweep-overflowing-span"),
+    # whole-host speeds past the float range: the writer reports the inf, and
+    # the sweep's float64 columns leave no rate_curve.csv
+    pytest.param("stats", {"pool": {"n_hosts": 5, "fields": {"n_cpus": 4,
+                                                             "flops_per_cpu": 1e308}}},
+                 "inf is not a finite number", id="stats-overflowing-flops"),
+    pytest.param("sweep", {"pool": {"n_hosts": 5, "fields": {"n_cpus": 4,
+                                                             "flops_per_cpu": 1e308}}},
+                 "inf is not a finite number", id="sweep-overflowing-flops"),
 ]
 
 

@@ -337,17 +337,31 @@ CANON_HOSTS = host_rows(parse_hosts(io.StringIO(CANON_TEXT)).records)
 TEXTS = st.text(st.sampled_from([",", '"', "\r", "\n", " ", "a", "é"]), max_size=4)
 
 
+FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
 @settings(max_examples=200, deadline=None)
-@given(cells=st.lists(st.tuples(TEXTS, TEXTS, TEXTS), max_size=7), block=st.integers(1, 3))
-def test_serialize_matches_csv_writer(cells, block):
+@given(
+    cells=st.lists(st.tuples(TEXTS, TEXTS, TEXTS), max_size=7),
+    block=st.integers(1, 3),
+    mixed=st.lists(
+        st.tuples(TEXTS, st.integers(), FLOATS, st.one_of(TEXTS, st.integers(), FLOATS)),
+        max_size=7,
+    ),
+)
+def test_serialize_matches_csv_writer(cells, block, mixed):
     table = host_table(
         {**CANON_HOSTS[i % 3], "host_id": h, "user_id": u, "country": c}
         for i, (h, u, c) in enumerate(cells)
     )
+    header = ("text", "int", "float", "mixed")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "ROW_BLOCK", block)  # blocks with and without quoted cells
         got = serialize_hosts(table)
+        # sequence columns, as the CLI's small tables are written
+        written = "".join(ingest.csv_blocks(header, list(zip(*mixed))))
     assert got == ref_serialize(table)
+    assert written == "".join(map(csv_line, [header, *mixed]))
 
 
 # -- breakdowns ------------------------------------------------------------------

@@ -793,8 +793,8 @@ def test_network_bound_run_matches_saturation_formula():
     factors = factors_from_sim_config(cfg)
     assert utilization_product(factors) == 1.0  # always on, quorum 1
     # 1 GFLOPS at 1 Mbps: critical rate 450, so 4500 leaves a tenth
-    curve = compute_vs_rate_curve(generate_pool(cfg.pool_spec), [data_rate], factors)
-    predicted = curve[0].total_flops
+    total, _ = compute_vs_rate_curve(generate_pool(cfg.pool_spec), [data_rate], factors)
+    predicted = total[0]
     assert predicted == pytest.approx(2.0)
     r = run_simulation(cfg)
     assert r.achieved_gflops == pytest.approx(predicted, rel=0.05)

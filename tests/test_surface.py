@@ -15,6 +15,8 @@ ROOT = Path(__file__).resolve().parents[1]
 ALLOWED = {
     "conditional_aggregate": "compute over hosts meeting a RAM or disk threshold, "
                              "the paper's memory and storage claim",
+    "serialize_hosts": "a host table as CSV text in memory; the benchmark builds "
+                       "its ingest input from it, and files go through write_hosts_csv",
 }
 
 

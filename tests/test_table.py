@@ -291,32 +291,30 @@ def ref_rate_curve(pool, grid, factors, per_host_factors):
         ) / factors.redundancy
     else:
         util = capacity.utilization_product(factors)
-    points = []
+    totals, unsaturated = [], []
     for r in grid:
         if r == 0:
             avail = speed
         else:
             avail = np.minimum(speed, link_hourly / r)
-        unsat = sum(c >= r for c in crossover) / n if n else 1.0
-        points.append(capacity.RateCurvePoint(
-            data_rate=r, total_flops=float(np.sum(avail * util)), unsaturated_fraction=unsat
-        ))
-    return points
+        totals.append(float(np.sum(avail * util)))
+        unsaturated.append(sum(c >= r for c in crossover) / n if n else 1.0)
+    return totals, unsaturated
 
 
 def assert_curve_matches(table, rows, grid, per_host_factors):
-    """The rate curve against ``ref_rate_curve``: data rates and unsaturated
-    fractions bit for bit, totals within (n + 9) eps S, S the hosts'
-    discounted speeds summed. The two sum the same terms in different orders
-    and roundings; CHANGES.md derives the bound."""
-    got = capacity.compute_vs_rate_curve(table, grid, FACTORS, per_host_factors)
-    want = ref_rate_curve(rows, grid, FACTORS, per_host_factors)
-    assert repr([(p.data_rate, p.unsaturated_fraction) for p in got]) == repr(
-        [(p.data_rate, p.unsaturated_fraction) for p in want])
-    scale = ref_rate_curve(rows, [0.0], FACTORS, per_host_factors)[0].total_flops
+    """The rate curve against ``ref_rate_curve``: unsaturated fractions bit
+    for bit, totals within (n + 9) eps S, S the hosts' discounted speeds
+    summed. The two sum the same terms in different orders and roundings;
+    CHANGES.md derives the bound."""
+    got_totals, got_unsat = capacity.compute_vs_rate_curve(table, grid, FACTORS, per_host_factors)
+    want_totals, want_unsat = ref_rate_curve(rows, grid, FACTORS, per_host_factors)
+    assert len(got_totals) == len(got_unsat) == len(grid)
+    assert repr(got_unsat.tolist()) == repr(want_unsat)
+    scale = ref_rate_curve(rows, [0.0], FACTORS, per_host_factors)[0][0]
     bound = (len(rows) + 9) * np.finfo(float).eps * scale
-    for g, w in zip(got, want):
-        assert abs(g.total_flops - w.total_flops) <= bound, (g, w, bound)
+    for g, w in zip(got_totals.tolist(), want_totals):
+        assert abs(g - w) <= bound, (g, w, bound)
 
 
 def ref_conditional_aggregate(pool, resource_a, resource_b, thresholds):
