@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, make_dataclass
 from enum import Enum
-from itertools import chain
 from operator import eq
 from typing import Mapping
 
@@ -230,21 +229,6 @@ class HostTable:
         for test, message in host_rules(vars(self)):
             if np.any(test):
                 raise ValueError(message)
-
-    @classmethod
-    def concat(cls, tables) -> "HostTable":
-        """The rows of ``tables``, one table after another."""
-        tables = list(tables)
-        columns = {}
-        for name in HOST_FIELDS:
-            parts = [getattr(t, name) for t in tables]
-            if name in ID_FIELDS:
-                columns[name] = tuple(chain.from_iterable(parts))
-            elif name in CATEGORICAL_FIELDS:
-                columns[name] = list(chain.from_iterable(p.tolist() for p in parts))
-            else:
-                columns[name] = np.concatenate(parts) if parts else []
-        return cls(**columns)
 
     def __len__(self) -> int:
         return len(self.host_id)

@@ -204,7 +204,8 @@ class PoolSpec:
     multi-host users. The optional ``rank_correlations``
     entries (field_a, field_b, weight) couple two fields through a mixture
     copula: with probability ``weight`` field_b reuses field_a's uniform
-    draw, so the rank correlation equals the weight.
+    draw, so the rank correlation equals the weight. field_a must come before
+    field_b in ``NUMERIC_FIELDS``, the order the fields are drawn in.
     """
 
     n_hosts: int
@@ -241,8 +242,11 @@ class PoolSpec:
             if any(w < 0 for w in weights.values()):
                 raise ValueError(f"{name} has a negative weight")
         for name in ("vendor", "os", "country", "venue"):
-            if sum(getattr(self, f"{name}_weights").values()) <= 0:
+            total = sum(getattr(self, f"{name}_weights").values())
+            if total <= 0:
                 raise ValueError(f"{name} weights sum to zero")
+            if not math.isfinite(total):
+                raise ValueError(f"{name} weights do not sum to a finite number")
         seen = set()
         for a, b, w in self.rank_correlations:
             if not (0.0 <= w <= 1.0):
@@ -251,6 +255,11 @@ class PoolSpec:
                 raise ValueError("rank correlation names unknown field")
             if a == b or a in seen or b in seen:
                 raise ValueError("each field may appear in one correlated pair")
+            if NUMERIC_FIELDS.index(a) > NUMERIC_FIELDS.index(b):
+                raise ValueError(
+                    f"rank correlation ({a!r}, {b!r}): {a} is drawn after {b}; "
+                    "the source must come first in the field order"
+                )
             seen.update((a, b))
         for name in INT_FIELDS:
             held = self._finished_support(name)
@@ -287,33 +296,36 @@ def _categorical(rng, weights: Mapping, n: int) -> Categorical:
 
 
 def generate_pool(spec: PoolSpec) -> HostTable:
-    """Expand a pool spec into a host table, bit-identical per seed."""
+    """Expand a pool spec into a host table, bit-identical per seed.
+
+    One pass over ``NUMERIC_FIELDS``: each field draws its uniform column (a
+    correlated field draws a mix column and then a fresh one) and finishes its
+    host values at once. The one uniform held past its own field is a rank
+    correlation's source, which its target, later in the field order,
+    reuses; the target's draw then lets it go. The label columns draw last.
+    """
     n = spec.n_hosts
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
 
     reuse = {b: (a, w) for a, b, w in spec.rank_correlations}
+    sources = {a for a, _, _ in spec.rank_correlations}
     uniforms: dict[str, np.ndarray] = {}
-    for name in NUMERIC_FIELDS:
-        if name in reuse:
-            src, weight = reuse[name]
-            mix = rng.random(n)
-            fresh = rng.random(n)
-            uniforms[name] = np.where(mix < weight, uniforms[src], fresh)
-        else:
-            uniforms[name] = rng.random(n)
-
     columns: dict[str, np.ndarray] = {}
     for name in NUMERIC_FIELDS:
+        u = rng.random(n)
+        if name in reuse:
+            source, weight = reuse[name]
+            u = np.where(u < weight, uniforms.pop(source), rng.random(n))
+        if name in sources:
+            uniforms[name] = u
         gen = spec.field_generators[name]
-        # no name holds the drawn values, so they are freed once finished
-        columns[name] = _finish(name, (
-            gen.quantile(uniforms[name]) if isinstance(gen, EmpiricalDistribution)
+        values = _finish(name, (
+            gen.quantile(u) if isinstance(gen, EmpiricalDistribution)
             else np.full(n, float(gen))
         ))
+        columns[name] = values.astype(np.int64) if name in INT_FIELDS else values
 
     columns["disk_free"] = np.minimum(columns["disk_free"], columns["disk_total"])
-    for name in INT_FIELDS:
-        columns[name] = columns[name].astype(np.int64)
     columns["last_contact"] = np.maximum(columns["last_contact"], columns["created"])
 
     return HostTable(

@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from .capacity import CapacityFactors
 from .hosts import CpuVendor, HostTable, OperatingSystem, Venue
 from .population import EmpiricalDistribution, PoolSpec, generate_pool
@@ -193,34 +195,13 @@ def reference_pool_spec(n_hosts: int, seed: int) -> PoolSpec:
 def vendor_conditional_pool(n_hosts: int, seed: int) -> HostTable:
     """Synthetic pool whose per-vendor speed means follow the vendor table.
 
-    Builds one sub-pool per vendor, sized by the table's host counts and
-    drawing speeds around that vendor's measured mean, then concatenates.
-    Host and user ids are relabelled to stay unique across sub-pools.
+    One draw of the reference pool, whose vendors follow the table's host
+    shares, so a vendor's host count is drawn, not apportioned exactly. Each
+    host's ``flops_per_cpu`` is then scaled by its vendor's mean over
+    ``MEAN_FLOPS_PER_HOST``: ``from_lognormal`` rescales one fixed shape to
+    its mean, so every vendor keeps the fixture shape around its own mean.
     """
-    from .population import _apportion
-
-    base = reference_pool_spec(n_hosts, seed)
-    vendors = list(VENDOR_TABLE.items())
-    counts = _apportion([float(c) for _, (c, _) in vendors], n_hosts)
-    parts = []
-    for i, ((vendor, (_, mean)), sub_n) in enumerate(zip(vendors, counts)):
-        if sub_n == 0:
-            continue
-        generators = dict(base.field_generators)
-        generators["flops_per_cpu"] = EmpiricalDistribution.from_lognormal(
-            mean=mean, cv=_FIXTURE_CV["flops_per_cpu"]
-        )
-        spec = replace(
-            base,
-            n_hosts=sub_n,
-            seed=seed + i + 1,
-            field_generators=generators,
-            vendor_weights={vendor: 1.0},
-        )
-        sub = generate_pool(spec)
-        parts.append(replace(
-            sub,
-            host_id=[f"v{i}.{h}" for h in sub.host_id],
-            user_id=[f"v{i}.{u}" for u in sub.user_id.tolist()],
-        ))
-    return HostTable.concat(parts)
+    pool = generate_pool(reference_pool_spec(n_hosts, seed))
+    vendor = pool.cpu_vendor
+    ratio = np.array([VENDOR_TABLE[v][1] / MEAN_FLOPS_PER_HOST for v in vendor.levels])
+    return replace(pool, flops_per_cpu=pool.flops_per_cpu * ratio[vendor.codes])

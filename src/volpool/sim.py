@@ -1279,11 +1279,13 @@ class _Engine:
         self.fracs = np.stack([column(name) for name in
                                ("on_fraction", "connected_fraction", "active_fraction")],
                               axis=1)
+        with np.errstate(over="ignore"):  # a link past the float range is infinite
+            dl_cap = kbps_to_mb_per_s(column("throughput_down"))
         hosts = zip(
             arrive_s.tolist(),
             depart_s.tolist(),
             flops_rate.tolist(),
-            kbps_to_mb_per_s(column("throughput_down")).tolist(),
+            dl_cap.tolist(),
             (column("ram") >= self.task.memory_footprint).tolist(),
             (_buffer_s(cfg) * flops_rate).tolist(),
         )

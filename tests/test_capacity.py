@@ -27,7 +27,6 @@ from volpool.capacity import (
     storage_potential,
     utilization_product,
 )
-from volpool.hosts import HostTable
 from volpool.population import generate_pool
 
 from conftest import flat_spec, host_rows, host_table
@@ -243,8 +242,7 @@ def test_curve_single_host_threshold():
 
 def test_curve_unsaturated_fraction_counts_hosts(reference_pool_2k):
     # one host that is never link-bound and one that is at every positive rate
-    edge = host_table([one_host(0.0, 1000.0), one_host(1.0, 0.0)])
-    pool = HostTable.concat([reference_pool_2k, edge])
+    pool = host_table([*host_rows(reference_pool_2k), one_host(0.0, 1000.0), one_host(1.0, 0.0)])
     crit = critical_data_rate(pool)
     assert crit[-2] == math.inf and crit[-1] == 0.0
     # rates at hosts' own crossovers, where link >= r * speed and link / speed

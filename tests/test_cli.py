@@ -13,6 +13,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -453,6 +454,29 @@ def test_simulate_reruns_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+@pytest.mark.parametrize("cap_mbps", [None, 1.0], ids=["uncapped", "capped"])
+def test_simulate_link_near_the_float_range(tmp_path, cap_mbps):
+    """A 1e308 Kbps link overflows to an infinite one without a warning and
+    runs as a 1e300 Kbps link does: both feed any download at once."""
+    outputs = []
+    for kbps in (1e308, 1e300):
+        payload = {"duration_days": 2, "seed": 1,
+                   "pool": {"n_hosts": 5, "fields": {"throughput_down": kbps}}}
+        if cap_mbps is not None:
+            payload["server_egress_cap_mbps"] = cap_mbps
+        cfg = write_config(tmp_path, f"sim_{kbps}.json", payload)
+        out = tmp_path / f"out_{kbps}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        # the comment line and "meta" name the config, which differs
+        outputs.append((
+            {k: v for k, v in read_json(out / "sim_report.json").items() if k != "meta"},
+            (out / "timeline.csv").read_text().split("\n", 1)[1],
+        ))
+    assert outputs[0] == outputs[1]
+
+
 def test_timeline_cells_are_plain_numbers(tmp_path):
     """A churned reference-pool run: every timeline cell parses as a float."""
     payload = {"duration_days": 1.0, "seed": 3, "pool": {"n_hosts": 30},
@@ -635,6 +659,14 @@ MALFORMED = [
     pytest.param("simulate",
                  {"duration_days": 1, "pool": {"n_hosts": 5, "vendor_weights": {"AMD": 0}}},
                  "vendor weights sum to zero", id="simulate-zero-weights"),
+    # each weight finite, their sum not: rng.choice got no probabilities
+    pytest.param("stats", {"pool": {"n_hosts": 5,
+                                    "country_weights": {"A": 1e308, "B": 1e308}}},
+                 "country weights do not sum to a finite number", id="stats-overflowing-weights"),
+    pytest.param("simulate",
+                 {"duration_days": 1, "pool": {"n_hosts": 5,
+                                               "os_weights": {"Linux": 1e308, "Darwin": 1e308}}},
+                 "os weights do not sum to a finite number", id="simulate-overflowing-weights"),
     pytest.param("simulate", {"duration_days": 1, "seed": -1, "pool": {"n_hosts": 5}},
                  "seed is negative", id="simulate-negative-seed"),
     # zero used to fall back silently to the default buffer

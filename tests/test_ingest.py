@@ -95,12 +95,13 @@ def test_round_trip_through_file_keeps_a_bare_carriage_return(tmp_path, canon_re
 
 
 def test_round_trip_generated_pool():
-    # numbered ids, grouped owners and relabelled ids, compared both ways
+    # numbered ids, grouped owners and relabelled string ids, compared both ways
     base = generate_pool(presets.reference_pool_spec(n_hosts=50, seed=4))
     for pool in (
         base,
         assign_users(base, presets.HOSTS_PER_USER_PCT, seed=4),
-        presets.vendor_conditional_pool(60, seed=4),
+        dataclasses.replace(base, host_id=[f"v.{h}" for h in base.host_id],
+                            user_id=[f"v.{u}" for u in base.user_id.tolist()]),
     ):
         result = parse_hosts(io.StringIO(serialize_hosts(pool)))
         assert result.records == pool

@@ -7,6 +7,7 @@ errors of its standard deviation make an honest tolerance.
 
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,11 @@ from volpool import population as pop
 from volpool import presets
 from volpool.hosts import (
     FRACTION_FIELDS,
+    INT_FIELDS,
+    NUMERIC_FIELDS,
+    Categorical,
     CpuVendor,
+    HostTable,
     OperatingSystem,
     Venue,
 )
@@ -190,6 +195,9 @@ def test_rank_correlation_validation():
             1, 1, gens,
             rank_correlations=(("ram", "swap", 0.5), ("swap", "disk_free", 0.5)),
         )
+    # the target draws before its source: generate_pool had no uniform to reuse
+    with pytest.raises(ValueError, match="'disk_free', 'disk_total'.*drawn after"):
+        PoolSpec(1, 1, gens, rank_correlations=(("disk_free", "disk_total", 0.5),))
 
 
 def test_zero_weight_categorical_errors():
@@ -249,6 +257,98 @@ def test_reference_disk_free_mean_survives_clamp(reference_pool_20k):
     gen = spec.field_generators["disk_free"]
     mean = float(np.mean(reference_pool_20k.disk_free))
     assert abs(mean - 36.0) <= three_sigma_of_mean(gen, len(reference_pool_20k))
+
+
+def two_pass_pool(spec: PoolSpec) -> HostTable:
+    """``generate_pool`` from its definition, every uniform drawn first.
+
+    One uniform column per field in ``NUMERIC_FIELDS`` order; a correlated
+    field draws a mix column and then a fresh one, and takes its source's
+    uniform where the mix is below the weight. Each column is then its
+    generator at its uniform, finished: fractions clipped to [0, 1], the
+    other fields but ``tz_offset`` floored at 0, integer fields rounded, at
+    least one CPU, free disk at most the disk, last contact no earlier than
+    creation. The label columns draw last: vendor, os, country, venue.
+    """
+    n = spec.n_hosts
+    rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
+    reuse = {b: (a, w) for a, b, w in spec.rank_correlations}
+    uniforms = {}
+    for name in NUMERIC_FIELDS:
+        if name in reuse:
+            source, weight = reuse[name]
+            mix, fresh = rng.random(n), rng.random(n)
+            uniforms[name] = np.where(mix < weight, uniforms[source], fresh)
+        else:
+            uniforms[name] = rng.random(n)
+    columns = {}
+    for name in NUMERIC_FIELDS:
+        gen = spec.field_generators[name]
+        if isinstance(gen, EmpiricalDistribution):
+            v = gen.quantile(uniforms[name])
+        else:
+            v = np.full(n, float(gen))
+        if name in FRACTION_FIELDS:
+            v = np.clip(v, 0.0, 1.0)
+        elif name != "tz_offset":
+            v = np.maximum(v, 0.0)
+        if name in INT_FIELDS:
+            v = np.rint(v)
+        if name == "n_cpus":
+            v = np.maximum(v, 1.0)
+        columns[name] = v
+    columns["disk_free"] = np.minimum(columns["disk_free"], columns["disk_total"])
+    columns["last_contact"] = np.maximum(columns["last_contact"], columns["created"])
+    for name, weights in (("cpu_vendor", spec.vendor_weights), ("os", spec.os_weights),
+                          ("country", spec.country_weights), ("venue", spec.venue_weights)):
+        p = np.array(list(weights.values()), dtype=float)
+        columns[name] = Categorical(
+            rng.choice(len(p), size=n, p=p / p.sum()), list(weights)
+        )
+    return HostTable(
+        host_id=[f"h{i}" for i in range(n)], user_id=[f"u{i}" for i in range(n)], **columns
+    )
+
+
+_weights = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def _correlated_specs(draw):
+    """Reference label weights; any numeric field a constant or a short sample
+    vector; 0-2 correlated pairs, each source before its target."""
+    base = presets.reference_pool_spec(n_hosts=draw(st.integers(0, 30)),
+                                       seed=draw(st.integers(0, 2**32 - 1)))
+    gens = draw(st.fixed_dictionaries({}, optional={n: _generators for n in NUMERIC_FIELDS}))
+    k = draw(st.integers(0, 2))
+    fields = draw(st.lists(st.sampled_from(NUMERIC_FIELDS), unique=True,
+                           min_size=2 * k, max_size=2 * k))
+    pairs = tuple(
+        (*sorted(fields[i:i + 2], key=NUMERIC_FIELDS.index), draw(_weights))
+        for i in range(0, len(fields), 2)
+    )
+    return replace(base, field_generators={**base.field_generators, **gens},
+                   rank_correlations=pairs)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(spec=_correlated_specs())
+@example(spec=presets.reference_pool_spec(n_hosts=25, seed=3))
+def test_one_pass_generation_matches_the_two_pass_draw(spec):
+    assert generate_pool(spec) == two_pass_pool(spec)
+
+
+def test_vendor_conditional_pool_scales_the_reference_speeds():
+    """The same hosts as the reference pool, each vendor's speeds scaled by
+    its mean over the pooled mean."""
+    base = generate_pool(presets.reference_pool_spec(n_hosts=3000, seed=5))
+    pool = presets.vendor_conditional_pool(3000, seed=5)
+    ratio = {v: mean / presets.MEAN_FLOPS_PER_HOST
+             for v, (_, mean) in presets.VENDOR_TABLE.items()}
+    expect = base.flops_per_cpu * np.array([ratio[v] for v in base.cpu_vendor.tolist()])
+    assert np.array_equal(pool.flops_per_cpu, expect)
+    assert set(pool.cpu_vendor.tolist()) == set(presets.VENDOR_TABLE)
+    assert replace(pool, flops_per_cpu=base.flops_per_cpu) == base
 
 
 @settings(max_examples=20, deadline=None)

@@ -125,18 +125,11 @@ def test_table_is_immutable():
         table.os.codes[0] = 0
 
 
-def test_concat():
-    table = small_pool(30, seed=5)
-    rows = host_rows(table)
-    assert host_table(rows) == table
-    assert HostTable.concat([host_table(rows[:7]), host_table(rows[7:])]) == table
-    assert HostTable.concat([]) == host_table([])
-
-
 def test_equality_is_exact_and_ignores_category_codes():
     table = small_pool(20, seed=1)
     assert table == small_pool(20, seed=1)
     assert table != small_pool(20, seed=2)
+    assert host_table(host_rows(table)) == table
     flipped = Categorical(
         len(table.venue.levels) - 1 - table.venue.codes, table.venue.levels[::-1]
     )
