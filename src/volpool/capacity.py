@@ -179,9 +179,12 @@ def compute_vs_rate_curve(
         util = utilization_product(factors)
     crossover = critical_data_rate(pool)
     order = np.argsort(crossover, kind="stable")
-    # links[k]: the first k hosts' discounted links; speeds[k]: the rest's speeds
-    links = np.concatenate(([0.0], np.cumsum((_link_mb_per_hour(pool) * util)[order])))
-    speeds = np.concatenate((np.cumsum((pool.column("flops") * util)[order][::-1])[::-1], [0.0]))
+    # links[k]: the first k hosts' discounted links; speeds[k]: the rest's speeds.
+    # A sum past the float range is inf; the writer reports one that reaches a total.
+    with np.errstate(over="ignore"):
+        links = np.concatenate(([0.0], np.cumsum((_link_mb_per_hour(pool) * util)[order])))
+        speeds = np.concatenate(
+            (np.cumsum((pool.column("flops") * util)[order][::-1])[::-1], [0.0]))
     k = np.searchsorted(crossover[order], grid)  # hosts whose crossover lies below R
     # at R = 0 no host is link-bound, so there is no 0/0 to take
     total = speeds[k] + np.divide(links[k], grid, out=np.zeros(len(grid)), where=k > 0)

@@ -253,24 +253,25 @@ def _renewals(start, up, sizes, sojourns, up_mean, down_mean, end):
 
     Segment k starts at ``start[k]``, up if ``up[k]``, and times its flips
     with the next ``sizes[k]`` of ``sojourns``, in units of the mean: up
-    sojourns average ``up_mean``, down ones ``down_mean[k]``. Returns the
-    instants, whether the sojourn ending at each was up, each segment's up
-    time before ``end[k]``, each instant's segment and each segment's first
-    index.
+    sojourns average ``up_mean``, down ones ``down_mean[k]``. Each segment
+    takes its own running sum from its start, in a row padded with zero
+    steps, so its instants and up time are those of a call on it alone.
+    Returns the instants, whether the sojourn ending at each was up, each
+    segment's up time before ``end[k]``, each instant's segment and each
+    segment's first index.
     """
+    drawn = np.arange(sizes.max(initial=0)) < sizes[:, None]
+    was_up = (np.arange(drawn.shape[1]) % 2 == 0) == up[:, None]
+    steps = np.zeros(drawn.shape)
+    steps[drawn] = sojourns * np.where(was_up, up_mean, down_mean[:, None])[drawn]
+    times = start[:, None] + np.cumsum(steps, axis=1)
+    prev = np.concatenate((start[:, None], times[:, :-1]), axis=1)
+    clip = end[:, None]
+    up_time = np.where(was_up, np.minimum(times, clip) - np.minimum(prev, clip), 0.0)
+    up_s = np.cumsum(up_time, axis=1)[:, -1] if drawn.size else np.zeros(len(sizes))
     first = np.cumsum(sizes) - sizes
     seg = np.repeat(np.arange(len(sizes)), sizes)
-    was_up = ((np.arange(len(seg)) - first[seg]) % 2 == 0) == up[seg]
-    steps = sojourns * np.where(was_up, up_mean, down_mean[seg])
-    csum = np.cumsum(steps)
-    times = start[seg] + (csum - (csum[first] - steps[first])[seg])
-    prev = np.empty_like(times)
-    prev[1:] = times[:-1]
-    prev[first] = start
-    seg_end = end[seg]
-    up_time = np.where(was_up, np.minimum(times, seg_end) - np.minimum(prev, seg_end), 0.0)
-    up_s = np.add.reduceat(up_time, first) if len(first) else up_time
-    return times, was_up, up_s, seg, first
+    return times[drawn], was_up[drawn], up_s, seg, first
 
 
 class _Process:
@@ -294,7 +295,7 @@ class _Process:
     def draw(self, sojourns: np.ndarray, end: float):
         """Append the flips that ``sojourns``, in units of the mean, time."""
         times, was_up, up_s, _, _ = _renewals(
-            np.array([self.last]), np.array([self.up]), [len(sojourns)], sojourns,
+            np.array([self.last]), np.array([self.up]), np.array([len(sojourns)]), sojourns,
             self.up_mean, np.array([self.down_mean]), np.array([end]))
         self.times += times.tolist()
         self.last, self.up = self.times[-1], not was_up[-1]
@@ -383,9 +384,6 @@ class _Host:
         # position, once the processes' traces are complete
         self.up_s: list[float] | None = None
 
-    def comm_ok(self) -> bool:
-        return self.mask == _COMM
-
 
 class _Engine:
     def __init__(self, cfg: SimConfig):
@@ -437,9 +435,7 @@ class _Engine:
         self.mb_downloaded = 0.0
         self.downloads_completed = 0
         self.member_time = 0.0
-        self.on_time = 0.0
-        self.conn_time = 0.0
-        self.allow_time = 0.0
+        self.up_time = [0.0, 0.0, 0.0]  # seconds on, connected and allowed, as ``_Host.up_s``
         # the hosts arrived and not yet departed, by idx, in arrival order
         self.live_hosts: dict[int, _Host] = {}
         # Egress sharing. Running downloads sit in ``flows`` sorted by
@@ -500,7 +496,8 @@ class _Engine:
         sojourns = rng.standard_exponential(int(sizes.sum()))
         np.bitwise_or.at(mask0, host, np.where(ups, 1 << pos, 0))
 
-        down_mean = self.dwell_s * (1.0 - frac) / frac
+        with np.errstate(over="ignore"):  # a mean past the float range: a sojourn never ends
+            down_mean = self.dwell_s * (1.0 - frac) / frac
         times, was_up, up_s, seg, starts = _renewals(
             arrive[host], ups, sizes, sojourns, self.dwell_s, down_mean, end[host])
         host_up_s[host, pos] = up_s  # final unless a process falls short of the end
@@ -578,31 +575,24 @@ class _Engine:
         Its trace is complete by then: every flip before ``now`` is applied.
         """
         self.member_time += now - h.arrive_s
-        on_s, conn_s, allow_s = h.up_s
-        self.on_time += on_s
-        self.conn_time += conn_s
-        self.allow_time += allow_s
+        self.up_time = [a + b for a, b in zip(self.up_time, h.up_s)]
 
     # -- compute side ------------------------------------------------------
 
-    def _settle_compute(self, h: _Host, now: float):
-        if h.cp_running:
-            r = h.work[h.n_done]
-            done = (now - h.cp_mark) * h.flops_rate
-            if done > r.flops_left:
-                done = r.flops_left
-            if done > 0.0:
-                r.flops_left -= done
-                h.on_hand_flop -= done
-        h.cp_mark = now
-
     def _progress(self, h: _Host, now: float) -> float:
-        """FLOP ``_settle_compute`` would count at ``now``; writes nothing."""
+        """FLOP the computing replica has done since ``cp_mark``, up to what it lacks."""
         if not h.cp_running:
             return 0.0
         done = (now - h.cp_mark) * h.flops_rate
         left = h.work[h.n_done].flops_left
         return done if done < left else left
+
+    def _settle_compute(self, h: _Host, now: float):
+        done = self._progress(h, now)
+        if done > 0.0:
+            h.work[h.n_done].flops_left -= done
+            h.on_hand_flop -= done
+        h.cp_mark = now
 
     def _sync_compute(self, h: _Host, now: float):
         """Push the completion of a replica that starts computing, once.
@@ -685,9 +675,14 @@ class _Engine:
         if h.dl_due == now and h.dl_seq > self.now_seq:
             return  # its event would run after the current one
         h.dl_due = math.inf
+        self._complete_download(h)
+
+    def _complete_download(self, h: _Host):
+        """Count the input downloading on ``h`` as delivered; any event of it goes stale."""
         h.work[h.n_done + h.n_ready].input_left = 0.0
         h.n_ready += 1
         h.dl_running = h.dl_busy = False
+        h.dl_epoch += 1
         self.mb_downloaded += self.task.input_size
         self.downloads_completed += 1
 
@@ -698,7 +693,7 @@ class _Engine:
         level, and then only the flows whose cap lies between the old and
         the new level change kind.
         """
-        want = len(h.work) > h.n_done + h.n_ready and h.comm_ok() and h.dl_cap > 0.0
+        want = len(h.work) > h.n_done + h.n_ready and h.mask == _COMM and h.dl_cap > 0.0
         if want == h.dl_listed:
             if want and not h.dl_running:
                 # the next input on a listed host: same list, same level
@@ -1082,7 +1077,7 @@ class _Engine:
 
     def _on_wake(self, h: _Host, _, now: float):
         self._advance(h, now)  # applies the edge at ``now``
-        if h.comm_ok():
+        if h.mask == _COMM:
             if h.n_done:
                 self._flush_returns(h, now)
             self._try_fetch(h, now)
@@ -1100,7 +1095,7 @@ class _Engine:
         self.live_hosts[h.idx] = h
         if self.parked:
             self._unpark()
-        if h.comm_ok():
+        if h.mask == _COMM:
             self._try_fetch(h, now)
 
     def _on_depart(self, h: _Host, _, now: float):
@@ -1143,7 +1138,7 @@ class _Engine:
         h.n_ready -= 1
         h.cp_running = h.cp_busy = False
         h.cp_epoch += 1
-        comm = h.comm_ok()
+        comm = h.mask == _COMM
         if comm:
             self._flush_returns(h, now)
         self._sync_compute(h, now)
@@ -1155,12 +1150,7 @@ class _Engine:
             return
         self._catch_up(h, now)  # this download was pushed: none is lazy
         self._settle_download(h, now)
-        h.work[h.n_done + h.n_ready].input_left = 0.0
-        h.n_ready += 1
-        h.dl_running = h.dl_busy = False
-        h.dl_epoch += 1
-        self.mb_downloaded += self.task.input_size
-        self.downloads_completed += 1
+        self._complete_download(h)
         self._dl_changed(h, now)
         self._sync_compute(h, now)
 
@@ -1199,7 +1189,7 @@ class _Engine:
                 h.on_hand_flop -= r.flops_left
                 self._dl_changed(h, now)
             self._deliver(r, _TIMED_OUT)
-            if h.comm_ok():
+            if h.mask == _COMM:
                 self._try_fetch(h, now)
         h.deadline_armed = False
         self._arm_deadline(h)
@@ -1209,7 +1199,7 @@ class _Engine:
             return
         h.fetch_armed = False
         self._catch_up(h, now)
-        if h.comm_ok():
+        if h.mask == _COMM:
             self._try_fetch(h, now)
 
     def _sweep(self, now: float) -> float:
@@ -1269,7 +1259,8 @@ class _Engine:
         # ``idx`` of the initial pool followed by the arrival pool.
         arrive_d = np.concatenate([np.zeros(len(initial)), arrivals_d])
         arrive_s = arrive_d * SECONDS_PER_DAY
-        depart_s = (arrive_d + lifetimes_d) * SECONDS_PER_DAY
+        with np.errstate(over="ignore"):  # a departure past the float range never comes
+            depart_s = (arrive_d + lifetimes_d) * SECONDS_PER_DAY
         flops_rate = column("flops") * GIGA * column("cpu_efficiency")
         if cfg.competing_share:
             flops_rate = flops_rate * column("resource_share")
@@ -1320,6 +1311,7 @@ class _Engine:
         raw_flop = self._sweep(dur_s)
 
         member = self.member_time
+        on_frac, conn_frac, allow_frac = (t / member if member else 0.0 for t in self.up_time)
         return SimReport(
             achieved_gflops=self.validated_flop / dur_s / GIGA,
             raw_gflops=raw_flop / dur_s / GIGA,
@@ -1338,9 +1330,9 @@ class _Engine:
             n_invalid=self.n_invalid,
             n_results=self.n_results,
             downloads_completed=self.downloads_completed,
-            observed_on_fraction=self.on_time / member if member else 0.0,
-            observed_connected_fraction=self.conn_time / member if member else 0.0,
-            observed_active_fraction=self.allow_time / member if member else 0.0,
+            observed_on_fraction=on_frac,
+            observed_connected_fraction=conn_frac,
+            observed_active_fraction=allow_frac,
         )
 
 

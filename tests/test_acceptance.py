@@ -6,7 +6,9 @@ of the quorum, closed-form pool dynamics) and asserts at the stated tolerance.
 The collected lines are echoed again in the terminal summary.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,12 +31,18 @@ from volpool.sim import (
     analytic_comparison,
     factors_from_sim_config,
     run_simulation,
+    sim_config_from_config,
 )
 from volpool.units import GB_PER_PB
 
 from conftest import flat_spec, replica_cost
 
 RESULTS: list[str] = []
+
+# criterion 7's run, which the benchmark's sim_steady and the CI smoke step read too
+STEADY_STATE_CONFIG = (
+    Path(__file__).resolve().parents[1] / "scripts" / "configs" / "simulate_steady_state.json"
+)
 
 
 def check(num: int, ok: bool, detail: str) -> None:
@@ -153,15 +161,7 @@ def test_criterion_06_redundancy_overhead():
 
 
 def test_criterion_07_analytic_simulated_agreement():
-    cfg = SimConfig(
-        duration_days=100.0, seed=17,
-        churn=ChurnModel(arrival_rate=400.0, lifetime_mean_days=5.0),
-        pool_spec=flat_spec(2000, seed=4, on=0.85, act=0.85, eff=0.9,
-                            flops=1.3, thr=1000.0),
-        task=TaskSpec(flops_per_task=1.3e13, input_size=1.0, deadline=3.0),
-        min_quorum=1, max_replicas=1,
-        work_buffer_days=0.2,
-    )
+    cfg = sim_config_from_config(json.loads(STEADY_STATE_CONFIG.read_text()))
     report = run_simulation(cfg)
     out = analytic_comparison(report, factors_from_sim_config(cfg))
     check(
@@ -218,8 +218,6 @@ def test_criterion_09_storage_aggregate():
 
 
 def test_criterion_10_determinism(tmp_path):
-    import json as jsonmod
-
     sim_cfg = {
         "duration_days": 4.0,
         "seed": 5,
@@ -245,7 +243,7 @@ def test_criterion_10_determinism(tmp_path):
     n_files = 0
     for command, payload in jobs.items():
         cfg_path = tmp_path / f"{command}.json"
-        cfg_path.write_text(jsonmod.dumps(payload))
+        cfg_path.write_text(json.dumps(payload))
         dirs = (tmp_path / f"{command}.1", tmp_path / f"{command}.2")
         for d in dirs:
             rc = cli_main(

@@ -477,6 +477,57 @@ def test_simulate_link_near_the_float_range(tmp_path, cap_mbps):
     assert outputs[0] == outputs[1]
 
 
+def test_simulate_lifetime_near_the_float_range(tmp_path):
+    """A 1e305-day mean lifetime overflows departures to inf without a warning
+    and runs as a 1e300-day one does: no host departs within the run."""
+    reports = []
+    for days in (1e305, 1e300):
+        payload = {"duration_days": 2, "pool": {"n_hosts": 3},
+                   "churn": {"lifetime_mean_days": days}}
+        cfg = write_config(tmp_path, f"sim_{days}.json", payload)
+        out = tmp_path / f"out_{days}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+        # "meta" names the config, which differs
+        reports.append({k: v for k, v in read_json(out / "sim_report.json").items()
+                        if k != "meta"})
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("payload", [
+    {"pool": {"n_hosts": 3, "fields": {"on_fraction": {"samples": [1e-310, 0.9]}}}},
+    {"pool": {"n_hosts": 3}, "mean_dwell_hours": 1e305},
+], ids=["tiny-on-fraction", "huge-dwell"])
+def test_simulate_infinite_mean_sojourn(tmp_path, payload):
+    """A sojourn whose mean overflows, down at an on fraction of 1e-310 or
+    either way at a 1e305-hour dwell, never ends: no warning, and every other
+    process's trace and the report stay finite."""
+    cfg = write_config(tmp_path, "sim.json", {"duration_days": 2, **payload})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    report = read_json(out / "sim_report.json")
+    numbers = [v for k, v in report.items() if k != "meta"]
+    assert all(abs(v) < float("inf") for v in numbers)  # NaN fails too
+    assert 0.0 < report["observed_on_fraction"] < 1.0
+
+
+def test_sweep_links_near_the_float_range(tmp_path):
+    """The link prefix sum of 100 1e308 Kbps hosts overflows without a warning;
+    no rate reads the infinite prefix, so the curve written is finite."""
+    payload = {"pool": {"n_hosts": 100, "fields": {"throughput_down": 1e308}}}
+    cfg = write_config(tmp_path, "sweep.json", payload)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    _, _, rows = read_csv(out / "rate_curve.csv")
+    cells = [float(cell) for row in rows for cell in row]
+    assert rows and all(abs(c) < float("inf") for c in cells)
+
+
 def test_timeline_cells_are_plain_numbers(tmp_path):
     """A churned reference-pool run: every timeline cell parses as a float."""
     payload = {"duration_days": 1.0, "seed": 3, "pool": {"n_hosts": 30},
@@ -737,6 +788,10 @@ MALFORMED = [
     pytest.param("sweep", {"pool": {"n_hosts": 5, "fields": {"n_cpus": 4,
                                                              "flops_per_cpu": 1e308}}},
                  "inf is not a finite number", id="sweep-overflowing-flops"),
+    # finite speeds whose sum overflows: the suffix sum is inf without a
+    # warning, and the writer reports the total that reads it
+    pytest.param("sweep", {"pool": {"n_hosts": 100, "fields": {"flops_per_cpu": 1e307}}},
+                 "inf is not a finite number", id="sweep-overflowing-speed-sum"),
 ]
 
 

@@ -12,6 +12,7 @@ from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -138,7 +139,7 @@ class _CheckedEngine(simmod._Engine):
         cap = self.cap_mb
         running = sorted(
             (g.dl_cap, g.idx) for g in self.live_hosts.values()
-            if len(g.work) > g.n_done + g.n_ready and g.comm_ok() and g.dl_cap > 0.0
+            if len(g.work) > g.n_done + g.n_ready and g.mask == simmod._COMM and g.dl_cap > 0.0
         )
         assert [(c, i) for c, i, _ in self.flows] == running
         flows = [g for _, _, g in self.flows]
@@ -562,7 +563,7 @@ class _EagerEngine(simmod._Engine):
     def _sync_download(self, h, now):
         """Run the next input exactly while the host may communicate, uncapped."""
         i = h.n_done + h.n_ready
-        running = len(h.work) > i and h.comm_ok() and h.dl_cap > 0.0
+        running = len(h.work) > i and h.mask == simmod._COMM and h.dl_cap > 0.0
         if running != h.dl_running:
             h.dl_epoch += 1
             h.dl_running = running
@@ -907,6 +908,44 @@ def test_steady_pool_size_obeys_arrival_lifetime_product():
     )
     r = run_simulation(cfg)
     assert r.mean_active_hosts == pytest.approx(150.0, rel=0.05)
+
+
+# -- availability traces --------------------------------------------------------------
+
+
+def down_mean(up_mean, frac):
+    """The mean down sojourn that makes ``frac`` the up fraction; inf past the float range."""
+    with np.errstate(over="ignore"):
+        return up_mean * (1.0 - frac) / frac
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    segments=st.lists(
+        st.tuples(st.integers(1, 40), st.booleans(), st.floats(0.0, 1e6),
+                  st.floats(0.0, 1e7), st.floats(1e-6, 1.0, exclude_max=True)),
+        min_size=1, max_size=6),
+    lead_down=st.sampled_from([1e300, down_mean(43200.0, 1e-310)]),
+    up_mean=st.floats(1.0, 1e5),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_each_trace_segment_takes_its_own_running_sum(segments, lead_down, up_mean, seed):
+    """A segment's flips and up time are those of a call on its sojourns alone,
+    bit for bit, even behind a segment whose down mean is 1e300 or inf."""
+    sizes, ups, starts, spans, fracs = map(np.array, zip(*segments))
+    downs = np.concatenate(([lead_down], down_mean(up_mean, fracs[1:])))
+    sojourns = np.random.default_rng(seed).standard_exponential(int(sizes.sum()))
+    ends = starts + spans
+    times, was_up, up_s, seg, first = simmod._renewals(
+        starts, ups, sizes, sojourns, up_mean, downs, ends)
+    assert seg.tolist() == [k for k, n in enumerate(sizes) for _ in range(n)]
+    for k, (a, n) in enumerate(zip(first.tolist(), sizes.tolist())):
+        alone = simmod._renewals(starts[k:k + 1], ups[k:k + 1], sizes[k:k + 1],
+                                 sojourns[a:a + n], up_mean, downs[k:k + 1], ends[k:k + 1])
+        assert times[a:a + n].tobytes() == alone[0].tobytes()
+        assert was_up[a:a + n].tolist() == alone[1].tolist()
+        assert up_s[k:k + 1].tobytes() == alone[2].tobytes()
+        assert 0.0 <= up_s[k] <= ends[k] - starts[k] + 1e-6  # and not NaN
 
 
 # -- workhorse run: churn, errors and deadlines together ------------------------------
