@@ -1,14 +1,18 @@
 """Capacity modeling toolkit for volunteer computing pools.
 
-The package splits into six small modules:
+The package splits into ten small modules:
 
 - :mod:`volpool.hosts` - the columnar host table, which declares and checks
   the host fields
+- :mod:`volpool.units` - unit constants and conversions
 - :mod:`volpool.population` - synthetic pools, churn and lifetime statistics
+- :mod:`volpool.presets` - a calibrated reference population
 - :mod:`volpool.capacity` - closed-form capacity, storage and rate analysis
 - :mod:`volpool.sim` - an event-driven simulation of a redundant project
+- :mod:`volpool.traces` - the simulated hosts' availability traces
 - :mod:`volpool.ingest` - host CSV parsing, serialization and summaries
-- :mod:`volpool.presets` - a calibrated reference population
+- :mod:`volpool.config` - the checked reader of every JSON config
+- :mod:`volpool.cli` - the ``volpool`` command line
 """
 
 from .capacity import (

@@ -1,13 +1,10 @@
 """Event-driven simulation of a redundant volunteer computing project.
 
-The simulated world: hosts arrive by a Poisson process, live for sampled
-lifetimes, and flip between on/off, connected/disconnected and
-allowed/blocked states through independent alternating renewal processes
-with exponential sojourns calibrated so the long-run fractions match each
-host's recorded availability. Each host's flips are data: a trace of flip
-instants over its membership, drawn from a stream that the event order does
-not touch, so configs that differ only in task, quorum or egress cap see
-the same hosts come, go and flip. A central server hands out replicas of
+The simulated world: hosts arrive by a Poisson process and live for sampled
+lifetimes. Their on, connected and allowed states flip as the traces of
+:mod:`volpool.traces` say, drawn from streams the event order does not
+touch, so configs that differ only in task, quorum or egress cap see the
+same hosts come, go and flip. A central server hands out replicas of
 identical work units, at most one per host per unit (each host is its own
 user), requiring ``min_quorum`` matching results to validate and topping up
 replicas after mismatches, timeouts and host departures until
@@ -38,9 +35,7 @@ other input waits) completes without an event, at the host's next event,
 the next sample or the end of the run; each keeps the seq its event would
 have taken, so same-time events run in the same order. A fetch retry that
 could not fetch is not pushed; its seq is taken at the fetch that set it,
-so retries due at the same instant run in the order of their fetches. The
-on, connected and allowed times are integrals over the traces, clipped to
-each host's membership.
+so retries due at the same instant run in the order of their fetches.
 
 Everything random flows from one 64-bit seed: identical configs give
 identical reports, byte for byte. Time is seconds internally, days at the
@@ -52,11 +47,9 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from array import array
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
-from itertools import repeat
 from operator import attrgetter
 from enum import Enum
 from typing import Iterable, Mapping
@@ -66,6 +59,7 @@ import numpy as np
 from . import config
 from .capacity import CapacityFactors, potential_flops
 from .population import ChurnModel, PoolSpec, generate_pool, pool_spec_from_config
+from .traces import Traces
 from .units import (
     GIGA,
     SECONDS_PER_DAY,
@@ -241,66 +235,7 @@ _ON, _CONN, _ALLOW = 1, 2, 4
 _COMPUTE = _ON | _ALLOW
 _COMM = _ON | _CONN | _ALLOW
 
-# Sojourns per process per draw after the first, which is sized to the
-# host's expected flips; the first chunk is capped at this size too.
-_TRACE_CHUNK = 256
-_TRACE_BLOCK = 64  # hosts whose first chunks are drawn at once
 _TRACE_KEPT = 64  # flips applied that a trace holds before dropping them
-
-
-def _renewals(start, up, sizes, sojourns, up_mean, down_mean, end):
-    """Flip instants of alternating renewal processes, one segment each.
-
-    Segment k starts at ``start[k]``, up if ``up[k]``, and times its flips
-    with the next ``sizes[k]`` of ``sojourns``, in units of the mean: up
-    sojourns average ``up_mean``, down ones ``down_mean[k]``. Each segment
-    takes its own running sum from its start, in a row padded with zero
-    steps, so its instants and up time are those of a call on it alone.
-    Returns the instants, whether the sojourn ending at each was up, each
-    segment's up time before ``end[k]``, each instant's segment and each
-    segment's first index.
-    """
-    drawn = np.arange(sizes.max(initial=0)) < sizes[:, None]
-    was_up = (np.arange(drawn.shape[1]) % 2 == 0) == up[:, None]
-    steps = np.zeros(drawn.shape)
-    steps[drawn] = sojourns * np.where(was_up, up_mean, down_mean[:, None])[drawn]
-    times = start[:, None] + np.cumsum(steps, axis=1)
-    prev = np.concatenate((start[:, None], times[:, :-1]), axis=1)
-    clip = end[:, None]
-    up_time = np.where(was_up, np.minimum(times, clip) - np.minimum(prev, clip), 0.0)
-    up_s = np.cumsum(up_time, axis=1)[:, -1] if drawn.size else np.zeros(len(sizes))
-    first = np.cumsum(sizes) - sizes
-    seg = np.repeat(np.arange(len(sizes)), sizes)
-    return times[drawn], was_up[drawn], up_s, seg, first
-
-
-class _Process:
-    """One renewal process of a host whose trace is not yet all merged.
-
-    ``times`` holds its flips drawn but not merged, up to ``last``.
-    """
-
-    __slots__ = ("bit", "up_mean", "down_mean", "times", "last", "up", "up_s", "n_chunks")
-
-    def __init__(self, bit, up_mean, down_mean, times, last, up, up_s):
-        self.bit = bit
-        self.up_mean = up_mean
-        self.down_mean = down_mean
-        self.times: list[float] = times
-        self.last = last  # the latest instant drawn
-        self.up = up  # the state from ``last`` on
-        self.up_s = up_s  # up time drawn, clipped to the membership
-        self.n_chunks = 1  # chunks drawn, the first included
-
-    def draw(self, sojourns: np.ndarray, end: float):
-        """Append the flips that ``sojourns``, in units of the mean, time."""
-        times, was_up, up_s, _, _ = _renewals(
-            np.array([self.last]), np.array([self.up]), np.array([len(sojourns)]), sojourns,
-            self.up_mean, np.array([self.down_mean]), np.array([end]))
-        self.times += times.tolist()
-        self.last, self.up = self.times[-1], not was_up[-1]
-        self.up_s += float(up_s[0])
-        self.n_chunks += 1
 
 
 class _Replica:
@@ -318,14 +253,13 @@ class _Replica:
 class _Host:
     __slots__ = (
         "idx", "arrive_s", "depart_s",
-        "mask", "tr_t", "tr_m", "tr_i", "tr_next", "tr_procs",
+        "mask", "tr_t", "tr_m", "tr_i", "tr_next", "tr_procs", "up_s",
         "flops_rate", "dl_cap", "mem_ok", "buffer_flop",
         "work", "n_done", "n_ready", "deadline_armed",
         "cp_busy", "cp_running", "cp_mark", "cp_epoch",
         "dl_busy", "dl_running", "dl_mark", "dl_epoch", "dl_tag", "dl_listed",
         "dl_due", "dl_seq",
         "on_hand_flop", "next_fetch_s", "fetch_seq", "fetch_armed",
-        "up_s",
     )
 
     def __init__(self, idx, arrive_s, depart_s, flops_rate, dl_cap, mem_ok, buffer_flop):
@@ -333,15 +267,15 @@ class _Host:
         self.arrive_s = arrive_s
         self.depart_s = depart_s
         self.mask = _COMM  # availability bits, as of the last flip applied
-        # The trace, once drawn: flip instants ``tr_t`` and the mask after
-        # each, ``tr_m``, in time order; ``tr_i`` is the first flip not yet
-        # applied, due at ``tr_next`` (inf once none is left). Flips still to
-        # be merged in wait in ``tr_procs``, empty once all are.
-        self.tr_t: array | None = None
-        self.tr_m: bytearray | None = None
+        # The trace, as ``Traces`` draws it: ``tr_t``, ``tr_m``, ``tr_procs`` and
+        # ``up_s``, by bit position. ``tr_i`` is the first flip not yet applied,
+        # due at ``tr_next`` (inf once none is left).
+        self.tr_t = None
+        self.tr_m = None
         self.tr_i = 0
         self.tr_next = -math.inf
-        self.tr_procs: list[_Process] | tuple = ()
+        self.tr_procs = ()
+        self.up_s: list[float] | None = None
         self.flops_rate = flops_rate
         self.dl_cap = dl_cap  # MB/s
         self.mem_ok = mem_ok
@@ -380,9 +314,6 @@ class _Host:
         self.next_fetch_s = -1.0
         self.fetch_seq = 0
         self.fetch_armed = False
-        # seconds on, connected and allowed over the membership, by bit
-        # position, once the processes' traces are complete
-        self.up_s: list[float] | None = None
 
 
 class _Engine:
@@ -394,20 +325,6 @@ class _Engine:
         self.seq = 0
         self.now = 0.0
         self.now_seq = 0  # the seq of the event running at ``now``
-
-        ss = np.random.SeedSequence(cfg.seed)
-        kids = ss.spawn(4)
-        self.arrival_rng = np.random.default_rng(kids[0])
-        self.life_rng = np.random.default_rng(kids[1])
-        self.rng = random.Random(int(kids[2].generate_state(2, np.uint64)[0]))  # errors
-        # Availability traces: the hosts' first chunks come from ``trace_rng``
-        # in blocks, in host order, whatever the events do; later chunks come
-        # from streams keyed by (``trace_key``, host, process, chunk).
-        self.trace_rng = np.random.default_rng(kids[3])
-        self.trace_key = int(kids[3].generate_state(1, np.uint64)[0])
-        self.n_traced = 0  # hosts whose first chunks are drawn
-
-        self.dwell_s = cfg.mean_dwell_hours * SECONDS_PER_HOUR
         # ``_dl_changed(h, now)``: a host's download queue or communication
         # eligibility changed
         if cfg.server_egress_cap is None:
@@ -459,123 +376,6 @@ class _Engine:
         """Call ``handler(a, b, t)`` at ``t``; same-time events run in push order."""
         self.seq += 1
         heapq.heappush(self.heap, (t, self.seq, handler, a, b))
-
-    # -- availability traces -------------------------------------------------
-
-    def _draw_traces(self, upto: int):
-        """Draw the initial states and first chunk of flips of the hosts up to ``upto``.
-
-        Hosts are drawn from ``trace_rng`` in blocks, in host order. Up
-        sojourns average ``dwell_s``, down ones whatever makes the long-run
-        up fraction the host's fraction for the process. A trace covers the
-        membership, from arrival to the departure or the end of the run; the
-        first chunk is sized to cover it with room to spare, so most hosts
-        never draw a second. Each host gets its merged flips, its up times
-        as far as they are drawn and, if some process falls short of the
-        end, the flips of each process past the instant all were drawn to.
-        """
-        while self.n_traced <= upto:
-            lo = self.n_traced
-            hi = self.n_traced = min(lo + _TRACE_BLOCK, len(self.by_idx))
-            self._draw_block(self.by_idx[lo:hi], self.arrive_s[lo:hi],
-                             self.end_s[lo:hi], self.fracs[lo:hi])
-            self.by_idx[lo:hi] = repeat(None, hi - lo)  # the heap holds them till arrival
-
-    def _draw_block(self, hosts, arrive, end, fracs):
-        """``_draw_traces`` for one block: columns in, each host's trace out."""
-        rng = self.trace_rng
-        n = len(hosts)
-        mask0 = (fracs >= 1.0) @ np.array([_ON, _CONN, _ALLOW])
-        host_up_s = np.where(fracs >= 1.0, (end - arrive)[:, None], 0.0)
-        # one segment of sojourns per process that flips, host by host
-        host, pos = np.nonzero((fracs > 0.0) & (fracs < 1.0))
-        frac = fracs[host, pos]
-        ups = rng.random(len(frac)) < frac
-        span = (end - arrive)[host] / self.dwell_s
-        sizes = np.minimum(_TRACE_CHUNK, np.ceil(2.6 * frac * span) + 6).astype(np.int64)
-        sojourns = rng.standard_exponential(int(sizes.sum()))
-        np.bitwise_or.at(mask0, host, np.where(ups, 1 << pos, 0))
-
-        with np.errstate(over="ignore"):  # a mean past the float range: a sojourn never ends
-            down_mean = self.dwell_s * (1.0 - frac) / frac
-        times, was_up, up_s, seg, starts = _renewals(
-            arrive[host], ups, sizes, sojourns, self.dwell_s, down_mean, end[host])
-        host_up_s[host, pos] = up_s  # final unless a process falls short of the end
-        last_at = starts + sizes - 1
-        last = times[last_at]
-        # merge each host's flips up to the instant all its processes reach
-        horizon = np.full(n, math.inf)
-        np.minimum.at(horizon, host, last)
-        owner = host[seg]
-        kept = np.flatnonzero((times <= horizon[owner]) & (times < end[owner]))
-        kept = kept[np.lexsort((times[kept], owner[kept]))]
-        kept_t = times[kept]
-        kept_owner = owner[kept]
-        acc = np.bitwise_xor.accumulate(np.left_shift(1, pos[seg[kept]]))
-        offsets = np.searchsorted(kept_owner, np.arange(n + 1))
-        before = np.concatenate(([0], acc))[offsets[:-1]]  # the xor of earlier hosts' flips
-        masks = (acc ^ (before ^ mask0)[kept_owner]).astype(np.uint8)
-        for h, a, b, m, s_row in zip(hosts, offsets[:-1].tolist(), offsets[1:].tolist(),
-                                     mask0.tolist(), host_up_s.tolist()):
-            h.mask = m
-            h.tr_t = array("d", kept_t[a:b].tobytes())
-            h.tr_m = bytearray(masks[a:b].tobytes())
-            h.up_s = s_row
-        short = horizon < end  # hosts with some process not drawn to the end
-        for k in np.flatnonzero(short[host]).tolist():
-            h = hosts[host[k]]
-            drawn = times[starts[k]:starts[k] + sizes[k]]
-            p = _Process(1 << int(pos[k]), self.dwell_s, float(down_mean[k]),
-                         drawn[drawn > horizon[host[k]]].tolist(), float(last[k]),
-                         not was_up[last_at[k]], float(up_s[k]))
-            if not h.tr_procs:
-                h.tr_procs = []
-            h.tr_procs.append(p)
-
-    def _extend(self, h: _Host) -> bool:
-        """Append the next flips of ``h``'s trace; False once it holds them all.
-
-        Flips are merged up to the earliest instant that some process has
-        not been drawn past, and a process is drawn further when it holds
-        that instant. A process drawn past the end of the membership is
-        complete, and its up time joins the host's.
-        """
-        procs = h.tr_procs
-        if not procs:
-            return False
-        end = min(h.depart_s, self.duration_s)
-        merged: list[tuple[float, int]] = []
-        while not merged and procs:
-            horizon = min(p.last for p in procs)
-            for p in procs:
-                times = p.times
-                n = bisect_right(times, horizon)
-                merged += zip(times[:bisect_left(times, end, 0, n)], repeat(p.bit))
-                del times[:n]
-            for p in procs:
-                if not p.times:
-                    if p.last < end:  # drawn up to the horizon: draw the next chunk
-                        key = (self.trace_key, h.idx, p.bit, p.n_chunks)
-                        p.draw(np.random.default_rng(key).standard_exponential(_TRACE_CHUNK), end)
-                    else:
-                        h.up_s[p.bit.bit_length() - 1] = p.up_s
-            procs[:] = [p for p in procs if p.times]
-        merged.sort()
-        mask = h.tr_m[-1] if h.tr_m else h.mask
-        times, masks = h.tr_t, h.tr_m
-        for t, bit in merged:
-            mask ^= bit
-            times.append(t)
-            masks.append(mask)
-        return bool(merged)
-
-    def _retire(self, h: _Host, now: float):
-        """Close ``h``'s membership at ``now`` and add its times to the run's.
-
-        Its trace is complete by then: every flip before ``now`` is applied.
-        """
-        self.member_time += now - h.arrive_s
-        self.up_time = [a + b for a, b in zip(self.up_time, h.up_s)]
 
     # -- compute side ------------------------------------------------------
 
@@ -959,7 +759,7 @@ class _Engine:
                 del times[:], masks[:]
                 i = 0
                 h.mask = mask
-                if not self._extend(h):
+                if not self.traces.extend(h):
                     t = math.inf
                     break
             t = times[i]
@@ -1018,7 +818,7 @@ class _Engine:
         i = h.tr_i
         while True:
             if i == len(times):
-                if not self._extend(h):
+                if not self.traces.extend(h):
                     break
                 continue
             if (masks[i] & bits == bits) != up:
@@ -1047,7 +847,7 @@ class _Engine:
         i = h.tr_i
         while True:
             if i == len(times):
-                if not self._extend(h):
+                if not self.traces.extend(h):
                     return math.inf
                 continue
             if (masks[i] == _COMM) is up:
@@ -1088,8 +888,8 @@ class _Engine:
     def _on_arrive(self, h: _Host, _, now: float):
         if h.depart_s <= self.duration_s:
             self._push(h.depart_s, self._on_depart, h)
-        if h.idx >= self.n_traced:
-            self._draw_traces(h.idx)
+        while h.tr_t is None:
+            self.traces.draw()
         self._arm_wake(h)
         h.work = deque()
         self.live_hosts[h.idx] = h
@@ -1119,6 +919,14 @@ class _Engine:
         for r in doomed:
             self._deliver(r, _LOST)
         self._dl_changed(h, now)  # under a cap, this takes the host off the flow list
+
+    def _retire(self, h: _Host, now: float):
+        """Close ``h``'s membership at ``now`` and add its times to the run's.
+
+        Its trace is complete by then: every flip before ``now`` is applied.
+        """
+        self.member_time += now - h.arrive_s
+        self.up_time = [a + b for a, b in zip(self.up_time, h.up_s)]
 
     def _on_cp_done(self, h: _Host, epoch: int, now: float):
         if epoch != h.cp_epoch:  # paused, finished or departed since
@@ -1239,18 +1047,16 @@ class _Engine:
     def run(self) -> SimReport:
         cfg = self.cfg
         duration_days = cfg.duration_days
+        seeds = np.random.SeedSequence(cfg.seed)
+        arrivals_seed, lifetimes_seed, errors_seed, traces_seed = seeds.spawn(4)
+        self.rng = random.Random(int(errors_seed.generate_state(2, np.uint64)[0]))  # errors
 
         initial = generate_pool(cfg.pool_spec)
-        arrivals_d = cfg.churn.arrival_times(duration_days, self.arrival_rng)
-        arrival_seed = int(
-            np.random.SeedSequence(cfg.seed).generate_state(4, np.uint64)[3]
-        )
-        arrival_pool = generate_pool(
-            replace(cfg.pool_spec, n_hosts=len(arrivals_d), seed=arrival_seed)
-        )
-        lifetimes_d = cfg.churn.sample_lifetimes(
-            len(initial) + len(arrival_pool), self.life_rng
-        )
+        arrivals_d = cfg.churn.arrival_times(duration_days, np.random.default_rng(arrivals_seed))
+        arrival_pool = generate_pool(replace(cfg.pool_spec, n_hosts=len(arrivals_d),
+                                             seed=int(seeds.generate_state(4, np.uint64)[3])))
+        lifetimes_d = cfg.churn.sample_lifetimes(len(initial) + len(arrival_pool),
+                                                 np.random.default_rng(lifetimes_seed))
 
         def column(name):
             return np.concatenate([initial.column(name), arrival_pool.column(name)])
@@ -1264,12 +1070,9 @@ class _Engine:
         flops_rate = column("flops") * GIGA * column("cpu_efficiency")
         if cfg.competing_share:
             flops_rate = flops_rate * column("resource_share")
-        # what ``_draw_traces`` reads: the membership and the three fractions
-        self.arrive_s = arrive_s
-        self.end_s = np.minimum(depart_s, self.duration_s)
-        self.fracs = np.stack([column(name) for name in
-                               ("on_fraction", "connected_fraction", "active_fraction")],
-                              axis=1)
+        # the on, connected and allowed processes: bits ``_ON``, ``_CONN`` and ``_ALLOW``
+        fracs = np.stack([column(name) for name in
+                          ("on_fraction", "connected_fraction", "active_fraction")], axis=1)
         with np.errstate(over="ignore"):  # a link past the float range is infinite
             dl_cap = kbps_to_mb_per_s(column("throughput_down"))
         hosts = zip(
@@ -1281,9 +1084,11 @@ class _Engine:
             (_buffer_s(cfg) * flops_rate).tolist(),
         )
         del initial, arrival_pool  # the hosts hold their values; free the columns
-        self.by_idx = [_Host(idx, *values) for idx, values in enumerate(hosts)]
-        for h in self.by_idx:
+        by_idx = [_Host(idx, *values) for idx, values in enumerate(hosts)]
+        for h in by_idx:
             self._push(h.arrive_s, self._on_arrive, h)
+        self.traces = Traces(traces_seed, cfg.mean_dwell_hours * SECONDS_PER_HOUR, by_idx,
+                             arrive_s, np.minimum(depart_s, self.duration_s), fracs)
 
         step = cfg.timeline_step_hours * SECONDS_PER_HOUR
         t = step

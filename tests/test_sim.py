@@ -506,7 +506,7 @@ class _EagerEngine(simmod._Engine):
 
     def _arm_wake(self, h):
         """Push the event of ``h``'s next flip, if its trace holds one."""
-        if h.tr_i < len(h.tr_t) or self._extend(h):
+        if h.tr_i < len(h.tr_t) or self.traces.extend(h):
             self._push(h.tr_t[h.tr_i], self._on_flip, h)
 
     def _on_flip(self, h, _, now):
@@ -520,7 +520,7 @@ class _EagerEngine(simmod._Engine):
             if h.tr_i == len(times):
                 del times[:], masks[:]
                 h.tr_i = 0
-                if not self._extend(h):
+                if not self.traces.extend(h):
                     h.tr_next = math.inf
                     return
             t = times[h.tr_i]
@@ -908,44 +908,6 @@ def test_steady_pool_size_obeys_arrival_lifetime_product():
     )
     r = run_simulation(cfg)
     assert r.mean_active_hosts == pytest.approx(150.0, rel=0.05)
-
-
-# -- availability traces --------------------------------------------------------------
-
-
-def down_mean(up_mean, frac):
-    """The mean down sojourn that makes ``frac`` the up fraction; inf past the float range."""
-    with np.errstate(over="ignore"):
-        return up_mean * (1.0 - frac) / frac
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    segments=st.lists(
-        st.tuples(st.integers(1, 40), st.booleans(), st.floats(0.0, 1e6),
-                  st.floats(0.0, 1e7), st.floats(1e-6, 1.0, exclude_max=True)),
-        min_size=1, max_size=6),
-    lead_down=st.sampled_from([1e300, down_mean(43200.0, 1e-310)]),
-    up_mean=st.floats(1.0, 1e5),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_each_trace_segment_takes_its_own_running_sum(segments, lead_down, up_mean, seed):
-    """A segment's flips and up time are those of a call on its sojourns alone,
-    bit for bit, even behind a segment whose down mean is 1e300 or inf."""
-    sizes, ups, starts, spans, fracs = map(np.array, zip(*segments))
-    downs = np.concatenate(([lead_down], down_mean(up_mean, fracs[1:])))
-    sojourns = np.random.default_rng(seed).standard_exponential(int(sizes.sum()))
-    ends = starts + spans
-    times, was_up, up_s, seg, first = simmod._renewals(
-        starts, ups, sizes, sojourns, up_mean, downs, ends)
-    assert seg.tolist() == [k for k, n in enumerate(sizes) for _ in range(n)]
-    for k, (a, n) in enumerate(zip(first.tolist(), sizes.tolist())):
-        alone = simmod._renewals(starts[k:k + 1], ups[k:k + 1], sizes[k:k + 1],
-                                 sojourns[a:a + n], up_mean, downs[k:k + 1], ends[k:k + 1])
-        assert times[a:a + n].tobytes() == alone[0].tobytes()
-        assert was_up[a:a + n].tolist() == alone[1].tolist()
-        assert up_s[k:k + 1].tobytes() == alone[2].tobytes()
-        assert 0.0 <= up_s[k] <= ends[k] - starts[k] + 1e-6  # and not NaN
 
 
 # -- workhorse run: churn, errors and deadlines together ------------------------------
