@@ -166,7 +166,9 @@ def compute_vs_rate_curve(
 
     The hosts are sorted once by crossover, so a prefix sum of discounted
     links and a suffix sum of discounted speeds give every point from one
-    search: the cost is one sort plus one binary search per rate.
+    search: the cost is one sort plus one binary search per rate. Hosts of
+    equal crossover keep their table order (``_stable_order``), which fixes
+    the order of every sum.
     """
     grid = rate_grid(r_grid)
     n = len(pool)
@@ -178,7 +180,7 @@ def compute_vs_rate_curve(
     else:
         util = utilization_product(factors)
     crossover = critical_data_rate(pool)
-    order = np.argsort(crossover, kind="stable")
+    order = _stable_order(crossover)
     # links[k]: the first k hosts' discounted links; speeds[k]: the rest's speeds.
     # A sum past the float range is inf; the writer reports one that reaches a total.
     with np.errstate(over="ignore"):
@@ -190,6 +192,30 @@ def compute_vs_rate_curve(
     total = speeds[k] + np.divide(links[k], grid, out=np.zeros(len(grid)), where=k > 0)
     unsaturated = (n - k) / n if n else np.ones(len(grid))
     return total, unsaturated
+
+
+def _stable_order(values: np.ndarray) -> np.ndarray:
+    """``np.argsort(values, kind="stable")``, from the fast default sort.
+
+    The default sort puts equal values side by side in some order; each run
+    of equal values (NaNs, which sort last, are one run) is then ranked, and
+    sorting the int64 keys ``rank * n + index``, all distinct, orders every
+    run by index. A key stays below n**2, inside int64 for n < 3e9.
+    """
+    n = len(values)
+    order = np.argsort(values)
+    ascending = values[order]
+    new_run = np.empty(n, bool)
+    new_run[:1] = False  # so the first run's rank is 0
+    np.not_equal(ascending[1:], ascending[:-1], out=new_run[1:])
+    new_run[np.searchsorted(ascending, np.nan) + 1:] = False  # past the first NaN
+    del ascending  # one column less held while the keys are built
+    key = np.cumsum(new_run, dtype=np.int64)
+    key *= n
+    key += order
+    key.sort()
+    key %= n
+    return key
 
 
 def conditional_aggregate(

@@ -382,25 +382,41 @@ def hosts_per_user(records: HostTable) -> list[UserBucketRow]:
 
 
 def histogram_of_values(values, bin_edges: Sequence[float], field_name: str) -> Histogram:
-    """Counts of ``values`` over the half-open bins between ``bin_edges``."""
+    """Counts of ``values`` over the half-open bins between ``bin_edges``.
+
+    Each value's bin is first guessed by arithmetic, as if the edges were
+    evenly spaced, and the guess is kept only where the real edges confirm
+    it: ``e[g] <= x < e[g + 1]``. The values that fail the check (off-grid
+    edges, a value on an edge that rounded the wrong way, NaN, infinities,
+    anything out of range) are binned by a binary search over the edges. So
+    any strictly ascending edges give exact counts, and the near-even edges
+    of ``auto_edges`` and ``lifetime_stats`` seldom need the search.
+    """
     edges = [float(e) for e in bin_edges]
     if len(edges) < 2:
         raise ValueError("need at least two bin edges")
-    if any(a >= b for a, b in zip(edges, edges[1:])):
+    if any(not a < b for a, b in zip(edges, edges[1:])):  # NaN fails too
         raise ValueError("bin edges not strictly ascending")
     arr = np.asarray(values, dtype=float)
     e = np.asarray(edges)
-    if arr.size == 0:
-        return Histogram(field_name, tuple(edges), (0,) * (len(edges) - 1), 0)
-    idx = np.searchsorted(e, arr, side="right") - 1
-    in_range = (arr >= e[0]) & (idx <= len(edges) - 2)
-    counts = np.bincount(idx[in_range], minlength=len(edges) - 1)
-    return Histogram(
-        field_name,
-        tuple(edges),
-        tuple(int(c) for c in counts),
-        int(arr.size - in_range.sum()),
-    )
+    n_bins = len(edges) - 1
+    # an infinite edge or a span past the float range makes a guess NaN or
+    # inf; fmax and fmin send it to some bin, which the check then judges
+    with np.errstate(over="ignore", invalid="ignore"):
+        guess = arr - edges[0]
+        guess *= n_bins / (edges[-1] - edges[0])
+    # in place: a column's temporaries cost as much as the arithmetic
+    np.fmax(guess, 0.0, out=guess)  # fmax sends NaN to 0
+    idx = np.fmin(guess, n_bins - 1, out=guess).astype(np.intp)
+    # the edges around each guess, read into the guess's buffer in turn
+    hit = np.take(e, idx, out=guess, mode="clip") <= arr
+    hit &= arr < np.take(e[1:], idx, out=guess, mode="clip")
+    miss = np.flatnonzero(~hit)
+    # bin n_bins is the overflow tally: below the first edge, at or past the
+    # last, or NaN
+    idx[miss] = (np.searchsorted(e, arr[miss], side="right") - 1) % (n_bins + 1)
+    counts = np.bincount(idx, minlength=n_bins + 1).tolist()
+    return Histogram(field_name, tuple(edges), tuple(counts[:-1]), counts[-1])
 
 
 def auto_edges(values, n_bins: int = 50) -> list[float]:

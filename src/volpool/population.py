@@ -76,7 +76,7 @@ class EmpiricalDistribution:
         arr = self._array
         n = len(arr)
         u = np.asarray(u, dtype=float)
-        if np.any((u < 0.0) | (u >= 1.0)):
+        if u.size and not (0.0 <= u.min() and u.max() < 1.0):  # NaN fails too
             raise ValueError("quantile argument outside [0, 1)")
         out = arr[np.minimum((u * n).astype(np.int64), n - 1)]
         return out if out.ndim else float(out)
@@ -302,27 +302,36 @@ def generate_pool(spec: PoolSpec) -> HostTable:
     correlated field draws a mix column and then a fresh one) and finishes its
     host values at once. The one uniform held past its own field is a rank
     correlation's source, which its target, later in the field order,
-    reuses; the target's draw then lets it go. The label columns draw last.
+    reuses; the target's draw then lets it go. A constant outside every
+    correlated pair reads no uniform, so it advances the generator past its
+    column instead of drawing it, which leaves every later draw where it
+    was; its value is finished once and fills the column. The label columns
+    draw last.
     """
     n = spec.n_hosts
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))
 
     reuse = {b: (a, w) for a, b, w in spec.rank_correlations}
     sources = {a for a, _, _ in spec.rank_correlations}
+    paired = sources | reuse.keys()
     uniforms: dict[str, np.ndarray] = {}
     columns: dict[str, np.ndarray] = {}
     for name in NUMERIC_FIELDS:
-        u = rng.random(n)
-        if name in reuse:
-            source, weight = reuse[name]
-            u = np.where(u < weight, uniforms.pop(source), rng.random(n))
-        if name in sources:
-            uniforms[name] = u
         gen = spec.field_generators[name]
-        values = _finish(name, (
-            gen.quantile(u) if isinstance(gen, EmpiricalDistribution)
-            else np.full(n, float(gen))
-        ))
+        empirical = isinstance(gen, EmpiricalDistribution)
+        if empirical or name in paired:
+            u = rng.random(n)
+            if name in reuse:
+                source, weight = reuse[name]
+                u = np.where(u < weight, uniforms.pop(source), rng.random(n))
+            if name in sources:
+                uniforms[name] = u
+        else:
+            rng.bit_generator.advance(n)  # one 64-bit step per double
+        if empirical:
+            values = _finish(name, gen.quantile(u))
+        else:
+            values = np.full(n, spec._finished_support(name)[0])
         columns[name] = values.astype(np.int64) if name in INT_FIELDS else values
 
     columns["disk_free"] = np.minimum(columns["disk_free"], columns["disk_total"])

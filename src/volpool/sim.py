@@ -323,7 +323,6 @@ class _Engine:
         self.task = cfg.task
         self.heap: list = []
         self.seq = 0
-        self.now = 0.0
         self.now_seq = 0  # the seq of the event running at ``now``
         # ``_dl_changed(h, now)``: a host's download queue or communication
         # eligibility changed
@@ -1103,7 +1102,6 @@ class _Engine:
             t, seq, handler, a, b = pop(heap)
             if t > self.duration_s:
                 break
-            self.now = t
             self.now_seq = seq
             handler(a, b, t)
 

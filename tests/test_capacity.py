@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from volpool import presets
+from volpool import capacity, presets
 from volpool.capacity import (
     CapacityFactors,
     access_rate,
@@ -301,6 +301,60 @@ def test_curve_empty_pool():
     total, unsaturated = compute_vs_rate_curve(host_table([]), [0.0, 1.0], measured_factors())
     assert total.tolist() == [0.0, 0.0]
     assert unsaturated.tolist() == [1.0, 1.0]
+
+
+def stable_sort_curve(pool, r_grid, factors, per_host_factors):
+    """``compute_vs_rate_curve`` with its hosts ordered by
+    ``np.argsort(crossover, kind="stable")``, the rest of it as written."""
+    grid = capacity.rate_grid(r_grid)
+    n = len(pool)
+    if per_host_factors:
+        util = capacity._utilization(
+            pool.cpu_efficiency, pool.on_fraction, pool.active_fraction,
+            factors.redundancy, pool.resource_share,
+        )
+    else:
+        util = utilization_product(factors)
+    crossover = critical_data_rate(pool)
+    order = np.argsort(crossover, kind="stable")
+    with np.errstate(over="ignore"):
+        links = np.concatenate(
+            ([0.0], np.cumsum((capacity._link_mb_per_hour(pool) * util)[order])))
+        speeds = np.concatenate(
+            (np.cumsum((pool.column("flops") * util)[order][::-1])[::-1], [0.0]))
+    k = np.searchsorted(crossover[order], grid)
+    total = speeds[k] + np.divide(links[k], grid, out=np.zeros(len(grid)), where=k > 0)
+    unsaturated = (n - k) / n if n else np.ones(len(grid))
+    return total, unsaturated
+
+
+@pytest.mark.parametrize("per_host_factors", [False, True], ids=["pooled", "per-host"])
+@pytest.mark.parametrize("seed", range(4))
+def test_curve_sums_tied_hosts_in_table_order(seed, per_host_factors):
+    """Few distinct speeds and links, so most crossovers tie; a zero speed
+    makes a crossover infinite and a zero link makes one zero."""
+    rng = np.random.default_rng(seed)
+    n = 2000
+    draws = zip(rng.choice([1, 2, 4], n), rng.choice([0.0, 0.3, 1.0, 2.0], n),
+                rng.choice([0.0, 250.0, 500.0, 1000.0], n), rng.choice([0.3, 0.7, 1.0], n),
+                rng.choice([0.1, 0.25, 1.0], n))
+    pool = host_table(
+        {"host_id": f"h{i}", "n_cpus": int(cpus), "flops_per_cpu": float(speed),
+         "throughput_down": float(link), "on_fraction": float(on), "resource_share": float(share)}
+        for i, (cpus, speed, link, on, share) in enumerate(draws)
+    )
+    crossover = critical_data_rate(pool)
+    grid = sorted({0.0, 1e-3, 50.0, math.inf, *crossover.tolist()})
+    got = compute_vs_rate_curve(pool, grid, measured_factors(), per_host_factors)
+    want = stable_sort_curve(pool, grid, measured_factors(), per_host_factors)
+    assert all(map(np.array_equal, got, want))
+
+
+@settings(max_examples=200)
+@given(values=st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5, math.inf, math.nan]), max_size=30))
+def test_stable_order_matches_the_stable_sort(values):
+    arr = np.array(values, dtype=float)
+    assert np.array_equal(capacity._stable_order(arr), np.argsort(arr, kind="stable"))
 
 
 # -- conditional aggregates ---------------------------------------------------------

@@ -491,6 +491,8 @@ def test_histogram_edge_validation():
         histogram_of_values([1.0], [0.0], "x")
     with pytest.raises(ValueError, match="strictly ascending"):
         histogram_of_values([1.0], [0.0, 0.0, 1.0], "x")
+    with pytest.raises(ValueError, match="strictly ascending"):  # NaN compares false
+        histogram_of_values([0.5, 1.5], [0.0, math.nan, 2.0], "x")
 
 
 @settings(max_examples=60)

@@ -67,6 +67,10 @@ def test_quantile_domain():
         dist.quantile(1.0)
     with pytest.raises(ValueError, match="quantile argument"):
         dist.quantile(-0.01)
+    with pytest.raises(ValueError, match="quantile argument"):
+        dist.quantile(math.nan)
+    with pytest.raises(ValueError, match="quantile argument"):
+        dist.quantile(np.array([0.2, math.nan, 0.5]))
     assert dist.quantile(0.0) == 1.0
     assert dist.quantile(0.999) == 2.0
 
@@ -331,9 +335,23 @@ def _correlated_specs(draw):
                    rank_correlations=pairs)
 
 
+_REFERENCE_25 = presets.reference_pool_spec(n_hosts=25, seed=3)
+
+
+def _with(spec, pairs=(), **generators):
+    """``spec`` with the given field generators and correlated pairs added."""
+    return replace(spec, field_generators={**spec.field_generators, **generators},
+                   rank_correlations=spec.rank_correlations + pairs)
+
+
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(spec=_correlated_specs())
-@example(spec=presets.reference_pool_spec(n_hosts=25, seed=3))
+@example(spec=_REFERENCE_25)
+# integer constants that round, one of them signed
+@example(spec=_with(_REFERENCE_25, n_cpus=2.6, tz_offset=-3599.5))
+# a constant as a pair's source, then as a pair's target
+@example(spec=_with(_REFERENCE_25, (("n_cpus", "ram", 0.5),)))
+@example(spec=_with(_REFERENCE_25, (("swap", "active_fraction", 0.5),)))
 def test_one_pass_generation_matches_the_two_pass_draw(spec):
     assert generate_pool(spec) == two_pass_pool(spec)
 

@@ -968,6 +968,17 @@ class _LoggingEngine(simmod._Engine):
             assert wu.replicas_issued + wu.deficit <= cfg.max_replicas
 
 
+def _timed(handler):
+    def timed(self, a, b, now):
+        self.now = now  # the instant of the event running, which _deliver logs
+        handler(self, a, b, now)
+    return timed
+
+
+for _name in [name for name in vars(simmod._Engine) if name.startswith("_on_")]:
+    setattr(_LoggingEngine, _name, _timed(getattr(_LoggingEngine, _name)))
+
+
 @pytest.fixture(scope="module")
 def workhorse():
     cfg = SimConfig(

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from volpool import capacity, ingest, population, presets
 from volpool.capacity import CapacityFactors
@@ -422,6 +422,33 @@ def test_columnar_functions_match_the_record_loops(table, silence_days, grid, th
             ref_conditional_aggregate(rows, a, b, thresholds))
     for per_host in (False, True):
         assert_curve_matches(table, rows, grid, per_host)
+
+
+@st.composite
+def binned_values(draw):
+    """Bin edges, any strictly ascending floats or near-even ones, and values
+    that include the edges themselves, NaN and the infinities."""
+    if draw(st.booleans()):
+        edges = sorted(draw(st.lists(st.floats(allow_nan=False), min_size=2, max_size=8,
+                                     unique=True)))
+    else:  # as auto_edges and lifetime_stats make them, rounding and all
+        lo = draw(st.floats(-1e6, 1e6))
+        width = draw(st.floats(1e-9, 1e6))
+        edges = sorted({lo + width * i for i in range(draw(st.integers(1, 60)) + 1)})
+    values = draw(st.lists(st.floats() | st.sampled_from(edges), max_size=40))
+    return values, edges
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(case=binned_values())
+@example(case=([-1e308, -1.0, 0.0, 1e308, math.nan, math.inf], [-1e308, 1e308]))  # span overflows
+@example(case=([-math.inf, 0.0, 2.0, math.inf, math.nan], [-math.inf, 0.0, 1.0, math.inf]))
+@example(case=([0.0, 1.0, 5e-324, 1e-323], [0.0, 5e-324, 1e-323]))  # bins one ulp wide
+def test_histogram_matches_the_binary_search(case):
+    values, edges = case
+    assert repr(ingest.histogram_of_values(values, edges, "x")) == repr(
+        ref_histogram_of_values(values, edges, "x"))
 
 
 def test_oracle_covers_a_generated_pool_with_owners():
