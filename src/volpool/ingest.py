@@ -7,12 +7,19 @@ reject entry carrying its line number and the first rule it breaks, and
 parsing continues. Serialization is canonical, so parse -> serialize is a
 byte-level identity on files this module wrote.
 
-Rows are parsed a block of ``ROW_BLOCK`` at a time, and that is the only
-parse path: each label column of a block is mapped to enum codes, each
-numeric column is converted in one pass, and ``hosts.host_rules`` are
-evaluated over the block's columns as masks. A rejected row is given the
-first rule it breaks, in this order: the column count; ``cpu_vendor``,
-``os``, ``venue``; the numbers in column order; the host rules.
+Rows are parsed a block of ``ROW_BLOCK`` lines at a time, and each block
+goes through one block parser. A block of plain lines (no quote, carriage
+return or NUL, none longer than the csv module's field limit) is tokenized by
+hand: each line's comma count gives its width, and the lines of the schema's
+width are joined and split on commas once. The first block that is not plain
+hands itself and the rest of the file to ``csv.reader``, the one tokenizer
+of quoted cells. The block parser maps each enum column's labels to codes,
+converts each numeric column in one pass and evaluates ``hosts.host_rules``
+over the block's columns as masks. A rejected row is given the first rule it
+breaks, in this order: the column count; ``cpu_vendor``, ``os``, ``venue``;
+the numbers in column order; the host rules. The user ids and countries of
+the accepted rows are encoded as each block lands, levels in order of first
+appearance, so a parse holds one string per distinct label.
 
 Host tables and the CLI's tables are all written by ``csv_blocks`` from
 columns. It checks every float before any text exists, turns each label
@@ -30,12 +37,14 @@ import csv
 import math
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from functools import partial
+from itertools import chain, compress, count, filterfalse, islice, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .hosts import (
+    CATEGORICAL_FIELDS,
     ENUM_FIELDS,
     HOST_FIELDS,
     INT_FIELDS,
@@ -75,10 +84,11 @@ HOST_CSV_COLUMNS = (
 
 BREAKDOWN_KEYS = ("cpu_vendor", "os", "country", "venue")
 
-# A block parse keeps the host ids, user ids and countries as strings, which
-# the table encodes once it is built, and maps each enum column's labels to
-# codes over all of the enum's members.
+# A block parse keeps the host ids as strings, encodes user ids and countries
+# as their rows are accepted, levels in order of first appearance, and maps
+# each enum column's labels to codes over all of the enum's members.
 _TEXT_FIELDS = ("host_id", "user_id", "country")
+_LABEL_FIELDS = ("user_id", "country")
 _ENUM_LEVELS = {name: tuple(enum) for name, enum in ENUM_FIELDS.items()}
 _ENUM_CODES = {
     name: {level.value: code for code, level in enumerate(levels)}
@@ -135,7 +145,8 @@ def parse_hosts(source) -> ParseResult:
 
 
 def _parse_stream(fh) -> ParseResult:
-    reader = csv.reader(fh)
+    lines = iter(fh)
+    reader = csv.reader(lines)
     header = None
     for row in reader:
         if row and row[0].startswith("#"):
@@ -150,52 +161,93 @@ def _parse_stream(fh) -> ParseResult:
             raise ValueError(f"unknown column: {unknown[0]!r}")
         raise ValueError("header does not match host CSV schema")
 
-    # numbers and enum codes go straight into machine arrays, so no Python
-    # object per value outlives its block
+    # numbers and label codes go straight into machine arrays, so of a block's
+    # cells only the host ids and the labels new to their column outlive it
     columns = {
-        name: [] if name in _TEXT_FIELDS
-        else array("q" if name in INT_FIELDS or name in _ENUM_LEVELS else "d")
+        name: [] if name == "host_id"
+        else array("q" if name in INT_FIELDS or name in CATEGORICAL_FIELDS else "d")
         for name in HOST_FIELDS
     }
+    labels = {name: {} for name in _LABEL_FIELDS}  # label -> code, in order of appearance
     rejects: list[tuple[int, str]] = []
-    for rows, lines in _row_blocks(reader):
-        _parse_block(rows, lines, columns, rejects)
-    for name, levels in _ENUM_LEVELS.items():
+    add = partial(_parse_block, columns=columns, labels=labels, rejects=rejects)
+    _parse_lines(lines, reader.line_num, add)
+    for name, levels in chain(_ENUM_LEVELS.items(), labels.items()):
         columns[name] = Categorical(columns[name], levels)
     return ParseResult(HostTable(**columns), tuple(rejects))
 
 
-def _row_blocks(reader):
-    """The non-empty rows of ``reader``, ``ROW_BLOCK`` at a time, each block
-    with the line number every row of it ends on."""
-    rows, lines = [], []
+def _parse_lines(lines, line_no: int, add) -> None:
+    """Pass the data rows of ``lines``, which follow line ``line_no``, to
+    ``add`` up to ``ROW_BLOCK`` lines at a time, as ``_parse_block`` takes
+    them. A blank line is no row.
+
+    A block of plain lines, with no quote, carriage return or NUL and none
+    longer than the csv module's field limit, is split on commas as one
+    string. From the first block that is not plain on, ``csv.reader`` reads
+    the rest of the stream.
+    """
+    width = len(HOST_CSV_COLUMNS)
+    limit = csv.field_size_limit()
+    while block := list(islice(lines, ROW_BLOCK)):
+        text = "".join(block)
+        if '"' in text or "\r" in text or "\0" in text or max(map(len, block)) > limit:
+            _parse_rows(csv.reader(chain(block, lines)), line_no, add)
+            return
+        line_nos = range(line_no + 1, line_no + 1 + len(block))
+        commas = np.fromiter(map(str.count, block, repeat(",")), np.intp, len(block))
+        misfits = np.flatnonzero(commas != width - 1).tolist()
+        if misfits:
+            fits = (commas == width - 1).tolist()
+            text = "".join(compress(block, fits))
+            line_nos = list(compress(line_nos, fits))
+            misfits = [line_no + 1 + i for i in misfits if block[i] != "\n"]
+        line_no += len(block)
+        del block  # the lines are freed before their cells are made: a smaller peak
+        # each row's last cell and the next row's first are split apart too
+        add(text.replace("\n", ",").split(","), line_nos, misfits)
+
+
+def _parse_rows(reader, line_no: int, add) -> None:
+    """``_parse_lines`` over the rows of ``reader``, whose first line
+    follows line ``line_no``."""
+    width = len(HOST_CSV_COLUMNS)
+    cells, line_nos, misfits = [], [], []
     for row in reader:
-        if row:
-            rows.append(row)
-            lines.append(reader.line_num)
-            if len(rows) == ROW_BLOCK:
-                yield rows, lines
-                rows, lines = [], []
-    if rows:
-        yield rows, lines
+        if len(row) == width:
+            cells += row
+            line_nos.append(line_no + reader.line_num)
+        elif row:
+            misfits.append(line_no + reader.line_num)
+        if len(line_nos) + len(misfits) == ROW_BLOCK:
+            add(cells, line_nos, misfits)
+            cells, line_nos, misfits = [], [], []
+    if line_nos or misfits:
+        add(cells, line_nos, misfits)
 
 
-def _parse_block(rows, lines, columns, rejects) -> None:
-    """Append the accepted ``rows`` to ``columns`` and the rejected ones to
+def _parse_block(cells, line_nos, misfits, *, columns, labels, rejects) -> None:
+    """Append a block's accepted rows to ``columns`` and its rejected ones to
     ``rejects``, each with the first rule it breaks: the column count, then
-    the labels, then the numbers in column order, then the host rules."""
-    fits = np.fromiter(map(len, rows), np.intp, len(rows)) == len(HOST_CSV_COLUMNS)
-    at = np.flatnonzero(fits).tolist()  # the index in ``rows`` of each shaped row
-    shaped = rows if len(at) == len(rows) else [rows[i] for i in at]
-    n = len(shaped)
-    why = dict.fromkeys(np.flatnonzero(~fits).tolist(), "wrong column count")
+    the labels, then the numbers in column order, then the host rules.
+
+    Row ``i`` of the block is ``cells[i * w:(i + 1) * w]`` for the schema's
+    ``w`` columns, and ends on line ``line_nos[i]``; ``misfits`` holds the
+    line numbers of the block's rows of another width. A column of
+    ``labels`` is appended as codes into its level dict.
+    """
+    n = len(line_nos)
+    width = len(HOST_CSV_COLUMNS)
+    why = dict.fromkeys(misfits, "wrong column count")  # line number -> reason
+    keep = np.ones(n, bool)
 
     def reject(broken, message, texts=None) -> None:
         """Give each row of ``broken`` without an earlier reason this one."""
+        keep[broken] = False
         for i in np.flatnonzero(broken).tolist():
-            why.setdefault(at[i], message if texts is None else f"{message}: {texts[i]!r}")
+            why.setdefault(line_nos[i], message if texts is None else f"{message}: {texts[i]!r}")
 
-    texts = dict(zip(HOST_FIELDS, zip(*shaped) if n else repeat((), len(HOST_FIELDS))))
+    texts = {name: cells[k:n * width:width] for k, name in enumerate(HOST_FIELDS)}
     values = {name: texts[name] for name in _TEXT_FIELDS}
     for name, codes in _ENUM_CODES.items():
         values[name] = np.fromiter(map(codes.get, texts[name], repeat(-1)), np.intp, n)
@@ -207,17 +259,26 @@ def _parse_block(rows, lines, columns, rejects) -> None:
     for broken, message in host_rules(values):
         reject(broken, message)
 
-    rejects.extend((lines[i], why[i]) for i in sorted(why))
-    keep = np.ones(len(rows), bool)
-    keep[np.fromiter(why, np.intp, len(why))] = False
-    keep = keep[at]
+    rejects.extend(sorted(why.items()))
     whole = keep.all()
     for name in HOST_FIELDS:
         col = values[name]
         if isinstance(col, np.ndarray):
             columns[name].frombytes((col if whole else col[keep]).tobytes())
+            continue
+        kept = col if whole else list(compress(col, keep))
+        if name in labels:
+            _encode(kept, labels[name], columns[name])
         else:
-            columns[name].extend(col if whole else compress(col, keep))
+            columns[name].extend(kept)
+
+
+def _encode(texts, levels: dict, codes: array) -> None:
+    """Append the code of each of ``texts`` to ``codes``; a text new to
+    ``levels`` becomes the next level, in order of first appearance."""
+    new = filterfalse(levels.__contains__, dict.fromkeys(texts))
+    levels.update(zip(new, count(len(levels))))
+    codes.extend(map(levels.__getitem__, texts))
 
 
 def _number_column(texts, is_int: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -429,7 +490,9 @@ def auto_edges(values, n_bins: int = 50) -> list[float]:
         # past 2**53 adding 1.0 rounds back to lo
         return [lo, max(lo + 1.0, math.nextafter(lo, math.inf))]
     edges = np.linspace(lo, hi, n_bins + 1)
-    edges[-1] = np.nextafter(hi, math.inf)
+    # past the largest float this is inf, which a writer reports; numpy's
+    # nextafter would warn of the overflow first
+    edges[-1] = math.nextafter(hi, math.inf)
     # a range a few ulps wide rounds several edges to one value; a set, as
     # the first np.unique call of a process costs megabytes of resident code
     return sorted(set(edges.tolist()))

@@ -514,6 +514,19 @@ def test_simulate_infinite_mean_sojourn(tmp_path, payload):
     assert 0.0 < report["observed_on_fraction"] < 1.0
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stats_largest_float_sample(tmp_path, capsys):
+    """The last auto edge past the largest float is inf: no overflow warning,
+    and the histogram that holds it is refused by its writer."""
+    payload = {"pool": {"n_hosts": 100,
+                        "fields": {"ram": {"samples": [0, 1.7976931348623157e308]}}}}
+    cfg = write_config(tmp_path, "stats.json", payload)
+    out = tmp_path / "out"
+    assert main(["stats", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"volpool: cannot write {out / 'hist_ram.csv'}: inf is not a finite number\n"
+
+
 def test_sweep_links_near_the_float_range(tmp_path):
     """The link prefix sum of 100 1e308 Kbps hosts overflows without a warning;
     no rate reads the infinite prefix, so the curve written is finite."""

@@ -277,11 +277,12 @@ IDS = ["a1", "x,y", "p\nq", "r\r\ns", "a\rb", 'say "hi"', ""]
 
 
 @st.composite
-def csv_rows(draw):
+def csv_rows(draw, ids=IDS):
     """A CANON row with up to three cells replaced, so that one row can break
-    a label, a number and a host rule at once, a quoted id, or a wrong width."""
+    a label, a number and a host rule at once, an id of ``ids``, or a wrong
+    width."""
     row = draw(st.sampled_from(CANON_ROWS)).split(",")
-    row[0] = draw(st.sampled_from(IDS))
+    row[0] = draw(st.sampled_from(ids))
     edits = st.sampled_from(BAD_CELLS) | st.tuples(
         st.sampled_from(ingest.HOST_CSV_COLUMNS), st.sampled_from(NUMBER_TEXTS)
     )
@@ -308,6 +309,74 @@ def test_block_parse_matches_row_parse(text, block):
     want = ref_parse_stream(io.StringIO(text))
     assert got.records == want.records
     assert got.rejects == want.rejects
+
+
+# ids that keep a line plain, a "#" one included; and ids with a quote,
+# carriage return or NUL, which only csv.reader reads
+PLAIN_IDS = ["a1", "#a1", "", " a1 "]
+SPECIAL_IDS = ['x"y', "a\rb", "n\x00l"]
+
+
+@st.composite
+def handover_texts(draw):
+    """Plain lines, then maybe a line holding the text's first quote, carriage
+    return or NUL, quoted or raw, then any lines. Blank and whitespace-only
+    lines are among them, rows are 21, 22 or 23 cells wide, and the last line
+    may lack its newline."""
+    plain = st.sampled_from(["\n", " \n", "\t\n"]) | csv_rows(PLAIN_IDS).map(
+        lambda row: ",".join(row) + "\n")
+    lines = draw(st.lists(plain, max_size=8))
+    special = csv_rows(SPECIAL_IDS)
+    if draw(st.booleans()):
+        lines.append(draw(special.map(csv_line) | special.map(lambda row: ",".join(row) + "\n")))
+        lines += draw(st.lists(plain | csv_rows().map(csv_line), max_size=4))
+    text = csv_line(ingest.HOST_CSV_COLUMNS) + "".join(lines)
+    return text[:-1] if lines and draw(st.booleans()) else text
+
+
+def outcome(parse, text):
+    """What ``parse`` makes of ``text``: its result, or the csv error it raises."""
+    try:
+        result = parse(io.StringIO(text))
+    except csv.Error as err:
+        return str(err)
+    return result.records, result.rejects
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=handover_texts(), block=st.integers(1, 3))
+def test_block_parse_hands_over_to_the_csv_reader(text, block):
+    """Plain blocks are split on commas and the first block holding a quote,
+    carriage return or NUL goes to csv.reader with the rest of the stream:
+    the same rows and reject lines as csv.reader reading every row, and the
+    same error on a raw carriage return."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "ROW_BLOCK", block)  # the first special line after a block edge
+        got = outcome(parse_hosts, text)
+    assert got == outcome(ref_parse_stream, text)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3])
+@pytest.mark.parametrize("longest", ["line", "field"])
+def test_block_parse_hands_a_long_line_to_the_csv_reader(block, longest):
+    """A line longer than csv.reader's field limit goes to csv.reader after
+    plain blocks: one with no field that long parses as it would, and a field
+    over the limit raises csv.reader's error."""
+    limit = csv.field_size_limit()
+    if longest == "line":  # two fields of half the limit and more
+        long_row = row_with(host_id="h" * (limit // 2 + 1), user_id="u" * (limit // 2 + 1))
+    else:
+        long_row = row_with(host_id="h" * (limit + 1))
+    text = "\n".join([HEADER, *CANON_ROWS, row_with(cpu_vendor="VIA"), long_row, *CANON_ROWS]) + "\n"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "ROW_BLOCK", block)
+        got = outcome(parse_hosts, text)
+    want = outcome(ref_parse_stream, text)
+    assert got == want
+    if longest == "line":
+        assert len(got[0]) == 7 and got[1] == ((5, "unknown cpu_vendor: 'VIA'"),)
+    else:
+        assert got == f"field larger than field limit ({limit})"
 
 
 def test_block_parse_matches_row_parse_on_a_generated_pool():

@@ -16,6 +16,7 @@ from volpool.capacity import CapacityFactors
 from volpool.cli import HIST_FIELDS
 from volpool.hosts import (
     ENUM_FIELDS,
+    HOST_FIELDS,
     Categorical,
     CpuVendor,
     HostTable,
@@ -326,54 +327,76 @@ def outcome(fn, *args):
         return f"ValueError({err})"
 
 
-_SIZES = st.floats(0.0, 1e4, allow_nan=False, allow_subnormal=False) | st.sampled_from(
-    [0.0, 0.1, 0.2, 0.3, 1e-9, 1234.5678]
-)
-_FRACTIONS = st.floats(0.0, 1.0) | st.sampled_from([0.0, 0.1, 0.3, 1.0])
+# a size or fraction is any float in its range or one of a few listed values
+_SIZE_FLOATS = st.floats(0.0, 1e4, allow_nan=False, allow_subnormal=False)
+_SIZE_PICKS = (0.0, 0.1, 0.2, 0.3, 1e-9, 1234.5678)
+_SIZES = _SIZE_FLOATS | st.sampled_from(_SIZE_PICKS)
+_FRACTION_FLOATS = st.floats(0.0, 1.0)
+_FRACTION_PICKS = (0.0, 0.1, 0.3, 1.0)
 COUNTRIES = ("USA", "Germany", "Japan", "None", "Other")
 
+# each label column's levels; a pool uses some leading run of a shuffle of them
+# and leaves the rest as empty groups
+LABEL_LEVELS = {"cpu_vendor": list(CpuVendor), "os": list(OperatingSystem),
+                "country": list(COUNTRIES), "venue": list(Venue)}
+_SIZE_FIELDS = ("flops_per_cpu", "iops_per_cpu", "ram", "swap", "disk_total",
+                "throughput_down")
+# disk_free is drawn as a share of disk_total, with the fractions
+_FRACTION_FIELDS = ("on_fraction", "connected_fraction", "active_fraction",
+                    "cpu_efficiency", "resource_share", "disk_free")
 
-@st.composite
-def categorical(draw, levels, n):
-    levels = draw(st.permutations(levels))
-    used = draw(st.integers(1, len(levels)))  # the rest stay empty groups
-    return Categorical(draw(st.lists(st.integers(0, used - 1), min_size=n, max_size=n)), levels)
+
+def picks(floats, digits: int, listed) -> list:
+    """One row's ``floats``, each replaced by ``listed[d - 1]`` where its
+    digit ``d`` of ``digits``, written in base ``len(listed) + 1``, is not 0."""
+    row = []
+    for value in floats:
+        digits, d = divmod(digits, len(listed) + 1)
+        row.append(listed[d - 1] if d else value)
+    return row
+
+
+def floats_and_picks(fields, floats, listed):
+    """A float per field, and the digits that choose which become listed values."""
+    return st.tuples(st.tuples(*[floats] * len(fields)),
+                     st.integers(0, (len(listed) + 1) ** len(fields) - 1))
 
 
 @st.composite
 def pools(draw):
+    """A table of up to 30 hosts, drawn as one list of row tuples. A list per
+    column, each size or fraction a choice between a float and a listed
+    value, cost hypothesis several times the test's own work; here one
+    integer per row and kind picks the listed values."""
     n = draw(st.integers(0, 30))
-
-    def column(elements):
-        return draw(st.lists(elements, min_size=n, max_size=n))
-
-    disk_total = column(_SIZES)
-    created = column(st.integers(0, 400 * 86_400))
-    n_users = draw(st.integers(1, max(n, 1)))
-    return HostTable(
-        host_id=[f"h{i}" for i in range(n)],
-        user_id=[f"u{u}" for u in column(st.integers(0, n_users - 1))],  # multi-host users
-        n_cpus=column(st.integers(1, 8)),
-        flops_per_cpu=column(_SIZES),
-        iops_per_cpu=column(_SIZES),
-        ram=column(_SIZES),
-        swap=column(_SIZES),
-        disk_total=disk_total,
-        disk_free=[t * f for t, f in zip(disk_total, column(_FRACTIONS))],
-        throughput_down=column(_SIZES),
-        on_fraction=column(_FRACTIONS),
-        connected_fraction=column(_FRACTIONS),
-        active_fraction=column(_FRACTIONS),
-        cpu_efficiency=column(_FRACTIONS),
-        cpu_vendor=draw(categorical(list(CpuVendor), n)),
-        os=draw(categorical(list(OperatingSystem), n)),
-        country=draw(categorical(list(COUNTRIES), n)),
-        venue=draw(categorical(list(Venue), n)),
-        tz_offset=column(st.integers(-43_200, 50_400)),
-        created=created,
-        last_contact=[c + d for c, d in zip(created, column(st.integers(0, 200 * 86_400)))],
-        resource_share=column(_FRACTIONS),
+    n_users = draw(st.integers(1, max(n, 1)))  # multi-host users
+    levels = {name: draw(st.permutations(labels)) for name, labels in LABEL_LEVELS.items()}
+    used = [draw(st.integers(1, len(labels))) for labels in levels.values()]
+    row = st.tuples(
+        st.integers(0, n_users - 1),
+        st.integers(1, 8),
+        floats_and_picks(_SIZE_FIELDS, _SIZE_FLOATS, _SIZE_PICKS),
+        floats_and_picks(_FRACTION_FIELDS, _FRACTION_FLOATS, _FRACTION_PICKS),
+        st.tuples(*[st.integers(0, k - 1) for k in used]),
+        st.integers(-43_200, 50_400),
+        st.integers(0, 400 * 86_400),
+        st.integers(0, 200 * 86_400),  # last_contact after created
     )
+    hosts = []
+    for user, n_cpus, sizes, fractions, codes, tz, created, after in draw(
+        st.lists(row, min_size=n, max_size=n)
+    ):
+        host = dict(zip(_SIZE_FIELDS, picks(*sizes, _SIZE_PICKS)))
+        host.update(zip(_FRACTION_FIELDS, picks(*fractions, _FRACTION_PICKS)))
+        host["disk_free"] *= host["disk_total"]
+        host.update(zip(LABEL_LEVELS, codes))
+        host.update(host_id=f"h{len(hosts)}", user_id=f"u{user}", n_cpus=n_cpus,
+                    tz_offset=tz, created=created, last_contact=created + after)
+        hosts.append(host)
+    columns = {name: [host[name] for host in hosts] for name in HOST_FIELDS}
+    for name in LABEL_LEVELS:
+        columns[name] = Categorical(columns[name], levels[name])
+    return HostTable(**columns)
 
 
 FACTORS = CapacityFactors(
