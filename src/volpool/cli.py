@@ -35,7 +35,7 @@ from . import config
 from . import ingest as ing
 from . import population as pop
 from . import sim as simmod
-from .hosts import HOST_FIELDS, HostTable
+from .hosts import HostTable
 
 # (file stem, HostTable.column selector) pairs behind the hist_<stem>.csv
 # outputs; flops and iops are whole-host aggregates, the rest raw fields.
@@ -109,7 +109,7 @@ def _meta(seed: int, cfg: Mapping) -> dict:
 
 
 def _comment(meta: Mapping) -> str:
-    return f"# seed={meta['seed']} config={meta['config_sha256']}"
+    return f"seed={meta['seed']} config={meta['config_sha256']}"
 
 
 def _write_csv(path: str, meta: Mapping, header: Sequence[str], columns) -> None:
@@ -119,7 +119,7 @@ def _write_csv(path: str, meta: Mapping, header: Sequence[str], columns) -> None
     except ValueError as err:
         raise _DataError(f"cannot write {path}: {err}") from err
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_comment(meta) + "\n")
+        fh.write(f"# {_comment(meta)}\n")
         fh.writelines(blocks)
 
 
@@ -256,8 +256,7 @@ def cmd_ingest(args, meta: Mapping, path: str) -> int:
     result = _parse_input(path)
 
     out_csv = _outpath(args, "hosts.parsed.csv")
-    columns = [getattr(result.records, name) for name in HOST_FIELDS]
-    _write_csv(out_csv, meta, ing.HOST_CSV_COLUMNS, columns)
+    ing.write_hosts_csv(result.records, out_csv, _comment(meta))
     _write_csv(
         _outpath(args, "rejects.csv"), meta, ("line", "reason"), zip(*result.rejects)
     )
@@ -304,26 +303,19 @@ def cmd_stats(args, meta: Mapping, source) -> int:
 
     for stem, selector in HIST_FIELDS:
         values = records.column(selector)
-        hist = ing.histogram_of_values(values, ing.auto_edges(values), stem)
+        hist = ing.histogram_of_values(values, ing.auto_edges(values))
         _write_histogram(_outpath(args, f"hist_{stem}.csv"), meta, hist)
 
     # the latest instant the snapshot saw: hosts heard from within the
     # censoring window before it may still be alive
     now = int(records.last_contact.max())
-    try:
-        life = pop.lifetime_stats(records, now=now)
-    except ValueError:
-        life = None
-    if life is not None:
-        _write_histogram(_outpath(args, "hist_lifetime.csv"), meta, life.histogram)
-    else:  # every host still reporting: no lifetimes to bin yet
-        empty = ing.histogram_of_values([], [0.0, 30.0], "lifetime_days")
-        _write_histogram(_outpath(args, "hist_lifetime.csv"), meta, empty)
+    life = pop.lifetime_stats(records, now=now)
+    _write_histogram(_outpath(args, "hist_lifetime.csv"), meta, life.histogram)
     payload = {
         "n_hosts": len(records),
         "hardware_gflops": cap.hardware_flops(records),
-        "lifetime_mean_days": life.mean_days if life else None,
-        "lifetime_n_hosts": life.n_hosts if life else 0,
+        "lifetime_mean_days": life.mean_days,
+        "lifetime_n_hosts": life.n_hosts,
     }
     _write_json(_outpath(args, "stats.json"), meta, payload)
     print(f"stats: {len(records)} hosts summarized -> {args.out}")

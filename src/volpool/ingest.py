@@ -125,7 +125,6 @@ class Histogram:
     """Counts over half-open bins [e_i, e_{i+1}); out-of-range samples,
     including one equal to the last edge, land in the overflow tally."""
 
-    field_name: str
     bin_edges: tuple[float, ...]
     counts: tuple[int, ...]
     overflow: int
@@ -442,7 +441,7 @@ def hosts_per_user(records: HostTable) -> list[UserBucketRow]:
     return rows
 
 
-def histogram_of_values(values, bin_edges: Sequence[float], field_name: str) -> Histogram:
+def histogram_of_values(values, bin_edges: Sequence[float]) -> Histogram:
     """Counts of ``values`` over the half-open bins between ``bin_edges``.
 
     Each value's bin is first guessed by arithmetic, as if the edges were
@@ -477,7 +476,7 @@ def histogram_of_values(values, bin_edges: Sequence[float], field_name: str) -> 
     # last, or NaN
     idx[miss] = (np.searchsorted(e, arr[miss], side="right") - 1) % (n_bins + 1)
     counts = np.bincount(idx, minlength=n_bins + 1).tolist()
-    return Histogram(field_name, tuple(edges), tuple(counts[:-1]), counts[-1])
+    return Histogram(tuple(edges), tuple(counts[:-1]), counts[-1])
 
 
 def auto_edges(values, n_bins: int = 50) -> list[float]:

@@ -411,9 +411,10 @@ def assign_users(
 
 @dataclass(frozen=True)
 class LifetimeStats:
-    """Lifetime summary over hosts no longer reporting."""
+    """Lifetime summary over hosts no longer reporting; ``mean_days`` is
+    None when there are none."""
 
-    mean_days: float
+    mean_days: float | None
     n_hosts: int
     histogram: "ingest.Histogram"
 
@@ -426,20 +427,21 @@ def lifetime_stats(
     """Mean and histogram of host lifetimes, censoring-aware.
 
     Only hosts silent for at least CENSOR_DAYS before ``now`` count; their
-    lifetime is last_contact minus created. Default bins are 30-day wide.
+    lifetime is last_contact minus created. Default bins are CENSOR_DAYS
+    wide, and there is always at least one, so a pool whose hosts are all
+    still censored gives no hosts, no mean and one empty bin.
     """
     last = records.last_contact
     gone = (now - last) / SECONDS_PER_DAY >= CENSOR_DAYS
     lifetimes = (last[gone] - records.created[gone]) / SECONDS_PER_DAY
-    if len(lifetimes) == 0:
-        raise ValueError("all hosts censored")
     if bin_edges is None:
-        top = float(lifetimes.max())
+        top = float(lifetimes.max(initial=0.0))
         n_bins = max(1, math.ceil((top + 1e-9) / CENSOR_DAYS))
         bin_edges = [CENSOR_DAYS * i for i in range(n_bins + 1)]
-    hist = ingest.histogram_of_values(lifetimes, bin_edges, "lifetime_days")
     return LifetimeStats(
-        mean_days=float(np.mean(lifetimes)), n_hosts=len(lifetimes), histogram=hist
+        mean_days=float(np.mean(lifetimes)) if len(lifetimes) else None,
+        n_hosts=len(lifetimes),
+        histogram=ingest.histogram_of_values(lifetimes, bin_edges),
     )
 
 

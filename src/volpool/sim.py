@@ -120,7 +120,6 @@ class TaskSpec:
 class WorkUnit:
     """Server-side counts for one unit; it is created with its first replica."""
 
-    id: int
     replicas_issued: int = 0
     n_results: int = 0
     state: WorkUnitState = _IN_PROGRESS
@@ -614,7 +613,7 @@ class _Engine:
         if skipped:
             self.needs.extendleft(reversed(skipped))
         while n > 0:
-            wu = WorkUnit(id=self.wu_seq, deficit=self.cfg.min_quorum)
+            wu = WorkUnit(deficit=self.cfg.min_quorum)
             self.wu_seq += 1
             out.append(self._make_replica(wu, h, now))
             n -= 1
@@ -662,7 +661,7 @@ class _Engine:
             if not wu.in_needs:
                 self._queue(wu)
 
-    def _flush_returns(self, h: _Host, now: float):
+    def _flush_returns(self, h: _Host):
         while h.n_done:
             h.n_done -= 1
             r = h.work.popleft()
@@ -740,10 +739,10 @@ class _Engine:
         Callers test ``h.tr_next <= now`` first, which is all a host with no
         flip due costs. A flip pushes no completion: those stand already, at
         the instants their walks gave. What is left is to settle the side
-        whose eligibility changes, as ``_settle_compute`` and
-        ``_settle_download`` would. That is done inline: every flip of a run
-        passes through here, and calling a flip method per flip cost about 8%
-        of a 20-day ``sim_steady`` run (best of four, 2-core VM, Python 3.11).
+        whose eligibility changes. Only a down-edge of a running side has
+        progress to settle, so only it calls ``_settle_compute`` or
+        ``_settle_download``. Every flip of a run passes through here; the
+        other edges only set the side's flag and mark, and make no call.
         Under a cap a communication edge moves the flow list too; each is a
         wake, so it comes here at its own instant.
         """
@@ -768,17 +767,11 @@ class _Engine:
             i += 1
             if (mask & _COMPUTE == _COMPUTE) != (new & _COMPUTE == _COMPUTE):
                 if h.cp_running:  # a down-edge
-                    r = h.work[h.n_done]
-                    done = (t - h.cp_mark) * h.flops_rate
-                    if done > r.flops_left:
-                        done = r.flops_left
-                    if done > 0.0:
-                        r.flops_left -= done
-                        h.on_hand_flop -= done
+                    self._settle_compute(h, t)
                     h.cp_running = False
                 else:
                     h.cp_running = h.cp_busy and new & _COMPUTE == _COMPUTE
-                h.cp_mark = t
+                    h.cp_mark = t
             if (mask == _COMM) != (new == _COMM):
                 if self.cap_mb is not None:
                     h.mask = new  # what ``_sync_download_capped`` reads
@@ -787,17 +780,12 @@ class _Engine:
                 else:
                     if h.dl_due <= t:
                         self._land_download(h, t)
-                    if h.dl_running:  # a down-edge; uncapped, so no shared clock
-                        r = h.work[h.n_done + h.n_ready]
-                        moved = (t - h.dl_mark) * h.dl_cap
-                        if moved > r.input_left:
-                            moved = r.input_left
-                        if moved > 0.0:
-                            r.input_left -= moved
+                    if h.dl_running:  # a down-edge
+                        self._settle_download(h, t)
                         h.dl_running = False
                     else:
                         h.dl_running = h.dl_busy and new == _COMM
-                    h.dl_mark = t
+                        h.dl_mark = t
             mask = new
         h.mask = mask
         h.tr_i = i
@@ -878,7 +866,7 @@ class _Engine:
         self._advance(h, now)  # applies the edge at ``now``
         if h.mask == _COMM:
             if h.n_done:
-                self._flush_returns(h, now)
+                self._flush_returns(h)
             self._try_fetch(h, now)
         self._arm_wake(h)
 
@@ -947,7 +935,7 @@ class _Engine:
         h.cp_epoch += 1
         comm = h.mask == _COMM
         if comm:
-            self._flush_returns(h, now)
+            self._flush_returns(h)
         self._sync_compute(h, now)
         if comm:
             self._try_fetch(h, now)

@@ -534,34 +534,33 @@ def test_hosts_per_user_empty():
 
 
 def test_histogram_of_values_basic():
-    h = histogram_of_values([0.0, 1.0, 2.5, 5.0, 5.0], [0.0, 2.0, 4.0, 5.0], "x")
+    h = histogram_of_values([0.0, 1.0, 2.5, 5.0, 5.0], [0.0, 2.0, 4.0, 5.0])
     assert h.counts == (2, 1, 0)
     assert h.overflow == 2  # the last edge is exclusive
     assert h.bin_edges == (0.0, 2.0, 4.0, 5.0)
-    assert h.field_name == "x"
 
 
 def test_histogram_half_open_bins():
-    h = histogram_of_values([2.0], [0.0, 2.0, 4.0], "x")
+    h = histogram_of_values([2.0], [0.0, 2.0, 4.0])
     assert h.counts == (0, 1)  # inner edge belongs to the right bin
-    below = histogram_of_values([-0.5], [0.0, 2.0], "x")
+    below = histogram_of_values([-0.5], [0.0, 2.0])
     assert below.counts == (0,)
     assert below.overflow == 1
 
 
 def test_histogram_empty_values():
-    h = histogram_of_values([], [0.0, 1.0, 2.0], "x")
+    h = histogram_of_values([], [0.0, 1.0, 2.0])
     assert h.counts == (0, 0)
     assert h.overflow == 0
 
 
 def test_histogram_edge_validation():
     with pytest.raises(ValueError, match="at least two bin edges"):
-        histogram_of_values([1.0], [0.0], "x")
+        histogram_of_values([1.0], [0.0])
     with pytest.raises(ValueError, match="strictly ascending"):
-        histogram_of_values([1.0], [0.0, 0.0, 1.0], "x")
+        histogram_of_values([1.0], [0.0, 0.0, 1.0])
     with pytest.raises(ValueError, match="strictly ascending"):  # NaN compares false
-        histogram_of_values([0.5, 1.5], [0.0, math.nan, 2.0], "x")
+        histogram_of_values([0.5, 1.5], [0.0, math.nan, 2.0])
 
 
 @settings(max_examples=60)
@@ -572,7 +571,7 @@ def test_histogram_edge_validation():
     ).map(sorted),
 )
 def test_histogram_conserves_samples(values, edges):
-    h = histogram_of_values(values, edges, "x")
+    h = histogram_of_values(values, edges)
     assert sum(h.counts) + h.overflow == len(values)
     assert len(h.counts) == len(edges) - 1
 
@@ -588,26 +587,23 @@ def test_histogram_permutation_invariant(values, seed):
     shuffled = list(values)
     random.Random(seed).shuffle(shuffled)
     edges = [0.0, 2.0, 5.0, 10.0]
-    assert histogram_of_values(values, edges, "x") == histogram_of_values(
-        shuffled, edges, "x"
-    )
+    assert histogram_of_values(values, edges) == histogram_of_values(shuffled, edges)
 
 
 def test_histogram_over_records(canon_records):
-    h = histogram_of_values(canon_records.column("flops"), [0.0, 1.0, 2.0, 4.0], "flops")
+    h = histogram_of_values(canon_records.column("flops"), [0.0, 1.0, 2.0, 4.0])
     direct = histogram_of_values(
         [r["n_cpus"] * r["flops_per_cpu"] for r in host_rows(canon_records)],
         [0.0, 1.0, 2.0, 4.0],
-        "flops",
     )
     assert h == direct
     assert h.counts == (1, 1, 1)  # 0.755, 1.5, 3.474
 
 
 def test_histogram_named_field(canon_records):
-    h = histogram_of_values(canon_records.column("ram"), [0.0, 600.0, 2000.0], "ram")
+    # a raw field, read by its column name
+    h = histogram_of_values(canon_records.column("ram"), [0.0, 600.0, 2000.0])
     assert h.counts == (2, 1)
-    assert h.field_name == "ram"
 
 
 def test_auto_edges_cover_data():
@@ -616,7 +612,7 @@ def test_auto_edges_cover_data():
     assert len(edges) == 11
     assert edges[0] == 1.0
     assert edges[-1] > 14.0  # nudged past the max so it lands in-range
-    h = histogram_of_values(values, edges, "x")
+    h = histogram_of_values(values, edges)
     assert h.overflow == 0
     assert sum(h.counts) == 4
 
@@ -630,5 +626,5 @@ def test_auto_edges_degenerate():
         edges = auto_edges(values, 50)
         assert all(a < b for a, b in zip(edges, edges[1:])), edges
         assert edges[0] == min(values) and edges[-1] > max(values)
-        h = histogram_of_values(values, edges, "x")
+        h = histogram_of_values(values, edges)
         assert h.overflow == 0 and sum(h.counts) == len(values)

@@ -25,7 +25,9 @@ from volpool.hosts import (
     OperatingSystem,
     Venue,
 )
+from volpool.ingest import Histogram
 from volpool.population import (
+    CENSOR_DAYS,
     ChurnModel,
     EmpiricalDistribution,
     PoolSpec,
@@ -508,8 +510,10 @@ def test_lifetime_censoring():
     stats = lifetime_stats(host_table([active, gone]), now=now)
     assert stats.n_hosts == 1
     assert stats.mean_days == pytest.approx(50.0)
-    with pytest.raises(ValueError, match="all hosts censored"):
-        lifetime_stats(host_table([active]), now=now)
+    # every host still censored: no lifetimes, no mean, one empty 30-day bin
+    none = lifetime_stats(host_table([active]), now=now)
+    assert none.n_hosts == 0 and none.mean_days is None
+    assert none.histogram == Histogram((0.0, CENSOR_DAYS), (0,), 0)
 
 
 def test_lifetime_zero_allowed():

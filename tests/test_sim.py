@@ -545,7 +545,7 @@ class _EagerEngine(simmod._Engine):
         if comm:
             self._dl_changed(h, t)
             if mask == comm_bits:
-                self._flush_returns(h, t)
+                self._flush_returns(h)
                 self._try_fetch(h, t)
 
     def _sync_compute(self, h, now):
@@ -581,6 +581,7 @@ class _EagerEngine(simmod._Engine):
     seed=st.integers(0, 2**32 - 1),
     n_hosts=st.integers(1, 12),
     availability=st.sampled_from([1.0, 0.95, 0.7, 0.4]),
+    always_connected=st.booleans(),
     arrival_rate=st.floats(0.0, 20.0),
     lifetime=st.floats(0.2, 5.0),
     quorum=st.integers(1, 2),
@@ -593,21 +594,23 @@ class _EagerEngine(simmod._Engine):
     cap_mbps=st.sampled_from([None, 2.0]),
 )
 def test_events_left_out_change_no_output(
-    seed, n_hosts, availability, arrival_rate, lifetime, quorum, error_rate,
-    dwell_hours, deadline, input_mb, task_flop, buffer_days, cap_mbps,
+    seed, n_hosts, availability, always_connected, arrival_rate, lifetime, quorum,
+    error_rate, dwell_hours, deadline, input_mb, task_flop, buffer_days, cap_mbps,
 ):
     """Skipping idle events changes no output.
 
     The engine walks the hosts' traces instead of popping their flips, and
     wakes a host only at an edge of its communication. Identical hosts that
     are always on fetch, download and retry at tied instants; the reserved
-    seqs keep those ties in order.
+    seqs keep those ties in order. A host that is always connected flips
+    compute and communication together, so one flip settles both sides.
     """
     cfg = SimConfig(
         duration_days=1.5, seed=seed,
         churn=ChurnModel(arrival_rate=arrival_rate, lifetime_mean_days=lifetime),
         pool_spec=flat_spec(n_hosts, seed=seed % 1000, on=availability,
-                            conn=availability, act=availability),
+                            conn=1.0 if always_connected else availability,
+                            act=availability),
         task=TaskSpec(flops_per_task=task_flop, input_size=input_mb, deadline=deadline),
         min_quorum=quorum, max_replicas=quorum + 1, error_rate=error_rate,
         server_egress_cap=cap_mbps, mean_dwell_hours=dwell_hours,
@@ -922,8 +925,8 @@ class _LoggingEngine(simmod._Engine):
 
     def __init__(self, cfg):
         super().__init__(cfg)
-        self.units = {}  # unit id -> WorkUnit, in creation order
-        self.results = {}  # unit id -> (host id, outcome) of each result, as the server got them
+        self.units = []  # every WorkUnit, in creation order
+        self.results = {}  # id(unit) -> (host id, outcome) of each result, as the server got them
         self.returns = []  # (host id, outcome, day the server got it) of each result
         self.fetches = []  # (host id, day) of each fetch
         self.hosts = []  # every host, in arrival order
@@ -936,8 +939,8 @@ class _LoggingEngine(simmod._Engine):
 
     def _make_replica(self, wu, h, now):
         if wu.replicas_issued == 0:
-            self.units[wu.id] = wu
-            self.results[wu.id] = []
+            self.units.append(wu)
+            self.results[id(wu)] = []
         r = super()._make_replica(wu, h, now)
         self.host_of[r] = h
         return r
@@ -949,7 +952,7 @@ class _LoggingEngine(simmod._Engine):
     def _deliver(self, r, outcome):
         wu = r.wu
         deciding = wu.state is IN_PROGRESS
-        results = self.results[wu.id]
+        results = self.results[id(wu)]
         h = self.host_of[r]
         results.append((h.idx, outcome))
         self.returns.append((h.idx, outcome, self.now / DAY_S))
@@ -1026,8 +1029,8 @@ def test_workhorse_unit_invariants(workhorse):
     assert len(engine.units) == r.n_workunits
     states = {"Validated": 0, "Invalid": 0}
     n_results = 0
-    for wu in engine.units.values():
-        results = engine.results[wu.id]
+    for wu in engine.units:
+        results = engine.results[id(wu)]
         assert 0 <= wu.replicas_issued <= cfg.max_replicas
         assert len(results) <= wu.replicas_issued
         users = [user for user, _ in results]
@@ -1093,7 +1096,7 @@ def test_engine_quorum_decisions_follow_the_rule(
     r = engine.run()  # the subclass checks each delivery
     assert sum(len(results) for results in engine.results.values()) == r.n_results
     assert all(now == deadline for deadline, now in engine.timeouts)  # never late
-    states = [wu.state for wu in engine.units.values()]
+    states = [wu.state for wu in engine.units]
     assert states.count(VALIDATED) == r.n_validated
     assert states.count(INVALID) == r.n_invalid
 
