@@ -309,7 +309,10 @@ def cmd_stats(args, meta: Mapping, source) -> int:
     # the latest instant the snapshot saw: hosts heard from within the
     # censoring window before it may still be alive
     now = int(records.last_contact.max())
-    life = pop.lifetime_stats(records, now=now)
+    try:
+        life = pop.lifetime_stats(records, now=now)
+    except config.ConfigError as err:  # too many lifetime bins
+        raise _DataError(str(err)) from err
     _write_histogram(_outpath(args, "hist_lifetime.csv"), meta, life.histogram)
     payload = {
         "n_hosts": len(records),

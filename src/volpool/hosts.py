@@ -15,9 +15,11 @@ table is read by column only and is immutable.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, make_dataclass
 from enum import Enum
+from itertools import count, filterfalse
 from operator import eq
 from typing import Mapping
 
@@ -62,6 +64,14 @@ class Venue(Enum):
 # Rows converted at a time when a table is parsed or written out, which
 # bounds the memory that conversion takes.
 ROW_BLOCK = 4096
+
+
+def _encode(labels, levels: dict, codes: array) -> None:
+    """Append the code of each of ``labels`` to ``codes``; a label new to
+    ``levels`` becomes the next level, in order of first appearance."""
+    new = filterfalse(levels.__contains__, dict.fromkeys(labels))
+    levels.update(zip(new, count(len(levels))))
+    codes.extend(map(levels.__getitem__, labels))
 
 
 def _read_only(values, dtype) -> np.ndarray:
@@ -142,10 +152,9 @@ class Categorical:
     @classmethod
     def of(cls, labels) -> "Categorical":
         """Encode a sequence of labels, levels in order of first appearance."""
-        labels = list(labels)
-        index = dict.fromkeys(labels)
-        index.update(zip(index, range(len(index))))
-        return cls(np.fromiter(map(index.__getitem__, labels), np.intp, len(labels)), index)
+        levels, codes = {}, array("q")
+        _encode(list(labels), levels, codes)
+        return cls(codes, levels)
 
     def __len__(self) -> int:
         return len(self.codes)

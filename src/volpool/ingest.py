@@ -19,7 +19,8 @@ over the block's columns as masks. A rejected row is given the first rule it
 breaks, in this order: the column count; ``cpu_vendor``, ``os``, ``venue``;
 the numbers in column order; the host rules. The user ids and countries of
 the accepted rows are encoded as each block lands, levels in order of first
-appearance, so a parse holds one string per distinct label.
+appearance (``hosts._encode``, as for ``Categorical.of``), so a parse holds
+one string per distinct label.
 
 Host tables and the CLI's tables are all written by ``csv_blocks`` from
 columns. It checks every float before any text exists, turns each label
@@ -38,7 +39,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, compress, count, filterfalse, islice, repeat
+from itertools import chain, compress, islice, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -53,6 +54,7 @@ from .hosts import (
     Categorical,
     HostTable,
     Numbered,
+    _encode,
     host_rules,
     row_sum,
 )
@@ -110,6 +112,18 @@ class BreakdownRow:
     total_flops: float
     mean_disk_free: float
     mean_throughput: float
+
+
+# The hosts-owned buckets of ``hosts_per_user``: label, fewest and most hosts
+# a user of it owns. The summary leaves the last one open above;
+# ``population.assign_users`` draws user sizes up to its most.
+USER_BUCKETS = (
+    ("1", 1, 1),
+    ("2-10", 2, 10),
+    ("11-100", 11, 100),
+    ("101-1000", 101, 1000),
+    ("1000+", 1001, 3000),
+)
 
 
 @dataclass(frozen=True)
@@ -272,14 +286,6 @@ def _parse_block(cells, line_nos, misfits, *, columns, labels, rejects) -> None:
             columns[name].extend(kept)
 
 
-def _encode(texts, levels: dict, codes: array) -> None:
-    """Append the code of each of ``texts`` to ``codes``; a text new to
-    ``levels`` becomes the next level, in order of first appearance."""
-    new = filterfalse(levels.__contains__, dict.fromkeys(texts))
-    levels.update(zip(new, count(len(levels))))
-    codes.extend(map(levels.__getitem__, texts))
-
-
 def _number_column(texts, is_int: bool) -> tuple[np.ndarray, np.ndarray]:
     """``texts`` as an int64 or float64 column, and the mask of the cells that
     are not an int64 integer or a finite float."""
@@ -420,8 +426,6 @@ def breakdown(records: HostTable, key: str) -> list[BreakdownRow]:
 
 def hosts_per_user(records: HostTable) -> list[UserBucketRow]:
     """Ownership distribution: users and hosts per hosts-owned bucket."""
-    from .population import USER_BUCKETS  # bucket boundaries shared with generation
-
     per_user = np.bincount(records.user_id.codes)
     per_user = per_user[per_user > 0]  # a level no row uses is no user
     total_hosts = len(records)

@@ -39,14 +39,6 @@ from .units import SECONDS_PER_DAY
 # still censored and must not enter lifetime estimates.
 CENSOR_DAYS = 30.0
 
-USER_BUCKETS = (
-    ("1", 1, 1),
-    ("2-10", 2, 10),
-    ("11-100", 11, 100),
-    ("101-1000", 101, 1000),
-    ("1000+", 1001, 3000),
-)
-
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
@@ -380,11 +372,11 @@ def assign_users(
     """
     if len(pool) == 0:
         return pool
-    by_bucket = {b: (lo, hi) for b, lo, hi in USER_BUCKETS}
+    by_bucket = {b: (lo, hi) for b, lo, hi in ingest.USER_BUCKETS}
     for b in weights:
         if b not in by_bucket:
             raise ValueError(f"unknown ownership bucket: {b!r}")
-    labels = [b for b, _, _ in USER_BUCKETS]
+    labels = [b for b, _, _ in ingest.USER_BUCKETS]
     w = [float(weights.get(b, 0.0)) for b in labels]
     if any(x < 0 for x in w):
         raise ValueError("ownership weights must be non-negative")
@@ -429,7 +421,8 @@ def lifetime_stats(
     Only hosts silent for at least CENSOR_DAYS before ``now`` count; their
     lifetime is last_contact minus created. Default bins are CENSOR_DAYS
     wide, and there is always at least one, so a pool whose hosts are all
-    still censored gives no hosts, no mean and one empty bin.
+    still censored gives no hosts, no mean and one empty bin. More than
+    ``config.MAX_COUNT`` default bins raise ``config.ConfigError``.
     """
     last = records.last_contact
     gone = (now - last) / SECONDS_PER_DAY >= CENSOR_DAYS
@@ -437,6 +430,7 @@ def lifetime_stats(
     if bin_edges is None:
         top = float(lifetimes.max(initial=0.0))
         n_bins = max(1, math.ceil((top + 1e-9) / CENSOR_DAYS))
+        config.within_limit(n_bins, "lifetime bins")
         bin_edges = [CENSOR_DAYS * i for i in range(n_bins + 1)]
     return LifetimeStats(
         mean_days=float(np.mean(lifetimes)) if len(lifetimes) else None,

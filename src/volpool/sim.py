@@ -238,12 +238,10 @@ _TRACE_KEPT = 64  # flips applied that a trace holds before dropping them
 
 
 class _Replica:
-    __slots__ = ("wu", "flops_left", "input_left", "deadline_s", "seq", "outcome")
+    __slots__ = ("wu", "deadline_s", "seq", "outcome")
 
-    def __init__(self, wu, flops, input_mb, deadline_s, seq):
+    def __init__(self, wu, deadline_s, seq):
         self.wu = wu
-        self.flops_left = flops
-        self.input_left = input_mb
         self.deadline_s = deadline_s
         self.seq = seq  # where its deadline sorts among same-time events
         self.outcome = None
@@ -255,13 +253,13 @@ class _Host:
         "mask", "tr_t", "tr_m", "tr_i", "tr_next", "tr_procs", "up_s",
         "flops_rate", "dl_cap", "mem_ok", "buffer_flop",
         "work", "n_done", "n_ready", "deadline_armed",
-        "cp_busy", "cp_running", "cp_mark", "cp_epoch",
-        "dl_busy", "dl_running", "dl_mark", "dl_epoch", "dl_tag", "dl_listed",
+        "cp_busy", "cp_running", "cp_mark", "cp_epoch", "cp_left",
+        "dl_busy", "dl_running", "dl_mark", "dl_epoch", "dl_left", "dl_tag", "dl_listed",
         "dl_due", "dl_seq",
-        "on_hand_flop", "next_fetch_s", "fetch_seq", "fetch_armed",
+        "next_fetch_s", "fetch_seq", "fetch_armed",
     )
 
-    def __init__(self, idx, arrive_s, depart_s, flops_rate, dl_cap, mem_ok, buffer_flop):
+    def __init__(self, idx, arrive_s, depart_s, flops_rate, dl_cap, mem_ok, buffer_flop, task):
         self.idx = idx  # also the host's user: one replica per host per unit
         self.arrive_s = arrive_s
         self.depart_s = depart_s
@@ -287,6 +285,8 @@ class _Host:
         self.n_done = 0
         self.n_ready = 0
         self.deadline_armed = False  # a deadline event is pending
+        # Two slots, compute and download, each hold the FLOP or MB its one
+        # replica lacks as settled, and a whole task or input while empty.
         # ``cp_running`` while the computing replica progresses; ``cp_busy``
         # while it has one, paused or not, whose completion is scheduled.
         # ``dl_running`` and, uncapped, ``dl_busy`` likewise.
@@ -294,10 +294,12 @@ class _Host:
         self.cp_running = False
         self.cp_mark = arrive_s
         self.cp_epoch = 0
+        self.cp_left = task.flops_per_task
         self.dl_busy = False
         self.dl_running = False
         self.dl_mark = arrive_s
         self.dl_epoch = 0
+        self.dl_left = task.input_size
         self.dl_tag = None  # finish tag on the shared clock while at the fair share
         self.dl_listed = False  # in the engine's flow list under an egress cap
         # A lazy download completes at ``dl_due`` without an event of its own:
@@ -306,7 +308,6 @@ class _Host:
         # would have taken. ``dl_due`` is inf while no download is lazy.
         self.dl_due = math.inf
         self.dl_seq = 0
-        self.on_hand_flop = 0.0
         # The fetch retry due at (next_fetch_s, fetch_seq), both set by the
         # fetch before it; ``fetch_armed`` while its event is in the heap. A
         # retry that cannot fetch is not pushed.
@@ -382,15 +383,25 @@ class _Engine:
         if not h.cp_running:
             return 0.0
         done = (now - h.cp_mark) * h.flops_rate
-        left = h.work[h.n_done].flops_left
+        left = h.cp_left
         return done if done < left else left
 
     def _settle_compute(self, h: _Host, now: float):
         done = self._progress(h, now)
         if done > 0.0:
-            h.work[h.n_done].flops_left -= done
-            h.on_hand_flop -= done
+            h.cp_left -= done
         h.cp_mark = now
+
+    def _stop_compute(self, h: _Host, now: float) -> float:
+        """End the computing replica's run on ``h`` and return the FLOP it
+        lacked. Its slot holds a whole task again; its completion goes stale."""
+        self._settle_compute(h, now)
+        left = h.cp_left
+        h.cp_left = self.task.flops_per_task
+        h.n_ready -= 1
+        h.cp_running = h.cp_busy = False
+        h.cp_epoch += 1
+        return left
 
     def _sync_compute(self, h: _Host, now: float):
         """Push the completion of a replica that starts computing, once.
@@ -408,9 +419,9 @@ class _Engine:
                 if h.cp_running:
                     h.cp_mark = now
                 r = h.work[h.n_done]
-                eta = now + r.flops_left / h.flops_rate
+                eta = now + h.cp_left / h.flops_rate
                 if not (h.cp_running and eta < h.tr_next):  # else no flip comes first
-                    eta = self._walk(h, now, r.flops_left, h.flops_rate, _COMPUTE)
+                    eta = self._walk(h, now, h.cp_left, h.flops_rate, _COMPUTE)
                 if eta < r.deadline_s and eta < h.depart_s and eta <= self.duration_s:
                     self._push(eta, self._on_cp_done, h, h.cp_epoch)
         if not busy and h.dl_due < math.inf:
@@ -420,17 +431,24 @@ class _Engine:
 
     def _settle_download(self, h: _Host, now: float):
         if h.dl_running:
-            r = h.work[h.n_done + h.n_ready]
             if h.dl_tag is not None:
                 left = h.dl_tag - self._clock(now)
-                r.input_left = left if left > 0.0 else 0.0
+                h.dl_left = left if left > 0.0 else 0.0
             else:
                 moved = (now - h.dl_mark) * h.dl_cap
-                if moved > r.input_left:
-                    moved = r.input_left
+                if moved > h.dl_left:
+                    moved = h.dl_left
                 if moved > 0.0:
-                    r.input_left -= moved
+                    h.dl_left -= moved
         h.dl_mark = now
+
+    def _stop_download(self, h: _Host):
+        """End the downloading input's run on ``h``. Its slot holds a whole
+        input again; its completion, pushed or lazy, goes stale."""
+        h.dl_left = self.task.input_size
+        h.dl_running = h.dl_busy = False
+        h.dl_epoch += 1
+        h.dl_due = math.inf
 
     def _sync_download_lazy(self, h: _Host, now: float):
         """``_sync_compute`` for an input, through its host's communication-up time; uncapped.
@@ -452,9 +470,9 @@ class _Engine:
             if h.dl_running:
                 h.dl_mark = now
             r = h.work[i]
-            eta = now + r.input_left / h.dl_cap
+            eta = now + h.dl_left / h.dl_cap
             if not (h.dl_running and eta < h.tr_next):  # else no flip comes first
-                eta = self._walk(h, now, r.input_left, h.dl_cap, _COMM)
+                eta = self._walk(h, now, h.dl_left, h.dl_cap, _COMM)
             if eta < r.deadline_s and eta < h.depart_s and eta <= self.duration_s:
                 if h.cp_busy and len(h.work) == i + 1:
                     self.seq += 1
@@ -472,15 +490,12 @@ class _Engine:
         """Complete a lazy download due by ``now``, as its event would have."""
         if h.dl_due == now and h.dl_seq > self.now_seq:
             return  # its event would run after the current one
-        h.dl_due = math.inf
         self._complete_download(h)
 
     def _complete_download(self, h: _Host):
         """Count the input downloading on ``h`` as delivered; any event of it goes stale."""
-        h.work[h.n_done + h.n_ready].input_left = 0.0
+        self._stop_download(h)
         h.n_ready += 1
-        h.dl_running = h.dl_busy = False
-        h.dl_epoch += 1
         self.mb_downloaded += self.task.input_size
         self.downloads_completed += 1
 
@@ -529,7 +544,7 @@ class _Engine:
         h.dl_epoch += 1
         h.dl_running = True
         h.dl_mark = now
-        left = h.work[h.n_done + h.n_ready].input_left
+        left = h.dl_left
         if h.dl_cap <= self.level:
             h.dl_tag = None
             self._push(now + left / h.dl_cap, self._on_dl_done, h, h.dl_epoch)
@@ -563,10 +578,7 @@ class _Engine:
         wu.deficit -= 1
         wu.users.add(h.idx)
         self.seq += 1
-        return _Replica(
-            wu, self.task.flops_per_task, self.task.input_size,
-            now + self.task.deadline * SECONDS_PER_DAY, self.seq,
-        )
+        return _Replica(wu, now + self.task.deadline * SECONDS_PER_DAY, self.seq)
 
     def _queue(self, wu: WorkUnit):
         wu.in_needs = True
@@ -702,14 +714,11 @@ class _Engine:
         # the buffer gap counts the in-flight replica's progress, which is
         # not settled: only an edge of its trace or its end splits a run of
         # compute. A host with a full buffer writes nothing.
-        need = h.buffer_flop - (h.on_hand_flop - self._progress(h, now))
+        need = h.buffer_flop - (self._flop_on_hand(h) - self._progress(h, now))
         if need <= 0.0:
             return
         n = math.ceil(need / self.task.flops_per_task)
-        replicas = self._assign(h, n, now)
-        for r in replicas:
-            h.work.append(r)
-            h.on_hand_flop += self.task.flops_per_task
+        h.work.extend(self._assign(h, n, now))
         self._arm_deadline(h)
         h.next_fetch_s = now + MIN_CONNECTION_INTERVAL_DAYS * SECONDS_PER_DAY
         self.seq += 1
@@ -728,8 +737,14 @@ class _Engine:
         """
         if h.depart_s <= t:
             return False
-        left_at_t = h.on_hand_flop - h.flops_rate * (t - h.cp_mark)
+        left_at_t = self._flop_on_hand(h) - h.flops_rate * (t - h.cp_mark)
         return left_at_t <= h.buffer_flop * (1.0 + 1e-9)
+
+    def _flop_on_hand(self, h: _Host) -> float:
+        """The FLOP the replicas on ``h`` not yet computed lack, as settled:
+        a whole task each, but ``cp_left`` for the first, which may be computing."""
+        n = len(h.work) - h.n_done
+        return (n - 1) * self.task.flops_per_task + h.cp_left if n else 0.0
 
     # -- walking the traces ----------------------------------------------------
 
@@ -888,21 +903,16 @@ class _Engine:
     def _on_depart(self, h: _Host, _, now: float):
         self._catch_up(h, now)
         self._retire(h, now)
-        self._settle_compute(h, now)
         del self.live_hosts[h.idx]
         work = list(h.work)
         done, fetched = work[:h.n_done], work[h.n_done:h.n_done + h.n_ready]
-        if fetched:
-            self.lost_flop += self.task.flops_per_task - fetched[0].flops_left
         # computing, then the input still to come, downloaded, computed
         doomed = fetched[:1] + work[h.n_done + h.n_ready:] + fetched[1:] + done
+        if h.n_ready:
+            self.lost_flop += self.task.flops_per_task - self._stop_compute(h, now)
+        self._stop_download(h)
         h.work = ()
         h.n_done = h.n_ready = 0
-        h.cp_running = h.cp_busy = False
-        h.dl_running = h.dl_busy = False
-        h.dl_due = math.inf
-        h.cp_epoch += 1
-        h.dl_epoch += 1
         for r in doomed:
             self._deliver(r, _LOST)
         self._dl_changed(h, now)  # under a cap, this takes the host off the flow list
@@ -919,20 +929,15 @@ class _Engine:
         if epoch != h.cp_epoch:  # paused, finished or departed since
             return
         self._catch_up(h, now)
-        self._settle_compute(h, now)
-        r = h.work[h.n_done]
         # a float residue may be left; the replica still did one whole task
+        self._stop_compute(h, now)
         self.done_flop += self.task.flops_per_task
-        h.on_hand_flop -= r.flops_left
-        r.outcome = (
+        h.work[h.n_done].outcome = (
             _ERRONEOUS
             if self.cfg.error_rate > 0.0 and self.rng.random() < self.cfg.error_rate
             else _CORRECT
         )
         h.n_done += 1
-        h.n_ready -= 1
-        h.cp_running = h.cp_busy = False
-        h.cp_epoch += 1
         comm = h.mask == _COMM
         if comm:
             self._flush_returns(h)
@@ -969,19 +974,12 @@ class _Engine:
                 r = work.popleft()
                 h.n_done -= 1
             elif h.n_ready:  # computing
-                self._settle_compute(h, now)
                 r = work.popleft()
-                h.n_ready -= 1
-                h.cp_running = h.cp_busy = False
-                h.cp_epoch += 1
-                h.on_hand_flop -= r.flops_left
-                self.lost_flop += self.task.flops_per_task - r.flops_left
+                self.lost_flop += self.task.flops_per_task - self._stop_compute(h, now)
                 self._sync_compute(h, now)
             else:  # downloading
                 r = work.popleft()
-                h.dl_running = h.dl_busy = False
-                h.dl_epoch += 1
-                h.on_hand_flop -= r.flops_left
+                self._stop_download(h)
                 self._dl_changed(h, now)
             self._deliver(r, _TIMED_OUT)
             if h.mask == _COMM:
@@ -1012,7 +1010,7 @@ class _Engine:
         for h in self.live_hosts.values():
             if h.n_ready:
                 self._catch_up(h, now)
-                computing += f - (h.work[h.n_done].flops_left - self._progress(h, now))
+                computing += f - (h.cp_left - self._progress(h, now))
         return self.done_flop + self.lost_flop + computing
 
     def _on_sample(self, _, __, now: float):
@@ -1071,7 +1069,7 @@ class _Engine:
             (_buffer_s(cfg) * flops_rate).tolist(),
         )
         del initial, arrival_pool  # the hosts hold their values; free the columns
-        by_idx = [_Host(idx, *values) for idx, values in enumerate(hosts)]
+        by_idx = [_Host(idx, *values, self.task) for idx, values in enumerate(hosts)]
         for h in by_idx:
             self._push(h.arrive_s, self._on_arrive, h)
         self.traces = Traces(traces_seed, cfg.mean_dwell_hours * SECONDS_PER_HOUR, by_idx,

@@ -264,6 +264,28 @@ def test_stats_on_equal_huge_values_exits_0(tmp_path, capsys):
     assert rows == [["1e+17", "1.0000000000000002e+17", "20"], ["overflow", "", "0"]]
 
 
+@pytest.mark.parametrize("source, count", [("config", "1.73611e+12"), ("csv", "3.85802e+07")])
+def test_stats_refuses_too_many_lifetime_bins(tmp_path, capsys, source, count):
+    """A lifetime of 1.7e12 or 3.9e7 thirty-day bins, whose edges once ran
+    out of memory: exit 2 before the lifetime histogram is built."""
+    if source == "config":
+        payload = {"seed": 3, "pool": {"n_hosts": 20, "fields": {
+            "created": 0, "last_contact": {"samples": [4.5e18, 9e18]}}}}
+    else:
+        # one host gone after 1e14 s, and one heard from 30 days later
+        pool = pop.generate_pool(presets.reference_pool_spec(n_hosts=2, seed=4))
+        path = tmp_path / "hosts.csv"
+        path.write_text(ing.serialize_hosts(dataclasses.replace(
+            pool, created=[0, 0], last_contact=[10**14, 10**14 + 30 * 86400])))
+        payload = {"input": str(path)}
+    cfg = write_config(tmp_path, "s.json", payload)
+    out = tmp_path / "out"
+    assert main(["stats", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"volpool: lifetime bins of {count} exceeds the limit of 1000000\n"
+    assert not (out / "hist_lifetime.csv").exists()
+
+
 # -- capacity --------------------------------------------------------------------
 
 

@@ -9,7 +9,6 @@ import json
 import math
 from collections import Counter, deque
 from dataclasses import replace
-from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -110,32 +109,39 @@ def test_fair_shares_properties(caps, total):
 class _CheckedEngine(simmod._Engine):
     """Checks the lazy fair sharing after every change to a capped download.
 
-    Besides the rates, it integrates each download's remaining input itself,
-    at the rates in force since its previous check, and compares.
+    Besides the rates, it integrates each host's remaining input itself, at
+    the rates in force since its previous check, and compares.
     """
 
     def __init__(self, cfg):
         super().__init__(cfg)
         self.n_checks = 0
         self.checked_at = 0.0
-        self.rates = {}  # replica -> its download rate since checked_at, MB/s
-        self.left = {}  # replica -> input MB it still needed at checked_at
-        self.host_of = {}  # replica -> the host it was issued to
+        self.rates = {}  # host -> its download rate since checked_at, MB/s
+        self.left = {}  # host -> input MB its download still needed at checked_at
+        self.finished = []  # hosts whose download completed since checked_at
+        self.stopped = []  # hosts whose download ended since checked_at, completed or not
 
-    def _make_replica(self, wu, h, now):
-        r = super()._make_replica(wu, h, now)
-        self.host_of[r] = h
-        return r
+    def _complete_download(self, h):
+        self.finished.append(h)
+        super()._complete_download(h)
+
+    def _stop_download(self, h):
+        self.stopped.append(h)
+        super()._stop_download(h)
 
     def _sync_download_capped(self, h, now):
         super()._sync_download_capped(h, now)
         self.n_checks += 1
-        for r, rate in self.rates.items():
-            self.left[r] -= rate * (now - self.checked_at)
-            assert self.left[r] >= -1e-6  # no download overruns its input
-            host = self.host_of[r]
-            if r in islice(host.work, host.n_done + host.n_ready):  # finished just now
-                assert self.left[r] == pytest.approx(0.0, abs=1e-6)
+        for g, rate in self.rates.items():
+            self.left[g] -= rate * (now - self.checked_at)
+            assert self.left[g] >= -1e-6  # no download overruns its input
+        for g in self.finished:
+            assert self.left[g] == pytest.approx(0.0, abs=1e-6)
+        for g in self.stopped:
+            self.left.pop(g, None)  # its next input starts whole
+        self.finished.clear()
+        self.stopped.clear()
         cap = self.cap_mb
         running = sorted(
             (g.dl_cap, g.idx) for g in self.live_hosts.values()
@@ -150,14 +156,13 @@ class _CheckedEngine(simmod._Engine):
             assert got == pytest.approx(exp, rel=1e-12)
         assert sum(rates) <= cap * (1.0 + 1e-12)
         assert self.mb_downloaded <= cap * now * (1.0 + 1e-12)
-        downloading = [g.work[g.n_done + g.n_ready] for g in flows]
-        for g, r in zip(flows, downloading):
+        for g in flows:
             if g.dl_tag is None:
-                left = r.input_left - (now - g.dl_mark) * g.dl_cap
+                left = g.dl_left - (now - g.dl_mark) * g.dl_cap
             else:
                 left = g.dl_tag - self._clock(now)
-            assert left == pytest.approx(self.left.setdefault(r, self.task.input_size), abs=1e-6)
-        self.rates = dict(zip(downloading, rates))
+            assert left == pytest.approx(self.left.setdefault(g, self.task.input_size), abs=1e-6)
+        self.rates = dict(zip(flows, rates))
         self.checked_at = now
         # the one pending shared event is due when the earliest live tag is reached
         shared = [g for g in flows if g.dl_tag is not None]
@@ -557,7 +562,7 @@ class _EagerEngine(simmod._Engine):
             h.cp_running = running
             if running:
                 h.cp_mark = now
-                eta = now + h.work[h.n_done].flops_left / h.flops_rate
+                eta = now + h.cp_left / h.flops_rate
                 self._push(eta, self._on_cp_done, h, h.cp_epoch)
 
     def _sync_download(self, h, now):
@@ -569,7 +574,7 @@ class _EagerEngine(simmod._Engine):
             h.dl_running = running
             if running:
                 h.dl_mark = now
-                eta = now + h.work[i].input_left / h.dl_cap
+                eta = now + h.dl_left / h.dl_cap
                 self._push(eta, self._on_dl_done, h, h.dl_epoch)
 
     def _may_fetch_at(self, h, t):
@@ -619,6 +624,71 @@ def test_events_left_out_change_no_output(
     lazy, eager = simmod._Engine(cfg), _EagerEngine(cfg)
     assert lazy.run() == eager.run()
     assert lazy.seq <= eager.seq
+
+
+class _SlotCheckedEngine(simmod._Engine):
+    """Checks every live host's two slots, compute and download, after each handler.
+
+    A slot holds the progress of the replica in it and a whole task or input
+    while it holds none: the compute slot whenever no replica is ready, the
+    download slot whenever no input waits. Both stay between none and whole.
+    """
+
+    def _check_slots(self):
+        flop, mb = self.task.flops_per_task, self.task.input_size
+        for h in self.live_hosts.values():
+            assert 0.0 <= h.cp_left <= flop
+            assert 0.0 <= h.dl_left <= mb
+            if h.n_ready == 0:
+                assert h.cp_left == flop
+            if len(h.work) == h.n_done + h.n_ready:
+                assert h.dl_left == mb
+
+
+def _slot_checked(handler):
+    def checked(self, a, b, now):
+        handler(self, a, b, now)
+        self._check_slots()
+    return checked
+
+
+for _name in [name for name in vars(simmod._Engine) if name.startswith("_on_")]:
+    setattr(_SlotCheckedEngine, _name, _slot_checked(getattr(simmod._Engine, _name)))
+
+
+@pytest.mark.parametrize("cap_mbps", [None, 2.0], ids=["uncapped", "capped"])
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_hosts=st.integers(1, 10),
+    availability=st.sampled_from([1.0, 0.9, 0.6]),
+    arrival_rate=st.floats(0.0, 20.0),
+    lifetime=st.floats(0.2, 3.0),
+    quorum=st.integers(1, 3),
+    error_rate=st.sampled_from([0.0, 0.2]),
+    dwell_hours=st.floats(0.5, 6.0),
+    deadline=st.floats(0.05, 1.0),
+    input_mb=st.floats(0.1, 40.0),
+    task_flop=st.floats(1e11, 2e13),
+    buffer_days=st.sampled_from([None, 0.3]),
+)
+def test_each_slot_holds_one_replicas_progress(
+    cap_mbps, seed, n_hosts, availability, arrival_rate, lifetime, quorum,
+    error_rate, dwell_hours, deadline, input_mb, task_flop, buffer_days,
+):
+    """Completions, deadlines and departures each empty a slot; the next
+    replica starts from a whole task or input, and checking changes no output."""
+    cfg = SimConfig(
+        duration_days=1.5, seed=seed,
+        churn=ChurnModel(arrival_rate=arrival_rate, lifetime_mean_days=lifetime),
+        pool_spec=flat_spec(n_hosts, seed=seed % 1000, on=availability,
+                            conn=availability, act=availability),
+        task=TaskSpec(flops_per_task=task_flop, input_size=input_mb, deadline=deadline),
+        min_quorum=quorum, max_replicas=quorum + 1, error_rate=error_rate,
+        server_egress_cap=cap_mbps, mean_dwell_hours=dwell_hours,
+        work_buffer_days=buffer_days,
+    )
+    assert _SlotCheckedEngine(cfg).run() == simmod._Engine(cfg).run()
 
 
 class _PopCountingEngine(simmod._Engine):

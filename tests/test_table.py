@@ -241,7 +241,7 @@ def ref_hosts_per_user(records):
     for r in records:
         per_user[r["user_id"]] = per_user.get(r["user_id"], 0) + 1
     rows = []
-    for bucket, lo, _hi in population.USER_BUCKETS:
+    for bucket, lo, _hi in ingest.USER_BUCKETS:
         hi = math.inf if bucket.endswith("+") else _hi
         users = [c for c in per_user.values() if lo <= c <= hi]
         n_hosts = sum(users)
