@@ -190,20 +190,27 @@ def _parse_stream(fh) -> ParseResult:
     return ParseResult(HostTable(**columns), tuple(rejects))
 
 
+_BLANK_LINES = ("\n", "\r\n")
+
+
 def _parse_lines(lines, line_no: int, add) -> None:
     """Pass the data rows of ``lines``, which follow line ``line_no``, to
     ``add`` up to ``ROW_BLOCK`` lines at a time, as ``_parse_block`` takes
     them. A blank line is no row.
 
-    A block of plain lines, with no quote, carriage return or NUL and none
-    longer than the csv module's field limit, is split on commas as one
-    string. From the first block that is not plain on, ``csv.reader`` reads
-    the rest of the stream.
+    A block of plain lines, with no quote, NUL or carriage return other than
+    one just before a newline, and none longer than the csv module's field
+    limit, is split on commas as one string: CRLF line endings read like LF.
+    From the first block that is not plain on, ``csv.reader`` reads the rest
+    of the stream.
     """
     width = len(HOST_CSV_COLUMNS)
     limit = csv.field_size_limit()
     while block := list(islice(lines, ROW_BLOCK)):
         text = "".join(block)
+        crlf = "\r" in text
+        if crlf:  # each CRLF ends a row as a newline does below; a bare \r stays
+            text = text.replace("\r\n", ",")
         if '"' in text or "\r" in text or "\0" in text or max(map(len, block)) > limit:
             _parse_rows(csv.reader(chain(block, lines)), line_no, add)
             return
@@ -213,8 +220,10 @@ def _parse_lines(lines, line_no: int, add) -> None:
         if misfits:
             fits = (commas == width - 1).tolist()
             text = "".join(compress(block, fits))
+            if crlf:
+                text = text.replace("\r\n", ",")
             line_nos = list(compress(line_nos, fits))
-            misfits = [line_no + 1 + i for i in misfits if block[i] != "\n"]
+            misfits = [line_no + 1 + i for i in misfits if block[i] not in _BLANK_LINES]
         line_no += len(block)
         del block  # the lines are freed before their cells are made: a smaller peak
         # each row's last cell and the next row's first are split apart too

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from statistics import NormalDist
 from typing import Mapping, Sequence
 
@@ -40,6 +40,16 @@ from .units import SECONDS_PER_DAY
 CENSOR_DAYS = 30.0
 
 
+@lru_cache(maxsize=4)
+def _normal_midquantiles(n: int) -> np.ndarray:
+    """The standard normal quantiles at (i + 0.5) / n for i < n, read-only:
+    every lognormal shape of n samples shares them."""
+    norm = NormalDist()
+    z = np.array([norm.inv_cdf((i + 0.5) / n) for i in range(n)], dtype=float)
+    z.flags.writeable = False
+    return z
+
+
 @dataclass(frozen=True)
 class EmpiricalDistribution:
     """A distribution represented by its sorted sample vector.
@@ -61,7 +71,9 @@ class EmpiricalDistribution:
 
     @cached_property
     def _array(self) -> np.ndarray:
-        return np.asarray(self.sorted_samples, dtype=float)
+        arr = np.array(self.sorted_samples, dtype=float)
+        arr.flags.writeable = False  # a distribution may be shared
+        return arr
 
     def quantile(self, u):
         """Inverse CDF at u in [0, 1); accepts scalars or arrays."""
@@ -83,19 +95,19 @@ class EmpiricalDistribution:
         variation, then rescales so the sample mean lands on ``mean``
         exactly. No randomness involved.
         """
+        if n < 1:
+            raise ValueError("n must be at least 1")
         if mean <= 0:
             raise ValueError("mean must be positive")
         if cv <= 0:
             raise ValueError("cv must be positive")
         sigma = math.sqrt(math.log(1.0 + cv * cv))
-        norm = NormalDist()
-        z = [norm.inv_cdf((i + 0.5) / n) for i in range(n)]
         with np.errstate(over="ignore", invalid="ignore"):
-            raw = np.exp(sigma * np.asarray(z))
+            raw = np.exp(sigma * _normal_midquantiles(n))
             scaled = raw * (mean / float(np.mean(raw)))
         if not np.isfinite(scaled).all():  # a host table holds no infinite size
             raise ValueError("lognormal samples overflow: lower the mean or cv")
-        return cls(tuple(float(v) for v in scaled))
+        return cls(tuple(scaled.tolist()))
 
 
 @dataclass(frozen=True)
@@ -281,10 +293,44 @@ class PoolSpec:
         return float(np.mean(self._finished_support(name)))
 
 
+# A draw of fewer labels searches every uniform: a guide table would cost more
+# than it saves. Above it, a table has one cell per 64 draws, up to 4,096.
+_GUIDE_MIN_DRAWS = 1024
+_GUIDE_MAX_CELLS = 4096
+
+
 def _categorical(rng, weights: Mapping, n: int) -> Categorical:
+    """``n`` labels drawn in proportion to ``weights``, one uniform each.
+
+    A label's code is the number of cumulative weights, normalised so the
+    last is 1, at or below its uniform: ``Generator.choice``'s draw, so the
+    codes and the generator's state are those of ``rng.choice(len(weights),
+    n, p=w / w.sum())``. The search goes through a guide table (Chen and
+    Asau, 1974): [0, 1) cut into a power-of-two number of equal cells, so
+    that scaling a uniform by it and flooring are exact. A cell that no
+    cumulative weight falls inside gives its code at once; only the uniforms
+    of the few cells that one does are searched.
+    """
     keys = list(weights.keys())
     w = np.asarray([float(weights[k]) for k in keys], dtype=float)
-    return Categorical(rng.choice(len(keys), size=n, p=w / w.sum()), keys)
+    cdf = np.cumsum(w / w.sum())
+    cdf /= cdf[-1]
+    u = rng.random(n)
+    if n < _GUIDE_MIN_DRAWS:
+        return Categorical(cdf.searchsorted(u, "right"), keys)
+    cells = min(_GUIDE_MAX_CELLS, 1 << ((n >> 6).bit_length() - 1))
+    cdf *= cells  # exact, as is every scaling below: cells is a power of two
+    u *= cells
+    grid = np.arange(cells + 1, dtype=float)
+    first = cdf.searchsorted(grid[:-1], "right")  # each cell's code at its start
+    crossed = first != cdf.searchsorted(grid[1:], "left")
+    codes = u.astype(np.intp)  # each uniform's cell
+    searched = np.flatnonzero(crossed[codes])
+    u = u[searched]  # the rest of the uniforms are let go
+    # in place, no second column: "clip" reads each cell before its slot is written
+    first.take(codes, out=codes, mode="clip")
+    codes[searched] = cdf.searchsorted(u, "right")
+    return Categorical(codes, keys)
 
 
 def generate_pool(spec: PoolSpec) -> HostTable:
@@ -298,7 +344,9 @@ def generate_pool(spec: PoolSpec) -> HostTable:
     correlated pair reads no uniform, so it advances the generator past its
     column instead of drawing it, which leaves every later draw where it
     was; its value is finished once and fills the column. The label columns
-    draw last.
+    draw last, one uniform per host each, looked up in a guide table of the
+    normalised cumulative weights: ``Generator.choice``'s codes, found
+    without a binary search for almost every host.
     """
     n = spec.n_hosts
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed))

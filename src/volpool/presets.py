@@ -14,6 +14,7 @@ measured by the client's Whetstone benchmark; disk in GB; throughput in Kbps.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,9 +134,11 @@ def reference_capacity_factors() -> CapacityFactors:
     )
 
 
+@lru_cache(maxsize=1)
 def _lifetime_offsets(n: int = 1024) -> EmpiricalDistribution:
     """Contact-lag quantiles: exponential, mean near the measured lifetime,
-    truncated to the fixture age window."""
+    truncated to the fixture age window. Built once; every reference spec
+    shares it."""
     import math
 
     mean_s = MEAN_LIFETIME_DAYS * SECONDS_PER_DAY

@@ -804,6 +804,15 @@ MALFORMED = [
     pytest.param("stats", {"pool": {"n_hosts": 5, "fields": {
                      "ram": {"lognormal": {"mean": 1.0, "cv": 1.0, "n": 10**9}}}}},
                  "lognormal option 'n' of 1e+09 exceeds the limit", id="stats-huge-lognormal"),
+    pytest.param("stats", {"pool": {"n_hosts": 5, "fields": {
+                     "ram": {"lognormal": {"mean": 5, "cv": 1, "n": 0}}}}},
+                 "n must be at least 1", id="stats-empty-lognormal"),
+    pytest.param("sweep", {"pool": {"n_hosts": 5, "fields": {
+                     "ram": {"lognormal": {"mean": 5, "cv": 1, "n": -3}}}}},
+                 "n must be at least 1", id="sweep-negative-lognormal"),
+    pytest.param("simulate", {"duration_days": 1, "pool": {"n_hosts": 5, "fields": {
+                     "ram": {"lognormal": {"mean": 5, "cv": 1, "n": 0}}}}},
+                 "n must be at least 1", id="simulate-empty-lognormal"),
     # finite options whose samples overflow: a table holds no infinite size
     pytest.param("sweep", {"pool": {"n_hosts": 5, "fields": {
                      "throughput_down": {"lognormal": {"mean": 1e308, "cv": 3.0}}}}},

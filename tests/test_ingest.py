@@ -301,8 +301,9 @@ def host_csv_texts(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(text=host_csv_texts(), block=st.integers(1, 3))
-def test_block_parse_matches_row_parse(text, block):
+@given(text=host_csv_texts(), block=st.integers(1, 3), newline=st.sampled_from(["\n", "\r\n"]))
+def test_block_parse_matches_row_parse(text, block, newline):
+    text = text.replace("\n", newline)  # quoted newlines in ids too
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ingest, "ROW_BLOCK", block)  # flagged rows cross block edges
         got = parse_hosts(io.StringIO(text))
@@ -347,7 +348,7 @@ def outcome(parse, text):
 @given(text=handover_texts(), block=st.integers(1, 3))
 def test_block_parse_hands_over_to_the_csv_reader(text, block):
     """Plain blocks are split on commas and the first block holding a quote,
-    carriage return or NUL goes to csv.reader with the rest of the stream:
+    bare carriage return or NUL goes to csv.reader with the rest of the stream:
     the same rows and reject lines as csv.reader reading every row, and the
     same error on a raw carriage return."""
     with pytest.MonkeyPatch.context() as mp:
@@ -389,6 +390,31 @@ def test_block_parse_matches_row_parse_on_a_generated_pool():
     assert len(got.rejects) > 50
     assert got.records == want.records
     assert got.rejects == want.rejects
+
+
+def test_crlf_file_parses_like_its_lf_twin(tmp_path):
+    """A host CSV with CRLF line endings, blank lines and malformed rows gives
+    the table and the (line, reason) rejects of the same file with LF, every
+    block split by hand."""
+    pool = generate_pool(presets.reference_pool_spec(n_hosts=5000, seed=5))  # two blocks
+    lines = serialize_hosts(pool).splitlines()
+    for i in range(2, len(lines), 37):
+        lines[i] = lines[i].replace(",", ",-", 3 + i % 5)  # rows break different rules
+    for i in (3, 900, 4097, len(lines)):
+        lines.insert(i, "")
+    lines[50] += ",extra"
+    lines[60] = lines[60].rsplit(",", 1)[0]
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    lf.write_bytes(("\n".join(lines) + "\n").encode())
+    crlf.write_bytes(("\r\n".join(lines) + "\r\n").encode())
+    want = parse_hosts(lf)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_parse_rows", None)  # csv.reader never takes over
+        got = parse_hosts(crlf)
+    assert len(got.records) > 4000 and len(want.rejects) > 50
+    assert got.records == want.records
+    assert got.rejects == want.rejects
+    assert (51, "wrong column count") in got.rejects
 
 
 def ref_serialize(records):

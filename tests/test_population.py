@@ -87,6 +87,9 @@ def test_from_lognormal_hits_mean_exactly():
         EmpiricalDistribution.from_lognormal(mean=0.0, cv=1.0)
     with pytest.raises(ValueError, match="cv must be positive"):
         EmpiricalDistribution.from_lognormal(mean=1.0, cv=0.0)
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            EmpiricalDistribution.from_lognormal(mean=1.0, cv=1.0, n=n)
 
 
 def test_generate_then_fit_closure(reference_pool_20k):
@@ -214,6 +217,39 @@ def test_zero_weight_categorical_errors():
             field_generators=flat_spec(3, 1).field_generators,
             vendor_weights={CpuVendor.OTHER: 0.0},
         )
+
+
+@st.composite
+def _label_weights(draw):
+    """1-300 label weights: positive ones from 1e-300 to 1, and zeros placed
+    first, in the middle and last."""
+    positive = st.sampled_from([1e-300, 1e-150, 1e-17, 0.25, 0.5, 1.0]) | st.floats(1e-300, 1.0)
+    weights = draw(st.lists(positive, min_size=1, max_size=297))
+    for where in draw(st.lists(st.sampled_from(["first", "middle", "last"]), max_size=3)):
+        weights.insert({"first": 0, "middle": len(weights) // 2, "last": len(weights)}[where], 0.0)
+    return weights
+
+
+_SNAPSHOT_COUNTRIES = [float(c) for c in presets.COUNTRY_TABLE.values()]
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(weights=_label_weights(), n=st.integers(0, 20_000), seed=st.integers(0, 2**32 - 1))
+# cumulative weights on the grid's cell edges
+@example(weights=[1.0] * 4, n=5000, seed=0)
+@example(weights=[0.0, 1.0, 0.0, 1.0, 0.0], n=1024, seed=1)
+# the largest table, and the draw below the smallest one
+@example(weights=_SNAPSHOT_COUNTRIES, n=300_000, seed=2)
+@example(weights=_SNAPSHOT_COUNTRIES, n=1023, seed=2)
+def test_categorical_draws_the_codes_of_generator_choice(weights, n, seed):
+    """A label column is ``Generator.choice``'s draw: the same codes from an
+    identically seeded generator, left in the same state."""
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = pop._categorical(rng, dict(enumerate(weights)), n)
+    p = np.array(weights)
+    want = ref.choice(len(p), size=n, p=p / p.sum())
+    assert np.array_equal(got.codes, want)
+    assert rng.random() == ref.random()
 
 
 def test_vendor_shares_match_weights():
@@ -354,6 +390,8 @@ def _with(spec, pairs=(), **generators):
 # a constant as a pair's source, then as a pair's target
 @example(spec=_with(_REFERENCE_25, (("n_cpus", "ram", 0.5),)))
 @example(spec=_with(_REFERENCE_25, (("swap", "active_fraction", 0.5),)))
+# label columns long enough for a guide table
+@example(spec=replace(_REFERENCE_25, n_hosts=5000))
 def test_one_pass_generation_matches_the_two_pass_draw(spec):
     assert generate_pool(spec) == two_pass_pool(spec)
 
