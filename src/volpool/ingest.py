@@ -209,9 +209,8 @@ def _parse_lines(lines, line_no: int, add) -> None:
     while block := list(islice(lines, ROW_BLOCK)):
         text = "".join(block)
         crlf = "\r" in text
-        if crlf:  # each CRLF ends a row as a newline does below; a bare \r stays
-            text = text.replace("\r\n", ",")
-        if '"' in text or "\r" in text or "\0" in text or max(map(len, block)) > limit:
+        bare_cr = crlf and text.count("\r") != text.count("\r\n")
+        if '"' in text or bare_cr or "\0" in text or max(map(len, block)) > limit:
             _parse_rows(csv.reader(chain(block, lines)), line_no, add)
             return
         line_nos = range(line_no + 1, line_no + 1 + len(block))
@@ -220,12 +219,12 @@ def _parse_lines(lines, line_no: int, add) -> None:
         if misfits:
             fits = (commas == width - 1).tolist()
             text = "".join(compress(block, fits))
-            if crlf:
-                text = text.replace("\r\n", ",")
             line_nos = list(compress(line_nos, fits))
             misfits = [line_no + 1 + i for i in misfits if block[i] not in _BLANK_LINES]
         line_no += len(block)
         del block  # the lines are freed before their cells are made: a smaller peak
+        if crlf:  # every \r ends a line, just before its \n
+            text = text.replace("\r", "")
         # each row's last cell and the next row's first are split apart too
         add(text.replace("\n", ",").split(","), line_nos, misfits)
 

@@ -293,9 +293,7 @@ class PoolSpec:
         return float(np.mean(self._finished_support(name)))
 
 
-# A draw of fewer labels searches every uniform: a guide table would cost more
-# than it saves. Above it, a table has one cell per 64 draws, up to 4,096.
-_GUIDE_MIN_DRAWS = 1024
+# A guide table has about one cell per 64 draws, at least 1 and at most 4,096.
 _GUIDE_MAX_CELLS = 4096
 
 
@@ -316,9 +314,8 @@ def _categorical(rng, weights: Mapping, n: int) -> Categorical:
     cdf = np.cumsum(w / w.sum())
     cdf /= cdf[-1]
     u = rng.random(n)
-    if n < _GUIDE_MIN_DRAWS:
-        return Categorical(cdf.searchsorted(u, "right"), keys)
-    cells = min(_GUIDE_MAX_CELLS, 1 << ((n >> 6).bit_length() - 1))
+    # under 128 draws one cell, crossed unless a single label holds all the weight
+    cells = min(_GUIDE_MAX_CELLS, 1 << max(0, (n >> 6).bit_length() - 1))
     cdf *= cells  # exact, as is every scaling below: cells is a power of two
     u *= cells
     grid = np.arange(cells + 1, dtype=float)

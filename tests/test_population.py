@@ -238,9 +238,10 @@ _SNAPSHOT_COUNTRIES = [float(c) for c in presets.COUNTRY_TABLE.values()]
 # cumulative weights on the grid's cell edges
 @example(weights=[1.0] * 4, n=5000, seed=0)
 @example(weights=[0.0, 1.0, 0.0, 1.0, 0.0], n=1024, seed=1)
-# the largest table, and the draw below the smallest one
+# the largest table, and the one-cell table, crossed and not
 @example(weights=_SNAPSHOT_COUNTRIES, n=300_000, seed=2)
-@example(weights=_SNAPSHOT_COUNTRIES, n=1023, seed=2)
+@example(weights=_SNAPSHOT_COUNTRIES, n=127, seed=2)
+@example(weights=[0.0, 0.0, 3.0], n=127, seed=3)
 def test_categorical_draws_the_codes_of_generator_choice(weights, n, seed):
     """A label column is ``Generator.choice``'s draw: the same codes from an
     identically seeded generator, left in the same state."""
