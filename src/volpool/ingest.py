@@ -23,10 +23,13 @@ appearance (``hosts._encode``, as for ``Categorical.of``), so a parse holds
 one string per distinct label.
 
 Host tables and the CLI's tables are all written by ``csv_blocks`` from
-columns. It checks every float before any text exists, turns each label
-column's levels into cells once, joins each block of ``ROW_BLOCK`` rows by
-hand, and quotes a cell holding a delimiter, quote or line break by the
-rule of ``csv_cells``.
+columns. It checks every column's length and every float before any text
+exists. It turns each label column's levels into cells once, and likewise
+the distinct values of a number column that holds at most ``ROW_BLOCK`` of
+them, as a generated or parsed host column mostly does; a number column
+with more is made into text a block at a time. It joins each block of
+``ROW_BLOCK`` rows by hand, and quotes a cell holding a delimiter, quote or
+line break by the rule of ``csv_cells``.
 
 Breakdown tables, ownership buckets and half-open histograms live here too;
 they read the columns of a host table regardless of where it came from.
@@ -336,13 +339,19 @@ def csv_blocks(header: Sequence[str], columns: Sequence) -> Iterator[str]:
     """The CSV text of ``columns`` under ``header``: the header line, then
     the rows ``ROW_BLOCK`` at a time, each block one string of whole lines.
 
-    A column is a numpy array, a ``Categorical`` or any other sequence, all
-    as long as the first. Every float in them is checked before any text is
-    made: a NaN or infinity raises ValueError naming it.
+    A column is a numpy array, a ``Categorical`` or any other sequence. Every
+    column is checked before any text is made: one of another length than
+    the first, or a float that is NaN or infinite, raises ValueError naming
+    it. A label column's levels, and a number column's distinct values when
+    there are at most ``ROW_BLOCK`` of them, are each made into text once.
     """
     columns = list(columns)
+    n_rows = len(columns[0]) if columns else 0
+    for name, col in zip(header, columns):
+        if len(col) != n_rows:
+            raise ValueError(f"column {name!r} has {len(col)} rows, not {n_rows}")
     writers = list(map(_cell_writer, columns))
-    return _csv_lines(header, writers, len(columns[0]) if columns else 0)
+    return _csv_lines(header, writers, n_rows)
 
 
 def _csv_lines(header, writers, n_rows: int) -> Iterator[str]:
@@ -356,21 +365,44 @@ def _cell_writer(col):
     """The function from a slice of rows to ``col``'s cells there: floats
     shortest round-trip, an enum label as its value, anything else through
     ``str``, each quoted by ``csv_cells``. Raises ValueError on a float of
-    ``col`` that is NaN or infinite."""
+    ``col`` that is NaN or infinite.
+
+    A ``Categorical``'s levels become cells once, and so do the distinct
+    values of a number array that holds at most ``ROW_BLOCK`` of them: each
+    block's cells are then looked up by code, so the column never holds more
+    texts than one block of cells. A number array with more distinct values
+    is written a block at a time."""
     if isinstance(col, Categorical):
         # once per column: a user id column may hold as many levels as rows
         levels = csv_cells([getattr(v, "value", v) for v in col.levels])
         return lambda rows: list(map(levels.__getitem__, col.codes[rows].tolist()))
     if isinstance(col, np.ndarray):  # numbers need no quotes
-        if col.dtype.kind != "f":
-            return lambda rows: list(map(str, col[rows].tolist()))
-        _check_finite(col[~np.isfinite(col)].tolist())
-        return lambda rows: list(map(repr, col[rows].tolist()))
+        text = repr if col.dtype.kind == "f" else str
+        if col.dtype.kind == "f":
+            _check_finite(col[~np.isfinite(col)].tolist())
+        # a float64 by its bits, which keep -0.0 apart from 0.0
+        keys = col.view(np.int64) if col.dtype == np.float64 else col
+        distinct = _distinct(keys) if keys.dtype.kind in "biu" else None
+        if distinct is None:
+            return lambda rows: list(map(text, col[rows].tolist()))
+        levels = list(map(text, distinct.view(col.dtype).tolist()))
+        return lambda rows: list(map(levels.__getitem__,
+                                     np.searchsorted(distinct, keys[rows]).tolist()))
     if isinstance(col, Numbered) or set(map(type, col)) <= {str}:  # texts only
         return lambda rows: csv_cells(col[rows])
     _check_finite([v for v in col if isinstance(v, float) and not math.isfinite(v)])
     return lambda rows: csv_cells([repr(float(v)) if isinstance(v, float) else str(v)
                                    for v in col[rows]])
+
+
+def _distinct(keys: np.ndarray):
+    """The distinct values of ``keys`` in ascending order, or None when there
+    are more than ``ROW_BLOCK`` of them."""
+    keys = np.sort(keys)
+    new = np.empty(len(keys), bool)
+    new[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=new[1:])
+    return keys[new] if np.count_nonzero(new) <= ROW_BLOCK else None
 
 
 def _check_finite(nonfinite: list) -> None:

@@ -433,7 +433,10 @@ class _Engine:
         if h.dl_running:
             if h.dl_tag is not None:
                 left = h.dl_tag - self._clock(now)
-                h.dl_left = left if left > 0.0 else 0.0
+                # the tag less the clock rounds to the clock's ulp, which can
+                # exceed what was left: a settle never adds to it
+                if left < h.dl_left:
+                    h.dl_left = left if left > 0.0 else 0.0
             else:
                 moved = (now - h.dl_mark) * h.dl_cap
                 if moved > h.dl_left:

@@ -6,6 +6,7 @@ import io
 import math
 from enum import Enum
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -13,6 +14,7 @@ from volpool import ingest, presets
 from volpool.hosts import (
     HOST_FIELDS,
     INT_FIELDS,
+    NUMERIC_FIELDS,
     Categorical,
     CpuVendor,
     OperatingSystem,
@@ -467,6 +469,132 @@ def test_serialize_matches_csv_writer(cells, block, mixed):
         written = "".join(ingest.csv_blocks(header, list(zip(*mixed))))
     assert got == ref_serialize(table)
     assert written == "".join(map(csv_line, [header, *mixed]))
+
+
+def ref_number_cells(col):
+    """An array's cells one value at a time: a float through ``repr``, any
+    other number through ``str``."""
+    return [repr(float(v)) if col.dtype.kind == "f" else str(v) for v in col]
+
+
+def written_columns(header, columns):
+    """The text ``csv_blocks`` writes for ``columns`` under ``header``, and the
+    text of the per-cell reference."""
+    got = "".join(ingest.csv_blocks(header, columns))
+    want = "".join(map(csv_line, [header, *zip(*map(ref_number_cells, columns))]))
+    return got, want
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+               0.1, 1.5, 1e16, -2.5e-300]
+EDGE_INTS = [-(2**63), 2**63 - 1, -1, 0, 1, 10**18]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    block=st.integers(1, 5),
+    n_rows=st.integers(0, 14),
+    pool=st.integers(1, 8),
+    data=st.data(),
+)
+def test_number_columns_match_per_cell_reference(block, n_rows, pool, data):
+    # a pool of few values drawn over and over gives columns with as many
+    # distinct values as the block or fewer, a bigger pool gives more
+    floats = st.sampled_from(EDGE_FLOATS) | FLOATS
+    ints = st.sampled_from(EDGE_INTS) | st.integers(-(2**63), 2**63 - 1)
+    floats, ints = (data.draw(st.lists(v, min_size=pool, max_size=pool)) for v in (floats, ints))
+
+    def column(values, dtype, length=n_rows):
+        return np.array(data.draw(st.lists(st.sampled_from(values), min_size=length,
+                                           max_size=length)), dtype)
+
+    header = ("float", "int", "small", "bool", "strided")
+    columns = [
+        column(floats, np.float64),
+        column(ints, np.int64),
+        column(range(pool), np.uint8),
+        column([False, True], bool),
+        column(floats, np.float64, 2 * n_rows)[::2],  # a strided view
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "ROW_BLOCK", block)  # both the levels and the block path
+        got, want = written_columns(header, columns)
+    assert got == want
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+@pytest.mark.parametrize("extra", [0, 1])
+def test_number_columns_at_the_distinct_value_bound(block, extra):
+    # exactly ROW_BLOCK distinct values take the levels path, one more the
+    # block path, and both write every cell as the reference does
+    distinct = [-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.5, 0.1][: block + extra]
+    floats = np.array(distinct * 3)[::-1]
+    ints = np.array([-(2**63), 2**63 - 1, -1, 0, 1, 7][: block + extra] * 3, np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "ROW_BLOCK", block)
+        for col in (floats, ints):
+            keys = col.view(np.int64)
+            assert (ingest._distinct(keys) is None) == bool(extra)
+        got, want = written_columns(("float", "int"), [floats, ints])
+    assert got == want
+    assert got.count("\n-0.0,") == 3
+
+
+def test_number_columns_empty():
+    columns = [np.array([], np.float64), np.array([], np.int64), np.array([], bool)]
+    assert "".join(ingest.csv_blocks(("a", "b", "c"), columns)) == "a,b,c\n"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("block", [1, 4096])
+def test_nonfinite_number_raises_before_any_text(bad, block):
+    col = np.array([1.0, 2.0, bad, 1.0])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "ROW_BLOCK", block)
+        with pytest.raises(ValueError, match=f"^{bad!r} is not a finite number$"):
+            ingest.csv_blocks(("ok", "bad"), [np.zeros(4), col])  # no line is asked for
+
+
+@pytest.mark.parametrize(
+    "columns, name, rows, n_rows",
+    [
+        ([np.array([1.0, 2.0, 3.0]), np.array([4, 5])], "b", 2, 3),  # a shorter later column
+        ([np.array([1.0, 2.0]), np.array([4, 5, 6])], "b", 3, 2),  # a longer later column
+        ([("x",), (1, 2), np.array([0.5])], "b", 2, 1),
+        ([np.array([1.0]), np.array([2.0]), Categorical([0, 0], ("z",))], "c", 2, 1),
+    ],
+)
+def test_columns_of_unequal_length_raise(columns, name, rows, n_rows):
+    with pytest.raises(ValueError, match=f"^column '{name}' has {rows} rows, not {n_rows}$"):
+        ingest.csv_blocks(("a", "b", "c"), columns)  # no line is asked for
+
+
+def test_round_trip_of_all_distinct_floats_past_the_bound():
+    # every float column holds 5,000 distinct values, more than ROW_BLOCK,
+    # within the host rules
+    n_hosts = 5000
+    pool = generate_pool(presets.reference_pool_spec(n_hosts=n_hosts, seed=6))
+    rng = np.random.default_rng(6)
+    sizes = ("flops_per_cpu", "iops_per_cpu", "ram", "swap", "throughput_down")
+    fractions = ("on_fraction", "connected_fraction", "active_fraction", "cpu_efficiency",
+                 "resource_share")
+    free = rng.lognormal(3.0, 2.0, n_hosts)
+    table = dataclasses.replace(
+        pool,
+        disk_free=free,
+        disk_total=free + rng.lognormal(3.0, 2.0, n_hosts),
+        **{name: rng.lognormal(2.0, 3.0, n_hosts) for name in sizes},
+        **{name: rng.random(n_hosts) for name in fractions},
+    )
+    for name in NUMERIC_FIELDS:
+        col = getattr(table, name)
+        if col.dtype.kind == "f":
+            assert len(set(col.tolist())) > ingest.ROW_BLOCK
+    text = serialize_hosts(table)
+    result = parse_hosts(io.StringIO(text))
+    assert result.rejects == ()
+    assert serialize_hosts(result.records) == text
+    assert text == ref_serialize(table)
 
 
 # -- breakdowns ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from volpool import cli, ingest, presets
 from volpool import sim as simmod
@@ -672,6 +672,11 @@ for _name in [name for name in vars(simmod._Engine) if name.startswith("_on_")]:
     task_flop=st.floats(1e11, 2e13),
     buffer_days=st.sampled_from([None, 0.3]),
 )
+# a flow started at a large shared clock: its tag less the clock rounded above
+# the whole input
+@example(seed=0, n_hosts=7, availability=0.9, arrival_rate=0.0, lifetime=2.0, quorum=1,
+         error_rate=0.0, dwell_hours=1.0, deadline=1.0, input_mb=0.642940909011864,
+         task_flop=1e11, buffer_days=0.3)
 def test_each_slot_holds_one_replicas_progress(
     cap_mbps, seed, n_hosts, availability, arrival_rate, lifetime, quorum,
     error_rate, dwell_hours, deadline, input_mb, task_flop, buffer_days,
